@@ -26,9 +26,7 @@ from .selection import (CorrelationMatrix, FeatureSubset, best_first_search,
                         cfs_merit, correlation_matrix, pearson, range_bounds,
                         range_filter, select_features)
 from .classifiers import (KNNClassifier, NaiveBayesClassifier,
-                          RandomForestClassifier, euclidean_distance,
-                          knn_fit_predict, make_classifier, nb_fit,
-                          nb_predict, rf_fit, rf_predict)
+                          RandomForestClassifier, make_classifier)
 
 __version__ = "0.1.0"
 
@@ -42,12 +40,10 @@ __all__ = [
     "RandomForestClassifier", "SamplingConfig", "StratificationPlan",
     "allocate", "assemble_report", "best_first_search", "build_case",
     "cfs_merit", "correlation_matrix", "derive_seed", "emit_report",
-    "euclidean_distance", "extract_vector", "fluctuation_index",
-    "generate_synthetic_case", "hurst_exponent", "kfold_split",
-    "knn_fit_predict", "load_channel", "make_classifier", "nb_fit",
-    "nb_predict", "pearson", "range_bounds", "range_filter",
-    "reduce_channel", "required_sample_size", "rf_fit", "rf_predict",
-    "run_cv", "run_pipeline", "sample_entropy", "save_channel",
-    "select_features", "shannon_entropy", "stratify", "stratum_features",
-    "weighted_accuracy",
+    "extract_vector", "fluctuation_index", "generate_synthetic_case",
+    "hurst_exponent", "kfold_split", "load_channel", "make_classifier",
+    "pearson", "range_bounds", "range_filter", "reduce_channel",
+    "required_sample_size", "run_cv", "run_pipeline", "sample_entropy",
+    "save_channel", "select_features", "shannon_entropy", "stratify",
+    "stratum_features", "weighted_accuracy",
 ]

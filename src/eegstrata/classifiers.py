@@ -40,14 +40,6 @@ def _check_rows(rows, n_features: int) -> np.ndarray:
     return arr
 
 
-def euclidean_distance(a, b) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DataError(f"length mismatch: {a.shape} vs {b.shape}")
-    return float(np.sqrt(((a - b) ** 2).sum()))
-
-
 class KNNClassifier:
     """k nearest neighbours by Euclidean distance on z-scored features.
 
@@ -274,27 +266,6 @@ class RandomForestClassifier:
             votes += _tree_predict(tree, x)
         # majority over trees, ties to the smaller label
         return (2 * votes > self.n_trees).astype(np.int64)
-
-
-def knn_fit_predict(train: FeatureMatrix, test_rows, k: int = KNN_K) -> np.ndarray:
-    return KNNClassifier(k=k).fit(train).predict(test_rows)
-
-
-def nb_fit(train: FeatureMatrix, var_floor: float = NB_VAR_FLOOR) -> NaiveBayesClassifier:
-    return NaiveBayesClassifier(var_floor=var_floor).fit(train)
-
-
-def nb_predict(model: NaiveBayesClassifier, rows) -> np.ndarray:
-    return model.predict(rows)
-
-
-def rf_fit(train: FeatureMatrix, n_trees: int = RF_TREES, seed: int = 0,
-           **kwargs) -> RandomForestClassifier:
-    return RandomForestClassifier(n_trees=n_trees, seed=seed, **kwargs).fit(train)
-
-
-def rf_predict(model: RandomForestClassifier, rows) -> np.ndarray:
-    return model.predict(rows)
 
 
 CLASSIFIER_KINDS = ("rf", "nb", "knn")

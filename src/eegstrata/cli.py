@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .errors import ConfigError, DataError, DegenerateDataError
 from .pipeline import (REPORT_FORMATS, PipelineConfig, assemble_report,
@@ -18,120 +19,76 @@ from .pipeline import (REPORT_FORMATS, PipelineConfig, assemble_report,
                        stage_classify, stage_extract, stage_ingest,
                        stage_sample, stage_select)
 
-CONFIG_TEMPLATE = """\
-# data: point data.dir at a directory with one subdirectory per set
-# (A..E, or the equivalent Z/O/N/F/S names), or enable synthetic data.
-data.dir =
-synthetic = false
-synthetic.n0 = 100
-synthetic.n1 = 50
-synthetic.length = 4097
-synthetic.burst_amplitude = 5.0
-cases = Case1
-
-# sampling
-confidence = 95
-z =
-p = 0.5
-e = 0.01
-strata = 4
-policy = random
-
-# selection
-selection.mode = per-fold
-selection.stall_limit = 5
-selection.range_threshold = 0.8
-
-# classifier
-classifier = rf
-knn.k = 3
-knn.standardize = true
-rf.trees = 100
-rf.seed =
-rf.max_features = sqrt
-rf.bootstrap = true
-nb.var_floor = 1e-9
-
-# cross-validation
-cv.folds = 10
-cv.repeats = 20
-cv.stratified = true
-
-# run
-seed = 0
-out = out
-"""
+# The config file's one list of keys, in template order: each section's
+# template comment, then its (key, PipelineConfig field) rows. Defaults and
+# value types come from PipelineConfig.
+_SCHEMA = (
+    ("# data: point data.dir at a directory with one subdirectory per set\n"
+     "# (A..E, or the equivalent Z/O/N/F/S names), or enable synthetic data.",
+     (("data.dir", "data_dir"), ("synthetic", "synthetic"),
+      ("synthetic.n0", "synthetic_n0"), ("synthetic.n1", "synthetic_n1"),
+      ("synthetic.length", "synthetic_length"),
+      ("synthetic.burst_amplitude", "synthetic_burst_amplitude"), ("cases", "cases"))),
+    ("# sampling",
+     (("confidence", "confidence_levels"), ("z", "z"), ("p", "p"), ("e", "e"),
+      ("strata", "n_strata"), ("policy", "policy"))),
+    ("# selection",
+     (("selection.mode", "selection_mode"), ("selection.stall_limit", "stall_limit"),
+      ("selection.range_threshold", "range_threshold"))),
+    ("# classifier",
+     (("classifier", "classifier"), ("knn.k", "knn_k"), ("knn.standardize", "knn_standardize"),
+      ("rf.trees", "rf_trees"), ("rf.seed", "rf_seed"), ("rf.max_features", "rf_max_features"),
+      ("rf.bootstrap", "rf_bootstrap"), ("nb.var_floor", "nb_var_floor"))),
+    ("# cross-validation",
+     (("cv.folds", "cv_folds"), ("cv.repeats", "cv_repeats"), ("cv.stratified", "cv_stratified"))),
+    ("# run", (("seed", "seed"), ("out", "out_dir"))),
+)
+_CONFIG_KEYS = {key: name for _, rows in _SCHEMA for key, name in rows}
+_TYPES = get_type_hints(PipelineConfig)
+_DEFAULTS = PipelineConfig()
+_BOOLS = {"true": True, "yes": True, "1": True, "on": True,
+          "false": False, "no": False, "0": False, "off": False}
+_EXPECTED = {bool: "a boolean", int: "an integer", float: "a number"}
 
 
-def _to_bool(key: str, value: str) -> bool:
-    lowered = value.lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {value!r}")
-
-
-def _to_int(key: str, value: str) -> int:
+def _scalar(kind: type, key: str, value: str):
     try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
+        return _BOOLS[value.lower()] if kind is bool else kind(value)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{key}: expected {_EXPECTED[kind]}, got {value!r}") from None
 
 
-def _to_float(key: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {value!r}") from None
+def _convert(name: str, key: str, value: str):
+    """Parse a non-blank value for PipelineConfig field `name` by its type.
+
+    Tuples are comma-separated. Where an optional field defaults to a value,
+    "none" (or "unbounded") sets it to None; elsewhere a blank value does.
+    """
+    kind = _TYPES[name]
+    args = get_args(kind)
+    if get_origin(kind) is tuple:
+        return tuple(_scalar(args[0], key, part.strip()) for part in value.split(",")
+                     if part.strip())
+    if type(None) in args:
+        if getattr(_DEFAULTS, name) is not None and value.lower() in ("none", "unbounded"):
+            return None
+        kind = args[0]
+    return _scalar(kind, key, value)
 
 
-def _to_levels(key: str, value: str) -> tuple:
-    return tuple(_to_int(key, part.strip()) for part in value.split(",") if part.strip())
+def _template_value(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, tuple):
+        return ", ".join(map(str, value))
+    return str(value).lower() if isinstance(value, bool) else str(value)
 
 
-def _to_cases(key: str, value: str) -> tuple:
-    return tuple(part.strip() for part in value.split(",") if part.strip())
-
-
-def _to_stall(key: str, value: str):
-    if value.lower() in ("none", "unbounded"):
-        return None
-    return _to_int(key, value)
-
-
-# config key -> (PipelineConfig field, converter); None converter keeps the string
-_CONFIG_KEYS = {
-    "data.dir": ("data_dir", None),
-    "synthetic": ("synthetic", _to_bool),
-    "synthetic.n0": ("synthetic_n0", _to_int),
-    "synthetic.n1": ("synthetic_n1", _to_int),
-    "synthetic.length": ("synthetic_length", _to_int),
-    "synthetic.burst_amplitude": ("synthetic_burst_amplitude", _to_float),
-    "cases": ("cases", _to_cases),
-    "confidence": ("confidence_levels", _to_levels),
-    "z": ("z", _to_float),
-    "p": ("p", _to_float),
-    "e": ("e", _to_float),
-    "strata": ("n_strata", _to_int),
-    "policy": ("policy", None),
-    "selection.mode": ("selection_mode", None),
-    "selection.stall_limit": ("stall_limit", _to_stall),
-    "selection.range_threshold": ("range_threshold", _to_float),
-    "classifier": ("classifier", None),
-    "knn.k": ("knn_k", _to_int),
-    "knn.standardize": ("knn_standardize", _to_bool),
-    "rf.trees": ("rf_trees", _to_int),
-    "rf.seed": ("rf_seed", _to_int),
-    "rf.max_features": ("rf_max_features", None),
-    "rf.bootstrap": ("rf_bootstrap", _to_bool),
-    "nb.var_floor": ("nb_var_floor", _to_float),
-    "cv.folds": ("cv_folds", _to_int),
-    "cv.repeats": ("cv_repeats", _to_int),
-    "cv.stratified": ("cv_stratified", _to_bool),
-    "seed": ("seed", _to_int),
-    "out": ("out_dir", None),
-}
+CONFIG_TEMPLATE = "\n\n".join(
+    "\n".join([comment] + [f"{key} = {_template_value(getattr(_DEFAULTS, name))}".rstrip()
+                            for key, name in rows])
+    for comment, rows in _SCHEMA
+) + "\n"
 
 
 def parse_config_file(path) -> dict:
@@ -156,8 +113,8 @@ def parse_config_file(path) -> dict:
         seen.add(key)
         if value == "":
             continue
-        field, convert = _CONFIG_KEYS[key]
-        kwargs[field] = value if convert is None else convert(key, value)
+        name = _CONFIG_KEYS[key]
+        kwargs[name] = _convert(name, key, value)
     return kwargs
 
 
@@ -172,7 +129,7 @@ def build_config(args) -> PipelineConfig:
     if args.seed is not None:
         kwargs["seed"] = args.seed
     if args.confidence:
-        kwargs["confidence_levels"] = _to_levels("--confidence", args.confidence)
+        kwargs["confidence_levels"] = _convert("confidence_levels", "--confidence", args.confidence)
         kwargs["z"] = None
     if args.z is not None:
         kwargs["z"] = args.z

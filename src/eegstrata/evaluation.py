@@ -151,7 +151,6 @@ class EvaluationReport:
 
     per_case: dict
     weights: dict
-    weighted_average: float
     per_repeat: dict = field(default_factory=dict)
     selected: dict = field(default_factory=dict)
 
@@ -163,14 +162,13 @@ class EvaluationReport:
         for case, (mean, std) in self.per_case.items():
             if not 0.0 <= mean <= 100.0 or std < 0.0:
                 raise DataError(f"case {case!r} has invalid accuracy summary ({mean}, {std})")
+
+    @property
+    def weighted_average(self) -> float:
+        """Per-case mean accuracies weighted by channel count."""
         cases = sorted(self.per_case)
-        expected = weighted_accuracy([self.per_case[c][0] for c in cases],
-                                     [self.weights[c] for c in cases])
-        if abs(expected - self.weighted_average) > 1e-9:
-            raise DataError(
-                f"weighted average {self.weighted_average} inconsistent with per-case means "
-                f"(expected {expected})"
-            )
+        return weighted_accuracy([self.per_case[c][0] for c in cases],
+                                 [self.weights[c] for c in cases])
 
     def to_dict(self) -> dict:
         return {
@@ -183,9 +181,7 @@ class EvaluationReport:
 
     @classmethod
     def from_cases(cls, case_results: dict, weights: dict, selected: dict | None = None) -> "EvaluationReport":
-        per_case = {c: (r.mean, r.std) for c, r in case_results.items()}
-        cases = sorted(per_case)
-        wavg = weighted_accuracy([per_case[c][0] for c in cases], [weights[c] for c in cases])
-        return cls(per_case=per_case, weights=dict(weights), weighted_average=wavg,
+        return cls(per_case={c: (r.mean, r.std) for c, r in case_results.items()},
+                   weights=dict(weights),
                    per_repeat={c: r.per_repeat for c, r in case_results.items()},
                    selected=dict(selected or {}))

@@ -44,9 +44,9 @@ class PipelineConfig:
     synthetic_n1: int = 50
     synthetic_length: int = 4097
     synthetic_burst_amplitude: float = 5.0
-    cases: tuple = ("Case1",)
+    cases: tuple[str, ...] = ("Case1",)
     # sampling
-    confidence_levels: tuple = (95,)
+    confidence_levels: tuple[int, ...] = (95,)
     z: float | None = None  # explicit variate, overrides confidence_levels
     p: float = 0.5
     e: float = 0.01
@@ -135,16 +135,17 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2) + "\n")
 
 
-def _read_json(path: Path, hint: str) -> dict:
+def _read_artifact(path: Path, hint: str):
+    """Load what an earlier stage wrote: a FeatureMatrix from .csv, else
+    JSON. hint names the stage that writes the file."""
     if not path.is_file():
         raise DataError(f"missing {path}; run '{hint}' first")
-    return json.loads(path.read_text())
-
-
-def _require_file(path: Path, hint: str) -> Path:
-    if not path.is_file():
-        raise DataError(f"missing {path}; run '{hint}' first")
-    return path
+    if path.suffix == ".csv":
+        return FeatureMatrix.from_csv(path)
+    try:
+        return json.loads(path.read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"{path}: malformed JSON ({exc}); run '{hint}' again") from None
 
 
 def _case_sets(case_id: str) -> tuple:
@@ -192,7 +193,7 @@ def stage_ingest(cfg: PipelineConfig) -> dict:
 
 
 def _load_case(cfg: PipelineConfig, case_id: str):
-    manifest = _read_json(_out(cfg) / "manifest.json", "ingest")
+    manifest = _read_artifact(_out(cfg) / "manifest.json", "ingest")
     set_dirs = {s: Path(d) for s, d in manifest["set_dirs"].items()}
     return build_case(case_id, set_dirs)
 
@@ -249,7 +250,7 @@ def stage_extract(cfg: PipelineConfig, label: str) -> dict:
     out = {}
     level = _level_dir(cfg, label)
     for case_id in cfg.cases:
-        sampling = _read_json(level / f"sampling_{case_id}.json", "sample")
+        sampling = _read_artifact(level / f"sampling_{case_id}.json", "sample")
         set_dirs = {s: level / "reduced" / case_id / s for s in _case_sets(case_id)}
         case = build_case(case_id, set_dirs)
         plans = {
@@ -268,7 +269,7 @@ def stage_select(cfg: PipelineConfig, label: str) -> dict:
     out = {}
     level = _level_dir(cfg, label)
     for case_id in cfg.cases:
-        fm = FeatureMatrix.from_csv(_require_file(level / f"features_{case_id}.csv", "extract"))
+        fm = _read_artifact(level / f"features_{case_id}.csv", "extract")
         subset = select_features(fm, stall_limit=cfg.stall_limit,
                                  threshold=cfg.range_threshold)
         _write_json(level / f"selection_{case_id}.json", subset.to_dict())
@@ -281,7 +282,7 @@ def stage_classify(cfg: PipelineConfig, label: str) -> dict:
     out = {}
     level = _level_dir(cfg, label)
     for case_id in cfg.cases:
-        fm = FeatureMatrix.from_csv(_require_file(level / f"features_{case_id}.csv", "extract"))
+        fm = _read_artifact(level / f"features_{case_id}.csv", "extract")
         result = run_cv(fm, cfg.classifier_spec(), cfg.cv_config(),
                         select=cfg.selection_mode, stall_limit=cfg.stall_limit,
                         range_threshold=cfg.range_threshold)
@@ -343,9 +344,9 @@ def assemble_report(cfg: PipelineConfig) -> PipelineReport:
         selected = {}
         sampling = {}
         for case_id in cfg.cases:
-            sampling[case_id] = _read_json(level / f"sampling_{case_id}.json", "sample")
-            selected[case_id] = _read_json(level / f"selection_{case_id}.json", "select")
-            evaluation = _read_json(level / f"evaluation_{case_id}.json", "classify")
+            sampling[case_id] = _read_artifact(level / f"sampling_{case_id}.json", "sample")
+            selected[case_id] = _read_artifact(level / f"selection_{case_id}.json", "select")
+            evaluation = _read_artifact(level / f"evaluation_{case_id}.json", "classify")
             case_results[case_id] = CVResult(mean=evaluation["mean"], std=evaluation["std"],
                                              per_repeat=tuple(evaluation["per_repeat"]))
             weights[case_id] = evaluation["n_rows"]

@@ -107,25 +107,21 @@ def cfs_merit(subset, cm: CorrelationMatrix) -> float:
     """Merit of a feature subset: k * mean|r_cf| / sqrt(k + k(k-1) * mean|r_ff|),
     where the feature-feature mean runs over distinct pairs and is 0 for k=1."""
     idx = [cm.index(n) for n in subset]
-    k = len(idx)
-    if k == 0:
+    if not idx:
         raise ConfigError("merit of the empty subset is undefined")
+    return _merit_by_indices(idx, cm)
+
+
+def _merit_by_indices(idx, cm: CorrelationMatrix) -> float:
+    """cfs_merit of a non-empty subset given by column indices; the search
+    scores by index because resolving names is a scan of cm.names."""
+    idx = list(idx)
+    k = len(idx)
     r_cf = np.abs(cm.feature_class[idx]).mean()
     if k == 1:
         r_ff = 0.0
     else:
         sub = np.abs(cm.feature_feature[np.ix_(idx, idx)])
-        r_ff = (sub.sum() - k) / (k * (k - 1))
-    return float(k * r_cf / np.sqrt(k + k * (k - 1) * r_ff))
-
-
-def _merit_by_indices(idx, cm: CorrelationMatrix) -> float:
-    k = len(idx)
-    r_cf = np.abs(cm.feature_class[list(idx)]).mean()
-    if k == 1:
-        r_ff = 0.0
-    else:
-        sub = np.abs(cm.feature_feature[np.ix_(list(idx), list(idx))])
         r_ff = (sub.sum() - k) / (k * (k - 1))
     return float(k * r_cf / np.sqrt(k + k * (k - 1) * r_ff))
 

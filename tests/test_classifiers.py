@@ -4,8 +4,7 @@ import pytest
 import oracles
 from eegstrata import (ConfigError, DataError, FeatureMatrix, KNNClassifier,
                        NaiveBayesClassifier, RandomForestClassifier,
-                       euclidean_distance, knn_fit_predict, make_classifier,
-                       nb_fit, rf_fit)
+                       make_classifier)
 
 
 def _fm(values, labels):
@@ -21,17 +20,6 @@ def _blobs(seed, n_per_class=20, d=3, separation=6.0, scale=1.0):
     values = np.vstack([c0, c1])
     labels = np.array([0] * n_per_class + [1] * n_per_class)
     return _fm(values, labels)
-
-
-def test_euclidean_distance():
-    assert euclidean_distance([0, 0], [3, 4]) == pytest.approx(5.0)
-    assert euclidean_distance([1.5, -2.0, 7.0], [1.5, -2.0, 7.0]) == 0.0
-    rng = np.random.default_rng(0)
-    a, b = rng.standard_normal((2, 10))
-    ref = sum((float(u) - float(v)) ** 2 for u, v in zip(a, b)) ** 0.5
-    assert euclidean_distance(a, b) == pytest.approx(ref, abs=1e-12)
-    with pytest.raises(DataError):
-        euclidean_distance([1, 2], [1, 2, 3])
 
 
 def test_knn_exact_match_wins_at_k1():
@@ -191,11 +179,9 @@ def test_rf_validation():
 
 def test_functional_wrappers():
     fm = _blobs(12)
-    assert np.array_equal(knn_fit_predict(fm, fm.values, k=1), fm.labels)
-    nb = nb_fit(fm)
-    assert np.array_equal(nb.predict(fm.values), fm.labels)
-    rf = rf_fit(fm, n_trees=5, seed=0)
-    assert np.array_equal(rf.predict(fm.values), fm.labels)
+    for model in (KNNClassifier(k=1), NaiveBayesClassifier(),
+                  RandomForestClassifier(n_trees=5, seed=0)):
+        assert np.array_equal(model.fit(fm).predict(fm.values), fm.labels)
 
 
 def test_make_classifier():

@@ -176,8 +176,6 @@ def test_evaluation_report_round_trip():
 
 def test_evaluation_report_validation():
     with pytest.raises(ConfigError):
-        EvaluationReport(per_case={"a": (90.0, 1.0)}, weights={"b": 1}, weighted_average=90.0)
+        EvaluationReport(per_case={"a": (90.0, 1.0)}, weights={"b": 1})
     with pytest.raises(DataError):
-        EvaluationReport(per_case={"a": (101.0, 1.0)}, weights={"a": 1}, weighted_average=101.0)
-    with pytest.raises(DataError):
-        EvaluationReport(per_case={"a": (90.0, 1.0)}, weights={"a": 1}, weighted_average=80.0)
+        EvaluationReport(per_case={"a": (101.0, 1.0)}, weights={"a": 1})

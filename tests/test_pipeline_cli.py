@@ -1,9 +1,14 @@
 import dataclasses
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import eegstrata
 from eegstrata import (ConfigError, FeatureMatrix, PipelineConfig,
                        SamplingConfig, assemble_report, emit_report,
                        required_sample_size, run_pipeline)
@@ -157,6 +162,16 @@ def test_config_template_matches_defaults(tmp_path):
     assert main(["init-config", str(path)]) == 2
 
 
+def test_readme_config_block_parses_to_defaults(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    path = tmp_path / "readme.conf"
+    path.write_text(blocks[0])
+    # parse_config_file rejects unknown keys, so this also pins the key names
+    assert PipelineConfig(**parse_config_file(path)) == PipelineConfig()
+
+
 def test_config_parse_errors(tmp_path):
     def check(text, fragment):
         path = tmp_path / "bad.conf"
@@ -262,3 +277,26 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert main(["sample", "--out", str(out)]) == 4
     captured = capsys.readouterr()
     assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("artifact, kept, command", [
+    ("manifest.json", 0.0, "sample"),  # empty
+    ("confidence_95/sampling_Case1.json", 0.5, "extract"),  # truncated
+    ("confidence_95/sampling_Case1.json", 0.5, "report"),
+])
+def test_cli_malformed_artifact_is_a_data_error(tmp_path, artifact, kept, command):
+    conf = tmp_path / "run.conf"
+    conf.write_text("synthetic = true\nsynthetic.n0 = 4\nsynthetic.n1 = 3\n"
+                    f"synthetic.length = 512\nout = {tmp_path / 'out'}\n")
+    assert main(["ingest", "--config", str(conf)]) == 0
+    assert main(["sample", "--config", str(conf)]) == 0
+    path = tmp_path / "out" / artifact
+    text = path.read_text()
+    path.write_text(text[: int(len(text) * kept)])
+    # a separate interpreter, so an uncaught exception would show as a traceback
+    env = {**os.environ, "PYTHONPATH": str(Path(eegstrata.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "eegstrata", command, "--config", str(conf)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert str(path) in proc.stderr
+    assert "Traceback" not in proc.stderr

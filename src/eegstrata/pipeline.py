@@ -135,17 +135,27 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2) + "\n")
 
 
-def _read_artifact(path: Path, hint: str):
-    """Load what an earlier stage wrote: a FeatureMatrix from .csv, else
-    JSON. hint names the stage that writes the file."""
+def _read_artifact(path: Path, hint: str, keys: tuple = ()):
+    """Load what an earlier stage wrote: a FeatureMatrix from .csv, else a
+    JSON object holding every key in keys ("a.b" names key b inside a).
+    hint names the stage that writes the file."""
     if not path.is_file():
         raise DataError(f"missing {path}; run '{hint}' first")
     if path.suffix == ".csv":
         return FeatureMatrix.from_csv(path)
     try:
-        return json.loads(path.read_text())
+        data = json.loads(path.read_text())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"{path}: malformed JSON ({exc}); run '{hint}' again") from None
+    if not isinstance(data, dict):
+        raise DataError(f"{path}: expected a JSON object; run '{hint}' again")
+    for key in keys:
+        node = data
+        for part in key.split("."):
+            if not isinstance(node, dict) or part not in node:
+                raise DataError(f"{path}: missing key {key!r}; run '{hint}' again")
+            node = node[part]
+    return data
 
 
 def _case_sets(case_id: str) -> tuple:
@@ -193,7 +203,7 @@ def stage_ingest(cfg: PipelineConfig) -> dict:
 
 
 def _load_case(cfg: PipelineConfig, case_id: str):
-    manifest = _read_artifact(_out(cfg) / "manifest.json", "ingest")
+    manifest = _read_artifact(_out(cfg) / "manifest.json", "ingest", ("set_dirs",))
     set_dirs = {s: Path(d) for s, d in manifest["set_dirs"].items()}
     return build_case(case_id, set_dirs)
 
@@ -250,7 +260,8 @@ def stage_extract(cfg: PipelineConfig, label: str) -> dict:
     out = {}
     level = _level_dir(cfg, label)
     for case_id in cfg.cases:
-        sampling = _read_artifact(level / f"sampling_{case_id}.json", "sample")
+        sampling = _read_artifact(level / f"sampling_{case_id}.json", "sample",
+                                  ("classes.0.per_stratum", "classes.1.per_stratum"))
         set_dirs = {s: level / "reduced" / case_id / s for s in _case_sets(case_id)}
         case = build_case(case_id, set_dirs)
         plans = {
@@ -344,9 +355,11 @@ def assemble_report(cfg: PipelineConfig) -> PipelineReport:
         selected = {}
         sampling = {}
         for case_id in cfg.cases:
-            sampling[case_id] = _read_artifact(level / f"sampling_{case_id}.json", "sample")
+            sampling[case_id] = _read_artifact(level / f"sampling_{case_id}.json", "sample",
+                                               ("n_bar", "plan", "classes"))
             selected[case_id] = _read_artifact(level / f"selection_{case_id}.json", "select")
-            evaluation = _read_artifact(level / f"evaluation_{case_id}.json", "classify")
+            evaluation = _read_artifact(level / f"evaluation_{case_id}.json", "classify",
+                                        ("mean", "std", "per_repeat", "n_rows"))
             case_results[case_id] = CVResult(mean=evaluation["mean"], std=evaluation["std"],
                                              per_repeat=tuple(evaluation["per_repeat"]))
             weights[case_id] = evaluation["n_rows"]

@@ -105,17 +105,12 @@ def correlation_matrix(fm: FeatureMatrix) -> CorrelationMatrix:
 
 def cfs_merit(subset, cm: CorrelationMatrix) -> float:
     """Merit of a feature subset: k * mean|r_cf| / sqrt(k + k(k-1) * mean|r_ff|),
-    where the feature-feature mean runs over distinct pairs and is 0 for k=1."""
+    where the feature-feature mean runs over distinct pairs and is 0 for k=1.
+    This is the reference form; best_first_search scores the same formula
+    from running sums."""
     idx = [cm.index(n) for n in subset]
     if not idx:
         raise ConfigError("merit of the empty subset is undefined")
-    return _merit_by_indices(idx, cm)
-
-
-def _merit_by_indices(idx, cm: CorrelationMatrix) -> float:
-    """cfs_merit of a non-empty subset given by column indices; the search
-    scores by index because resolving names is a scan of cm.names."""
-    idx = list(idx)
     k = len(idx)
     r_cf = np.abs(cm.feature_class[idx]).mean()
     if k == 1:
@@ -136,6 +131,11 @@ def best_first_search(cm: CorrelationMatrix, stall_limit: int | None = STALL_LIM
     improve it (stall_limit=None exhausts the whole lattice). If nothing
     beats the empty set, the single feature with the highest class
     correlation is returned instead.
+
+    Merit is scored incrementally (Hall 1999): with s_cf = sum|r_cf| and
+    s_ff = sum|r_ff| over ordered distinct pairs, merit = s_cf / sqrt(k + s_ff).
+    Each open subset carries its two sums, so one row-sum of |r_ff| scores
+    all of its extensions at once.
     """
     d = cm.n_features
     if d < 1:
@@ -143,13 +143,19 @@ def best_first_search(cm: CorrelationMatrix, stall_limit: int | None = STALL_LIM
     if stall_limit is not None and stall_limit < 1:
         raise ConfigError(f"stall_limit must be positive or None, got {stall_limit}")
 
+    abs_fc = np.abs(cm.feature_class)
+    abs_ff = np.abs(cm.feature_feature)
     best_idx: tuple = ()
     best_merit = 0.0
-    open_heap = [(-0.0, ())]
+    open_heap = [(-0.0, (), 0.0, 0.0)]  # (-merit, subset, s_cf, s_ff)
     seen = {()}
     stall = 0
     while open_heap:
-        _, current = heapq.heappop(open_heap)
+        _, current, s_cf, s_ff = heapq.heappop(open_heap)
+        child_cf = s_cf + abs_fc
+        child_ff = s_ff + 2.0 * abs_ff[list(current)].sum(axis=0)
+        merits = (child_cf / np.sqrt(len(current) + 1 + child_ff)).tolist()
+        child_cf, child_ff = child_cf.tolist(), child_ff.tolist()
         improved = False
         for f in range(d):
             if f in current:
@@ -158,8 +164,8 @@ def best_first_search(cm: CorrelationMatrix, stall_limit: int | None = STALL_LIM
             if child in seen:
                 continue
             seen.add(child)
-            merit = _merit_by_indices(child, cm)
-            heapq.heappush(open_heap, (-merit, child))
+            merit = merits[f]
+            heapq.heappush(open_heap, (-merit, child, child_cf[f], child_ff[f]))
             if merit > best_merit or (merit == best_merit and child < best_idx):
                 best_idx = child
                 best_merit = merit

@@ -1,9 +1,12 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is written from the textbook definition with plain loops,
-no code shared with the package. Slow on purpose; only tests import this.
+no code shared with the package, except best_first_search_reference: the
+package's search with from-scratch merit, the reference for its running-sum
+form. Slow on purpose; only tests import this.
 """
 
+import heapq
 import itertools
 import math
 
@@ -122,6 +125,57 @@ def exhaustive_best_subset(feature_class, feature_feature):
                 best = combo
                 best_merit = merit
     return best, best_merit
+
+
+def _merit_by_indices_reference(idx, cm):
+    """CFS merit of a non-empty index subset, rebuilt from scratch."""
+    idx = list(idx)
+    k = len(idx)
+    r_cf = np.abs(cm.feature_class[idx]).mean()
+    if k == 1:
+        r_ff = 0.0
+    else:
+        sub = np.abs(cm.feature_feature[np.ix_(idx, idx)])
+        r_ff = (sub.sum() - k) / (k * (k - 1))
+    return float(k * r_cf / np.sqrt(k + k * (k - 1) * r_ff))
+
+
+def best_first_search_reference(cm, stall_limit=5):
+    """Best-first search with every child subset's merit rebuilt with np.ix_:
+    the reference for selection.best_first_search, with the same heap order,
+    tie rule, stall rule and empty-set fallback, and no argument checks."""
+    d = cm.n_features
+    best_idx = ()
+    best_merit = 0.0
+    open_heap = [(-0.0, ())]
+    seen = {()}
+    stall = 0
+    while open_heap:
+        _, current = heapq.heappop(open_heap)
+        improved = False
+        for f in range(d):
+            if f in current:
+                continue
+            child = tuple(sorted(current + (f,)))
+            if child in seen:
+                continue
+            seen.add(child)
+            merit = _merit_by_indices_reference(child, cm)
+            heapq.heappush(open_heap, (-merit, child))
+            if merit > best_merit or (merit == best_merit and child < best_idx):
+                best_idx = child
+                best_merit = merit
+                improved = True
+        if improved:
+            stall = 0
+        else:
+            stall += 1
+            if stall_limit is not None and stall >= stall_limit:
+                break
+
+    if not best_idx:
+        best_idx = (int(np.argmax(np.abs(cm.feature_class))),)
+    return tuple(cm.names[i] for i in best_idx)
 
 
 def in_range_fraction_direct(values, lo, hi):

@@ -279,20 +279,29 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert "error:" in captured.err
 
 
-@pytest.mark.parametrize("artifact, kept, command", [
+@pytest.mark.parametrize("artifact, damage, command", [
     ("manifest.json", 0.0, "sample"),  # empty
     ("confidence_95/sampling_Case1.json", 0.5, "extract"),  # truncated
     ("confidence_95/sampling_Case1.json", 0.5, "report"),
+    # valid JSON of the wrong shape
+    ("manifest.json", "[]", "sample"),
+    ("confidence_95/sampling_Case1.json", "{}", "extract"),
+    ("confidence_95/sampling_Case1.json", "{}", "report"),
+    ("confidence_95/evaluation_Case1.json", "{}", "report"),
 ])
-def test_cli_malformed_artifact_is_a_data_error(tmp_path, artifact, kept, command):
+def test_cli_malformed_artifact_is_a_data_error(tmp_path, artifact, damage, command):
+    """damage is the share of the artifact's text to keep, or text to replace it with."""
     conf = tmp_path / "run.conf"
     conf.write_text("synthetic = true\nsynthetic.n0 = 4\nsynthetic.n1 = 3\n"
-                    f"synthetic.length = 512\nout = {tmp_path / 'out'}\n")
-    assert main(["ingest", "--config", str(conf)]) == 0
-    assert main(["sample", "--config", str(conf)]) == 0
+                    f"synthetic.length = 512\nout = {tmp_path / 'out'}\n"
+                    "classifier = nb\ncv.folds = 2\ncv.repeats = 1\n")
+    stages = ["ingest", "sample"] + (["extract", "select", "classify"]
+                                     if "evaluation" in artifact else [])
+    for stage in stages:
+        assert main([stage, "--config", str(conf)]) == 0
     path = tmp_path / "out" / artifact
     text = path.read_text()
-    path.write_text(text[: int(len(text) * kept)])
+    path.write_text(damage if isinstance(damage, str) else text[: int(len(text) * damage)])
     # a separate interpreter, so an uncaught exception would show as a traceback
     env = {**os.environ, "PYTHONPATH": str(Path(eegstrata.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-m", "eegstrata", command, "--config", str(conf)],

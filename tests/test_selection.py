@@ -3,9 +3,11 @@ import pytest
 
 import oracles
 from eegstrata import (ConfigError, DataError, DegenerateDataError,
-                       FeatureMatrix, best_first_search, cfs_merit,
-                       correlation_matrix, pearson, range_bounds,
+                       FeatureMatrix, PipelineConfig, best_first_search,
+                       cfs_merit, correlation_matrix, pearson, range_bounds,
                        range_filter, select_features)
+from eegstrata.evaluation import CVConfig, kfold_split
+from eegstrata.pipeline import stage_extract, stage_ingest, stage_sample
 from eegstrata.selection import CorrelationMatrix
 
 
@@ -157,6 +159,79 @@ def test_best_first_equals_exhaustive_oracle():
         got = best_first_search(cm, stall_limit=None)
         ref_idx, _ = oracles.exhaustive_best_subset(cm.feature_class, cm.feature_feature)
         assert got == tuple(cm.names[i] for i in ref_idx)
+
+
+def _fold_training_matrices(out_dir, seed):
+    """Per-fold training matrices (5-fold x 2) of a 14+7 channel extract."""
+    cfg = PipelineConfig(synthetic=True, synthetic_n0=14, synthetic_n1=7,
+                         synthetic_length=512, seed=seed, out_dir=str(out_dir))
+    stage_ingest(cfg)
+    stage_sample(cfg, "95", 1.96)
+    fm = stage_extract(cfg, "95")["Case1"]
+    cv = CVConfig(n_folds=5, n_repeats=2, seed=seed)
+    return [_matrix(fm.values[train], fm.labels[train], names=fm.names)
+            for r in range(cv.n_repeats)
+            for train, _ in kfold_split(fm.n_rows, fm.labels, cv, repeat=r)]
+
+
+def _random_matrices(n_matrices, seed):
+    """Random matrices; every third has a duplicated column, every third
+    (offset by one) a constant column, every fifth a column equal to the label."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n_matrices):
+        n, d = int(rng.integers(20, 60)), int(rng.integers(3, 30))
+        labels = np.tile([0, 1], n)[:n]
+        values = rng.standard_normal((n, d))
+        if i % 3 == 0:
+            values[:, rng.integers(d)] = values[:, rng.integers(d)]
+        if i % 3 == 1:
+            values[:, rng.integers(d)] = 2.5
+        if i % 5 == 0:
+            values[:, rng.integers(d)] = labels
+        out.append(_matrix(values, labels))
+    return out
+
+
+def _tie_between_duplicates(got, ref, cm):
+    """got and ref differ only by exchanging duplicated columns (|r_ff| = 1),
+    so their merits tie in exact arithmetic and rounding picks the winner."""
+    gi, ri = {cm.index(n) for n in got}, {cm.index(n) for n in ref}
+    swapped = len(gi - ri) == len(ri - gi) and all(
+        any(abs(cm.feature_feature[a, b]) == 1.0 for b in ri - gi) for a in gi - ri)
+    return swapped and cfs_merit(got, cm) == pytest.approx(cfs_merit(ref, cm), abs=1e-12)
+
+
+# f2 and f5 are duplicates; here the two searches break the {f0, f2|f5, f4}
+# tie differently, by the last bit of their sums
+_DUPLICATE_TIE = _toy_cm(
+    [-0.2520394332539116, -0.1434396163805544, 0.24081673880372764,
+     -0.08867285830067162, 0.2776149558187878, 0.24081673880372764],
+    [[1.0, 0.3111972452492063, 0.020757893171716054, -0.17772125897938076,
+      -0.22498744074627958, 0.020757893171716054],
+     [0.3111972452492063, 1.0, 0.41068511778571587, -0.2893424680029309,
+      -0.007489840018335755, 0.41068511778571587],
+     [0.020757893171716054, 0.41068511778571587, 1.0, 0.19389562775529992,
+      0.2592706542521469, 1.0],
+     [-0.17772125897938076, -0.2893424680029309, 0.19389562775529992, 1.0,
+      0.10333837239027419, 0.19389562775529992],
+     [-0.22498744074627958, -0.007489840018335755, 0.2592706542521469,
+      0.10333837239027419, 1.0, 0.2592706542521469],
+     [0.020757893171716054, 0.41068511778571587, 1.0, 0.19389562775529992,
+      0.2592706542521469, 1.0]])
+
+
+def test_best_first_matches_reference_search(tmp_path):
+    """The running-sum search picks the subset the rebuilt-merit search picked,
+    except where duplicated columns make two subsets tie exactly."""
+    fms = (_fold_training_matrices(tmp_path / "s0", 0)
+           + _fold_training_matrices(tmp_path / "s1", 1)
+           + _random_matrices(100, seed=16))
+    for cm in [correlation_matrix(fm) for fm in fms] + [_DUPLICATE_TIE]:
+        for stall_limit in (1, 2, 5):
+            got = best_first_search(cm, stall_limit=stall_limit)
+            ref = oracles.best_first_search_reference(cm, stall_limit=stall_limit)
+            assert got == ref or _tie_between_duplicates(got, ref, cm), (stall_limit, got, ref)
 
 
 def test_range_bounds_reference_points():

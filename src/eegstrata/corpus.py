@@ -88,27 +88,42 @@ class ClassificationCase:
 
 
 def load_channel(path, set_label: str = "A", sampling_rate_hz: float = BONN_SAMPLING_RATE_HZ) -> Channel:
-    """Read one channel file (one numeric value per line, optional trailing
-    newline). The caller supplies the set label; standalone loads default to A.
+    """Read one channel file (UTF-8 text, one finite value per line, trailing
+    blank lines ignored). The caller supplies the set label; standalone loads
+    default to A.
     """
     path = Path(path)
     if not path.is_file():
         raise DataError(f"channel file not found: {path}")
-    lines = path.read_text().splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines:
         raise DataError(f"channel file is empty: {path}")
-    values = np.empty(len(lines), dtype=np.float64)
-    for i, line in enumerate(lines):
-        try:
-            values[i] = float(line)
-        except ValueError:
-            raise DataError(f"{path}: non-numeric value at line {i + 1}: {line.strip()!r}") from None
-        if not np.isfinite(values[i]):
-            raise DataError(f"{path}: non-finite value at line {i + 1}: {line.strip()!r}")
+    # numpy's str -> float64 cast calls float() on each line, so values and
+    # accepted inputs match the per-line loop below, which runs only to name
+    # the first bad line.
+    try:
+        values = np.array(lines, dtype=np.float64)
+    except ValueError:
+        values = None
+    if values is None or not np.isfinite(values).all():
+        _raise_first_bad_line(path, lines)
     return Channel(id=f"{set_label}/{path.stem}", set_label=set_label,
                    samples=values, sampling_rate_hz=sampling_rate_hz)
+
+
+def _raise_first_bad_line(path: Path, lines: list) -> None:
+    for i, line in enumerate(lines, 1):
+        try:
+            value = float(line)
+        except ValueError:
+            raise DataError(f"{path}: non-numeric value at line {i}: {line.strip()!r}") from None
+        if not math.isfinite(value):
+            raise DataError(f"{path}: non-finite value at line {i}: {line.strip()!r}")
 
 
 def save_channel(channel: Channel, path) -> None:

@@ -203,9 +203,11 @@ def stage_ingest(cfg: PipelineConfig) -> dict:
 
 
 def _load_case(cfg: PipelineConfig, case_id: str):
-    manifest = _read_artifact(_out(cfg) / "manifest.json", "ingest", ("set_dirs",))
-    set_dirs = {s: Path(d) for s, d in manifest["set_dirs"].items()}
-    return build_case(case_id, set_dirs)
+    path = _out(cfg) / "manifest.json"
+    set_dirs = _read_artifact(path, "ingest", ("set_dirs",))["set_dirs"]
+    if not (isinstance(set_dirs, dict) and all(isinstance(d, str) for d in set_dirs.values())):
+        raise DataError(f"{path}: 'set_dirs' must be an object of strings; run 'ingest' again")
+    return build_case(case_id, {s: Path(d) for s, d in set_dirs.items()})
 
 
 def stage_sample(cfg: PipelineConfig, label: str, z: float) -> dict:

@@ -1,9 +1,10 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is written from the textbook definition with plain loops,
-no code shared with the package, except best_first_search_reference: the
-package's search with from-scratch merit, the reference for its running-sum
-form. Slow on purpose; only tests import this.
+no code shared with the package, except two former package bodies kept as
+references for their faster forms: best_first_search_reference, the search
+with from-scratch merit, and load_channel_reference, the per-line channel
+parse. Slow on purpose; only tests import this.
 """
 
 import heapq
@@ -176,6 +177,26 @@ def best_first_search_reference(cm, stall_limit=5):
     if not best_idx:
         best_idx = (int(np.argmax(np.abs(cm.feature_class))),)
     return tuple(cm.names[i] for i in best_idx)
+
+
+def load_channel_reference(path):
+    """Parse a channel file one line at a time with float(): the reference for
+    corpus.load_channel. Returns the values, or raises ValueError holding the
+    message load_channel's DataError must carry."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()
+    if not lines:
+        raise ValueError(f"channel file is empty: {path}")
+    values = np.empty(len(lines), dtype=np.float64)
+    for i, line in enumerate(lines):
+        try:
+            values[i] = float(line)
+        except ValueError:
+            raise ValueError(f"{path}: non-numeric value at line {i + 1}: {line.strip()!r}") from None
+        if not np.isfinite(values[i]):
+            raise ValueError(f"{path}: non-finite value at line {i + 1}: {line.strip()!r}")
+    return values
 
 
 def in_range_fraction_direct(values, lo, hi):

@@ -24,18 +24,42 @@ def test_load_tolerates_trailing_blank_lines(tmp_path):
     np.testing.assert_array_equal(ch.samples, [1.5, -2.0, 30.0])
 
 
-def test_load_reports_bad_line_number(tmp_path):
+def test_load_accepts_whitespace_around_values(tmp_path):
     path = tmp_path / "c.txt"
-    path.write_text("1\n2\noops\n4\n")
-    with pytest.raises(DataError, match="line 3"):
+    path.write_text(" 1.5\n\t-2 \n  3e1\t\t\n")
+    np.testing.assert_array_equal(load_channel(path).samples, [1.5, -2.0, 30.0])
+
+
+@pytest.mark.parametrize("text, line", [
+    ("1\n2\noops\n4\n", 3),
+    ("1\n\n3\n", 2),  # blank line mid-file
+    ("1\n2\n3\n1 2\n", 4),  # two values on one line
+])
+def test_load_reports_bad_line_number(tmp_path, text, line):
+    path = tmp_path / "c.txt"
+    path.write_text(text)
+    with pytest.raises(DataError, match=f"non-numeric value at line {line}:"):
         load_channel(path)
 
 
-def test_load_rejects_non_finite(tmp_path):
+@pytest.mark.parametrize("text, line", [
+    ("1\nnan\n", 2),
+    ("1\n2\ninf\n4\n", 3),
+    ("1e400\n2\n", 1),  # overflows to inf
+])
+def test_load_rejects_non_finite(tmp_path, text, line):
     path = tmp_path / "c.txt"
-    path.write_text("1\nnan\n")
-    with pytest.raises(DataError, match="non-finite"):
+    path.write_text(text)
+    with pytest.raises(DataError, match=f"non-finite value at line {line}:"):
         load_channel(path)
+
+
+def test_load_rejects_non_utf8(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_bytes(b"1\n\xff\n3\n")
+    with pytest.raises(DataError, match="not UTF-8") as exc:
+        load_channel(path)
+    assert str(path) in str(exc.value)
 
 
 def test_load_missing_and_empty(tmp_path):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import eegstrata
@@ -288,6 +289,8 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     ("confidence_95/sampling_Case1.json", "{}", "extract"),
     ("confidence_95/sampling_Case1.json", "{}", "report"),
     ("confidence_95/evaluation_Case1.json", "{}", "report"),
+    # a value of the wrong type
+    ("manifest.json", '{"set_dirs": []}', "sample"),
 ])
 def test_cli_malformed_artifact_is_a_data_error(tmp_path, artifact, damage, command):
     """damage is the share of the artifact's text to keep, or text to replace it with."""
@@ -302,9 +305,28 @@ def test_cli_malformed_artifact_is_a_data_error(tmp_path, artifact, damage, comm
     path = tmp_path / "out" / artifact
     text = path.read_text()
     path.write_text(damage if isinstance(damage, str) else text[: int(len(text) * damage)])
-    # a separate interpreter, so an uncaught exception would show as a traceback
+    _assert_child_data_error([command, "--config", str(conf)], path)
+
+
+def test_cli_non_utf8_channel_is_a_data_error(tmp_path):
+    rng = np.random.default_rng(0)
+    for prefix in "ZOS":  # Bonn directory names for sets A, B and E
+        for i in range(3):
+            path = tmp_path / "corpus" / prefix / f"{prefix}{i:03d}.txt"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("".join(f"{v}\n" for v in rng.integers(-200, 200, 256)))
+    with path.open("ab") as f:
+        f.write(b"\xff\n")
+    args = ["--out", str(tmp_path / "out"), "--case", "Case1"]
+    assert main(["ingest", "--data", str(tmp_path / "corpus"), *args]) == 0
+    _assert_child_data_error(["sample", *args], path)
+
+
+def _assert_child_data_error(args, path):
+    """Run the CLI in a separate interpreter, so an uncaught exception would
+    show as a traceback: it must exit 3 with a message naming path."""
     env = {**os.environ, "PYTHONPATH": str(Path(eegstrata.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-m", "eegstrata", command, "--config", str(conf)],
+    proc = subprocess.run([sys.executable, "-m", "eegstrata", *args],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 3, proc.stderr
     assert str(path) in proc.stderr

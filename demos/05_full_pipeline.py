@@ -40,9 +40,9 @@ print(emit_report(report, "table").decode())
 for path in sorted(out.rglob("*.json")):
     print(" ", path.relative_to(out))
 
-# the report holds the full audit trail per case: allocation, selection,
-# per-repeat accuracies
-case = report.to_dict()["levels"][1]["cases"]["Case1"]
+# the report is the dict report.json holds, with the full audit trail per
+# case: allocation, selection, per-repeat accuracies
+case = report["levels"][1]["cases"]["Case1"]
 print("95% level, Case1:")
 print("  samples kept per channel:", case["n_bar"], "of", cfg.synthetic_length)
 print("  features selected:", ", ".join(case["selection"]["selected"]))

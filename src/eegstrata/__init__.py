@@ -11,13 +11,13 @@ from .corpus import (BONN_SAMPLING_RATE_HZ, CASE_SETS, SET_LABELS, Channel,
                      load_channel, save_channel)
 from .errors import (ConfigError, DataError, DegenerateDataError,
                      EegStrataError)
-from .evaluation import (CVConfig, CVResult, EvaluationReport, kfold_split,
-                         run_cv, weighted_accuracy)
+from .evaluation import (CVConfig, CVResult, kfold_split, run_cv,
+                         weighted_accuracy)
 from .features import (FEATURE_ORDER, FeatureMatrix, FeatureVector,
                        extract_vector, fluctuation_index, hurst_exponent,
                        sample_entropy, shannon_entropy, stratum_features)
-from .pipeline import (PipelineConfig, PipelineReport, assemble_report,
-                       emit_report, run_pipeline)
+from .pipeline import (PipelineConfig, assemble_report, emit_report,
+                       run_pipeline)
 from .sampler import (CONFIDENCE_Z, AllocationResult, SamplingConfig,
                       StratificationPlan, allocate, reduce_channel,
                       required_sample_size, stratify)
@@ -34,11 +34,10 @@ __all__ = [
     "BONN_SAMPLING_RATE_HZ", "CASE_SETS", "CONFIDENCE_Z", "FEATURE_ORDER",
     "SET_LABELS", "AllocationResult", "CVConfig", "CVResult", "Channel",
     "ClassificationCase", "ConfigError", "CorrelationMatrix", "DataError",
-    "DegenerateDataError", "EegStrataError", "EvaluationReport",
-    "FeatureMatrix", "FeatureSubset", "FeatureVector", "KNNClassifier",
-    "NaiveBayesClassifier", "PipelineConfig", "PipelineReport",
-    "RandomForestClassifier", "SamplingConfig", "StratificationPlan",
-    "allocate", "assemble_report", "best_first_search", "build_case",
+    "DegenerateDataError", "EegStrataError", "FeatureMatrix",
+    "FeatureSubset", "FeatureVector", "KNNClassifier", "NaiveBayesClassifier",
+    "PipelineConfig", "RandomForestClassifier", "SamplingConfig",
+    "StratificationPlan", "allocate", "assemble_report", "best_first_search", "build_case",
     "cfs_merit", "correlation_matrix", "derive_seed", "emit_report",
     "extract_vector", "fluctuation_index", "generate_synthetic_case",
     "hurst_exponent", "kfold_split", "load_channel", "make_classifier",

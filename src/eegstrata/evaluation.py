@@ -8,7 +8,7 @@ and population std over repeats, in percent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -144,44 +144,3 @@ def weighted_accuracy(values, weights) -> float:
         raise ConfigError("weights must be positive and non-empty")
     return float((values * weights).sum() / weights.sum())
 
-
-@dataclass(frozen=True)
-class EvaluationReport:
-    """Per-case accuracy summary plus the channel-count-weighted average."""
-
-    per_case: dict
-    weights: dict
-    per_repeat: dict = field(default_factory=dict)
-    selected: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if set(self.per_case) != set(self.weights):
-            raise ConfigError("per_case and weights must cover the same cases")
-        if not self.per_case:
-            raise ConfigError("a report needs at least one case")
-        for case, (mean, std) in self.per_case.items():
-            if not 0.0 <= mean <= 100.0 or std < 0.0:
-                raise DataError(f"case {case!r} has invalid accuracy summary ({mean}, {std})")
-
-    @property
-    def weighted_average(self) -> float:
-        """Per-case mean accuracies weighted by channel count."""
-        cases = sorted(self.per_case)
-        return weighted_accuracy([self.per_case[c][0] for c in cases],
-                                 [self.weights[c] for c in cases])
-
-    def to_dict(self) -> dict:
-        return {
-            "per_case": {c: {"mean": m, "std": s} for c, (m, s) in sorted(self.per_case.items())},
-            "weights": {c: int(w) for c, w in sorted(self.weights.items())},
-            "weighted_average": self.weighted_average,
-            "per_repeat": {c: list(v) for c, v in sorted(self.per_repeat.items())},
-            "selected": {c: dict(v) for c, v in sorted(self.selected.items())},
-        }
-
-    @classmethod
-    def from_cases(cls, case_results: dict, weights: dict, selected: dict | None = None) -> "EvaluationReport":
-        return cls(per_case={c: (r.mean, r.std) for c, r in case_results.items()},
-                   weights=dict(weights),
-                   per_repeat={c: r.per_repeat for c, r in case_results.items()},
-                   selected=dict(selected or {}))

@@ -11,14 +11,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .corpus import (BONN_PREFIX_TO_SET, CASE_SETS, build_case,
                      generate_synthetic_case, save_channel, _set_channel_files)
 from .errors import ConfigError, DataError, EegStrataError
-from .evaluation import (SELECTION_MODES, CVConfig, CVResult, EvaluationReport,
-                         run_cv)
+from .evaluation import SELECTION_MODES, CVConfig, run_cv, weighted_accuracy
 from .features import FeatureMatrix, extract_vector
 from .sampler import (CONFIDENCE_Z, SELECTION_POLICIES, SamplingConfig,
                       StratificationPlan, allocate, reduce_channel,
@@ -135,10 +134,19 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2) + "\n")
 
 
-def _read_artifact(path: Path, hint: str, keys: tuple = ()):
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _read_artifact(path: Path, hint: str, keys: dict | None = None):
     """Load what an earlier stage wrote: a FeatureMatrix from .csv, else a
     JSON object holding every key in keys ("a.b" names key b inside a).
-    hint names the stage that writes the file."""
+    keys maps each key to None, or to a (test, description) pair its value
+    must pass. hint names the stage that writes the file."""
     if not path.is_file():
         raise DataError(f"missing {path}; run '{hint}' first")
     if path.suffix == ".csv":
@@ -149,12 +157,14 @@ def _read_artifact(path: Path, hint: str, keys: tuple = ()):
         raise DataError(f"{path}: malformed JSON ({exc}); run '{hint}' again") from None
     if not isinstance(data, dict):
         raise DataError(f"{path}: expected a JSON object; run '{hint}' again")
-    for key in keys:
+    for key, check in (keys or {}).items():
         node = data
         for part in key.split("."):
             if not isinstance(node, dict) or part not in node:
                 raise DataError(f"{path}: missing key {key!r}; run '{hint}' again")
             node = node[part]
+        if check is not None and not check[0](node):
+            raise DataError(f"{path}: {key!r} must be {check[1]}; run '{hint}' again")
     return data
 
 
@@ -203,11 +213,10 @@ def stage_ingest(cfg: PipelineConfig) -> dict:
 
 
 def _load_case(cfg: PipelineConfig, case_id: str):
-    path = _out(cfg) / "manifest.json"
-    set_dirs = _read_artifact(path, "ingest", ("set_dirs",))["set_dirs"]
-    if not (isinstance(set_dirs, dict) and all(isinstance(d, str) for d in set_dirs.values())):
-        raise DataError(f"{path}: 'set_dirs' must be an object of strings; run 'ingest' again")
-    return build_case(case_id, {s: Path(d) for s, d in set_dirs.items()})
+    strings = (lambda v: isinstance(v, dict) and all(isinstance(d, str) for d in v.values()),
+               "an object of strings")
+    manifest = _read_artifact(_out(cfg) / "manifest.json", "ingest", {"set_dirs": strings})
+    return build_case(case_id, {s: Path(d) for s, d in manifest["set_dirs"].items()})
 
 
 def stage_sample(cfg: PipelineConfig, label: str, z: float) -> dict:
@@ -261,9 +270,11 @@ def stage_extract(cfg: PipelineConfig, label: str) -> dict:
     """Turn reduced channels into per-case feature matrices."""
     out = {}
     level = _level_dir(cfg, label)
+    counts = (lambda v: isinstance(v, list) and all(map(_is_count, v)), "a list of integers >= 0")
     for case_id in cfg.cases:
         sampling = _read_artifact(level / f"sampling_{case_id}.json", "sample",
-                                  ("classes.0.per_stratum", "classes.1.per_stratum"))
+                                  {"classes.0.per_stratum": counts,
+                                   "classes.1.per_stratum": counts})
         set_dirs = {s: level / "reduced" / case_id / s for s in _case_sets(case_id)}
         case = build_case(case_id, set_dirs)
         plans = {
@@ -311,85 +322,62 @@ def stage_classify(cfg: PipelineConfig, label: str) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class LevelRow:
-    label: str
-    z: float
-    report: EvaluationReport
-    sampling: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class PipelineReport:
-    config: dict
-    levels: tuple
-
-    def to_dict(self) -> dict:
-        rows = []
-        for row in self.levels:
-            cases = {}
-            for case_id in sorted(row.report.per_case):
-                mean, std = row.report.per_case[case_id]
-                sampling = row.sampling.get(case_id, {})
-                cases[case_id] = {
-                    "n_channels": int(row.report.weights[case_id]),
-                    "n_bar": sampling.get("n_bar"),
-                    "plan": sampling.get("plan"),
-                    "allocation": sampling.get("classes"),
-                    "accuracy_mean": mean,
-                    "accuracy_std": std,
-                    "per_repeat": list(row.report.per_repeat.get(case_id, ())),
-                    "selection": row.report.selected.get(case_id),
-                }
-            rows.append({"confidence": row.label, "z": row.z,
-                         "weighted_average": row.report.weighted_average,
-                         "cases": cases})
-        return {"config": self.config, "levels": rows}
-
-
-def assemble_report(cfg: PipelineConfig) -> PipelineReport:
-    """Rebuild the run report from persisted stage artifacts and write it."""
-    rows = []
+def assemble_report(cfg: PipelineConfig) -> dict:
+    """Build the run report from persisted stage artifacts, write it as
+    report.json and return it: the config, then per level the z, the
+    channel-weighted average accuracy and each case's entry."""
+    evaluation_keys = {
+        "mean": (lambda v: _is_number(v) and 0 <= v <= 100, "a number in [0, 100]"),
+        "std": (lambda v: _is_number(v) and v >= 0, "a number >= 0"),
+        "per_repeat": (lambda v: isinstance(v, list) and all(map(_is_number, v)),
+                       "a list of numbers"),
+        "n_rows": (lambda v: _is_count(v) and v > 0, "a positive integer"),
+    }
+    levels = []
     for label, z in resolve_levels(cfg):
         level = _level_dir(cfg, label)
-        case_results = {}
-        weights = {}
-        selected = {}
-        sampling = {}
-        for case_id in cfg.cases:
-            sampling[case_id] = _read_artifact(level / f"sampling_{case_id}.json", "sample",
-                                               ("n_bar", "plan", "classes"))
-            selected[case_id] = _read_artifact(level / f"selection_{case_id}.json", "select")
+        cases = {}
+        for case_id in sorted(cfg.cases):
+            sampling = _read_artifact(level / f"sampling_{case_id}.json", "sample",
+                                      {"n_bar": None, "plan": None, "classes": None})
+            selection = _read_artifact(level / f"selection_{case_id}.json", "select")
             evaluation = _read_artifact(level / f"evaluation_{case_id}.json", "classify",
-                                        ("mean", "std", "per_repeat", "n_rows"))
-            case_results[case_id] = CVResult(mean=evaluation["mean"], std=evaluation["std"],
-                                             per_repeat=tuple(evaluation["per_repeat"]))
-            weights[case_id] = evaluation["n_rows"]
-        rows.append(LevelRow(label=label, z=z,
-                             report=EvaluationReport.from_cases(case_results, weights, selected),
-                             sampling=sampling))
-    report = PipelineReport(config=asdict(cfg), levels=tuple(rows))
+                                        evaluation_keys)
+            cases[case_id] = {
+                "n_channels": evaluation["n_rows"],
+                "n_bar": sampling["n_bar"],
+                "plan": sampling["plan"],
+                "allocation": sampling["classes"],
+                "accuracy_mean": evaluation["mean"],
+                "accuracy_std": evaluation["std"],
+                "per_repeat": evaluation["per_repeat"],
+                "selection": selection,
+            }
+        average = weighted_accuracy([e["accuracy_mean"] for e in cases.values()],
+                                    [e["n_channels"] for e in cases.values()])
+        levels.append({"confidence": label, "z": z, "weighted_average": average,
+                       "cases": cases})
+    report = {"config": asdict(cfg), "levels": levels}
     path = _out(cfg) / "report.json"
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(emit_report(report, "json"))
     return report
 
 
-def emit_report(report: PipelineReport, fmt: str = "json") -> bytes:
-    """Serialize a report with stable field ordering.
+def emit_report(report: dict, fmt: str = "json") -> bytes:
+    """Serialize the dict assemble_report returns.
 
     csv columns: confidence,z,case,n_channels,n_bar,accuracy_mean,
     accuracy_std,weighted_ac, one row per (level, case).
     """
     if fmt == "json":
-        return (json.dumps(report.to_dict(), indent=2) + "\n").encode()
+        return (json.dumps(report, indent=2) + "\n").encode()
 
-    data = report.to_dict()
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(REPORT_CSV_HEADER)
-        for row in data["levels"]:
+        for row in report["levels"]:
             for case_id, entry in row["cases"].items():
                 writer.writerow([
                     row["confidence"], format(row["z"], "g"), case_id,
@@ -401,10 +389,10 @@ def emit_report(report: PipelineReport, fmt: str = "json") -> bytes:
         return buf.getvalue().encode()
 
     if fmt == "table":
-        case_ids = sorted({c for row in data["levels"] for c in row["cases"]})
+        case_ids = sorted({c for row in report["levels"] for c in row["cases"]})
         header = ["confidence", "z"] + case_ids + ["weighted_ac"]
         lines = [header]
-        for row in data["levels"]:
+        for row in report["levels"]:
             cells = [row["confidence"], format(row["z"], "g")]
             for case_id in case_ids:
                 entry = row["cases"].get(case_id)
@@ -427,7 +415,7 @@ def _stage(name: str, fn, *args):
         raise type(exc)(f"{name}: {exc}") from exc
 
 
-def run_pipeline(cfg: PipelineConfig) -> PipelineReport:
+def run_pipeline(cfg: PipelineConfig) -> dict:
     """All stages in order for every configured confidence level."""
     _stage("ingest", stage_ingest, cfg)
     for label, z in resolve_levels(cfg):

@@ -134,7 +134,7 @@ def test_criterion_7_end_to_end_synthetic(tmp_path):
     start = time.monotonic()
     report = run_pipeline(cfg)
     elapsed = time.monotonic() - start
-    case = report.to_dict()["levels"][0]["cases"]["Case1"]
+    case = report["levels"][0]["cases"]["Case1"]
     mean = case["accuracy_mean"]
     n_selected = len(case["selection"]["selected"])
     n_total = len(case["selection"]["prefilter_selected"])
@@ -189,7 +189,7 @@ def test_criterion_8_real_data_bands(tmp_path):
     cfg = PipelineConfig(data_dir=str(root), cases=("Case1", "Case2", "Case3"),
                          confidence_levels=(95,), out_dir=str(tmp_path))
     report = run_pipeline(cfg)
-    level = report.to_dict()["levels"][0]
+    level = report["levels"][0]
     means = {c: level["cases"][c]["accuracy_mean"] for c in ("Case1", "Case2", "Case3")}
     bands = {"Case1": 95.0, "Case2": 92.0, "Case3": 93.0}
     bands_ok = all(means[c] >= bands[c] for c in bands)
@@ -212,8 +212,7 @@ def test_criterion_9_confidence_degradation(tmp_path):
                          cases=("Case1",), confidence_levels=(70, 99),
                          cv_folds=5, cv_repeats=3, seed=11, out_dir=str(tmp_path))
     report = run_pipeline(cfg)
-    data = report.to_dict()
-    cases = {row["confidence"]: row["cases"]["Case1"] for row in data["levels"]}
+    cases = {row["confidence"]: row["cases"]["Case1"] for row in report["levels"]}
     by_level = {label: case["accuracy_mean"] for label, case in cases.items()}
     # the search's picks and the accuracies they give, pinned so a flipped subset shows
     chosen = {"70": ["s1_std", "s2_std", "s3_std", "s4_std"],

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 import oracles
-from eegstrata import (ConfigError, CVConfig, CVResult, DataError,
-                       EvaluationReport, FeatureMatrix, kfold_split, run_cv,
-                       weighted_accuracy)
+from eegstrata import (ConfigError, CVConfig, FeatureMatrix, kfold_split,
+                       run_cv, weighted_accuracy)
 
 
 def _fm(values, labels):
@@ -158,24 +157,3 @@ def test_weighted_accuracy_validation():
     with pytest.raises(ConfigError):
         weighted_accuracy([1.0, 2.0], [1.0, -1.0])
 
-
-def test_evaluation_report_round_trip():
-    results = {
-        "Case1": CVResult(mean=98.0, std=0.5, per_repeat=(98.0,)),
-        "Case2": CVResult(mean=96.0, std=0.25, per_repeat=(96.0,)),
-    }
-    report = EvaluationReport.from_cases(results, {"Case1": 300, "Case2": 500},
-                                         selected={"Case1": {"selected": ["s1_std"]}})
-    assert report.weighted_average == pytest.approx(
-        oracles.weighted_mean_direct([98.0, 96.0], [300, 500]), abs=1e-12)
-    d = report.to_dict()
-    assert d["per_case"]["Case1"] == {"mean": 98.0, "std": 0.5}
-    assert d["weights"] == {"Case1": 300, "Case2": 500}
-    assert d["selected"]["Case1"]["selected"] == ["s1_std"]
-
-
-def test_evaluation_report_validation():
-    with pytest.raises(ConfigError):
-        EvaluationReport(per_case={"a": (90.0, 1.0)}, weights={"b": 1})
-    with pytest.raises(DataError):
-        EvaluationReport(per_case={"a": (101.0, 1.0)}, weights={"a": 1})

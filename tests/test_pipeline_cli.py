@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import eegstrata
+import oracles
 from eegstrata import (ConfigError, FeatureMatrix, PipelineConfig,
                        SamplingConfig, assemble_report, emit_report,
                        required_sample_size, run_pipeline)
@@ -32,8 +34,7 @@ def tiny_run(tmp_path_factory):
 
 
 def test_report_structure(tiny_run):
-    cfg, report = tiny_run
-    data = report.to_dict()
+    cfg, data = tiny_run
     assert data["config"]["seed"] == 7
     assert len(data["levels"]) == 1
     level = data["levels"][0]
@@ -71,7 +72,7 @@ def test_artifacts_on_disk(tiny_run):
     assert fm.n_rows == 22
     assert fm.n_features == 60
     selection = json.loads((level / "selection_Case1.json").read_text())
-    assert selection["selected"] == report.to_dict()["levels"][0]["cases"]["Case1"]["selection"]["selected"]
+    assert selection["selected"] == report["levels"][0]["cases"]["Case1"]["selection"]["selected"]
 
 
 def test_rerun_is_byte_identical(tiny_run):
@@ -103,7 +104,7 @@ def test_staged_run_matches_one_shot(tiny_run, tmp_path):
 def test_report_formats(tiny_run):
     _, report = tiny_run
     as_json = json.loads(emit_report(report, "json").decode())
-    assert as_json == json.loads(json.dumps(report.to_dict()))
+    assert as_json == json.loads(json.dumps(report))
 
     csv_text = emit_report(report, "csv").decode()
     lines = csv_text.strip().splitlines()
@@ -123,7 +124,42 @@ def test_report_formats(tiny_run):
 def test_assemble_report_rebuilds_from_artifacts(tiny_run):
     cfg, report = tiny_run
     rebuilt = assemble_report(cfg)
-    assert rebuilt.to_dict() == report.to_dict()
+    assert rebuilt == report
+
+
+def test_report_bytes_are_pinned(tmp_path, monkeypatch):
+    """A two-case run over an integer Bonn-layout corpus: report.json and the
+    csv and table output are pinned as sha256 literals, so any change to the
+    report's layout or numbers shows."""
+    rng = np.random.default_rng(0)
+    for prefix, scale in (("Z", 20), ("O", 25), ("N", 40), ("F", 45), ("S", 40)):
+        for i in range(4):
+            x = rng.normal(0, scale, 512)
+            if prefix == "S":  # seizure analogue: a burst in stratum i
+                x[128 * i: 128 * i + 64] *= 3
+            path = tmp_path / "corpus" / prefix / f"{prefix}{i:03d}.txt"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("".join(f"{v}\n" for v in np.rint(x).astype(int)))
+    # relative paths, so the config echoed in the report does not depend on tmp_path
+    monkeypatch.chdir(tmp_path)
+    cfg = PipelineConfig(data_dir="corpus", cases=("Case3", "Case1"), classifier="nb",
+                         cv_folds=2, cv_repeats=2, out_dir="out")
+    report = run_pipeline(cfg)
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in (
+        ("report.json", Path("out/report.json").read_bytes()),
+        ("csv", emit_report(report, "csv")), ("table", emit_report(report, "table")))}
+    assert digests == {
+        "report.json": "75f6be3a7353d506a828b0cd98fd9fe5f6ddb65d8529c7f5c13f75d46a45eec8",
+        "csv": "a50b05854df062d41495f274c97ff4dac4c3b2607e00d696464983f71b2d0322",
+        "table": "34ef17d594e001b043af4c73096a57c32a6e4d1cb2a2f9b0e9a66361b6c201a8",
+    }
+    level = json.loads(Path("out/report.json").read_text())["levels"][0]
+    means = [level["cases"][c]["accuracy_mean"] for c in ("Case1", "Case3")]
+    weights = [level["cases"][c]["n_channels"] for c in ("Case1", "Case3")]
+    assert weights == [12, 20]
+    assert level["weighted_average"] == pytest.approx(
+        oracles.weighted_mean_direct(means, weights), abs=1e-12)
+    assert level["weighted_average"] not in means
 
 
 def test_resolve_levels():
@@ -139,8 +175,7 @@ def test_multi_level_sweep(tmp_path):
                          synthetic_length=512, confidence_levels=(70, 95),
                          rf_trees=10, cv_folds=3, cv_repeats=1, seed=3,
                          out_dir=str(tmp_path))
-    report = run_pipeline(cfg)
-    data = report.to_dict()
+    data = run_pipeline(cfg)
     assert [row["confidence"] for row in data["levels"]] == ["70", "95"]
     assert (tmp_path / "confidence_70").is_dir()
     assert (tmp_path / "confidence_95").is_dir()
@@ -149,7 +184,7 @@ def test_multi_level_sweep(tmp_path):
     n95 = data["levels"][1]["cases"]["Case1"]["n_bar"]
     assert n70 < n95
     assert n95 == required_sample_size(SamplingConfig(z=1.96, population_size=512))
-    lines = emit_report(report, "csv").decode().strip().splitlines()
+    lines = emit_report(data, "csv").decode().strip().splitlines()
     assert len(lines) == 3
 
 
@@ -280,6 +315,23 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert "error:" in captured.err
 
 
+def _sampling_json(per_stratum_0):
+    """A sampling_Case1.json of the run below, with class 0's per_stratum replaced."""
+    return json.dumps({
+        "case": "Case1", "length": 512, "z": 1.96, "n_bar": 486, "policy": "random",
+        "plan": [128, 128, 128, 128],
+        "classes": {"0": {"per_stratum": per_stratum_0, "weights": [257.0, 247.0, 247.0, 257.0]},
+                    "1": {"per_stratum": [128, 102, 128, 128],
+                          "weights": [584.0, 405.0, 534.0, 595.0]}},
+    })
+
+
+def _evaluation_json(**bad):
+    """An evaluation_Case1.json of the run below, with the values in bad replaced."""
+    return json.dumps({"case": "Case1", "classifier": "nb", "n_rows": 7, "mean": 57.0,
+                       "std": 0.0, "per_repeat": [57.0], **bad})
+
+
 @pytest.mark.parametrize("artifact, damage, command", [
     ("manifest.json", 0.0, "sample"),  # empty
     ("confidence_95/sampling_Case1.json", 0.5, "extract"),  # truncated
@@ -291,6 +343,12 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     ("confidence_95/evaluation_Case1.json", "{}", "report"),
     # a value of the wrong type
     ("manifest.json", '{"set_dirs": []}', "sample"),
+    ("confidence_95/sampling_Case1.json", _sampling_json("abc"), "extract"),
+    ("confidence_95/sampling_Case1.json", _sampling_json([-1, 1000, 1000, 1000]), "extract"),
+    ("confidence_95/evaluation_Case1.json", _evaluation_json(mean="x"), "report"),
+    ("confidence_95/evaluation_Case1.json", _evaluation_json(per_repeat=5), "report"),
+    ("confidence_95/evaluation_Case1.json", _evaluation_json(n_rows=0), "report"),
+    ("confidence_95/evaluation_Case1.json", _evaluation_json(mean=101), "report"),
 ])
 def test_cli_malformed_artifact_is_a_data_error(tmp_path, artifact, damage, command):
     """damage is the share of the artifact's text to keep, or text to replace it with."""

@@ -6,9 +6,9 @@ feature subset by a correlation search with a range-based filter, and
 classified with cross-validated RF / naive Bayes / kNN models.
 """
 
-from .corpus import (BONN_SAMPLING_RATE_HZ, CASE_SETS, SET_LABELS, Channel,
-                     ClassificationCase, build_case, generate_synthetic_case,
-                     load_channel, save_channel)
+from .corpus import (CASE_SETS, SET_LABELS, Channel, ClassificationCase,
+                     build_case, generate_synthetic_case, load_channel,
+                     save_channel)
 from .errors import (ConfigError, DataError, DegenerateDataError,
                      EegStrataError)
 from .evaluation import (CVConfig, CVResult, kfold_split, run_cv,
@@ -23,7 +23,7 @@ from .sampler import (CONFIDENCE_Z, AllocationResult, SamplingConfig,
                       required_sample_size, stratify)
 from .seeding import derive_seed
 from .selection import (CorrelationMatrix, FeatureSubset, best_first_search,
-                        cfs_merit, correlation_matrix, pearson, range_bounds,
+                        cfs_merit, correlation_matrix, range_bounds,
                         range_filter, select_features)
 from .classifiers import (KNNClassifier, NaiveBayesClassifier,
                           RandomForestClassifier, make_classifier)
@@ -31,18 +31,18 @@ from .classifiers import (KNNClassifier, NaiveBayesClassifier,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BONN_SAMPLING_RATE_HZ", "CASE_SETS", "CONFIDENCE_Z", "FEATURE_ORDER",
-    "SET_LABELS", "AllocationResult", "CVConfig", "CVResult", "Channel",
+    "CASE_SETS", "CONFIDENCE_Z", "FEATURE_ORDER", "SET_LABELS",
+    "AllocationResult", "CVConfig", "CVResult", "Channel",
     "ClassificationCase", "ConfigError", "CorrelationMatrix", "DataError",
-    "DegenerateDataError", "EegStrataError", "FeatureMatrix",
-    "FeatureSubset", "FeatureVector", "KNNClassifier", "NaiveBayesClassifier",
+    "DegenerateDataError", "EegStrataError", "FeatureMatrix", "FeatureSubset",
+    "FeatureVector", "KNNClassifier", "NaiveBayesClassifier",
     "PipelineConfig", "RandomForestClassifier", "SamplingConfig",
-    "StratificationPlan", "allocate", "assemble_report", "best_first_search", "build_case",
-    "cfs_merit", "correlation_matrix", "derive_seed", "emit_report",
-    "extract_vector", "fluctuation_index", "generate_synthetic_case",
-    "hurst_exponent", "kfold_split", "load_channel", "make_classifier",
-    "pearson", "range_bounds", "range_filter", "reduce_channel",
-    "required_sample_size", "run_cv", "run_pipeline", "sample_entropy",
-    "save_channel", "select_features", "shannon_entropy", "stratify",
-    "stratum_features", "weighted_accuracy",
+    "StratificationPlan", "allocate", "assemble_report", "best_first_search",
+    "build_case", "cfs_merit", "correlation_matrix", "derive_seed",
+    "emit_report", "extract_vector", "fluctuation_index",
+    "generate_synthetic_case", "hurst_exponent", "kfold_split",
+    "load_channel", "make_classifier", "range_bounds", "range_filter",
+    "reduce_channel", "required_sample_size", "run_cv", "run_pipeline",
+    "sample_entropy", "save_channel", "select_features", "shannon_entropy",
+    "stratify", "stratum_features", "weighted_accuracy",
 ]

@@ -268,20 +268,17 @@ class RandomForestClassifier:
         return (2 * votes > self.n_trees).astype(np.int64)
 
 
-CLASSIFIER_KINDS = ("rf", "nb", "knn")
+# classifier name -> class; the CLI's --classifier choices, in this order
+CLASSIFIER_KINDS = {"rf": RandomForestClassifier, "nb": NaiveBayesClassifier,
+                    "knn": KNNClassifier}
 
 
 def make_classifier(kind: str, **params):
     """Factory keyed by classifier name; unknown keys are rejected by the
     constructors so config typos surface early."""
-    builders = {
-        "knn": KNNClassifier,
-        "nb": NaiveBayesClassifier,
-        "rf": RandomForestClassifier,
-    }
-    if kind not in builders:
-        raise ConfigError(f"unknown classifier {kind!r}; expected one of {CLASSIFIER_KINDS}")
+    if kind not in CLASSIFIER_KINDS:
+        raise ConfigError(f"unknown classifier {kind!r}; expected one of {tuple(CLASSIFIER_KINDS)}")
     try:
-        return builders[kind](**params)
+        return CLASSIFIER_KINDS[kind](**params)
     except TypeError as exc:
         raise ConfigError(f"bad parameters for {kind}: {exc}") from None

@@ -3,7 +3,7 @@
 Subcommands mirror the pipeline stages (ingest, sample, extract, select,
 classify, report) plus `pipeline` to run everything. Runs are driven by a
 flat key=value config file; a handful of flags override the file. Exit
-codes: 0 ok, 2 configuration error, 3 data error, 4 numeric degeneracy.
+codes: 0 ok, 2 configuration error, 3 data or OS error, 4 numeric degeneracy.
 """
 
 from __future__ import annotations
@@ -13,11 +13,13 @@ import sys
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
+from .classifiers import CLASSIFIER_KINDS
 from .errors import ConfigError, DataError, DegenerateDataError
 from .pipeline import (REPORT_FORMATS, PipelineConfig, assemble_report,
                        emit_report, resolve_levels, run_pipeline,
                        stage_classify, stage_extract, stage_ingest,
                        stage_sample, stage_select)
+from .sampler import SELECTION_POLICIES
 
 # The config file's one list of keys, in template order: each section's
 # template comment, then its (key, PipelineConfig field) rows. Defaults and
@@ -96,9 +98,13 @@ def parse_config_file(path) -> dict:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
     kwargs = {}
     seen = set()
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -118,102 +124,94 @@ def parse_config_file(path) -> dict:
     return kwargs
 
 
+# flag -> the PipelineConfig field it overrides, applied in this order;
+# --confidence also clears the config file's z, so it comes before --z
+_OVERRIDES = (("data", "data_dir"), ("synthetic", "synthetic"), ("policy", "policy"),
+              ("seed", "seed"), ("confidence", "confidence_levels"), ("z", "z"),
+              ("case", "cases"), ("classifier", "classifier"), ("out", "out_dir"))
+
+
 def build_config(args) -> PipelineConfig:
     kwargs = parse_config_file(args.config) if args.config else {}
-    if getattr(args, "data", None):
-        kwargs["data_dir"] = args.data
-    if getattr(args, "synthetic", False):
-        kwargs["synthetic"] = True
-    if getattr(args, "policy", None):
-        kwargs["policy"] = args.policy
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if args.confidence:
-        kwargs["confidence_levels"] = _convert("confidence_levels", "--confidence", args.confidence)
-        kwargs["z"] = None
-    if args.z is not None:
-        kwargs["z"] = args.z
-    if args.case:
-        kwargs["cases"] = tuple(args.case)
-    if args.classifier:
-        kwargs["classifier"] = args.classifier
-    if args.out:
-        kwargs["out_dir"] = args.out
+    for flag, name in _OVERRIDES:
+        value = getattr(args, flag, None)  # a stage without the flag has no attribute
+        if value is None:  # not falsiness: --seed 0 and --z 0 still override
+            continue
+        if flag == "confidence":
+            value = _convert(name, "--confidence", value)
+            kwargs["z"] = None
+        kwargs[name] = value
     try:
         return PipelineConfig(**kwargs)
     except TypeError as exc:
         raise ConfigError(str(exc)) from None
 
 
-def _cmd_init_config(args) -> int:
-    target = Path(args.path)
-    if target.exists():
-        raise ConfigError(f"refusing to overwrite existing {target}")
-    target.write_text(CONFIG_TEMPLATE)
-    print(f"wrote {target}")
-    return 0
+def _per_level(stage, show):
+    """Run stage(cfg, label, z) at every configured level and print one line
+    per case: "<case> @ <label>", then what show(cfg, z, result) returns."""
+    def run(cfg, args):
+        for label, z in resolve_levels(cfg):
+            for case_id, result in stage(cfg, label, z).items():
+                print(f"{case_id} @ {label}{show(cfg, z, result)}")
+    return run
 
 
-def _cmd_ingest(args) -> int:
-    cfg = build_config(args)
+def _show_sampling(cfg, z, sampling) -> str:
+    return f" (z={z:g}): n_bar={sampling['n_bar']}" + "".join(
+        f"\n  class {lab}: n_i={sampling['classes'][lab]['per_stratum']}" for lab in ("0", "1"))
+
+
+def _show_subset(cfg, z, subset) -> str:
+    text = f": {len(subset.names)} features (merit {subset.merit:.4f}): {', '.join(subset.names)}"
+    if subset.eliminated_by_range:
+        text += f"\n  eliminated by range: {', '.join(subset.eliminated_by_range)}"
+    return text
+
+
+def _ingest(cfg, args):
     manifest = stage_ingest(cfg)
     print(f"data root: {manifest['root']}")
     for s, count in manifest["channels_per_set"].items():
         print(f"  set {s}: {count} channels")
-    return 0
 
 
-def _cmd_sample(args) -> int:
-    cfg = build_config(args)
-    for label, z in resolve_levels(cfg):
-        for case_id, sampling in stage_sample(cfg, label, z).items():
-            print(f"{case_id} @ {label} (z={z:g}): n_bar={sampling['n_bar']}")
-            for lab in ("0", "1"):
-                print(f"  class {lab}: n_i={sampling['classes'][lab]['per_stratum']}")
-    return 0
-
-
-def _cmd_extract(args) -> int:
-    cfg = build_config(args)
-    for label, _ in resolve_levels(cfg):
-        for case_id, fm in stage_extract(cfg, label).items():
-            print(f"{case_id} @ {label}: {fm.n_rows} channels x {fm.n_features} features")
-    return 0
-
-
-def _cmd_select(args) -> int:
-    cfg = build_config(args)
-    for label, _ in resolve_levels(cfg):
-        for case_id, subset in stage_select(cfg, label).items():
-            print(f"{case_id} @ {label}: {len(subset.names)} features "
-                  f"(merit {subset.merit:.4f}): {', '.join(subset.names)}")
-            if subset.eliminated_by_range:
-                print(f"  eliminated by range: {', '.join(subset.eliminated_by_range)}")
-    return 0
-
-
-def _cmd_classify(args) -> int:
-    cfg = build_config(args)
-    for label, _ in resolve_levels(cfg):
-        for case_id, result in stage_classify(cfg, label).items():
-            print(f"{case_id} @ {label} [{cfg.classifier}]: "
-                  f"{result.mean:.2f} +/- {result.std:.2f} %")
-    return 0
-
-
-def _cmd_pipeline(args) -> int:
-    cfg = build_config(args)
-    report = run_pipeline(cfg)
-    sys.stdout.write(emit_report(report, "table").decode())
+def _pipeline(cfg, args):
+    sys.stdout.write(emit_report(run_pipeline(cfg), "table").decode())
     print(f"report written to {Path(cfg.out_dir) / 'report.json'}")
-    return 0
 
 
-def _cmd_report(args) -> int:
-    cfg = build_config(args)
-    report = assemble_report(cfg)
-    sys.stdout.buffer.write(emit_report(report, args.format))
-    return 0
+_DATA = (("--data", {"help": "directory of per-set channel files"}),
+         ("--synthetic", {"action": "store_true", "default": None,
+                          "help": "generate synthetic channels"}))
+_POLICY = (("--policy", {"choices": SELECTION_POLICIES, "help": "within-stratum selection policy"}),)
+_COMMON = (
+    ("--config", {"help": "path to a key=value config file"}),
+    ("--out", {"help": "output directory (overrides config)"}),
+    ("--seed", {"type": int, "help": "base seed (overrides config)"}),
+    ("--confidence", {"help": "comma-separated confidence presets, e.g. 95 or 70,85,95,99"}),
+    ("--z", {"type": float, "help": "explicit standard normal variate instead of a preset"}),
+    ("--case", {"action": "append", "help": "case to run (repeatable): Case1, Case2, Case3"}),
+    ("--classifier", {"choices": tuple(CLASSIFIER_KINDS), "help": "classifier to evaluate"}),
+)
+
+# Each stage subcommand: name, help, flags beside _COMMON, run(cfg, args).
+_COMMANDS = (
+    ("ingest", "run the ingest stage", _DATA, _ingest),
+    ("sample", "run the sample stage", _POLICY, _per_level(stage_sample, _show_sampling)),
+    ("extract", "run the extract stage", (), _per_level(
+        lambda cfg, label, z: stage_extract(cfg, label),
+        lambda cfg, z, fm: f": {fm.n_rows} channels x {fm.n_features} features")),
+    ("select", "run the select stage", (), _per_level(
+        lambda cfg, label, z: stage_select(cfg, label), _show_subset)),
+    ("classify", "run the classify stage", (), _per_level(
+        lambda cfg, label, z: stage_classify(cfg, label),
+        lambda cfg, z, r: f" [{cfg.classifier}]: {r.mean:.2f} +/- {r.std:.2f} %")),
+    ("pipeline", "run every stage end to end", _DATA + _POLICY, _pipeline),
+    ("report", "format the persisted run artifacts",
+     (("--format", {"choices": REPORT_FORMATS, "default": "table"}),),
+     lambda cfg, args: sys.stdout.buffer.write(emit_report(assemble_report(cfg), args.format))),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,59 +220,40 @@ def build_parser() -> argparse.ArgumentParser:
         description="Stratified-sampling EEG classification pipeline.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", help="path to a key=value config file")
-        p.add_argument("--out", help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, help="base seed (overrides config)")
-        p.add_argument("--confidence", help="comma-separated confidence presets, e.g. 95 or 70,85,95,99")
-        p.add_argument("--z", type=float, help="explicit standard normal variate instead of a preset")
-        p.add_argument("--case", action="append", help="case to run (repeatable): Case1, Case2, Case3")
-        p.add_argument("--classifier", choices=("rf", "nb", "knn"), help="classifier to evaluate")
-
     p = sub.add_parser("init-config", help="write a template config file")
     p.add_argument("path", nargs="?", default="eegstrata.conf")
-    p.set_defaults(func=_cmd_init_config)
-
-    for name, func, extra in (
-        ("ingest", _cmd_ingest, True),
-        ("sample", _cmd_sample, False),
-        ("extract", _cmd_extract, False),
-        ("select", _cmd_select, False),
-        ("classify", _cmd_classify, False),
-        ("pipeline", _cmd_pipeline, True),
-    ):
-        p = sub.add_parser(name, help=f"run the {name} stage" if name != "pipeline"
-                           else "run every stage end to end")
-        add_common(p)
-        if extra:
-            p.add_argument("--data", help="directory of per-set channel files")
-            p.add_argument("--synthetic", action="store_true", help="generate synthetic channels")
-            p.add_argument("--policy", choices=("random", "systematic"),
-                           help="within-stratum selection policy")
-        p.set_defaults(func=func)
-
-    p = sub.add_parser("report", help="format the persisted run artifacts")
-    add_common(p)
-    p.add_argument("--format", choices=REPORT_FORMATS, default="table")
-    p.set_defaults(func=_cmd_report)
-
+    for name, help_text, flags, run in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in _COMMON + flags:
+            p.add_argument(flag, **options)
+        p.set_defaults(run=run)
     return parser
+
+
+def _init_config(path: Path) -> None:
+    if path.exists():
+        raise ConfigError(f"refusing to overwrite existing {path}")
+    path.write_text(CONFIG_TEMPLATE)
+    print(f"wrote {path}")
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "init-config":
+            _init_config(Path(args.path))
+        else:
+            args.run(build_config(args), args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DegenerateDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

@@ -23,8 +23,6 @@ from .errors import ConfigError, DataError
 from .seeding import derive_seed
 
 SET_LABELS = ("A", "B", "C", "D", "E")
-SEIZURE_SET = "E"
-BONN_SAMPLING_RATE_HZ = 173.61
 BONN_PREFIX_TO_SET = {"Z": "A", "O": "B", "N": "C", "F": "D", "S": "E"}
 
 # case id -> (category-1 sets, category-2 sets); category 2 is the seizure side
@@ -43,7 +41,6 @@ class Channel:
     id: str
     set_label: str
     samples: np.ndarray
-    sampling_rate_hz: float = BONN_SAMPLING_RATE_HZ
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)
@@ -51,8 +48,6 @@ class Channel:
             raise ConfigError(f"channel {self.id!r}: samples must be a non-empty 1-D sequence")
         if self.set_label not in SET_LABELS:
             raise ConfigError(f"channel {self.id!r}: unknown set label {self.set_label!r}")
-        if not self.sampling_rate_hz > 0:
-            raise ConfigError(f"channel {self.id!r}: sampling rate must be positive")
         object.__setattr__(self, "samples", samples)
 
     def __len__(self) -> int:
@@ -80,14 +75,8 @@ class ClassificationCase:
                     f"channel {ch.id!r}: label 1 is reserved for sets {self.category2_sets}"
                 )
 
-    def labels(self) -> np.ndarray:
-        return np.array([label for _, label in self.channels], dtype=np.int64)
 
-    def __len__(self) -> int:
-        return len(self.channels)
-
-
-def load_channel(path, set_label: str = "A", sampling_rate_hz: float = BONN_SAMPLING_RATE_HZ) -> Channel:
+def load_channel(path, set_label: str = "A") -> Channel:
     """Read one channel file (UTF-8 text, one finite value per line, trailing
     blank lines ignored). The caller supplies the set label; standalone loads
     default to A.
@@ -112,8 +101,7 @@ def load_channel(path, set_label: str = "A", sampling_rate_hz: float = BONN_SAMP
         values = None
     if values is None or not np.isfinite(values).all():
         _raise_first_bad_line(path, lines)
-    return Channel(id=f"{set_label}/{path.stem}", set_label=set_label,
-                   samples=values, sampling_rate_hz=sampling_rate_hz)
+    return Channel(id=f"{set_label}/{path.stem}", set_label=set_label, samples=values)
 
 
 def _raise_first_bad_line(path: Path, lines: list) -> None:
@@ -140,7 +128,7 @@ def _set_channel_files(directory: Path) -> list[Path]:
     return [files[name] for name in sorted(files)]
 
 
-def build_case(case_id: str, set_dirs: dict, sampling_rate_hz: float = BONN_SAMPLING_RATE_HZ) -> ClassificationCase:
+def build_case(case_id: str, set_dirs: dict) -> ClassificationCase:
     """Assemble a labeled case from per-set directories of channel files.
 
     ``set_dirs`` maps set labels (A..E) to directories. Files are taken in
@@ -161,7 +149,7 @@ def build_case(case_id: str, set_dirs: dict, sampling_rate_hz: float = BONN_SAMP
             if not files:
                 raise DataError(f"{case_id}: set {set_label} directory has no channel files: {directory}")
             for path in files:
-                channels.append((load_channel(path, set_label, sampling_rate_hz), label))
+                channels.append((load_channel(path, set_label), label))
     return ClassificationCase(case_id=case_id, category1_sets=cat1, category2_sets=cat2,
                               channels=tuple(channels))
 

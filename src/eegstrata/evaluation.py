@@ -75,10 +75,6 @@ class CVResult:
     std: float
     per_repeat: tuple
 
-    @property
-    def n_repeats(self) -> int:
-        return len(self.per_repeat)
-
 
 def _resolve_classifier(classifier):
     if isinstance(classifier, str):

@@ -16,9 +16,9 @@ from pathlib import Path
 
 from .corpus import (BONN_PREFIX_TO_SET, CASE_SETS, build_case,
                      generate_synthetic_case, save_channel, _set_channel_files)
-from .errors import ConfigError, DataError, EegStrataError
+from .errors import ConfigError, DataError, DegenerateDataError, EegStrataError
 from .evaluation import SELECTION_MODES, CVConfig, run_cv, weighted_accuracy
-from .features import FeatureMatrix, extract_vector
+from .features import MIN_STRATUM_LENGTH, FeatureMatrix, extract_vector
 from .sampler import (CONFIDENCE_Z, SELECTION_POLICIES, SamplingConfig,
                       StratificationPlan, allocate, reduce_channel,
                       required_sample_size, stratify)
@@ -237,7 +237,18 @@ def stage_sample(cfg: PipelineConfig, label: str, z: float) -> dict:
         allocs = {}
         for class_label in (0, 1):
             chans = [ch for ch, lab in case.channels if lab == class_label]
-            allocs[class_label] = allocate(chans, plan, n_bar)
+            try:
+                allocs[class_label] = allocate(chans, plan, n_bar)
+            except DegenerateDataError as exc:
+                raise DegenerateDataError(f"{case_id} class {class_label}: {exc}") from None
+            # extract needs MIN_STRATUM_LENGTH points per stratum: refuse here,
+            # before writing, rather than leave artifacts extract cannot use
+            for i, count in enumerate(allocs[class_label].per_stratum):
+                if count < MIN_STRATUM_LENGTH:
+                    raise ConfigError(
+                        f"{case_id} class {class_label}: stratum {i} is allocated {count} "
+                        f"samples, fewer than {MIN_STRATUM_LENGTH}; "
+                        "lower n_strata or raise the confidence level")
 
         for ch, lab in case.channels:
             reduced = reduce_channel(ch, plan, allocs[lab],

@@ -150,6 +150,10 @@ def allocate(class_channels, plan: StratificationPlan, n_bar: int) -> Allocation
         var_sum = seg.var(axis=1, ddof=1).sum() if end - start > 1 else 0.0
         weights[i] = sizes[i] * np.sqrt(var_sum)
 
+    if not np.isfinite(weights).all():
+        i = int(np.argmin(np.isfinite(weights)))
+        raise DegenerateDataError(f"stratum {i} weight is not finite: its variance overflows "
+                                  "float64; rescale the data")
     total_weight = weights.sum()
     if total_weight <= 0.0:
         raise DegenerateDataError("all strata are constant in every channel; allocation undefined")
@@ -201,5 +205,4 @@ def reduce_channel(channel: Channel, plan: StratificationPlan, alloc: Allocation
 
     if not pieces:
         raise ConfigError("allocation selects zero samples overall")
-    return Channel(id=channel.id, set_label=channel.set_label,
-                   samples=np.concatenate(pieces), sampling_rate_hz=channel.sampling_rate_hz)
+    return Channel(id=channel.id, set_label=channel.set_label, samples=np.concatenate(pieces))

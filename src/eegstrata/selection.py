@@ -13,27 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DegenerateDataError
+from .errors import ConfigError, DataError
 from .features import FeatureMatrix
 
 RANGE_THRESHOLD = 0.8
 STALL_LIMIT = 5
-
-
-def pearson(a, b) -> float:
-    """Sample Pearson correlation of two equal-length sequences."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise DataError(f"pearson expects two equal-length 1-d sequences, got {a.shape} and {b.shape}")
-    if a.size < 2:
-        raise DataError("pearson needs at least 2 points")
-    ac = a - a.mean()
-    bc = b - b.mean()
-    denom = np.sqrt((ac ** 2).sum() * (bc ** 2).sum())
-    if denom == 0.0:
-        raise DegenerateDataError("correlation of a constant sequence is undefined")
-    return float(np.clip((ac * bc).sum() / denom, -1.0, 1.0))
 
 
 @dataclass(frozen=True)

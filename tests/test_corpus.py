@@ -87,7 +87,7 @@ def test_build_case_orders_and_labels(tmp_path):
     ids = [ch.id for ch, _ in case.channels]
     # lexicographic within each set, category-1 sets before category-2
     assert ids == ["A/a", "A/b", "B/z", "E/s1", "E/s2"]
-    np.testing.assert_array_equal(case.labels(), [0, 0, 0, 1, 1])
+    assert [label for _, label in case.channels] == [0, 0, 0, 1, 1]
 
 
 def test_build_case_missing_set_dir(tmp_path):
@@ -114,8 +114,8 @@ def test_case_rejects_bad_labels():
 
 def test_synthetic_case_shape_and_determinism():
     case = generate_synthetic_case((6, 4), 128, seed=9)
-    assert len(case) == 10
-    assert case.labels().sum() == 4
+    assert len(case.channels) == 10
+    assert sum(label for _, label in case.channels) == 4
     lengths = {len(ch) for ch, _ in case.channels}
     assert lengths == {128}
     again = generate_synthetic_case((6, 4), 128, seed=9)

@@ -86,7 +86,7 @@ def test_run_cv_separable_data_scores_high():
     cfg = CVConfig(n_folds=5, n_repeats=2, seed=0)
     result = run_cv(fm, ("rf", {"n_trees": 20}), cfg, select="off")
     assert result.mean >= 99.0
-    assert result.n_repeats == 2
+    assert len(result.per_repeat) == 2
 
 
 def test_run_cv_shuffled_labels_score_near_chance():

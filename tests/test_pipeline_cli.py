@@ -255,6 +255,9 @@ def test_cli_overrides_beat_config_file(tmp_path):
     assert cfg.classifier == "nb"
     assert cfg.cases == ("Case1", "Case2")
     assert cfg.out_dir == str(tmp_path / "o")
+    # a falsy flag value still overrides the file
+    assert build_config(build_parser().parse_args(
+        ["sample", "--config", str(path), "--seed", "0"])).seed == 0
 
 
 def test_cli_pipeline_runs_end_to_end(tmp_path, capsys):
@@ -290,15 +293,20 @@ def test_cli_explicit_z_level(tmp_path, capsys):
         f"out = {tmp_path / 'out'}\n"
     )
     assert main(["ingest", "--config", str(conf)]) == 0
-    assert main(["sample", "--config", str(conf), "--z", "1.5"]) == 0
+    assert main(["sample", "--config", str(conf), "--z", "1.5", "--policy", "systematic"]) == 0
     capsys.readouterr()
-    assert (tmp_path / "out" / "confidence_z1.5" / "sampling_Case1.json").is_file()
+    sampling = tmp_path / "out" / "confidence_z1.5" / "sampling_Case1.json"
+    assert json.loads(sampling.read_text())["policy"] == "systematic"
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):
     # configuration error: unknown case name
     assert main(["pipeline", "--synthetic", "--case", "Case9",
                  "--out", str(tmp_path / "a")]) == 2
+    # --policy belongs to sample and pipeline, not to ingest
+    with pytest.raises(SystemExit) as exc:
+        main(["ingest", "--synthetic", "--policy", "systematic", "--out", str(tmp_path / "p")])
+    assert exc.value.code == 2
     # data error: report before any stage has produced artifacts
     assert main(["report", "--out", str(tmp_path / "b")]) == 3
     # degenerate data: constant channels carry no variance to weight
@@ -363,29 +371,64 @@ def test_cli_malformed_artifact_is_a_data_error(tmp_path, artifact, damage, comm
     path = tmp_path / "out" / artifact
     text = path.read_text()
     path.write_text(damage if isinstance(damage, str) else text[: int(len(text) * damage)])
-    _assert_child_data_error([command, "--config", str(conf)], path)
+    _assert_child_error([command, "--config", str(conf)], path)
+
+
+def _write_bonn_corpus(root, length, edit=lambda prefix, x: x):
+    """Three integer channels per set in Bonn directories Z, O and S (sets A,
+    B and E), each passed through edit(prefix, samples); returns the last path."""
+    rng = np.random.default_rng(0)
+    for prefix in "ZOS":
+        for i in range(3):
+            path = root / prefix / f"{prefix}{i:03d}.txt"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            x = edit(prefix, rng.integers(-200, 200, length))
+            path.write_text("".join(f"{v}\n" for v in x))
+    return path
 
 
 def test_cli_non_utf8_channel_is_a_data_error(tmp_path):
-    rng = np.random.default_rng(0)
-    for prefix in "ZOS":  # Bonn directory names for sets A, B and E
-        for i in range(3):
-            path = tmp_path / "corpus" / prefix / f"{prefix}{i:03d}.txt"
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text("".join(f"{v}\n" for v in rng.integers(-200, 200, 256)))
+    path = _write_bonn_corpus(tmp_path / "corpus", 256)
     with path.open("ab") as f:
         f.write(b"\xff\n")
     args = ["--out", str(tmp_path / "out"), "--case", "Case1"]
     assert main(["ingest", "--data", str(tmp_path / "corpus"), *args]) == 0
-    _assert_child_data_error(["sample", *args], path)
+    _assert_child_error(["sample", *args], path)
 
 
-def _assert_child_data_error(args, path):
+@pytest.mark.parametrize("edit, code, fragment", [
+    # sets A and B flat over stratum 0, so class 0 is allocated no samples there
+    (lambda prefix, x: np.where((prefix in "ZO") & (np.arange(x.size) < 1024), 0, x),
+     2, "Case1 class 0: stratum 0 is allocated 0 samples"),
+    # set E so large that its stratum variances overflow float64
+    (lambda prefix, x: x * 1e160 if prefix == "S" else x, 4, "Case1 class 1: stratum 0"),
+], ids=["zero-count", "overflow"])
+def test_cli_unusable_allocation_is_refused(tmp_path, edit, code, fragment):
+    _write_bonn_corpus(tmp_path / "corpus", 4097, edit)
+    args = ["--out", str(tmp_path / "out"), "--confidence", "70"]
+    assert main(["ingest", "--data", str(tmp_path / "corpus"), *args]) == 0
+    _assert_child_error(["sample", *args], fragment, code)
+    assert not (tmp_path / "out" / "confidence_70").exists()  # nothing written
+
+
+@pytest.mark.parametrize("command, code", [
+    (["sample", "--config", "{tmp}/bad.conf"], 2),  # a 0xff byte in the config file
+    (["init-config", "{tmp}/nodir/x.conf"], 3),  # no such directory
+    (["ingest", "--synthetic", "--out", "{tmp}/a-file"], 3),  # --out names a regular file
+], ids=["config-not-utf8", "init-config-no-dir", "out-is-a-file"])
+def test_cli_os_and_decode_errors_exit_cleanly(tmp_path, command, code):
+    (tmp_path / "bad.conf").write_bytes(b"seed = 1\n\xff\n")
+    (tmp_path / "a-file").write_text("")
+    args = [arg.format(tmp=tmp_path) for arg in command]
+    _assert_child_error(args, args[-1], code)
+
+
+def _assert_child_error(args, fragment, code=3):
     """Run the CLI in a separate interpreter, so an uncaught exception would
-    show as a traceback: it must exit 3 with a message naming path."""
+    show as a traceback: it must exit with code and a message holding fragment."""
     env = {**os.environ, "PYTHONPATH": str(Path(eegstrata.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-m", "eegstrata", *args],
                           capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 3, proc.stderr
-    assert str(path) in proc.stderr
+    assert proc.returncode == code, proc.stderr
+    assert str(fragment) in proc.stderr
     assert "Traceback" not in proc.stderr

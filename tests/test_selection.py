@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 import oracles
-from eegstrata import (ConfigError, DataError, DegenerateDataError,
-                       FeatureMatrix, PipelineConfig, best_first_search,
-                       cfs_merit, correlation_matrix, pearson, range_bounds,
-                       range_filter, select_features)
+from eegstrata import (ConfigError, DataError, FeatureMatrix, PipelineConfig,
+                       best_first_search, cfs_merit, correlation_matrix,
+                       range_bounds, range_filter, select_features)
 from eegstrata.evaluation import CVConfig, kfold_split
 from eegstrata.pipeline import stage_extract, stage_ingest, stage_sample
 from eegstrata.selection import CorrelationMatrix
@@ -15,19 +14,6 @@ def _matrix(values, labels, names=None):
     values = np.asarray(values, dtype=float)
     names = names or tuple(f"f{i}" for i in range(values.shape[1]))
     return FeatureMatrix(names=names, values=values, labels=np.asarray(labels))
-
-
-def test_pearson_reference_points():
-    assert pearson([1, 2, 3], [2, 4, 6]) == pytest.approx(1.0)
-    assert pearson([1, 2, 3], [3, 2, 1]) == pytest.approx(-1.0)
-    rng = np.random.default_rng(0)
-    a, b = rng.standard_normal((2, 200))
-    assert pearson(a, b) == pytest.approx(oracles.pearson_direct(a, b), abs=1e-12)
-
-
-def test_pearson_constant_raises():
-    with pytest.raises(DegenerateDataError):
-        pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
 
 def test_correlation_matrix_known_entries():

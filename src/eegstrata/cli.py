@@ -15,8 +15,8 @@ from typing import get_args, get_origin, get_type_hints
 
 from .classifiers import CLASSIFIER_KINDS
 from .errors import ConfigError, DataError, DegenerateDataError
-from .pipeline import (REPORT_FORMATS, PipelineConfig, assemble_report,
-                       emit_report, resolve_levels, run_pipeline,
+from .pipeline import (REPORT_FORMATS, PipelineConfig, artifact_path,
+                       assemble_report, emit_report, resolve_levels, run_pipeline,
                        stage_classify, stage_extract, stage_ingest,
                        stage_sample, stage_select)
 from .sampler import SELECTION_POLICIES
@@ -178,7 +178,7 @@ def _ingest(cfg, args):
 
 def _pipeline(cfg, args):
     sys.stdout.write(emit_report(run_pipeline(cfg), "table").decode())
-    print(f"report written to {Path(cfg.out_dir) / 'report.json'}")
+    print(f"report written to {artifact_path(cfg, 'report')}")
 
 
 _DATA = (("--data", {"help": "directory of per-set channel files"}),

@@ -14,11 +14,12 @@ import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+from .classifiers import make_classifier
 from .corpus import (BONN_PREFIX_TO_SET, CASE_SETS, build_case,
                      generate_synthetic_case, save_channel, _set_channel_files)
 from .errors import ConfigError, DataError, DegenerateDataError, EegStrataError
 from .evaluation import SELECTION_MODES, CVConfig, run_cv, weighted_accuracy
-from .features import MIN_STRATUM_LENGTH, FeatureMatrix, extract_vector
+from .features import FEATURE_ORDER, MIN_STRATUM_LENGTH, FeatureMatrix, extract_vector
 from .sampler import (CONFIDENCE_Z, SELECTION_POLICIES, SamplingConfig,
                       StratificationPlan, allocate, reduce_channel,
                       required_sample_size, stratify)
@@ -93,8 +94,14 @@ class PipelineConfig:
                         f"unknown confidence level {level}; presets are {sorted(CONFIDENCE_Z)} "
                         "(use z for anything else)"
                     )
+        elif not self.z > 0:
+            raise ConfigError(f"z must be positive, got {self.z}")
         if not self.out_dir:
             raise ConfigError("an output directory is required")
+        # build what classify builds, so a bad setting fails before any stage writes
+        kind, params = self.classifier_spec()
+        make_classifier(kind, **params)
+        self.cv_config()
 
     def classifier_spec(self) -> tuple:
         if self.classifier == "knn":
@@ -115,18 +122,69 @@ class PipelineConfig:
 def resolve_levels(cfg: PipelineConfig) -> tuple:
     """(label, z) pairs to run: preset confidence levels, or one explicit z."""
     if cfg.z is not None:
-        if not cfg.z > 0:
-            raise ConfigError(f"z must be positive, got {cfg.z}")
         return ((f"z{cfg.z:g}", float(cfg.z)),)
     return tuple((str(level), CONFIDENCE_Z[level]) for level in cfg.confidence_levels)
 
 
-def _out(cfg: PipelineConfig) -> Path:
-    return Path(cfg.out_dir)
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _level_dir(cfg: PipelineConfig, label: str) -> Path:
-    return _out(cfg) / f"confidence_{label}"
+def _is_count(value, least: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+def _counts(least: int) -> tuple:
+    return (lambda v: isinstance(v, list) and all(_is_count(c, least) for c in v),
+            f"a list of integers >= {least}")
+
+
+def _design(cfg: PipelineConfig, z: float, length: int) -> dict:
+    """The fields of a sampling file that cfg fixes, given its z and channel length."""
+    scfg = SamplingConfig(z=z, population_size=length, p=cfg.p, e=cfg.e, n_strata=cfg.n_strata)
+    return {"n_bar": required_sample_size(scfg), "policy": cfg.policy,
+            "plan": list(stratify(length, cfg.n_strata).sizes)}
+
+
+# Every file of a run, one row per kind: its path under out_dir ({0} is the
+# level label, {1} the case); the stage that writes it; the checks every
+# reader applies, mapping a key ("a.b" is key b inside a) to None or to a
+# (test, description) pair its value must pass; and, where the config fixes
+# the contents, cfg, artifact -> (key, value, the config's value) triples.
+_LEVEL = "confidence_{0}"
+_ARTIFACTS = {
+    "data": ("data", "ingest", {}, None),
+    "manifest": ("manifest.json", "ingest", {"set_dirs": (
+        lambda v: isinstance(v, dict) and all(isinstance(d, str) for d in v.values()),
+        "an object of strings")}, None),
+    "reduced": (_LEVEL + "/reduced/{1}", "sample", {}, None),
+    "sampling": (_LEVEL + "/sampling_{1}.json", "sample", {
+        "length": (lambda v: _is_count(v, 1), "an integer >= 1"),
+        "z": (lambda v: _is_number(v) and v > 0, "a positive number"),
+        "n_bar": (lambda v: _is_count(v, 1), "an integer >= 1"),
+        "policy": None, "plan": _counts(1),
+        "classes.0.per_stratum": _counts(MIN_STRATUM_LENGTH),
+        "classes.1.per_stratum": _counts(MIN_STRATUM_LENGTH),
+    }, lambda cfg, s: [(k, s[k], v) for k, v in _design(cfg, s["z"], s["length"]).items()]),
+    "features": (_LEVEL + "/features_{1}.csv", "extract", {}, lambda cfg, fm: [
+        ("n_features", fm.n_features, len(FEATURE_ORDER) * cfg.n_strata)]),
+    "selection": (_LEVEL + "/selection_{1}.json", "select", {"selected": (
+        lambda v: isinstance(v, list) and len(v) > 0 and all(isinstance(n, str) for n in v),
+        "a non-empty list of strings")}, None),
+    "evaluation": (_LEVEL + "/evaluation_{1}.json", "classify", {
+        "mean": (lambda v: _is_number(v) and 0 <= v <= 100, "a number in [0, 100]"),
+        "std": (lambda v: _is_number(v) and v >= 0, "a number >= 0"),
+        "per_repeat": (lambda v: isinstance(v, list) and all(map(_is_number, v)),
+                       "a list of numbers"),
+        "n_rows": (lambda v: _is_count(v, 1), "a positive integer"),
+    }, None),
+    "report": ("report.json", "report", {}, None),
+}
+
+
+def artifact_path(cfg: PipelineConfig, kind: str, *where) -> Path:
+    """Where artifact kind of cfg's run lives; where is the level label, then the case."""
+    return Path(cfg.out_dir) / _ARTIFACTS[kind][0].format(*where)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -134,37 +192,34 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2) + "\n")
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
-def _read_artifact(path: Path, hint: str, keys: dict | None = None):
-    """Load what an earlier stage wrote: a FeatureMatrix from .csv, else a
-    JSON object holding every key in keys ("a.b" names key b inside a).
-    keys maps each key to None, or to a (test, description) pair its value
-    must pass. hint names the stage that writes the file."""
+def _read(cfg: PipelineConfig, kind: str, *where):
+    """Load artifact kind as an earlier stage wrote it, checked as its
+    _ARTIFACTS row says: a FeatureMatrix from .csv, else a JSON object.
+    A missing or malformed file raises DataError, and one made under other
+    settings than cfg's raises ConfigError, each naming the file."""
+    path = artifact_path(cfg, kind, *where)
+    _, writer, keys, settings = _ARTIFACTS[kind]
     if not path.is_file():
-        raise DataError(f"missing {path}; run '{hint}' first")
+        raise DataError(f"missing {path}; run '{writer}' first")
     if path.suffix == ".csv":
-        return FeatureMatrix.from_csv(path)
-    try:
-        data = json.loads(path.read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"{path}: malformed JSON ({exc}); run '{hint}' again") from None
-    if not isinstance(data, dict):
-        raise DataError(f"{path}: expected a JSON object; run '{hint}' again")
-    for key, check in (keys or {}).items():
+        data = FeatureMatrix.from_csv(path)
+    else:
+        try:
+            data = json.loads(path.read_text())
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise DataError(f"{path}: malformed JSON ({exc}); run '{writer}' again") from None
+    for key, check in keys.items():
         node = data
         for part in key.split("."):
             if not isinstance(node, dict) or part not in node:
-                raise DataError(f"{path}: missing key {key!r}; run '{hint}' again")
+                raise DataError(f"{path}: missing key {key!r}; run '{writer}' again")
             node = node[part]
         if check is not None and not check[0](node):
-            raise DataError(f"{path}: {key!r} must be {check[1]}; run '{hint}' again")
+            raise DataError(f"{path}: {key!r} must be {check[1]}; run '{writer}' again")
+    for key, value, wanted in settings(cfg, data) if settings else ():
+        if value != wanted:
+            raise ConfigError(f"{path}: {key!r} is {value!r}, but this config gives "
+                              f"{wanted!r}; run '{writer}' again")
     return data
 
 
@@ -182,7 +237,7 @@ def stage_ingest(cfg: PipelineConfig) -> dict:
         case = generate_synthetic_case((cfg.synthetic_n0, cfg.synthetic_n1),
                                        cfg.synthetic_length, cfg.seed,
                                        burst_amplitude=cfg.synthetic_burst_amplitude)
-        root = _out(cfg) / "data"
+        root = artifact_path(cfg, "data")
         for ch, _ in case.channels:
             save_channel(ch, root / ch.set_label / f"{ch.id.rsplit('/', 1)[-1]}.txt")
         set_dirs = {s: root / s for s in needed}
@@ -208,37 +263,28 @@ def stage_ingest(cfg: PipelineConfig) -> dict:
         "cases": list(cfg.cases),
         "channels_per_set": {s: len(_set_channel_files(d)) for s, d in sorted(set_dirs.items())},
     }
-    _write_json(_out(cfg) / "manifest.json", manifest)
+    _write_json(artifact_path(cfg, "manifest"), manifest)
     return manifest
-
-
-def _load_case(cfg: PipelineConfig, case_id: str):
-    strings = (lambda v: isinstance(v, dict) and all(isinstance(d, str) for d in v.values()),
-               "an object of strings")
-    manifest = _read_artifact(_out(cfg) / "manifest.json", "ingest", {"set_dirs": strings})
-    return build_case(case_id, {s: Path(d) for s, d in manifest["set_dirs"].items()})
 
 
 def stage_sample(cfg: PipelineConfig, label: str, z: float) -> dict:
     """Reduce every channel of every case at one confidence level."""
     out = {}
-    level = _level_dir(cfg, label)
+    set_dirs = {s: Path(d) for s, d in _read(cfg, "manifest")["set_dirs"].items()}
     for case_id in cfg.cases:
-        case = _load_case(cfg, case_id)
+        case = build_case(case_id, set_dirs)
         lengths = {len(ch) for ch, _ in case.channels}
         if len(lengths) != 1:
             raise DataError(f"{case_id}: channels have mixed lengths {sorted(lengths)}")
         length = lengths.pop()
-        scfg = SamplingConfig(z=z, population_size=length, p=cfg.p, e=cfg.e,
-                              n_strata=cfg.n_strata)
-        n_bar = required_sample_size(scfg)
-        plan = stratify(length, cfg.n_strata)
+        design = _design(cfg, z, length)
+        plan = StratificationPlan.from_sizes(design["plan"])
 
         allocs = {}
         for class_label in (0, 1):
             chans = [ch for ch, lab in case.channels if lab == class_label]
             try:
-                allocs[class_label] = allocate(chans, plan, n_bar)
+                allocs[class_label] = allocate(chans, plan, design["n_bar"])
             except DegenerateDataError as exc:
                 raise DegenerateDataError(f"{case_id} class {class_label}: {exc}") from None
             # extract needs MIN_STRATUM_LENGTH points per stratum: refuse here,
@@ -250,20 +296,19 @@ def stage_sample(cfg: PipelineConfig, label: str, z: float) -> dict:
                         f"samples, fewer than {MIN_STRATUM_LENGTH}; "
                         "lower n_strata or raise the confidence level")
 
+        reduced_dir = artifact_path(cfg, "reduced", label, case_id)
         for ch, lab in case.channels:
             reduced = reduce_channel(ch, plan, allocs[lab],
                                      seed=derive_seed(cfg.seed, "reduce", ch.id),
                                      policy=cfg.policy)
             stem = ch.id.rsplit("/", 1)[-1]
-            save_channel(reduced, level / "reduced" / case_id / ch.set_label / f"{stem}.txt")
+            save_channel(reduced, reduced_dir / ch.set_label / f"{stem}.txt")
 
         sampling = {
             "case": case_id,
             "length": length,
             "z": z,
-            "n_bar": n_bar,
-            "policy": cfg.policy,
-            "plan": list(plan.sizes),
+            **design,
             "classes": {
                 str(lab): {
                     "per_stratum": list(allocs[lab].per_stratum),
@@ -272,7 +317,7 @@ def stage_sample(cfg: PipelineConfig, label: str, z: float) -> dict:
                 for lab in (0, 1)
             },
         }
-        _write_json(level / f"sampling_{case_id}.json", sampling)
+        _write_json(artifact_path(cfg, "sampling", label, case_id), sampling)
         out[case_id] = sampling
     return out
 
@@ -280,21 +325,17 @@ def stage_sample(cfg: PipelineConfig, label: str, z: float) -> dict:
 def stage_extract(cfg: PipelineConfig, label: str) -> dict:
     """Turn reduced channels into per-case feature matrices."""
     out = {}
-    level = _level_dir(cfg, label)
-    counts = (lambda v: isinstance(v, list) and all(map(_is_count, v)), "a list of integers >= 0")
     for case_id in cfg.cases:
-        sampling = _read_artifact(level / f"sampling_{case_id}.json", "sample",
-                                  {"classes.0.per_stratum": counts,
-                                   "classes.1.per_stratum": counts})
-        set_dirs = {s: level / "reduced" / case_id / s for s in _case_sets(case_id)}
-        case = build_case(case_id, set_dirs)
+        sampling = _read(cfg, "sampling", label, case_id)
+        reduced_dir = artifact_path(cfg, "reduced", label, case_id)
+        case = build_case(case_id, {s: reduced_dir / s for s in _case_sets(case_id)})
         plans = {
             lab: StratificationPlan.from_sizes(sampling["classes"][str(lab)]["per_stratum"])
             for lab in (0, 1)
         }
         vectors = [extract_vector(ch, plans[lab], label=lab) for ch, lab in case.channels]
         fm = FeatureMatrix.from_vectors(vectors)
-        fm.to_csv(level / f"features_{case_id}.csv")
+        fm.to_csv(artifact_path(cfg, "features", label, case_id))
         out[case_id] = fm
     return out
 
@@ -302,12 +343,11 @@ def stage_extract(cfg: PipelineConfig, label: str) -> dict:
 def stage_select(cfg: PipelineConfig, label: str) -> dict:
     """Run feature selection per case on the persisted feature matrices."""
     out = {}
-    level = _level_dir(cfg, label)
     for case_id in cfg.cases:
-        fm = _read_artifact(level / f"features_{case_id}.csv", "extract")
+        fm = _read(cfg, "features", label, case_id)
         subset = select_features(fm, stall_limit=cfg.stall_limit,
                                  threshold=cfg.range_threshold)
-        _write_json(level / f"selection_{case_id}.json", subset.to_dict())
+        _write_json(artifact_path(cfg, "selection", label, case_id), subset.to_dict())
         out[case_id] = subset
     return out
 
@@ -315,13 +355,12 @@ def stage_select(cfg: PipelineConfig, label: str) -> dict:
 def stage_classify(cfg: PipelineConfig, label: str) -> dict:
     """Cross-validate the configured classifier per case."""
     out = {}
-    level = _level_dir(cfg, label)
     for case_id in cfg.cases:
-        fm = _read_artifact(level / f"features_{case_id}.csv", "extract")
+        fm = _read(cfg, "features", label, case_id)
         result = run_cv(fm, cfg.classifier_spec(), cfg.cv_config(),
                         select=cfg.selection_mode, stall_limit=cfg.stall_limit,
                         range_threshold=cfg.range_threshold)
-        _write_json(level / f"evaluation_{case_id}.json", {
+        _write_json(artifact_path(cfg, "evaluation", label, case_id), {
             "case": case_id,
             "classifier": cfg.classifier,
             "n_rows": fm.n_rows,
@@ -335,25 +374,15 @@ def stage_classify(cfg: PipelineConfig, label: str) -> dict:
 
 def assemble_report(cfg: PipelineConfig) -> dict:
     """Build the run report from persisted stage artifacts, write it as
-    report.json and return it: the config, then per level the z, the
-    channel-weighted average accuracy and each case's entry."""
-    evaluation_keys = {
-        "mean": (lambda v: _is_number(v) and 0 <= v <= 100, "a number in [0, 100]"),
-        "std": (lambda v: _is_number(v) and v >= 0, "a number >= 0"),
-        "per_repeat": (lambda v: isinstance(v, list) and all(map(_is_number, v)),
-                       "a list of numbers"),
-        "n_rows": (lambda v: _is_count(v) and v > 0, "a positive integer"),
-    }
+    the report artifact and return it: the config, then per level the z,
+    the channel-weighted average accuracy and each case's entry."""
     levels = []
     for label, z in resolve_levels(cfg):
-        level = _level_dir(cfg, label)
         cases = {}
         for case_id in sorted(cfg.cases):
-            sampling = _read_artifact(level / f"sampling_{case_id}.json", "sample",
-                                      {"n_bar": None, "plan": None, "classes": None})
-            selection = _read_artifact(level / f"selection_{case_id}.json", "select")
-            evaluation = _read_artifact(level / f"evaluation_{case_id}.json", "classify",
-                                        evaluation_keys)
+            sampling = _read(cfg, "sampling", label, case_id)
+            selection = _read(cfg, "selection", label, case_id)
+            evaluation = _read(cfg, "evaluation", label, case_id)
             cases[case_id] = {
                 "n_channels": evaluation["n_rows"],
                 "n_bar": sampling["n_bar"],
@@ -369,9 +398,7 @@ def assemble_report(cfg: PipelineConfig) -> dict:
         levels.append({"confidence": label, "z": z, "weighted_average": average,
                        "cases": cases})
     report = {"config": asdict(cfg), "levels": levels}
-    path = _out(cfg) / "report.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(emit_report(report, "json"))
+    _write_json(artifact_path(cfg, "report"), report)
     return report
 
 

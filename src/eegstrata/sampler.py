@@ -103,9 +103,11 @@ def required_sample_size(cfg: SamplingConfig) -> int:
     Truncation (not rounding) is deliberate: it reproduces the standard
     reference values for N=4097 at the 70/85/95/99% presets exactly.
     """
-    n = cfg.z ** 2 * cfg.p * (1.0 - cfg.p) / cfg.e ** 2
-    n_bar = n / (1.0 + (n - 1.0) / cfg.population_size)
-    return int(n_bar)
+    try:
+        n = cfg.z ** 2 * cfg.p * (1.0 - cfg.p) / cfg.e ** 2
+        return int(n / (1.0 + (n - 1.0) / cfg.population_size))
+    except (OverflowError, ValueError, ZeroDivisionError):  # a huge z or a tiny e
+        raise ConfigError(f"z={cfg.z:g} and e={cfg.e:g} give no finite sample size") from None
 
 
 def stratify(length: int, n_strata: int) -> StratificationPlan:

@@ -1,4 +1,5 @@
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -21,3 +22,21 @@ def test_numpy_is_the_only_runtime_dependency():
                 if top != "numpy" and top not in sys.stdlib_module_names:
                     outside.append(f"{path.name}:{node.lineno}: {module}")
     assert not outside, outside
+
+
+def test_each_artifact_path_is_defined_once():
+    """Each artifact's file or directory name appears once in the package, in
+    pipeline's artifact table; a name followed by a letter (confidence_levels,
+    selection_mode) is another word."""
+    package = Path(eegstrata.__file__).parent
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    table = [node for node in ast.parse(sources["pipeline.py"]).body
+             if isinstance(node, ast.Assign)
+             and {getattr(t, "id", None) for t in node.targets} & {"_LEVEL", "_ARTIFACTS"}]
+    table_lines = {n for node in table for n in range(node.lineno, node.end_lineno + 1)}
+    for name in ("manifest.json", "report.json", "confidence_", "sampling_", "features_",
+                 "selection_", "evaluation_", "/reduced"):
+        found = [(file, text.count("\n", 0, match.start()) + 1) for file, text in sources.items()
+                 for match in re.finditer(re.escape(name) + "(?![a-z])", text)]
+        assert len(found) == 1 and found[0][0] == "pipeline.py", (name, found)
+        assert found[0][1] in table_lines, (name, found)

@@ -55,12 +55,16 @@ def test_report_structure(tiny_run):
 def test_artifacts_on_disk(tiny_run):
     cfg, report = tiny_run
     out = Path(cfg.out_dir)
-    assert (out / "manifest.json").is_file()
-    assert (out / "report.json").is_file()
     level = out / "confidence_95"
-    for name in ("sampling_Case1.json", "features_Case1.csv",
-                 "selection_Case1.json", "evaluation_Case1.json"):
-        assert (level / name).is_file()
+    # the run writes these files and nothing else
+    channels = {p.relative_to(out / "data").as_posix() for p in (out / "data").rglob("*")
+                if p.is_file()}
+    assert len(channels) == 22 and {c.split("/")[0] for c in channels} == {"A", "B", "E"}
+    assert {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()} == {
+        "manifest.json", "report.json", "confidence_95/sampling_Case1.json",
+        "confidence_95/features_Case1.csv", "confidence_95/selection_Case1.json",
+        "confidence_95/evaluation_Case1.json",
+        *(f"data/{c}" for c in channels), *(f"confidence_95/reduced/Case1/{c}" for c in channels)}
     for set_label in ("A", "B", "E"):
         assert (out / "data" / set_label).is_dir()
         reduced = sorted((level / "reduced" / "Case1" / set_label).glob("*.txt"))
@@ -166,8 +170,8 @@ def test_resolve_levels():
     assert resolve_levels(PipelineConfig(z=1.5)) == (("z1.5", 1.5),)
     assert resolve_levels(PipelineConfig(confidence_levels=(70, 99))) == (
         ("70", 1.04), ("99", 2.58))
-    with pytest.raises(ConfigError):
-        resolve_levels(PipelineConfig(z=-1.0))
+    with pytest.raises(ConfigError, match="z must be positive"):
+        PipelineConfig(z=-1.0)
 
 
 def test_multi_level_sweep(tmp_path):
@@ -318,19 +322,33 @@ def test_cli_error_exit_codes(tmp_path, capsys):
             (d / f"c{i}.txt").write_text("0.0\n" * 64)
     out = tmp_path / "c"
     assert main(["ingest", "--data", str(data), "--out", str(out)]) == 0
+    # configuration error: a z so large that the sample-size formula overflows
+    assert main(["sample", "--z", "1e200", "--out", str(out)]) == 2
     assert main(["sample", "--out", str(out)]) == 4
     captured = capsys.readouterr()
     assert "error:" in captured.err
 
 
-def _sampling_json(per_stratum_0):
-    """A sampling_Case1.json of the run below, with class 0's per_stratum replaced."""
+def _small_conf(path, changes=()):
+    """Write a config for a 4 + 3 channel synthetic run into out/ beside
+    path, nb at 2 folds x 1, with the (key, value) pairs in changes applied."""
+    settings = {"synthetic": "true", "synthetic.n0": "4", "synthetic.n1": "3",
+                "synthetic.length": "512", "out": str(path.parent / "out"),
+                "classifier": "nb", "cv.folds": "2", "cv.repeats": "1", **dict(changes)}
+    path.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
+    return path
+
+
+def _sampling_json(per_stratum_0, **bad):
+    """A sampling_Case1.json of the run below, with class 0's per_stratum
+    and the values in bad replaced."""
     return json.dumps({
         "case": "Case1", "length": 512, "z": 1.96, "n_bar": 486, "policy": "random",
         "plan": [128, 128, 128, 128],
         "classes": {"0": {"per_stratum": per_stratum_0, "weights": [257.0, 247.0, 247.0, 257.0]},
                     "1": {"per_stratum": [128, 102, 128, 128],
                           "weights": [584.0, 405.0, 534.0, 595.0]}},
+        **bad,
     })
 
 
@@ -353,6 +371,11 @@ def _evaluation_json(**bad):
     ("manifest.json", '{"set_dirs": []}', "sample"),
     ("confidence_95/sampling_Case1.json", _sampling_json("abc"), "extract"),
     ("confidence_95/sampling_Case1.json", _sampling_json([-1, 1000, 1000, 1000]), "extract"),
+    # counts extract cannot use: a stratum under 64 samples
+    ("confidence_95/sampling_Case1.json", _sampling_json([10, 118, 128, 128]), "extract"),
+    ("confidence_95/sampling_Case1.json", _sampling_json([124, 119, 119, 124], n_bar="abc"),
+     "report"),
+    ("confidence_95/selection_Case1.json", "{}", "report"),
     ("confidence_95/evaluation_Case1.json", _evaluation_json(mean="x"), "report"),
     ("confidence_95/evaluation_Case1.json", _evaluation_json(per_repeat=5), "report"),
     ("confidence_95/evaluation_Case1.json", _evaluation_json(n_rows=0), "report"),
@@ -360,18 +383,39 @@ def _evaluation_json(**bad):
 ])
 def test_cli_malformed_artifact_is_a_data_error(tmp_path, artifact, damage, command):
     """damage is the share of the artifact's text to keep, or text to replace it with."""
-    conf = tmp_path / "run.conf"
-    conf.write_text("synthetic = true\nsynthetic.n0 = 4\nsynthetic.n1 = 3\n"
-                    f"synthetic.length = 512\nout = {tmp_path / 'out'}\n"
-                    "classifier = nb\ncv.folds = 2\ncv.repeats = 1\n")
+    conf = _small_conf(tmp_path / "run.conf")
     stages = ["ingest", "sample"] + (["extract", "select", "classify"]
-                                     if "evaluation" in artifact else [])
+                                     if command == "report" else [])
     for stage in stages:
         assert main([stage, "--config", str(conf)]) == 0
     path = tmp_path / "out" / artifact
     text = path.read_text()
     path.write_text(damage if isinstance(damage, str) else text[: int(len(text) * damage)])
     _assert_child_error([command, "--config", str(conf)], path)
+
+
+@pytest.mark.parametrize("change, command, artifact, key", [
+    (("strata", "2"), "extract", "sampling_Case1.json", "'plan'"),
+    (("strata", "2"), "classify", "features_Case1.csv", "'n_features'"),
+    (("strata", "2"), "report", "sampling_Case1.json", "'plan'"),
+    (("policy", "systematic"), "extract", "sampling_Case1.json", "'policy'"),
+    (("e", "0.02"), "report", "sampling_Case1.json", "'n_bar'"),
+], ids=["strata-extract", "strata-classify", "strata-report", "policy-extract", "e-report"])
+def test_cli_artifact_of_another_config_is_refused(tmp_path, change, command, artifact, key):
+    assert main(["pipeline", "--config", str(_small_conf(tmp_path / "run.conf"))]) == 0
+    other = _small_conf(tmp_path / "other.conf", [change])
+    path = tmp_path / "out" / "confidence_95" / artifact
+    _assert_child_error([command, "--config", str(other)], f"{path}: {key} is", code=2)
+
+
+@pytest.mark.parametrize("change, fragment", [
+    (("classifier", "svm"), "unknown classifier 'svm'"),
+    (("cv.folds", "1"), "n_folds must be at least 2, got 1"),
+], ids=["classifier", "cv-folds"])
+def test_cli_bad_classifier_or_cv_fails_before_any_stage(tmp_path, capsys, change, fragment):
+    assert main(["pipeline", "--config", str(_small_conf(tmp_path / "run.conf", [change]))]) == 2
+    assert fragment in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def _write_bonn_corpus(root, length, edit=lambda prefix, x: x):

@@ -199,7 +199,7 @@ _COMMON = (
 _COMMANDS = (
     ("ingest", "run the ingest stage", _DATA, _ingest),
     ("sample", "run the sample stage", _POLICY, _per_level(stage_sample, _show_sampling)),
-    ("extract", "run the extract stage", (), _per_level(
+    ("extract", "run the extract stage", _POLICY, _per_level(
         lambda cfg, label, z: stage_extract(cfg, label),
         lambda cfg, z, fm: f": {fm.n_rows} channels x {fm.n_features} features")),
     ("select", "run the select stage", (), _per_level(
@@ -209,7 +209,7 @@ _COMMANDS = (
         lambda cfg, z, r: f" [{cfg.classifier}]: {r.mean:.2f} +/- {r.std:.2f} %")),
     ("pipeline", "run every stage end to end", _DATA + _POLICY, _pipeline),
     ("report", "format the persisted run artifacts",
-     (("--format", {"choices": REPORT_FORMATS, "default": "table"}),),
+     _POLICY + (("--format", {"choices": REPORT_FORMATS, "default": "table"}),),
      lambda cfg, args: sys.stdout.buffer.write(emit_report(assemble_report(cfg), args.format))),
 )
 

@@ -94,11 +94,13 @@ class PipelineConfig:
                         f"unknown confidence level {level}; presets are {sorted(CONFIDENCE_Z)} "
                         "(use z for anything else)"
                     )
-        elif not self.z > 0:
-            raise ConfigError(f"z must be positive, got {self.z}")
         if not self.out_dir:
             raise ConfigError("an output directory is required")
-        # build what classify builds, so a bad setting fails before any stage writes
+        # build what sample (for the shortest channel strata allow) and classify
+        # build, so a bad setting fails before any stage writes
+        for _, z in resolve_levels(self):
+            required_sample_size(SamplingConfig(z=z, population_size=self.n_strata, p=self.p,
+                                                e=self.e, n_strata=self.n_strata))
         kind, params = self.classifier_spec()
         make_classifier(kind, **params)
         self.cv_config()
@@ -139,11 +141,12 @@ def _counts(least: int) -> tuple:
             f"a list of integers >= {least}")
 
 
-def _design(cfg: PipelineConfig, z: float, length: int) -> dict:
-    """The fields of a sampling file that cfg fixes, given its z and channel length."""
+def _design(cfg: PipelineConfig, z: float, length: int) -> tuple:
+    """cfg's plan for a channel of this length, and the sampling fields cfg fixes at z."""
     scfg = SamplingConfig(z=z, population_size=length, p=cfg.p, e=cfg.e, n_strata=cfg.n_strata)
-    return {"n_bar": required_sample_size(scfg), "policy": cfg.policy,
-            "plan": list(stratify(length, cfg.n_strata).sizes)}
+    plan = stratify(length, cfg.n_strata)
+    return plan, {"n_bar": required_sample_size(scfg), "policy": cfg.policy,
+                  "plan": list(plan.sizes)}
 
 
 # Every file of a run, one row per kind: its path under out_dir ({0} is the
@@ -165,7 +168,7 @@ _ARTIFACTS = {
         "policy": None, "plan": _counts(1),
         "classes.0.per_stratum": _counts(MIN_STRATUM_LENGTH),
         "classes.1.per_stratum": _counts(MIN_STRATUM_LENGTH),
-    }, lambda cfg, s: [(k, s[k], v) for k, v in _design(cfg, s["z"], s["length"]).items()]),
+    }, lambda cfg, s: [(k, s[k], v) for k, v in _design(cfg, s["z"], s["length"])[1].items()]),
     "features": (_LEVEL + "/features_{1}.csv", "extract", {}, lambda cfg, fm: [
         ("n_features", fm.n_features, len(FEATURE_ORDER) * cfg.n_strata)]),
     "selection": (_LEVEL + "/selection_{1}.json", "select", {"selected": (
@@ -195,8 +198,8 @@ def _write_json(path: Path, obj) -> None:
 def _read(cfg: PipelineConfig, kind: str, *where):
     """Load artifact kind as an earlier stage wrote it, checked as its
     _ARTIFACTS row says: a FeatureMatrix from .csv, else a JSON object.
-    A missing or malformed file raises DataError, and one made under other
-    settings than cfg's raises ConfigError, each naming the file."""
+    A missing or malformed file, or one whose values give cfg no design,
+    raises DataError; one made under other settings raises ConfigError."""
     path = artifact_path(cfg, kind, *where)
     _, writer, keys, settings = _ARTIFACTS[kind]
     if not path.is_file():
@@ -216,10 +219,14 @@ def _read(cfg: PipelineConfig, kind: str, *where):
             node = node[part]
         if check is not None and not check[0](node):
             raise DataError(f"{path}: {key!r} must be {check[1]}; run '{writer}' again")
-    for key, value, wanted in settings(cfg, data) if settings else ():
+    try:
+        compared = settings(cfg, data) if settings else ()
+    except ConfigError as exc:  # e.g. a z that overflows, a length under n_strata
+        raise DataError(f"{path}: {exc}; run '{writer}' again") from None
+    for key, value, wanted in compared:
         if value != wanted:
-            raise ConfigError(f"{path}: {key!r} is {value!r}, but this config gives "
-                              f"{wanted!r}; run '{writer}' again")
+            raise ConfigError(f"{path}: {key!r} is {value!r}, but this config gives {wanted!r}; "
+                              f"use the settings it was made with, or run '{writer}' again")
     return data
 
 
@@ -277,8 +284,7 @@ def stage_sample(cfg: PipelineConfig, label: str, z: float) -> dict:
         if len(lengths) != 1:
             raise DataError(f"{case_id}: channels have mixed lengths {sorted(lengths)}")
         length = lengths.pop()
-        design = _design(cfg, z, length)
-        plan = StratificationPlan.from_sizes(design["plan"])
+        plan, design = _design(cfg, z, length)
 
         allocs = {}
         for class_label in (0, 1):
@@ -305,17 +311,10 @@ def stage_sample(cfg: PipelineConfig, label: str, z: float) -> dict:
             save_channel(reduced, reduced_dir / ch.set_label / f"{stem}.txt")
 
         sampling = {
-            "case": case_id,
-            "length": length,
-            "z": z,
-            **design,
-            "classes": {
-                str(lab): {
-                    "per_stratum": list(allocs[lab].per_stratum),
-                    "weights": list(allocs[lab].per_stratum_weight),
-                }
-                for lab in (0, 1)
-            },
+            "case": case_id, "length": length, "z": z, **design,
+            "classes": {str(lab): {"per_stratum": list(allocs[lab].per_stratum),
+                                   "weights": list(allocs[lab].per_stratum_weight)}
+                        for lab in (0, 1)},
         }
         _write_json(artifact_path(cfg, "sampling", label, case_id), sampling)
         out[case_id] = sampling

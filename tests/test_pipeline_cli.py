@@ -307,7 +307,7 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     # configuration error: unknown case name
     assert main(["pipeline", "--synthetic", "--case", "Case9",
                  "--out", str(tmp_path / "a")]) == 2
-    # --policy belongs to sample and pipeline, not to ingest
+    # --policy belongs to the stages that use or compare it, not to ingest
     with pytest.raises(SystemExit) as exc:
         main(["ingest", "--synthetic", "--policy", "systematic", "--out", str(tmp_path / "p")])
     assert exc.value.code == 2
@@ -376,6 +376,11 @@ def _evaluation_json(**bad):
     ("confidence_95/sampling_Case1.json", _sampling_json([124, 119, 119, 124], n_bar="abc"),
      "report"),
     ("confidence_95/selection_Case1.json", "{}", "report"),
+    # values that give the config no design: z overflows the formula, length < strata
+    ("confidence_95/sampling_Case1.json", _sampling_json([124, 119, 119, 124], z=1e200),
+     "extract"),
+    ("confidence_95/sampling_Case1.json", _sampling_json([124, 119, 119, 124], length=2),
+     "report"),
     ("confidence_95/evaluation_Case1.json", _evaluation_json(mean="x"), "report"),
     ("confidence_95/evaluation_Case1.json", _evaluation_json(per_repeat=5), "report"),
     ("confidence_95/evaluation_Case1.json", _evaluation_json(n_rows=0), "report"),
@@ -411,11 +416,26 @@ def test_cli_artifact_of_another_config_is_refused(tmp_path, change, command, ar
 @pytest.mark.parametrize("change, fragment", [
     (("classifier", "svm"), "unknown classifier 'svm'"),
     (("cv.folds", "1"), "n_folds must be at least 2, got 1"),
-], ids=["classifier", "cv-folds"])
+    (("e", "2"), "e must be in (0, 1), got 2.0"),
+], ids=["classifier", "cv-folds", "e"])
 def test_cli_bad_classifier_or_cv_fails_before_any_stage(tmp_path, capsys, change, fragment):
     assert main(["pipeline", "--config", str(_small_conf(tmp_path / "run.conf", [change]))]) == 2
     assert fragment in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("stages", [
+    ["ingest", "sample", "extract", "select", "classify", "report"],
+    ["pipeline", "report"],
+], ids=["staged", "pipeline"])
+def test_cli_policy_flag_reaches_every_reader(tmp_path, capsys, stages):
+    conf = _small_conf(tmp_path / "run.conf")
+    for stage in stages:
+        policy = ["--policy", "systematic"] if stage in ("sample", "extract", "report",
+                                                         "pipeline") else []
+        assert main([stage, "--config", str(conf), *policy]) == 0, capsys.readouterr().err
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["config"]["policy"] == "systematic"
 
 
 def _write_bonn_corpus(root, length, edit=lambda prefix, x: x):

@@ -6,8 +6,8 @@ feature subset by a correlation search with a range-based filter, and
 classified with cross-validated RF / naive Bayes / kNN models.
 """
 
-from .corpus import (CASE_SETS, SET_LABELS, Channel, ClassificationCase,
-                     build_case, generate_synthetic_case, load_channel,
+from .corpus import (CASE_SETS, SET_LABELS, Channel, case_channels,
+                     generate_synthetic_case, load_channel, load_set,
                      save_channel)
 from .errors import (ConfigError, DataError, DegenerateDataError,
                      EegStrataError)
@@ -32,17 +32,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CASE_SETS", "CONFIDENCE_Z", "FEATURE_ORDER", "SET_LABELS",
-    "AllocationResult", "CVConfig", "CVResult", "Channel",
-    "ClassificationCase", "ConfigError", "CorrelationMatrix", "DataError",
-    "DegenerateDataError", "EegStrataError", "FeatureMatrix", "FeatureSubset",
-    "FeatureVector", "KNNClassifier", "NaiveBayesClassifier",
-    "PipelineConfig", "RandomForestClassifier", "SamplingConfig",
-    "StratificationPlan", "allocate", "assemble_report", "best_first_search",
-    "build_case", "cfs_merit", "correlation_matrix", "derive_seed",
-    "emit_report", "extract_vector", "fluctuation_index",
+    "AllocationResult", "CVConfig", "CVResult", "Channel", "ConfigError",
+    "CorrelationMatrix", "DataError", "DegenerateDataError", "EegStrataError",
+    "FeatureMatrix", "FeatureSubset", "FeatureVector", "KNNClassifier",
+    "NaiveBayesClassifier", "PipelineConfig", "RandomForestClassifier",
+    "SamplingConfig", "StratificationPlan", "allocate", "assemble_report",
+    "best_first_search", "case_channels", "cfs_merit", "correlation_matrix",
+    "derive_seed", "emit_report", "extract_vector", "fluctuation_index",
     "generate_synthetic_case", "hurst_exponent", "kfold_split",
-    "load_channel", "make_classifier", "range_bounds", "range_filter",
-    "reduce_channel", "required_sample_size", "run_cv", "run_pipeline",
-    "sample_entropy", "save_channel", "select_features", "shannon_entropy",
-    "stratify", "stratum_features", "weighted_accuracy",
+    "load_channel", "load_set", "make_classifier", "range_bounds",
+    "range_filter", "reduce_channel", "required_sample_size", "run_cv",
+    "run_pipeline", "sample_entropy", "save_channel", "select_features",
+    "shannon_entropy", "stratify", "stratum_features", "weighted_accuracy",
 ]

@@ -2,9 +2,9 @@
 
 A channel is one recorded signal: an ordered sequence of samples plus a set
 label (A..E, Bonn convention: A/B healthy, C/D interictal, E seizure).
-Classification cases pair channels with binary labels; only set E carries
-label 1. Synthetic cases with the same shape are generated for tests and
-demos.
+A classification case is a list of (channel, label) pairs drawn from its
+sets; only set E carries label 1. Synthetic cases with the same shape are
+generated for tests and demos.
 
 Channel files are plain text, one numeric value per line. Set label comes
 from configuration, never from the filename: the Bonn distribution uses
@@ -14,7 +14,7 @@ Z/O/N/F/S directory prefixes, mapped here as Z->A, O->B, N->C, F->D, S->E.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -52,28 +52,6 @@ class Channel:
 
     def __len__(self) -> int:
         return self.samples.size
-
-
-@dataclass(frozen=True)
-class ClassificationCase:
-    """A binary classification problem: category-1 channels labeled 0,
-    category-2 (seizure) channels labeled 1."""
-
-    case_id: str
-    category1_sets: tuple[str, ...]
-    category2_sets: tuple[str, ...]
-    channels: tuple = field(repr=False)  # (Channel, label) pairs
-
-    def __post_init__(self):
-        if self.case_id not in CASE_SETS:
-            raise ConfigError(f"unknown case id {self.case_id!r}")
-        for ch, label in self.channels:
-            if label not in (0, 1):
-                raise ConfigError(f"channel {ch.id!r}: label must be 0 or 1, got {label!r}")
-            if label == 1 and ch.set_label not in self.category2_sets:
-                raise ConfigError(
-                    f"channel {ch.id!r}: label 1 is reserved for sets {self.category2_sets}"
-                )
 
 
 def load_channel(path, set_label: str = "A") -> Channel:
@@ -128,30 +106,25 @@ def _set_channel_files(directory: Path) -> list[Path]:
     return [files[name] for name in sorted(files)]
 
 
-def build_case(case_id: str, set_dirs: dict) -> ClassificationCase:
-    """Assemble a labeled case from per-set directories of channel files.
+def load_set(directory, set_label: str) -> list:
+    """A set's channels, one per channel file of directory, in lexicographic
+    file name order so channel order is deterministic."""
+    directory = Path(directory)
+    if not directory.is_dir():
+        raise DataError(f"set {set_label} directory not found: {directory}")
+    files = _set_channel_files(directory)
+    if not files:
+        raise DataError(f"set {set_label} directory has no channel files: {directory}")
+    return [load_channel(path, set_label) for path in files]
 
-    ``set_dirs`` maps set labels (A..E) to directories. Files are taken in
-    lexicographic name order for deterministic channel ordering.
-    """
+
+def case_channels(case_id: str, load) -> list:
+    """A case's (Channel, label) pairs: its category-1 sets' channels labeled
+    0, then its category-2 sets' labeled 1, each set's from load(set_label)."""
     if case_id not in CASE_SETS:
         raise ConfigError(f"unknown case id {case_id!r}")
-    cat1, cat2 = CASE_SETS[case_id]
-    channels = []
-    for label, sets in ((0, cat1), (1, cat2)):
-        for set_label in sets:
-            if set_label not in set_dirs:
-                raise DataError(f"{case_id}: no directory configured for set {set_label}")
-            directory = Path(set_dirs[set_label])
-            if not directory.is_dir():
-                raise DataError(f"{case_id}: set {set_label} directory not found: {directory}")
-            files = _set_channel_files(directory)
-            if not files:
-                raise DataError(f"{case_id}: set {set_label} directory has no channel files: {directory}")
-            for path in files:
-                channels.append((load_channel(path, set_label), label))
-    return ClassificationCase(case_id=case_id, category1_sets=cat1, category2_sets=cat2,
-                              channels=tuple(channels))
+    return [(ch, label) for label, sets in enumerate(CASE_SETS[case_id])
+            for set_label in sets for ch in load(set_label)]
 
 
 def _burst_signal(rng: np.random.Generator, length: int, amplitude: float) -> np.ndarray:
@@ -171,8 +144,9 @@ def _burst_signal(rng: np.random.Generator, length: int, amplitude: float) -> np
 
 
 def generate_synthetic_case(n_per_class, length: int, seed: int,
-                            burst_amplitude: float = 5.0) -> ClassificationCase:
-    """Deterministic synthetic stand-in for a Case-1 style corpus.
+                            burst_amplitude: float = 5.0) -> list:
+    """Deterministic synthetic stand-in for a Case-1 style corpus, as
+    (Channel, label) pairs.
 
     Class 0 channels are i.i.d. standard Gaussian noise (sets A/B); class 1
     channels add amplitude-``burst_amplitude`` sinusoidal bursts on random
@@ -201,5 +175,4 @@ def generate_synthetic_case(n_per_class, length: int, seed: int,
         rng = np.random.default_rng(derive_seed(seed, cid))
         channels.append((Channel(id=cid, set_label="E",
                                  samples=_burst_signal(rng, length, burst_amplitude)), 1))
-    return ClassificationCase(case_id="Case1", category1_sets=("A", "B"), category2_sets=("E",),
-                              channels=tuple(channels))
+    return channels

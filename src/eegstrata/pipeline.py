@@ -9,14 +9,15 @@ wall-clock time; a (config, seed) pair fully determines every output byte.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .classifiers import make_classifier
-from .corpus import (BONN_PREFIX_TO_SET, CASE_SETS, build_case,
-                     generate_synthetic_case, save_channel, _set_channel_files)
+from .corpus import (BONN_PREFIX_TO_SET, CASE_SETS, case_channels, generate_synthetic_case,
+                     load_set, save_channel, _set_channel_files)
 from .errors import ConfigError, DataError, DegenerateDataError, EegStrataError
 from .evaluation import SELECTION_MODES, CVConfig, run_cv, weighted_accuracy
 from .features import FEATURE_ORDER, MIN_STRATUM_LENGTH, FeatureMatrix, extract_vector
@@ -179,8 +180,8 @@ _ARTIFACTS = {
         "std": (lambda v: _is_number(v) and v >= 0, "a number >= 0"),
         "per_repeat": (lambda v: isinstance(v, list) and all(map(_is_number, v)),
                        "a list of numbers"),
-        "n_rows": (lambda v: _is_count(v, 1), "a positive integer"),
-    }, None),
+        "n_rows": (lambda v: _is_count(v, 1), "a positive integer"), "classifier": None,
+    }, lambda cfg, ev: [("classifier", ev["classifier"], cfg.classifier)]),
     "report": ("report.json", "report", {}, None),
 }
 
@@ -230,22 +231,17 @@ def _read(cfg: PipelineConfig, kind: str, *where):
     return data
 
 
-def _case_sets(case_id: str) -> tuple:
-    cat1, cat2 = CASE_SETS[case_id]
-    return tuple(cat1) + tuple(cat2)
-
-
 def stage_ingest(cfg: PipelineConfig) -> dict:
     """Resolve (or synthesize) the channel corpus and write the manifest."""
-    needed = sorted({s for case in cfg.cases for s in _case_sets(case)})
+    needed = sorted({s for case in cfg.cases for sets in CASE_SETS[case] for s in sets})
     if cfg.synthetic:
         if cfg.cases != ("Case1",):
             raise ConfigError("synthetic data covers sets A/B/E, so only Case1 is supported")
-        case = generate_synthetic_case((cfg.synthetic_n0, cfg.synthetic_n1),
-                                       cfg.synthetic_length, cfg.seed,
-                                       burst_amplitude=cfg.synthetic_burst_amplitude)
+        channels = generate_synthetic_case((cfg.synthetic_n0, cfg.synthetic_n1),
+                                           cfg.synthetic_length, cfg.seed,
+                                           burst_amplitude=cfg.synthetic_burst_amplitude)
         root = artifact_path(cfg, "data")
-        for ch, _ in case.channels:
+        for ch, _ in channels:
             save_channel(ch, root / ch.set_label / f"{ch.id.rsplit('/', 1)[-1]}.txt")
         set_dirs = {s: root / s for s in needed}
     else:
@@ -277,10 +273,18 @@ def stage_ingest(cfg: PipelineConfig) -> dict:
 def stage_sample(cfg: PipelineConfig, label: str, z: float) -> dict:
     """Reduce every channel of every case at one confidence level."""
     out = {}
-    set_dirs = {s: Path(d) for s, d in _read(cfg, "manifest")["set_dirs"].items()}
+    set_dirs = _read(cfg, "manifest")["set_dirs"]
+
+    @functools.cache  # for this call only: cases that share a set parse it once
+    def load(set_label):
+        if set_label not in set_dirs:  # case_id is the case being built
+            raise DataError(f"{case_id}: set {set_label} is not in the manifest; "
+                            "run 'ingest' again")
+        return load_set(set_dirs[set_label], set_label)
+
     for case_id in cfg.cases:
-        case = build_case(case_id, set_dirs)
-        lengths = {len(ch) for ch, _ in case.channels}
+        channels = case_channels(case_id, load)
+        lengths = {len(ch) for ch, _ in channels}
         if len(lengths) != 1:
             raise DataError(f"{case_id}: channels have mixed lengths {sorted(lengths)}")
         length = lengths.pop()
@@ -288,7 +292,7 @@ def stage_sample(cfg: PipelineConfig, label: str, z: float) -> dict:
 
         allocs = {}
         for class_label in (0, 1):
-            chans = [ch for ch, lab in case.channels if lab == class_label]
+            chans = [ch for ch, lab in channels if lab == class_label]
             try:
                 allocs[class_label] = allocate(chans, plan, design["n_bar"])
             except DegenerateDataError as exc:
@@ -303,7 +307,7 @@ def stage_sample(cfg: PipelineConfig, label: str, z: float) -> dict:
                         "lower n_strata or raise the confidence level")
 
         reduced_dir = artifact_path(cfg, "reduced", label, case_id)
-        for ch, lab in case.channels:
+        for ch, lab in channels:
             reduced = reduce_channel(ch, plan, allocs[lab],
                                      seed=derive_seed(cfg.seed, "reduce", ch.id),
                                      policy=cfg.policy)
@@ -327,12 +331,12 @@ def stage_extract(cfg: PipelineConfig, label: str) -> dict:
     for case_id in cfg.cases:
         sampling = _read(cfg, "sampling", label, case_id)
         reduced_dir = artifact_path(cfg, "reduced", label, case_id)
-        case = build_case(case_id, {s: reduced_dir / s for s in _case_sets(case_id)})
+        channels = case_channels(case_id, lambda s: load_set(reduced_dir / s, s))
         plans = {
             lab: StratificationPlan.from_sizes(sampling["classes"][str(lab)]["per_stratum"])
             for lab in (0, 1)
         }
-        vectors = [extract_vector(ch, plans[lab], label=lab) for ch, lab in case.channels]
+        vectors = [extract_vector(ch, plans[lab], label=lab) for ch, lab in channels]
         fm = FeatureMatrix.from_vectors(vectors)
         fm.to_csv(artifact_path(cfg, "features", label, case_id))
         out[case_id] = fm

@@ -17,7 +17,7 @@ import pytest
 import oracles
 from eegstrata import (Channel, FeatureMatrix, PipelineConfig,
                        SamplingConfig, allocate, best_first_search,
-                       build_case, correlation_matrix, hurst_exponent,
+                       correlation_matrix, hurst_exponent, load_set,
                        required_sample_size, run_pipeline, sample_entropy,
                        stratify, weighted_accuracy)
 from eegstrata.corpus import BONN_PREFIX_TO_SET
@@ -179,8 +179,7 @@ def test_criterion_8_real_data_bands(tmp_path):
     root, set_dirs = resolved
 
     # per-stratum allocation for set A alone at the 95% sample size
-    case1 = build_case("Case1", {s: set_dirs[s] for s in ("A", "B", "E")})
-    a_channels = [ch for ch, _ in case1.channels if ch.set_label == "A"]
+    a_channels = load_set(set_dirs["A"], "A")
     plan = stratify(4097, 4)
     alloc = allocate(a_channels, plan, 2872)
     alloc_ok = all(abs(got - want) <= 2

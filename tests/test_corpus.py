@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from eegstrata import (Channel, ClassificationCase, ConfigError, DataError,
-                       build_case, generate_synthetic_case, load_channel,
+from eegstrata import (Channel, ConfigError, DataError, case_channels,
+                       generate_synthetic_case, load_channel, load_set,
                        save_channel)
 
 
@@ -79,55 +79,46 @@ def _write_set(root, label, stems, length=32, seed=0):
                      root / label / f"{stem}.txt")
 
 
-def test_build_case_orders_and_labels(tmp_path):
+def test_case_channels_orders_and_labels(tmp_path):
     _write_set(tmp_path, "A", ["b", "a"])
     _write_set(tmp_path, "B", ["z"])
     _write_set(tmp_path, "E", ["s2", "s1"])
-    case = build_case("Case1", {s: tmp_path / s for s in "ABE"})
-    ids = [ch.id for ch, _ in case.channels]
+    channels = case_channels("Case1", lambda s: load_set(tmp_path / s, s))
+    ids = [ch.id for ch, _ in channels]
     # lexicographic within each set, category-1 sets before category-2
     assert ids == ["A/a", "A/b", "B/z", "E/s1", "E/s2"]
-    assert [label for _, label in case.channels] == [0, 0, 0, 1, 1]
+    assert [label for _, label in channels] == [0, 0, 0, 1, 1]
 
 
-def test_build_case_missing_set_dir(tmp_path):
-    _write_set(tmp_path, "A", ["a"])
-    _write_set(tmp_path, "B", ["b"])
-    with pytest.raises(DataError, match="set E"):
-        build_case("Case1", {s: tmp_path / s for s in "ABE"})
+def test_load_set_missing_or_empty_dir(tmp_path):
+    with pytest.raises(DataError, match="set E directory not found"):
+        load_set(tmp_path / "E", "E")
+    (tmp_path / "E").mkdir()
+    with pytest.raises(DataError, match="set E directory has no channel files"):
+        load_set(tmp_path / "E", "E")
 
 
-def test_build_case_unknown_case(tmp_path):
+def test_case_channels_unknown_case():
     with pytest.raises(ConfigError, match="unknown case"):
-        build_case("Case9", {})
-
-
-def test_case_rejects_bad_labels():
-    ch = Channel(id="A/x", set_label="A", samples=np.zeros(8))
-    with pytest.raises(ConfigError, match="label"):
-        ClassificationCase(case_id="Case1", category1_sets=("A", "B"),
-                           category2_sets=("E",), channels=((ch, 2),))
-    with pytest.raises(ConfigError, match="reserved"):
-        ClassificationCase(case_id="Case1", category1_sets=("A", "B"),
-                           category2_sets=("E",), channels=((ch, 1),))
+        case_channels("Case9", load_set)
 
 
 def test_synthetic_case_shape_and_determinism():
-    case = generate_synthetic_case((6, 4), 128, seed=9)
-    assert len(case.channels) == 10
-    assert sum(label for _, label in case.channels) == 4
-    lengths = {len(ch) for ch, _ in case.channels}
+    channels = generate_synthetic_case((6, 4), 128, seed=9)
+    assert len(channels) == 10
+    assert sum(label for _, label in channels) == 4
+    lengths = {len(ch) for ch, _ in channels}
     assert lengths == {128}
     again = generate_synthetic_case((6, 4), 128, seed=9)
-    for (a, _), (b, _) in zip(case.channels, again.channels):
+    for (a, _), (b, _) in zip(channels, again):
         assert a.id == b.id
         np.testing.assert_array_equal(a.samples, b.samples)
 
 
 def test_synthetic_classes_differ_in_power():
-    case = generate_synthetic_case(8, 512, seed=1, burst_amplitude=5.0)
-    var0 = np.mean([ch.samples.var() for ch, lab in case.channels if lab == 0])
-    var1 = np.mean([ch.samples.var() for ch, lab in case.channels if lab == 1])
+    channels = generate_synthetic_case(8, 512, seed=1, burst_amplitude=5.0)
+    var0 = np.mean([ch.samples.var() for ch, lab in channels if lab == 0])
+    var1 = np.mean([ch.samples.var() for ch, lab in channels if lab == 1])
     assert var1 > 2 * var0
 
 

@@ -13,13 +13,16 @@ import pytest
 import eegstrata
 import oracles
 from eegstrata import (ConfigError, FeatureMatrix, PipelineConfig,
-                       SamplingConfig, assemble_report, emit_report,
+                       SamplingConfig, assemble_report, corpus, emit_report,
                        required_sample_size, run_pipeline)
 from eegstrata.cli import (CONFIG_TEMPLATE, build_config, build_parser, main,
                            parse_config_file)
 from eegstrata.pipeline import (REPORT_CSV_HEADER, resolve_levels,
                                 stage_classify, stage_extract, stage_ingest,
                                 stage_sample, stage_select)
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
+import corpus_gen  # noqa: E402  the benchmark's seeded Bonn-layout corpus
 
 
 @pytest.fixture(scope="module")
@@ -405,7 +408,9 @@ def test_cli_malformed_artifact_is_a_data_error(tmp_path, artifact, damage, comm
     (("strata", "2"), "report", "sampling_Case1.json", "'plan'"),
     (("policy", "systematic"), "extract", "sampling_Case1.json", "'policy'"),
     (("e", "0.02"), "report", "sampling_Case1.json", "'n_bar'"),
-], ids=["strata-extract", "strata-classify", "strata-report", "policy-extract", "e-report"])
+    (("classifier", "rf"), "report", "evaluation_Case1.json", "'classifier'"),
+], ids=["strata-extract", "strata-classify", "strata-report", "policy-extract", "e-report",
+        "classifier-report"])
 def test_cli_artifact_of_another_config_is_refused(tmp_path, change, command, artifact, key):
     assert main(["pipeline", "--config", str(_small_conf(tmp_path / "run.conf"))]) == 0
     other = _small_conf(tmp_path / "other.conf", [change])
@@ -449,6 +454,28 @@ def _write_bonn_corpus(root, length, edit=lambda prefix, x: x):
             x = edit(prefix, rng.integers(-200, 200, length))
             path.write_text("".join(f"{v}\n" for v in x))
     return path
+
+
+def test_sample_parses_each_set_once(tmp_path, monkeypatch):
+    """Sets that several cases share (A and B in Case1 and Case3, C and D in
+    Case2 and Case3, E in all three) have each file read once per call."""
+    paths = corpus_gen.write_corpus(tmp_path / "corpus", seed=0, n_per_set=3, length=512)
+    cfg = PipelineConfig(data_dir=str(tmp_path / "corpus"), cases=("Case1", "Case2", "Case3"),
+                         out_dir=str(tmp_path / "out"))
+    stage_ingest(cfg)
+    loaded, load_channel = [], corpus.load_channel
+    monkeypatch.setattr(corpus, "load_channel",
+                        lambda path, *args: loaded.append(path) or load_channel(path, *args))
+    stage_sample(cfg, "95", 1.96)
+    assert sorted(loaded) == sorted(paths)
+
+
+def test_cli_sample_of_a_case_ingest_left_out(tmp_path):
+    corpus_gen.write_corpus(tmp_path / "corpus", seed=0, n_per_set=2, length=512)
+    args = ["--out", str(tmp_path / "out")]
+    assert main(["ingest", "--data", str(tmp_path / "corpus"), "--case", "Case1", *args]) == 0
+    _assert_child_error(["sample", "--case", "Case2", *args],
+                        "Case2: set C is not in the manifest; run 'ingest' again")
 
 
 def test_cli_non_utf8_channel_is_a_data_error(tmp_path):

@@ -27,6 +27,9 @@ ENTROPY_BINS = 64
 MODE_DECIMALS = 6
 # strata must be long enough for the rescaled-range estimator
 MIN_STRATUM_LENGTH = 64
+# candidate template pairs sample_entropy tests at once: 64 KB per int64 or
+# float64 temporary, whatever the stratum (a constant one admits every pair)
+SAMPEN_BLOCK = 8192
 
 
 def _as_floats(x, min_len: int, what: str) -> np.ndarray:
@@ -100,21 +103,55 @@ def sample_entropy(x, m: int = 2, r_factor: float = 0.2) -> float:
     Both template sets are indexed over [0, n-m) so A and B draw from the
     same pairs. Caps keep the value finite: A = 0 maps to ln(B*(n-m-1)),
     and B = 0 maps to ln((n-m)*(n-m-1)).
+
+    Only pairs whose first coordinates lie within r can match, so templates
+    are sorted by their first coordinate and each is tested against the
+    later-sorted templates of its window (Manis et al. 2018). Every such
+    pair is tested with the same float comparisons as an all-pairs loop,
+    so A and B are the same integers.
     """
     arr = _as_floats(x, m + 2, "sample_entropy")
     n = arr.size
     r = r_factor * arr.std()
     n_m = n - m
+    order = np.argsort(arr[:n_m], kind="stable")
+    keys = arr[order]
+    # The window of sorted position p ends at the first key above
+    # keys[p] + fl(r * c), c = fl(1 + 1e-12); it must hold every later key
+    # keys[q] with fl(keys[q] - keys[p]) <= r. The exact difference is
+    # d = keys[q] - keys[p]. If fl(d) is normal, d <= r / (1 - 2**-53)
+    # < r * c * (1 - 2**-53) <= fl(r * c). If fl(d) is subnormal or zero, d
+    # is exact (gradual underflow), so d <= r <= fl(r * c). Either way
+    # keys[p] + fl(r * c) >= keys[p] + d = keys[q], and rounding is
+    # monotonic and keys[q] a float, so the rounded sum is >= keys[q] too. A
+    # sum that overflows to inf, or an r that is inf or NaN, only widens the
+    # window, and a window too wide costs time, never a count.
+    after = np.arange(1, n_m + 1)
+    ends = np.searchsorted(keys, keys + r * (1 + 1e-12), side="right")
+    counts = np.maximum(ends - after, 0)
+    # candidate pairs numbered in sorted-row order; row p holds pair numbers
+    # [stops[p] - counts[p], stops[p]), its k-th pair being (p, p + 1 + k)
+    stops = np.cumsum(counts)
+    firsts = stops - counts
+    total = int(stops[-1])
     a = 0
     b = 0
-    for i in range(n_m - 1):
-        d = np.abs(arr[i] - arr[i + 1:n_m])
+    for lo in range(0, total, SAMPEN_BLOCK):
+        hi = min(lo + SAMPEN_BLOCK, total)
+        p0 = int(np.searchsorted(stops, lo, side="right"))
+        p1 = int(np.searchsorted(stops, hi - 1, side="right")) + 1
+        rows = np.repeat(np.arange(p0, p1),
+                         np.minimum(stops[p0:p1], hi) - np.maximum(firsts[p0:p1], lo))
+        i = order[rows]
+        j = order[np.arange(lo, hi) - firsts[rows] + after[rows]]
+        # |arr[i] - arr[j]| is the loop's value whichever index is smaller
+        d = np.abs(arr[i] - arr[j])
         for k in range(1, m):
-            np.maximum(d, np.abs(arr[i + k] - arr[i + 1 + k:n_m + k]), out=d)
+            np.maximum(d, np.abs(arr[i + k] - arr[j + k]), out=d)
         b += int(np.count_nonzero(d <= r))
-        np.maximum(d, np.abs(arr[i + m] - arr[i + 1 + m:n_m + m]), out=d)
+        np.maximum(d, np.abs(arr[i + m] - arr[j + m]), out=d)
         a += int(np.count_nonzero(d <= r))
-    # counts above cover j > i only; ordered pairs double both, ratio intact
+    # counts above cover each unordered pair once; ordered pairs double both
     a *= 2
     b *= 2
     if b == 0:
@@ -298,8 +335,15 @@ def extract_vector(channel: Channel, plan: StratificationPlan,
     names = []
     values = []
     for i, (start, end) in enumerate(plan.boundaries, start=1):
-        feats = stratum_features(channel.samples[start:end])
+        # finite samples can still overflow the moments; the check below
+        # names the feature that came out inf or NaN, so numpy need not warn
+        with np.errstate(all="ignore"):
+            feats = stratum_features(channel.samples[start:end])
         for feature in FEATURE_ORDER:
             names.append(f"s{i}_{feature}")
             values.append(feats[feature])
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise DataError(f"channel {channel.id!r}: feature {names[bad[0]]} is "
+                        f"{values[bad[0]]}; feature values must be finite")
     return FeatureVector(names=tuple(names), values=np.array(values), label=label)

@@ -336,7 +336,10 @@ def stage_extract(cfg: PipelineConfig, label: str) -> dict:
             lab: StratificationPlan.from_sizes(sampling["classes"][str(lab)]["per_stratum"])
             for lab in (0, 1)
         }
-        vectors = [extract_vector(ch, plans[lab], label=lab) for ch, lab in channels]
+        try:
+            vectors = [extract_vector(ch, plans[lab], label=lab) for ch, lab in channels]
+        except DataError as exc:
+            raise DataError(f"{case_id}: {exc}") from None
         fm = FeatureMatrix.from_vectors(vectors)
         fm.to_csv(artifact_path(cfg, "features", label, case_id))
         out[case_id] = fm

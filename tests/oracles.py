@@ -1,10 +1,11 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is written from the textbook definition with plain loops,
-no code shared with the package, except two former package bodies kept as
+no code shared with the package, except three former package bodies kept as
 references for their faster forms: best_first_search_reference, the search
-with from-scratch merit, and load_channel_reference, the per-line channel
-parse. Slow on purpose; only tests import this.
+with from-scratch merit, load_channel_reference, the per-line channel
+parse, and sample_entropy_reference, the all-pairs sample entropy loop.
+Slow on purpose; only tests import this.
 """
 
 import heapq
@@ -82,6 +83,33 @@ def sample_entropy_slow(x, m=2, r_factor=0.2):
     if a == 0:
         return math.log(b * (n_m - 1))
     return -math.log(a / b)
+
+
+def sample_entropy_reference(x, m=2, r_factor=0.2):
+    """The package's sample entropy before its sort-window kernel: every
+    template pair i < j over [0, n-m), compared with the same float
+    expressions, so both must give the same counts and value."""
+    arr = np.asarray(x, dtype=np.float64)
+    n = arr.size
+    r = r_factor * arr.std()
+    n_m = n - m
+    a = 0
+    b = 0
+    for i in range(n_m - 1):
+        d = np.abs(arr[i] - arr[i + 1:n_m])
+        for k in range(1, m):
+            np.maximum(d, np.abs(arr[i + k] - arr[i + 1 + k:n_m + k]), out=d)
+        b += int(np.count_nonzero(d <= r))
+        np.maximum(d, np.abs(arr[i + m] - arr[i + 1 + m:n_m + m]), out=d)
+        a += int(np.count_nonzero(d <= r))
+    # counts above cover j > i only; ordered pairs double both, ratio intact
+    a *= 2
+    b *= 2
+    if b == 0:
+        return float(np.log(n_m * (n_m - 1)))
+    if a == 0:
+        return float(np.log(b * (n_m - 1)))
+    return float(-np.log(a / b) + 0.0)
 
 
 def fluctuation_index_direct(x):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from eegstrata import (FEATURE_ORDER, Channel, ConfigError, DataError,
                        FeatureMatrix, FeatureVector, StratificationPlan,
                        extract_vector, fluctuation_index, hurst_exponent,
                        sample_entropy, shannon_entropy, stratify)
+from eegstrata import features
 from eegstrata.features import basic_stats, quartiles, stratum_features
 
 
@@ -89,6 +92,19 @@ def test_sample_entropy_matches_slow_oracle():
         assert sample_entropy(x) == pytest.approx(oracles.sample_entropy_slow(x), abs=0.05)
 
 
+def test_sample_entropy_memory_is_bounded_on_a_constant_stratum():
+    # all 4095 * 4094 / 2 template pairs are candidates; held at once they
+    # would take hundreds of MB
+    tracemalloc.start()
+    try:
+        value = sample_entropy(np.full(4097, 1.5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == 0.0
+    assert peak < 2 * 2**20
+
+
 def test_sample_entropy_sine_below_noise():
     rng = np.random.default_rng(5)
     noise = rng.standard_normal(600)
@@ -162,6 +178,17 @@ def test_extract_vector_names_and_shape():
 
     single = extract_vector(ch, StratificationPlan.from_sizes([4097]))
     assert len(single.names) == 15
+
+
+def test_extract_vector_calls_sample_entropy_through_the_module(monkeypatch):
+    """The benchmark times sample entropy by replacing the module attribute,
+    so stratum_features must look it up there on every call."""
+    calls = []
+    monkeypatch.setattr(features, "sample_entropy",
+                        lambda x: calls.append(len(x)) or sample_entropy(x))
+    ch = Channel(id="A/c", set_label="A", samples=np.random.default_rng(13).standard_normal(512))
+    extract_vector(ch, stratify(512, 4))
+    assert calls == [128, 128, 128, 128]
 
 
 def test_extract_vector_deterministic():

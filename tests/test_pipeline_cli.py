@@ -502,6 +502,15 @@ def test_cli_unusable_allocation_is_refused(tmp_path, edit, code, fragment):
     assert not (tmp_path / "out" / "confidence_70").exists()  # nothing written
 
 
+def test_cli_feature_that_is_not_finite_names_case_channel_and_feature(tmp_path):
+    # set E so large that the fourth moment of its strata overflows float64
+    _write_bonn_corpus(tmp_path / "corpus", 1024, lambda prefix, x: x * 1e80 if prefix == "S" else x)
+    stderr = _assert_child_error(["pipeline", "--data", str(tmp_path / "corpus"), "--case", "Case1",
+                                  "--classifier", "nb", "--out", str(tmp_path / "out")], "")
+    assert stderr == ("error: extract: Case1: channel 'E/S000': feature s1_kurtosis is nan; "
+                      "feature values must be finite\n")
+
+
 @pytest.mark.parametrize("command, code", [
     (["sample", "--config", "{tmp}/bad.conf"], 2),  # a 0xff byte in the config file
     (["init-config", "{tmp}/nodir/x.conf"], 3),  # no such directory
@@ -516,10 +525,12 @@ def test_cli_os_and_decode_errors_exit_cleanly(tmp_path, command, code):
 
 def _assert_child_error(args, fragment, code=3):
     """Run the CLI in a separate interpreter, so an uncaught exception would
-    show as a traceback: it must exit with code and a message holding fragment."""
+    show as a traceback: it must exit with code and a message holding
+    fragment. Returns its stderr."""
     env = {**os.environ, "PYTHONPATH": str(Path(eegstrata.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-m", "eegstrata", *args],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == code, proc.stderr
     assert str(fragment) in proc.stderr
     assert "Traceback" not in proc.stderr
+    return proc.stderr

@@ -2,15 +2,15 @@
 Fifteen statistics per stratum
 ==============================
 
-Each reduced channel becomes a fixed-length vector: the channel is walked
-stratum by stratum and every stratum contributes the same 15 statistics,
-named s{i}_{feature}.
+Each reduced channel becomes a fixed-length row of numbers: the channel is
+walked stratum by stratum and every stratum contributes the same 15
+statistics, in the order feature_names(n_strata) names them.
 """
 
 import numpy as np
 
-from eegstrata import (FEATURE_ORDER, Channel, extract_vector, hurst_exponent,
-                       sample_entropy, shannon_entropy, stratify)
+from eegstrata import (FEATURE_ORDER, Channel, extract_vector, feature_names,
+                       hurst_exponent, sample_entropy, shannon_entropy, stratify)
 
 print("the 15 per-stratum features:")
 print(" ", ", ".join(FEATURE_ORDER))
@@ -25,13 +25,14 @@ samples = np.concatenate([
 channel = Channel(id="E/demo", set_label="E", samples=samples)
 
 plan = stratify(len(channel), 4)
-vec = extract_vector(channel, plan)
-print(f"vector length: {len(vec.names)} ({plan.n_strata} strata x {len(FEATURE_ORDER)})")
+row = extract_vector(channel, plan)
+names = feature_names(plan.n_strata)
+print(f"row length: {row.size} ({plan.n_strata} strata x {len(FEATURE_ORDER)})")
 
 # regularity measures tell the two halves apart: the rhythmic strata have
 # lower sample entropy and higher autocorrelation structure
 for name in ("s1_sample_entropy", "s4_sample_entropy", "s1_std", "s4_std"):
-    value = vec.values[vec.names.index(name)]
+    value = row[names.index(name)]
     print(f"  {name:20s} = {value: .4f}")
 
 # the standalone functions accept any 1-d sequence of at least 64 points

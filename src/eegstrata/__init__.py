@@ -13,8 +13,8 @@ from .errors import (ConfigError, DataError, DegenerateDataError,
                      EegStrataError)
 from .evaluation import (CVConfig, CVResult, kfold_split, run_cv,
                          weighted_accuracy)
-from .features import (FEATURE_ORDER, FeatureMatrix, FeatureVector,
-                       extract_vector, fluctuation_index, hurst_exponent,
+from .features import (FEATURE_ORDER, FeatureMatrix, extract_vector,
+                       feature_names, fluctuation_index, hurst_exponent,
                        sample_entropy, shannon_entropy, stratum_features)
 from .pipeline import (PipelineConfig, assemble_report, emit_report,
                        run_pipeline)
@@ -34,11 +34,11 @@ __all__ = [
     "CASE_SETS", "CONFIDENCE_Z", "FEATURE_ORDER", "SET_LABELS",
     "AllocationResult", "CVConfig", "CVResult", "Channel", "ConfigError",
     "CorrelationMatrix", "DataError", "DegenerateDataError", "EegStrataError",
-    "FeatureMatrix", "FeatureSubset", "FeatureVector", "KNNClassifier",
-    "NaiveBayesClassifier", "PipelineConfig", "RandomForestClassifier",
-    "SamplingConfig", "StratificationPlan", "allocate", "assemble_report",
-    "best_first_search", "case_channels", "cfs_merit", "correlation_matrix",
-    "derive_seed", "emit_report", "extract_vector", "fluctuation_index",
+    "FeatureMatrix", "FeatureSubset", "KNNClassifier", "NaiveBayesClassifier",
+    "PipelineConfig", "RandomForestClassifier", "SamplingConfig",
+    "StratificationPlan", "allocate", "assemble_report", "best_first_search",
+    "case_channels", "cfs_merit", "correlation_matrix", "derive_seed",
+    "emit_report", "extract_vector", "feature_names", "fluctuation_index",
     "generate_synthetic_case", "hurst_exponent", "kfold_split",
     "load_channel", "load_set", "make_classifier", "range_bounds",
     "range_filter", "reduce_channel", "required_sample_size", "run_cv",

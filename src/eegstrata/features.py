@@ -1,14 +1,16 @@
-"""Per-stratum statistical features and feature-vector assembly.
+"""Per-stratum statistical features and feature-row assembly.
 
 Fifteen features are computed per stratum in a fixed order; a channel cut
-into k strata yields a vector of 15*k named values ("s1_min" .. "s4_kurtosis"
-for k=4). Degenerate inputs (constant strata) map to finite documented
-values instead of NaN so downstream selection never sees missing data.
+into k strata yields a row of 15*k values, named by feature_names(k)
+("s1_min" .. "s4_kurtosis" for k=4). Degenerate inputs (constant strata)
+map to finite documented values instead of NaN so downstream selection
+never sees missing data.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -200,24 +202,6 @@ def fluctuation_index(x) -> float:
 
 
 @dataclass(frozen=True)
-class FeatureVector:
-    names: tuple
-    values: np.ndarray
-    label: int | None = None
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "names", tuple(self.names))
-        if len(self.names) != values.size:
-            raise DataError("feature names and values must have the same length")
-        if len(set(self.names)) != len(self.names):
-            raise DataError("feature names must be unique")
-        if not np.all(np.isfinite(values)):
-            raise DataError("feature values must be finite")
-
-
-@dataclass(frozen=True)
 class FeatureMatrix:
     """Channels as rows, features as named columns, one label per row."""
 
@@ -241,21 +225,6 @@ class FeatureMatrix:
             raise DataError("feature names must be unique")
         if not np.all(np.isfinite(values)):
             raise DataError("feature values must be finite")
-
-    @classmethod
-    def from_vectors(cls, vectors) -> "FeatureMatrix":
-        vectors = list(vectors)
-        if not vectors:
-            raise DataError("a feature matrix needs at least one row")
-        names = vectors[0].names
-        for v in vectors:
-            if v.names != names:
-                raise DataError("all rows must share the same feature names")
-            if v.label is None:
-                raise DataError("matrix rows must be labelled")
-        values = np.stack([v.values for v in vectors])
-        labels = np.array([v.label for v in vectors], dtype=np.int64)
-        return cls(names=names, values=values, labels=labels)
 
     @property
     def n_rows(self) -> int:
@@ -281,15 +250,15 @@ class FeatureMatrix:
 
     @classmethod
     def from_csv(cls, path) -> "FeatureMatrix":
+        """Read what to_csv wrote; faults name the file and line. Labels are 0 or 1, both occur."""
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"{path}: empty feature file") from None
+            header = next(reader, [])
             if not header or header[-1] != "label":
-                raise DataError(f"{path}: last column must be 'label'")
+                raise DataError(f"{path}: the first line must be a header ending in 'label'")
             names = tuple(header[:-1])
+            if len(set(names)) != len(names):
+                raise DataError(f"{path}: feature names must be unique")
             values = []
             labels = []
             for lineno, row in enumerate(reader, start=2):
@@ -302,8 +271,15 @@ class FeatureMatrix:
                     labels.append(int(row[-1]))
                 except ValueError as exc:
                     raise DataError(f"{path}:{lineno}: {exc}") from None
-        if not values:
-            raise DataError(f"{path}: no data rows")
+                if labels[-1] not in (0, 1):
+                    raise DataError(f"{path}:{lineno}: label {labels[-1]} is not 0 or 1")
+                if not all(map(math.isfinite, values[-1])):
+                    col = next(i for i, v in enumerate(values[-1]) if not math.isfinite(v))
+                    raise DataError(f"{path}:{lineno}: {names[col]} is {values[-1][col]}; "
+                                    "feature values must be finite")
+        if set(labels) != {0, 1}:
+            raise DataError(f"{path}: rows of label 0 and of label 1 are needed, "
+                            f"got labels {sorted(set(labels))}")
         return cls(names=names, values=np.array(values), labels=np.array(labels))
 
 
@@ -318,32 +294,34 @@ def stratum_features(x) -> dict:
     return out
 
 
-def extract_vector(channel: Channel, plan: StratificationPlan,
-                   label: int | None = None) -> FeatureVector:
-    """Feature vector of one channel under a stratification plan: 15
-    features per stratum, named s{i}_{feature} with strata numbered from 1."""
+def feature_names(n_strata: int) -> tuple:
+    """Names of the values of a feature row over n_strata strata, in row
+    order: stratum by stratum from 1, FEATURE_ORDER within each."""
+    return tuple(f"s{i}_{feature}" for i in range(1, n_strata + 1) for feature in FEATURE_ORDER)
+
+
+def extract_vector(channel: Channel, plan: StratificationPlan) -> np.ndarray:
+    """Feature row of one channel under a stratification plan: 15 float64
+    values per stratum, named by feature_names(plan.n_strata)."""
     if len(channel) != plan.length:
         raise DataError(
             f"channel {channel.id!r} has length {len(channel)}, plan covers {plan.length}"
         )
+    values = []
     for start, end in plan.boundaries:
         if end - start < MIN_STRATUM_LENGTH:
             raise ConfigError(
                 f"stratum [{start}, {end}) is shorter than {MIN_STRATUM_LENGTH} samples; "
                 "lower n_strata or raise the confidence level"
             )
-    names = []
-    values = []
-    for i, (start, end) in enumerate(plan.boundaries, start=1):
         # finite samples can still overflow the moments; the check below
         # names the feature that came out inf or NaN, so numpy need not warn
         with np.errstate(all="ignore"):
             feats = stratum_features(channel.samples[start:end])
-        for feature in FEATURE_ORDER:
-            names.append(f"s{i}_{feature}")
-            values.append(feats[feature])
-    bad = np.flatnonzero(~np.isfinite(values))
+        values.extend(feats[feature] for feature in FEATURE_ORDER)
+    row = np.array(values, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(row))
     if bad.size:
-        raise DataError(f"channel {channel.id!r}: feature {names[bad[0]]} is "
-                        f"{values[bad[0]]}; feature values must be finite")
-    return FeatureVector(names=tuple(names), values=np.array(values), label=label)
+        raise DataError(f"channel {channel.id!r}: feature {feature_names(plan.n_strata)[bad[0]]} "
+                        f"is {row[bad[0]]}; feature values must be finite")
+    return row

@@ -20,7 +20,7 @@ from .corpus import (BONN_PREFIX_TO_SET, CASE_SETS, case_channels, generate_synt
                      load_set, save_channel, _set_channel_files)
 from .errors import ConfigError, DataError, DegenerateDataError, EegStrataError
 from .evaluation import SELECTION_MODES, CVConfig, run_cv, weighted_accuracy
-from .features import FEATURE_ORDER, MIN_STRATUM_LENGTH, FeatureMatrix, extract_vector
+from .features import MIN_STRATUM_LENGTH, FeatureMatrix, extract_vector, feature_names
 from .sampler import (CONFIDENCE_Z, SELECTION_POLICIES, SamplingConfig,
                       StratificationPlan, allocate, reduce_channel,
                       required_sample_size, stratify)
@@ -121,6 +121,12 @@ class PipelineConfig:
         return CVConfig(n_folds=self.cv_folds, n_repeats=self.cv_repeats,
                         seed=self.seed, stratified=self.cv_stratified)
 
+    def classify_settings(self) -> dict:
+        """The fields classify reads: its classifier's, the CV's, the selection's and the seed."""
+        return {name: value for name, value in asdict(self).items()
+                if name.startswith((self.classifier + "_", "cv_")) or name in (
+                    "selection_mode", "stall_limit", "range_threshold", "seed")}
+
 
 def resolve_levels(cfg: PipelineConfig) -> tuple:
     """(label, z) pairs to run: preset confidence levels, or one explicit z."""
@@ -150,6 +156,15 @@ def _design(cfg: PipelineConfig, z: float, length: int) -> tuple:
                   "plan": list(plan.sizes)}
 
 
+def _feature_columns(cfg: PipelineConfig, fm: FeatureMatrix) -> list:
+    """n_features, fixed by cfg's strata; a header of that length holding other names is corrupt."""
+    names = feature_names(cfg.n_strata)
+    if fm.n_features == len(names) and fm.names != names:
+        col = next(i for i, (got, want) in enumerate(zip(fm.names, names)) if got != want)
+        raise DataError(f"column {col + 1} is {fm.names[col]!r}, not {names[col]!r}")
+    return [("n_features", fm.n_features, len(names))]
+
+
 # Every file of a run, one row per kind: its path under out_dir ({0} is the
 # level label, {1} the case); the stage that writes it; the checks every
 # reader applies, mapping a key ("a.b" is key b inside a) to None or to a
@@ -170,8 +185,7 @@ _ARTIFACTS = {
         "classes.0.per_stratum": _counts(MIN_STRATUM_LENGTH),
         "classes.1.per_stratum": _counts(MIN_STRATUM_LENGTH),
     }, lambda cfg, s: [(k, s[k], v) for k, v in _design(cfg, s["z"], s["length"])[1].items()]),
-    "features": (_LEVEL + "/features_{1}.csv", "extract", {}, lambda cfg, fm: [
-        ("n_features", fm.n_features, len(FEATURE_ORDER) * cfg.n_strata)]),
+    "features": (_LEVEL + "/features_{1}.csv", "extract", {}, _feature_columns),
     "selection": (_LEVEL + "/selection_{1}.json", "select", {"selected": (
         lambda v: isinstance(v, list) and len(v) > 0 and all(isinstance(n, str) for n in v),
         "a non-empty list of strings")}, None),
@@ -181,7 +195,10 @@ _ARTIFACTS = {
         "per_repeat": (lambda v: isinstance(v, list) and all(map(_is_number, v)),
                        "a list of numbers"),
         "n_rows": (lambda v: _is_count(v, 1), "a positive integer"), "classifier": None,
-    }, lambda cfg, ev: [("classifier", ev["classifier"], cfg.classifier)]),
+        "settings": (lambda v: isinstance(v, dict), "an object"),
+    }, lambda cfg, ev: [("classifier", ev["classifier"], cfg.classifier)] + [
+        (f"settings.{name}", ev["settings"].get(name), value)
+        for name, value in cfg.classify_settings().items()]),
     "report": ("report.json", "report", {}, None),
 }
 
@@ -222,7 +239,7 @@ def _read(cfg: PipelineConfig, kind: str, *where):
             raise DataError(f"{path}: {key!r} must be {check[1]}; run '{writer}' again")
     try:
         compared = settings(cfg, data) if settings else ()
-    except ConfigError as exc:  # e.g. a z that overflows, a length under n_strata
+    except (ConfigError, DataError) as exc:  # e.g. a z that overflows, a header of other names
         raise DataError(f"{path}: {exc}; run '{writer}' again") from None
     for key, value, wanted in compared:
         if value != wanted:
@@ -336,11 +353,14 @@ def stage_extract(cfg: PipelineConfig, label: str) -> dict:
             lab: StratificationPlan.from_sizes(sampling["classes"][str(lab)]["per_stratum"])
             for lab in (0, 1)
         }
+        if {plan.n_strata for plan in plans.values()} != {cfg.n_strata}:  # _read checked "plan"
+            raise DataError(f"{artifact_path(cfg, 'sampling', label, case_id)}: an allocation "
+                            f"is not over {cfg.n_strata} strata; run 'sample' again")
         try:
-            vectors = [extract_vector(ch, plans[lab], label=lab) for ch, lab in channels]
+            rows = [extract_vector(ch, plans[lab]) for ch, lab in channels]
         except DataError as exc:
             raise DataError(f"{case_id}: {exc}") from None
-        fm = FeatureMatrix.from_vectors(vectors)
+        fm = FeatureMatrix(feature_names(cfg.n_strata), rows, [lab for _, lab in channels])
         fm.to_csv(artifact_path(cfg, "features", label, case_id))
         out[case_id] = fm
     return out
@@ -373,6 +393,7 @@ def stage_classify(cfg: PipelineConfig, label: str) -> dict:
             "mean": result.mean,
             "std": result.std,
             "per_repeat": list(result.per_repeat),
+            "settings": cfg.classify_settings(),
         })
         out[case_id] = result
     return out

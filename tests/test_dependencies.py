@@ -40,3 +40,17 @@ def test_each_artifact_path_is_defined_once():
                  for match in re.finditer(re.escape(name) + "(?![a-z])", text)]
         assert len(found) == 1 and found[0][0] == "pipeline.py", (name, found)
         assert found[0][1] in table_lines, (name, found)
+
+
+def test_feature_names_are_built_in_one_place():
+    """Only features.feature_names formats an s{stratum}_{feature} name: a
+    string literal that starts with s, a replacement field or %d, then _."""
+    package = Path(eegstrata.__file__).parent
+    found = [(path.name, path.read_text().count("\n", 0, match.start()) + 1)
+             for path in sorted(package.glob("*.py"))
+             for match in re.finditer(r"""['"]s(\{[^}]*\}|%d)_""", path.read_text())]
+    tree = ast.parse((package / "features.py").read_text())
+    func = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "feature_names")
+    assert len(found) == 1 and found[0][0] == "features.py", found
+    assert func.lineno <= found[0][1] <= func.end_lineno, found

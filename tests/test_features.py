@@ -5,8 +5,8 @@ import pytest
 
 import oracles
 from eegstrata import (FEATURE_ORDER, Channel, ConfigError, DataError,
-                       FeatureMatrix, FeatureVector, StratificationPlan,
-                       extract_vector, fluctuation_index, hurst_exponent,
+                       FeatureMatrix, StratificationPlan, extract_vector,
+                       feature_names, fluctuation_index, hurst_exponent,
                        sample_entropy, shannon_entropy, stratify)
 from eegstrata import features
 from eegstrata.features import basic_stats, quartiles, stratum_features
@@ -166,18 +166,21 @@ def test_scale_covariance():
 
 
 def test_extract_vector_names_and_shape():
+    names = feature_names(4)
+    assert len(names) == 60 and len(set(names)) == 60
+    assert names[0] == "s1_min"
+    assert names[-1] == "s4_kurtosis"
+    assert names[:15] == tuple(f"s1_{f}" for f in FEATURE_ORDER)
+
     rng = np.random.default_rng(10)
     ch = Channel(id="A/c", set_label="A", samples=rng.standard_normal(4097))
-    plan = stratify(4097, 4)
-    vec = extract_vector(ch, plan, label=0)
-    assert len(vec.names) == 60
-    assert vec.names[0] == "s1_min"
-    assert vec.names[-1] == "s4_kurtosis"
-    assert vec.names[:15] == tuple(f"s1_{f}" for f in FEATURE_ORDER)
-    assert vec.label == 0
+    row = extract_vector(ch, stratify(4097, 4))
+    assert row.dtype == np.float64 and row.shape == (60,)
+    # the row follows feature_names: stratum 2's std is the std of samples [1024, 2048)
+    assert row[names.index("s2_std")] == np.std(ch.samples[1024:2048], ddof=1)
 
     single = extract_vector(ch, StratificationPlan.from_sizes([4097]))
-    assert len(single.names) == 15
+    assert single.shape == (15,) and feature_names(1) == names[:15]
 
 
 def test_extract_vector_calls_sample_entropy_through_the_module(monkeypatch):
@@ -197,7 +200,7 @@ def test_extract_vector_deterministic():
     plan = stratify(512, 4)
     a = extract_vector(Channel(id="A/x", set_label="A", samples=samples), plan)
     b = extract_vector(Channel(id="A/y", set_label="A", samples=samples.copy()), plan)
-    np.testing.assert_array_equal(a.values, b.values)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_extract_vector_rejects_short_strata():
@@ -207,21 +210,19 @@ def test_extract_vector_rejects_short_strata():
         extract_vector(ch, stratify(100, 4))
 
 
-def test_feature_vector_validation():
-    with pytest.raises(DataError):
-        FeatureVector(names=("a", "b"), values=np.array([1.0]))
-    with pytest.raises(DataError):
-        FeatureVector(names=("a", "a"), values=np.array([1.0, 2.0]))
-    with pytest.raises(DataError):
-        FeatureVector(names=("a",), values=np.array([np.nan]))
+def test_feature_matrix_validation():
+    with pytest.raises(DataError, match="do not match 2 feature names"):
+        FeatureMatrix(names=("a", "b"), values=np.array([[1.0]]), labels=[0])
+    with pytest.raises(DataError, match="unique"):
+        FeatureMatrix(names=("a", "a"), values=np.array([[1.0, 2.0]]), labels=[0])
+    with pytest.raises(DataError, match="finite"):
+        FeatureMatrix(names=("a",), values=np.array([[np.nan]]), labels=[0])
 
 
 def test_feature_matrix_round_trip(tmp_path):
     rng = np.random.default_rng(13)
-    vectors = [FeatureVector(names=("f1", "f2", "f3"),
-                             values=rng.standard_normal(3), label=i % 2)
-               for i in range(6)]
-    fm = FeatureMatrix.from_vectors(vectors)
+    rows = [rng.standard_normal(3) for _ in range(6)]
+    fm = FeatureMatrix(("f1", "f2", "f3"), np.stack(rows), [i % 2 for i in range(6)])
     path = tmp_path / "features.csv"
     fm.to_csv(path)
     back = FeatureMatrix.from_csv(path)
@@ -241,11 +242,21 @@ def test_feature_matrix_select_and_column():
     np.testing.assert_array_equal(sub.values[:, 0], fm.column("c"))
 
 
-def test_feature_matrix_csv_errors(tmp_path):
+@pytest.mark.parametrize("text, message", [
+    ("f1,f2\n1.0,2.0\n", ": the first line must be a header ending in 'label'"),
+    ("", ": the first line must be a header ending in 'label'"),
+    ("f1,label\nx,0\n", ":2: could not convert"),
+    ("f1,f2,label\n1.0,2.0,0\n\n3.0,nan,1\n", ":4: f2 is nan; feature values must be finite"),
+    ("f1,f2,label\n1.0,2.0,0\n3.0,-inf,1\n", ":3: f2 is -inf; feature values must be finite"),
+    ("f1,f1,label\n1.0,2.0,0\n3.0,4.0,1\n", ": feature names must be unique"),
+    ("f1,label\n1.0,0\n2.0,2\n", ":3: label 2 is not 0 or 1"),
+    ("f1,label\n1.0,0\n2.0,0\n", ": rows of label 0 and of label 1 are needed, got labels [0]"),
+    ("f1,label\n", ": rows of label 0 and of label 1 are needed, got labels []"),
+], ids=["no-label", "empty", "not-a-number", "nan", "inf", "duplicate-name", "label-2", "one-class",
+        "no-rows"])
+def test_feature_matrix_csv_errors(tmp_path, text, message):
     bad = tmp_path / "bad.csv"
-    bad.write_text("f1,f2\n1.0,2.0\n")
-    with pytest.raises(DataError, match="label"):
+    bad.write_text(text)
+    with pytest.raises(DataError) as exc:
         FeatureMatrix.from_csv(bad)
-    bad.write_text("f1,label\nx,0\n")
-    with pytest.raises(DataError, match="bad.csv:2"):
-        FeatureMatrix.from_csv(bad)
+    assert str(exc.value).startswith(f"{bad}{message}")

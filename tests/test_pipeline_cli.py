@@ -135,9 +135,10 @@ def test_assemble_report_rebuilds_from_artifacts(tiny_run):
 
 
 def test_report_bytes_are_pinned(tmp_path, monkeypatch):
-    """A two-case run over an integer Bonn-layout corpus: report.json and the
-    csv and table output are pinned as sha256 literals, so any change to the
-    report's layout or numbers shows."""
+    """A two-case run over an integer Bonn-layout corpus: report.json, the
+    feature files and the csv and table output are pinned as sha256 literals,
+    so any change to the report's layout or numbers, or to a feature column
+    that selection ignores, shows."""
     rng = np.random.default_rng(0)
     for prefix, scale in (("Z", 20), ("O", 25), ("N", 40), ("F", 45), ("S", 40)):
         for i in range(4):
@@ -154,9 +155,13 @@ def test_report_bytes_are_pinned(tmp_path, monkeypatch):
     report = run_pipeline(cfg)
     digests = {name: hashlib.sha256(data).hexdigest() for name, data in (
         ("report.json", Path("out/report.json").read_bytes()),
+        *((name, Path("out/confidence_95", name).read_bytes())
+          for name in ("features_Case1.csv", "features_Case3.csv")),
         ("csv", emit_report(report, "csv")), ("table", emit_report(report, "table")))}
     assert digests == {
         "report.json": "75f6be3a7353d506a828b0cd98fd9fe5f6ddb65d8529c7f5c13f75d46a45eec8",
+        "features_Case1.csv": "afba56d73e72fd38c50be85112a958afde010ee300db900023bb91205a58fefe",
+        "features_Case3.csv": "f4089033ddb97d82c7197480587e4a7cc4664c53aa07c7b18ab24941701b8b9f",
         "csv": "a50b05854df062d41495f274c97ff4dac4c3b2607e00d696464983f71b2d0322",
         "table": "34ef17d594e001b043af4c73096a57c32a6e4d1cb2a2f9b0e9a66361b6c201a8",
     }
@@ -358,7 +363,10 @@ def _sampling_json(per_stratum_0, **bad):
 def _evaluation_json(**bad):
     """An evaluation_Case1.json of the run below, with the values in bad replaced."""
     return json.dumps({"case": "Case1", "classifier": "nb", "n_rows": 7, "mean": 57.0,
-                       "std": 0.0, "per_repeat": [57.0], **bad})
+                       "std": 0.0, "per_repeat": [57.0], "settings": {
+                           "selection_mode": "per-fold", "stall_limit": 5,
+                           "range_threshold": 0.8, "nb_var_floor": 1e-09, "cv_folds": 2,
+                           "cv_repeats": 1, "cv_stratified": True, "seed": 0}, **bad})
 
 
 @pytest.mark.parametrize("artifact, damage, command", [
@@ -388,6 +396,9 @@ def _evaluation_json(**bad):
     ("confidence_95/evaluation_Case1.json", _evaluation_json(per_repeat=5), "report"),
     ("confidence_95/evaluation_Case1.json", _evaluation_json(n_rows=0), "report"),
     ("confidence_95/evaluation_Case1.json", _evaluation_json(mean=101), "report"),
+    ("confidence_95/evaluation_Case1.json", _evaluation_json(settings=[]), "report"),
+    # class 0 allocated over 3 strata where the plan has 4
+    ("confidence_95/sampling_Case1.json", _sampling_json([162, 162, 162]), "extract"),
 ])
 def test_cli_malformed_artifact_is_a_data_error(tmp_path, artifact, damage, command):
     """damage is the share of the artifact's text to keep, or text to replace it with."""
@@ -409,13 +420,47 @@ def test_cli_malformed_artifact_is_a_data_error(tmp_path, artifact, damage, comm
     (("policy", "systematic"), "extract", "sampling_Case1.json", "'policy'"),
     (("e", "0.02"), "report", "sampling_Case1.json", "'n_bar'"),
     (("classifier", "rf"), "report", "evaluation_Case1.json", "'classifier'"),
+    (("cv.repeats", "4"), "report", "evaluation_Case1.json", "'settings.cv_repeats'"),
+    (("selection.mode", "global"), "report", "evaluation_Case1.json", "'settings.selection_mode'"),
+    (("seed", "7"), "report", "evaluation_Case1.json", "'settings.seed'"),
 ], ids=["strata-extract", "strata-classify", "strata-report", "policy-extract", "e-report",
-        "classifier-report"])
+        "classifier-report", "cv-repeats-report", "selection-mode-report", "seed-report"])
 def test_cli_artifact_of_another_config_is_refused(tmp_path, change, command, artifact, key):
     assert main(["pipeline", "--config", str(_small_conf(tmp_path / "run.conf"))]) == 0
     other = _small_conf(tmp_path / "other.conf", [change])
     path = tmp_path / "out" / "confidence_95" / artifact
     _assert_child_error([command, "--config", str(other)], f"{path}: {key} is", code=2)
+
+
+def _swap_first_names(text):
+    header, rows = text.split("\n", 1)
+    first, second, *rest = header.split(",")
+    return ",".join([second, first, *rest]) + "\n" + rows
+
+
+def _relabel(line, label):
+    """Edit for a feature file: the label of data line `line` (1 is the first) set to label."""
+    def edit(text):
+        lines = text.split("\n")
+        lines[line] = lines[line].rsplit(",", 1)[0] + f",{label}"
+        return "\n".join(lines)
+    return edit
+
+
+@pytest.mark.parametrize("edit, command, message", [
+    (_swap_first_names, "select", ": column 1 is 's1_max', not 's1_min'; run 'extract' again"),
+    (_relabel(2, 2), "select", ":3: label 2 is not 0 or 1"),
+    (lambda text: text.replace(",1\n", ",0\n"), "classify",
+     ": rows of label 0 and of label 1 are needed, got labels [0]"),
+], ids=["header-swap", "label-2", "one-class"])
+def test_cli_feature_file_is_checked_against_its_names_and_labels(tmp_path, edit, command,
+                                                                   message):
+    conf = _small_conf(tmp_path / "run.conf")
+    for stage in ("ingest", "sample", "extract"):
+        assert main([stage, "--config", str(conf)]) == 0
+    path = tmp_path / "out" / "confidence_95" / "features_Case1.csv"
+    path.write_text(edit(path.read_text()))
+    assert _assert_child_error([command, "--config", str(conf)], "") == f"error: {path}{message}\n"
 
 
 @pytest.mark.parametrize("change, fragment", [

@@ -9,20 +9,19 @@ is allocated across strata in proportion to size times dispersion.
 
 import numpy as np
 
-from eegstrata import (CONFIDENCE_Z, Channel, SamplingConfig, allocate,
-                       reduce_channel, required_sample_size, stratify)
+from eegstrata import (CONFIDENCE_Z, Channel, allocate, reduce_channel,
+                       required_sample_size, stratify)
 
 # the preset confidence levels and their standard-normal variates
 print("confidence presets:", CONFIDENCE_Z)
 
 # how many samples a 4097-point population needs at each level
 for level, z in sorted(CONFIDENCE_Z.items()):
-    cfg = SamplingConfig(z=z, population_size=4097)
-    print(f"  {level}% (z={z}): n_bar = {required_sample_size(cfg)}")
+    print(f"  {level}% (z={z}): n_bar = {required_sample_size(z, 4097)}")
 
-# four contiguous strata; the remainder goes to the last stratum
+# four contiguous strata, given by their sizes; the remainder goes to the last stratum
 plan = stratify(4097, 4)
-print("stratum sizes:", plan.sizes)
+print("stratum sizes:", plan)
 
 # a toy channel: quiet first half, noisy second half
 rng = np.random.default_rng(0)
@@ -33,7 +32,7 @@ samples = np.concatenate([
 channel = Channel(id="A/demo", set_label="A", samples=samples)
 
 # optimum allocation hands the noisy strata a larger share of the budget
-n_bar = required_sample_size(SamplingConfig(z=1.96, population_size=4097))
+n_bar = required_sample_size(1.96, 4097)
 alloc = allocate([channel], plan, n_bar)
 print(f"allocating n_bar={n_bar}:")
 for i, (n_i, w) in enumerate(zip(alloc.per_stratum, alloc.per_stratum_weight), start=1):
@@ -41,9 +40,9 @@ for i, (n_i, w) in enumerate(zip(alloc.per_stratum, alloc.per_stratum_weight), s
 print("total drawn:", alloc.total)
 
 # the reduced channel is an order-preserving subsequence of the original
-reduced = reduce_channel(channel, plan, alloc, seed=42)
+reduced = reduce_channel(channel, plan, alloc.per_stratum, seed=42)
 print("reduced length:", len(reduced), "of", len(channel))
 
 # a systematic (evenly spaced) draw is available as well and ignores the seed
-systematic = reduce_channel(channel, plan, alloc, seed=0, policy="systematic")
+systematic = reduce_channel(channel, plan, alloc.per_stratum, seed=0, policy="systematic")
 print("systematic draw, first 5 values:", np.round(systematic.samples[:5], 3))

@@ -24,10 +24,10 @@ samples = np.concatenate([
 ])
 channel = Channel(id="E/demo", set_label="E", samples=samples)
 
-plan = stratify(len(channel), 4)
+plan = stratify(len(channel), 4)  # stratum sizes (256, 256, 256, 256)
 row = extract_vector(channel, plan)
-names = feature_names(plan.n_strata)
-print(f"row length: {row.size} ({plan.n_strata} strata x {len(FEATURE_ORDER)})")
+names = feature_names(len(plan))
+print(f"row length: {row.size} ({len(plan)} strata x {len(FEATURE_ORDER)})")
 
 # regularity measures tell the two halves apart: the rhythmic strata have
 # lower sample entropy and higher autocorrelation structure

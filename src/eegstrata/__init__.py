@@ -18,8 +18,7 @@ from .features import (FEATURE_ORDER, FeatureMatrix, extract_vector,
                        sample_entropy, shannon_entropy, stratum_features)
 from .pipeline import (PipelineConfig, assemble_report, emit_report,
                        run_pipeline)
-from .sampler import (CONFIDENCE_Z, AllocationResult, SamplingConfig,
-                      StratificationPlan, allocate, reduce_channel,
+from .sampler import (CONFIDENCE_Z, AllocationResult, allocate, reduce_channel,
                       required_sample_size, stratify)
 from .seeding import derive_seed
 from .selection import (CorrelationMatrix, FeatureSubset, best_first_search,
@@ -35,13 +34,13 @@ __all__ = [
     "AllocationResult", "CVConfig", "CVResult", "Channel", "ConfigError",
     "CorrelationMatrix", "DataError", "DegenerateDataError", "EegStrataError",
     "FeatureMatrix", "FeatureSubset", "KNNClassifier", "NaiveBayesClassifier",
-    "PipelineConfig", "RandomForestClassifier", "SamplingConfig",
-    "StratificationPlan", "allocate", "assemble_report", "best_first_search",
-    "case_channels", "cfs_merit", "correlation_matrix", "derive_seed",
-    "emit_report", "extract_vector", "feature_names", "fluctuation_index",
-    "generate_synthetic_case", "hurst_exponent", "kfold_split",
-    "load_channel", "load_set", "make_classifier", "range_bounds",
-    "range_filter", "reduce_channel", "required_sample_size", "run_cv",
-    "run_pipeline", "sample_entropy", "save_channel", "select_features",
-    "shannon_entropy", "stratify", "stratum_features", "weighted_accuracy",
+    "PipelineConfig", "RandomForestClassifier", "allocate", "assemble_report",
+    "best_first_search", "case_channels", "cfs_merit", "correlation_matrix",
+    "derive_seed", "emit_report", "extract_vector", "feature_names",
+    "fluctuation_index", "generate_synthetic_case", "hurst_exponent",
+    "kfold_split", "load_channel", "load_set", "make_classifier",
+    "range_bounds", "range_filter", "reduce_channel", "required_sample_size",
+    "run_cv", "run_pipeline", "sample_entropy", "save_channel",
+    "select_features", "shannon_entropy", "stratify", "stratum_features",
+    "weighted_accuracy",
 ]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .corpus import Channel
 from .errors import ConfigError, DataError
-from .sampler import StratificationPlan
+from .sampler import _strata
 
 FEATURE_ORDER = (
     "min", "max", "skewness", "mean", "std", "mode", "iqr", "q1", "q3",
@@ -300,28 +300,24 @@ def feature_names(n_strata: int) -> tuple:
     return tuple(f"s{i}_{feature}" for i in range(1, n_strata + 1) for feature in FEATURE_ORDER)
 
 
-def extract_vector(channel: Channel, plan: StratificationPlan) -> np.ndarray:
-    """Feature row of one channel under a stratification plan: 15 float64
-    values per stratum, named by feature_names(plan.n_strata)."""
-    if len(channel) != plan.length:
-        raise DataError(
-            f"channel {channel.id!r} has length {len(channel)}, plan covers {plan.length}"
-        )
+def extract_vector(channel: Channel, sizes) -> np.ndarray:
+    """Feature row of one channel cut into strata of the given sizes: 15
+    float64 values per stratum, named by feature_names(len(sizes))."""
     values = []
-    for start, end in plan.boundaries:
-        if end - start < MIN_STRATUM_LENGTH:
+    for i, (stratum,) in enumerate(_strata([channel], sizes)):
+        if stratum.size < MIN_STRATUM_LENGTH:
             raise ConfigError(
-                f"stratum [{start}, {end}) is shorter than {MIN_STRATUM_LENGTH} samples; "
-                "lower n_strata or raise the confidence level"
+                f"stratum {i} of {stratum.size} samples is shorter than {MIN_STRATUM_LENGTH} "
+                "samples; lower n_strata or raise the confidence level"
             )
         # finite samples can still overflow the moments; the check below
         # names the feature that came out inf or NaN, so numpy need not warn
         with np.errstate(all="ignore"):
-            feats = stratum_features(channel.samples[start:end])
+            feats = stratum_features(stratum)
         values.extend(feats[feature] for feature in FEATURE_ORDER)
     row = np.array(values, dtype=np.float64)
     bad = np.flatnonzero(~np.isfinite(row))
     if bad.size:
-        raise DataError(f"channel {channel.id!r}: feature {feature_names(plan.n_strata)[bad[0]]} "
+        raise DataError(f"channel {channel.id!r}: feature {feature_names(len(sizes))[bad[0]]} "
                         f"is {row[bad[0]]}; feature values must be finite")
     return row

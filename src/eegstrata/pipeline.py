@@ -21,8 +21,7 @@ from .corpus import (BONN_PREFIX_TO_SET, CASE_SETS, case_channels, generate_synt
 from .errors import ConfigError, DataError, DegenerateDataError, EegStrataError
 from .evaluation import SELECTION_MODES, CVConfig, run_cv, weighted_accuracy
 from .features import MIN_STRATUM_LENGTH, FeatureMatrix, extract_vector, feature_names
-from .sampler import (CONFIDENCE_Z, SELECTION_POLICIES, SamplingConfig,
-                      StratificationPlan, allocate, reduce_channel,
+from .sampler import (CONFIDENCE_Z, SELECTION_POLICIES, allocate, reduce_channel,
                       required_sample_size, stratify)
 from .seeding import derive_seed
 from .selection import RANGE_THRESHOLD, STALL_LIMIT, select_features
@@ -79,6 +78,10 @@ class PipelineConfig:
         object.__setattr__(self, "confidence_levels", tuple(self.confidence_levels))
         if not self.cases:
             raise ConfigError("at least one case is required")
+        for what, values in (("case", self.cases), ("confidence level", self.confidence_levels)):
+            twice = next((v for i, v in enumerate(values) if v in values[:i]), None)
+            if twice is not None:
+                raise ConfigError(f"{what} {twice} is listed twice")
         for case in self.cases:
             if case not in CASE_SETS:
                 raise ConfigError(f"unknown case {case!r}; expected one of {sorted(CASE_SETS)}")
@@ -100,8 +103,7 @@ class PipelineConfig:
         # build what sample (for the shortest channel strata allow) and classify
         # build, so a bad setting fails before any stage writes
         for _, z in resolve_levels(self):
-            required_sample_size(SamplingConfig(z=z, population_size=self.n_strata, p=self.p,
-                                                e=self.e, n_strata=self.n_strata))
+            _design(self, z, self.n_strata)
         kind, params = self.classifier_spec()
         make_classifier(kind, **params)
         self.cv_config()
@@ -148,12 +150,23 @@ def _counts(least: int) -> tuple:
             f"a list of integers >= {least}")
 
 
-def _design(cfg: PipelineConfig, z: float, length: int) -> tuple:
-    """cfg's plan for a channel of this length, and the sampling fields cfg fixes at z."""
-    scfg = SamplingConfig(z=z, population_size=length, p=cfg.p, e=cfg.e, n_strata=cfg.n_strata)
-    plan = stratify(length, cfg.n_strata)
-    return plan, {"n_bar": required_sample_size(scfg), "policy": cfg.policy,
-                  "plan": list(plan.sizes)}
+def _design(cfg: PipelineConfig, z: float, length: int) -> dict:
+    """The sampling fields cfg fixes at z for channels of this length: the
+    sample size, the policy and the plan's stratum sizes."""
+    plan = list(stratify(length, cfg.n_strata))  # first: it checks n_strata and length
+    return {"n_bar": required_sample_size(z, length, cfg.p, cfg.e), "policy": cfg.policy,
+            "plan": plan}
+
+
+def _sampling_fields(cfg: PipelineConfig, sampling: dict) -> list:
+    """The fields _design gives; a class allocated over other strata than the plan's is corrupt."""
+    for lab in ("0", "1"):
+        counts = sampling["classes"][lab]["per_stratum"]
+        if len(counts) != len(sampling["plan"]):
+            raise DataError(f"class {lab}'s 'per_stratum' has {len(counts)} counts for the "
+                            f"{len(sampling['plan'])} strata of 'plan'")
+    design = _design(cfg, sampling["z"], sampling["length"])
+    return [(key, sampling[key], value) for key, value in design.items()]
 
 
 def _feature_columns(cfg: PipelineConfig, fm: FeatureMatrix) -> list:
@@ -184,7 +197,7 @@ _ARTIFACTS = {
         "policy": None, "plan": _counts(1),
         "classes.0.per_stratum": _counts(MIN_STRATUM_LENGTH),
         "classes.1.per_stratum": _counts(MIN_STRATUM_LENGTH),
-    }, lambda cfg, s: [(k, s[k], v) for k, v in _design(cfg, s["z"], s["length"])[1].items()]),
+    }, _sampling_fields),
     "features": (_LEVEL + "/features_{1}.csv", "extract", {}, _feature_columns),
     "selection": (_LEVEL + "/selection_{1}.json", "select", {"selected": (
         lambda v: isinstance(v, list) and len(v) > 0 and all(isinstance(n, str) for n in v),
@@ -305,13 +318,13 @@ def stage_sample(cfg: PipelineConfig, label: str, z: float) -> dict:
         if len(lengths) != 1:
             raise DataError(f"{case_id}: channels have mixed lengths {sorted(lengths)}")
         length = lengths.pop()
-        plan, design = _design(cfg, z, length)
+        design = _design(cfg, z, length)
 
         allocs = {}
         for class_label in (0, 1):
             chans = [ch for ch, lab in channels if lab == class_label]
             try:
-                allocs[class_label] = allocate(chans, plan, design["n_bar"])
+                allocs[class_label] = allocate(chans, design["plan"], design["n_bar"])
             except DegenerateDataError as exc:
                 raise DegenerateDataError(f"{case_id} class {class_label}: {exc}") from None
             # extract needs MIN_STRATUM_LENGTH points per stratum: refuse here,
@@ -325,7 +338,7 @@ def stage_sample(cfg: PipelineConfig, label: str, z: float) -> dict:
 
         reduced_dir = artifact_path(cfg, "reduced", label, case_id)
         for ch, lab in channels:
-            reduced = reduce_channel(ch, plan, allocs[lab],
+            reduced = reduce_channel(ch, design["plan"], allocs[lab].per_stratum,
                                      seed=derive_seed(cfg.seed, "reduce", ch.id),
                                      policy=cfg.policy)
             stem = ch.id.rsplit("/", 1)[-1]
@@ -346,18 +359,11 @@ def stage_extract(cfg: PipelineConfig, label: str) -> dict:
     """Turn reduced channels into per-case feature matrices."""
     out = {}
     for case_id in cfg.cases:
-        sampling = _read(cfg, "sampling", label, case_id)
+        classes = _read(cfg, "sampling", label, case_id)["classes"]
         reduced_dir = artifact_path(cfg, "reduced", label, case_id)
         channels = case_channels(case_id, lambda s: load_set(reduced_dir / s, s))
-        plans = {
-            lab: StratificationPlan.from_sizes(sampling["classes"][str(lab)]["per_stratum"])
-            for lab in (0, 1)
-        }
-        if {plan.n_strata for plan in plans.values()} != {cfg.n_strata}:  # _read checked "plan"
-            raise DataError(f"{artifact_path(cfg, 'sampling', label, case_id)}: an allocation "
-                            f"is not over {cfg.n_strata} strata; run 'sample' again")
         try:
-            rows = [extract_vector(ch, plans[lab]) for ch, lab in channels]
+            rows = [extract_vector(ch, classes[str(lab)]["per_stratum"]) for ch, lab in channels]
         except DataError as exc:
             raise DataError(f"{case_id}: {exc}") from None
         fm = FeatureMatrix(feature_names(cfg.n_strata), rows, [lab for _, lab in channels])

@@ -15,11 +15,10 @@ import numpy as np
 import pytest
 
 import oracles
-from eegstrata import (Channel, FeatureMatrix, PipelineConfig,
-                       SamplingConfig, allocate, best_first_search,
-                       correlation_matrix, hurst_exponent, load_set,
-                       required_sample_size, run_pipeline, sample_entropy,
-                       stratify, weighted_accuracy)
+from eegstrata import (Channel, FeatureMatrix, PipelineConfig, allocate,
+                       best_first_search, correlation_matrix, hurst_exponent,
+                       load_set, required_sample_size, run_pipeline,
+                       sample_entropy, stratify, weighted_accuracy)
 from eegstrata.corpus import BONN_PREFIX_TO_SET
 from eegstrata.features import basic_stats
 
@@ -30,10 +29,10 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 
 
 def test_criterion_1_sample_size_table():
-    cfgs = [SamplingConfig(z=z, population_size=4097) for z in (1.04, 1.44, 1.96, 2.58)]
-    required_sample_size(cfgs[0])  # warm-up outside the timed window
+    zs = (1.04, 1.44, 1.96, 2.58)
+    required_sample_size(zs[0], 4097)  # warm-up outside the timed window
     start = time.monotonic()
-    sizes = [required_sample_size(c) for c in cfgs]
+    sizes = [required_sample_size(z, 4097) for z in zs]
     elapsed = time.monotonic() - start
     ok = sizes == [1629, 2288, 2872, 3287] and elapsed < 0.001
     _verdict(1, ok, f"sizes={sizes} in {elapsed * 1e6:.0f} us")
@@ -48,7 +47,7 @@ def test_criterion_2_weighted_accuracy_rows():
 
 
 def test_criterion_3_stratification():
-    sizes = stratify(4097, 4).sizes
+    sizes = stratify(4097, 4)
     ok = tuple(sizes) == (1024, 1024, 1024, 1025)
     _verdict(3, ok, f"stratify(4097, 4) -> {tuple(sizes)}")
 
@@ -60,16 +59,16 @@ def test_criterion_4_allocation_conservation():
     for _ in range(1000):
         length = int(rng.integers(64, 4098))
         k = int(rng.integers(2, 9))
-        plan = stratify(length, k)
+        sizes = stratify(length, k)
         n_channels = int(rng.integers(1, 6))
         channels = [Channel(id=f"A/c{j}", set_label="A",
                             samples=rng.standard_normal(length))
                     for j in range(n_channels)]
         n_bar = int(rng.integers(k, length + 1))
-        alloc = allocate(channels, plan, n_bar)
+        alloc = allocate(channels, sizes, n_bar)
         per = np.asarray(alloc.per_stratum)
         assert per.sum() == n_bar
-        assert np.all(per <= np.asarray(plan.sizes))
+        assert np.all(per <= np.asarray(sizes))
         assert np.all(per >= 0)
         checked += 1
     elapsed = time.monotonic() - start
@@ -180,8 +179,7 @@ def test_criterion_8_real_data_bands(tmp_path):
 
     # per-stratum allocation for set A alone at the 95% sample size
     a_channels = load_set(set_dirs["A"], "A")
-    plan = stratify(4097, 4)
-    alloc = allocate(a_channels, plan, 2872)
+    alloc = allocate(a_channels, stratify(4097, 4), 2872)
     alloc_ok = all(abs(got - want) <= 2
                    for got, want in zip(alloc.per_stratum, (696, 718, 731, 727)))
 

@@ -1,6 +1,7 @@
 import ast
 import re
 import sys
+import types
 from pathlib import Path
 
 import eegstrata
@@ -54,3 +55,11 @@ def test_feature_names_are_built_in_one_place():
                 if isinstance(node, ast.FunctionDef) and node.name == "feature_names")
     assert len(found) == 1 and found[0][0] == "features.py", found
     assert func.lineno <= found[0][1] <= func.end_lineno, found
+
+
+def test_all_lists_the_public_names():
+    """__all__ holds exactly the package's public names that are not its submodules,
+    so a deleted name cannot linger there and a new export cannot be left out."""
+    public = {name for name, value in vars(eegstrata).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(eegstrata.__all__) == sorted(public)

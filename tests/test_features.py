@@ -5,9 +5,9 @@ import pytest
 
 import oracles
 from eegstrata import (FEATURE_ORDER, Channel, ConfigError, DataError,
-                       FeatureMatrix, StratificationPlan, extract_vector,
-                       feature_names, fluctuation_index, hurst_exponent,
-                       sample_entropy, shannon_entropy, stratify)
+                       FeatureMatrix, extract_vector, feature_names,
+                       fluctuation_index, hurst_exponent, sample_entropy,
+                       shannon_entropy, stratify)
 from eegstrata import features
 from eegstrata.features import basic_stats, quartiles, stratum_features
 
@@ -179,7 +179,7 @@ def test_extract_vector_names_and_shape():
     # the row follows feature_names: stratum 2's std is the std of samples [1024, 2048)
     assert row[names.index("s2_std")] == np.std(ch.samples[1024:2048], ddof=1)
 
-    single = extract_vector(ch, StratificationPlan.from_sizes([4097]))
+    single = extract_vector(ch, (4097,))
     assert single.shape == (15,) and feature_names(1) == names[:15]
 
 
@@ -197,17 +197,19 @@ def test_extract_vector_calls_sample_entropy_through_the_module(monkeypatch):
 def test_extract_vector_deterministic():
     rng = np.random.default_rng(11)
     samples = rng.standard_normal(512)
-    plan = stratify(512, 4)
-    a = extract_vector(Channel(id="A/x", set_label="A", samples=samples), plan)
-    b = extract_vector(Channel(id="A/y", set_label="A", samples=samples.copy()), plan)
+    sizes = stratify(512, 4)
+    a = extract_vector(Channel(id="A/x", set_label="A", samples=samples), sizes)
+    b = extract_vector(Channel(id="A/y", set_label="A", samples=samples.copy()), sizes)
     np.testing.assert_array_equal(a, b)
 
 
 def test_extract_vector_rejects_short_strata():
     rng = np.random.default_rng(12)
     ch = Channel(id="A/c", set_label="A", samples=rng.standard_normal(100))
-    with pytest.raises(ConfigError, match="shorter"):
+    with pytest.raises(ConfigError, match="stratum 0 of 25 samples is shorter than 64 samples"):
         extract_vector(ch, stratify(100, 4))
+    with pytest.raises(DataError, match="channel 'A/c' has length 100, but its strata cover 128"):
+        extract_vector(ch, (64, 64))
 
 
 def test_feature_matrix_validation():

@@ -13,7 +13,7 @@ import pytest
 import eegstrata
 import oracles
 from eegstrata import (ConfigError, FeatureMatrix, PipelineConfig,
-                       SamplingConfig, assemble_report, corpus, emit_report,
+                       assemble_report, corpus, emit_report,
                        required_sample_size, run_pipeline)
 from eegstrata.cli import (CONFIG_TEMPLATE, build_config, build_parser, main,
                            parse_config_file)
@@ -195,7 +195,7 @@ def test_multi_level_sweep(tmp_path):
     n70 = data["levels"][0]["cases"]["Case1"]["n_bar"]
     n95 = data["levels"][1]["cases"]["Case1"]["n_bar"]
     assert n70 < n95
-    assert n95 == required_sample_size(SamplingConfig(z=1.96, population_size=512))
+    assert n95 == required_sample_size(1.96, 512)
     lines = emit_report(data, "csv").decode().strip().splitlines()
     assert len(lines) == 3
 
@@ -399,6 +399,7 @@ def _evaluation_json(**bad):
     ("confidence_95/evaluation_Case1.json", _evaluation_json(settings=[]), "report"),
     # class 0 allocated over 3 strata where the plan has 4
     ("confidence_95/sampling_Case1.json", _sampling_json([162, 162, 162]), "extract"),
+    ("confidence_95/sampling_Case1.json", _sampling_json([162, 162, 162]), "report"),
 ])
 def test_cli_malformed_artifact_is_a_data_error(tmp_path, artifact, damage, command):
     """damage is the share of the artifact's text to keep, or text to replace it with."""
@@ -411,6 +412,19 @@ def test_cli_malformed_artifact_is_a_data_error(tmp_path, artifact, damage, comm
     text = path.read_text()
     path.write_text(damage if isinstance(damage, str) else text[: int(len(text) * damage)])
     _assert_child_error([command, "--config", str(conf)], path)
+
+
+def test_cli_allocation_other_than_the_reduced_channels_names_case_and_channel(tmp_path):
+    conf = _small_conf(tmp_path / "run.conf")
+    for stage in ("ingest", "sample"):
+        assert main([stage, "--config", str(conf)]) == 0
+    path = tmp_path / "out" / "confidence_95" / "sampling_Case1.json"
+    sampling = json.loads(path.read_text())
+    counts = sampling["classes"]["0"]["per_stratum"]
+    counts[0] += 1  # one count more than the reduced files hold
+    path.write_text(json.dumps(sampling))
+    assert _assert_child_error(["extract", "--config", str(conf)], "") == \
+        "error: Case1: channel 'A/syn000' has length 486, but its strata cover 487\n"
 
 
 @pytest.mark.parametrize("change, command, artifact, key", [
@@ -467,7 +481,10 @@ def test_cli_feature_file_is_checked_against_its_names_and_labels(tmp_path, edit
     (("classifier", "svm"), "unknown classifier 'svm'"),
     (("cv.folds", "1"), "n_folds must be at least 2, got 1"),
     (("e", "2"), "e must be in (0, 1), got 2.0"),
-], ids=["classifier", "cv-folds", "e"])
+    (("strata", "0"), "n_strata must be at least 1, got 0"),
+    (("cases", "Case1, Case1"), "case Case1 is listed twice"),
+    (("confidence", "95, 95"), "confidence level 95 is listed twice"),
+], ids=["classifier", "cv-folds", "e", "strata", "case-twice", "confidence-twice"])
 def test_cli_bad_classifier_or_cv_fails_before_any_stage(tmp_path, capsys, change, fragment):
     assert main(["pipeline", "--config", str(_small_conf(tmp_path / "run.conf", [change]))]) == 2
     assert fragment in capsys.readouterr().err

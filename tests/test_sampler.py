@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from eegstrata import (CONFIDENCE_Z, Channel, ConfigError, DataError,
-                       DegenerateDataError, SamplingConfig,
-                       StratificationPlan, allocate, reduce_channel,
+                       DegenerateDataError, allocate, reduce_channel,
                        required_sample_size, stratify)
 
 
@@ -15,38 +14,35 @@ def _channels(rng, n, length, scale=1.0):
 
 def test_reference_sample_sizes():
     for level, expected in ((70, 1629), (85, 2288), (95, 2872), (99, 3287)):
-        cfg = SamplingConfig(z=CONFIDENCE_Z[level], population_size=4097)
-        assert required_sample_size(cfg) == expected
+        assert required_sample_size(CONFIDENCE_Z[level], 4097) == expected
 
 
 def test_sample_size_monotonic():
-    base = required_sample_size(SamplingConfig(z=1.96, population_size=4097))
-    assert required_sample_size(SamplingConfig(z=2.58, population_size=4097)) >= base
-    assert required_sample_size(SamplingConfig(z=1.96, population_size=10000)) >= base
-    assert required_sample_size(SamplingConfig(z=1.96, population_size=4097, e=0.02)) <= base
+    base = required_sample_size(1.96, 4097)
+    assert required_sample_size(2.58, 4097) >= base
+    assert required_sample_size(1.96, 10000) >= base
+    assert required_sample_size(1.96, 4097, e=0.02) <= base
 
 
-def test_sampling_config_validation():
-    with pytest.raises(ConfigError):
-        SamplingConfig(z=0.0, population_size=100)
-    with pytest.raises(ConfigError):
-        SamplingConfig(z=1.96, population_size=100, p=1.0)
-    with pytest.raises(ConfigError):
-        SamplingConfig(z=1.96, population_size=100, e=0.0)
-    with pytest.raises(ConfigError):
-        SamplingConfig(z=1.96, population_size=3, n_strata=4)
+def test_sample_size_validation():
+    with pytest.raises(ConfigError, match="z must be positive, got 0.0"):
+        required_sample_size(0.0, 100)
+    with pytest.raises(ConfigError, match=r"p must be in \(0, 1\), got 1.0"):
+        required_sample_size(1.96, 100, p=1.0)
+    with pytest.raises(ConfigError, match=r"e must be in \(0, 1\), got 0.0"):
+        required_sample_size(1.96, 100, e=0.0)
 
 
 def test_stratify_reference_case():
-    plan = stratify(4097, 4)
-    assert plan.sizes == (1024, 1024, 1024, 1025)
-    assert plan.boundaries == ((0, 1024), (1024, 2048), (2048, 3072), (3072, 4097))
+    sizes = stratify(4097, 4)
+    assert sizes == (1024, 1024, 1024, 1025)
+    assert all(type(n) is int for n in sizes)
 
 
 def test_stratify_remainder_goes_last():
-    assert stratify(10, 4).sizes == (2, 2, 3, 3)
-    assert stratify(12, 4).sizes == (3, 3, 3, 3)
-    assert stratify(7, 1).sizes == (7,)
+    assert stratify(10, 4) == (2, 2, 3, 3)
+    assert stratify(12, 4) == (3, 3, 3, 3)
+    assert stratify(7, 1) == (7,)
 
 
 def test_stratify_properties():
@@ -54,11 +50,9 @@ def test_stratify_properties():
     for _ in range(100):
         length = int(rng.integers(10, 5000))
         k = int(rng.integers(1, min(10, length) + 1))
-        plan = stratify(length, k)
-        sizes = plan.sizes
-        assert sum(sizes) == length
+        sizes = stratify(length, k)
+        assert sum(sizes) == length and len(sizes) == k
         assert max(sizes) - min(sizes) <= 1
-        assert plan.length == length
 
 
 def test_stratify_errors():
@@ -68,21 +62,20 @@ def test_stratify_errors():
         stratify(10, 0)
 
 
-def test_plan_from_sizes_and_validation():
-    plan = StratificationPlan.from_sizes([3, 5, 2])
-    assert plan.boundaries == ((0, 3), (3, 8), (8, 10))
-    with pytest.raises(ConfigError):
-        StratificationPlan(boundaries=((0, 3), (4, 6)))  # gap
-    with pytest.raises(ConfigError):
-        StratificationPlan(boundaries=((0, 0),))  # empty stratum
+def test_sizes_must_be_positive_integers():
+    ch = Channel(id="A/c", set_label="A", samples=np.arange(10, dtype=float))
+    for sizes in ((10, 0), (), (2.5, 7.5), (12, -2)):
+        with pytest.raises(ConfigError, match="stratum sizes must be positive integers"):
+            allocate([ch], sizes, 5)
+        with pytest.raises(ConfigError, match="stratum sizes must be positive integers"):
+            reduce_channel(ch, sizes, (1,) * len(sizes), seed=0)
 
 
 def test_allocation_weights_match_direct_formula():
     rng = np.random.default_rng(2)
     chans = _channels(rng, 3, 100)
-    plan = stratify(100, 4)
-    alloc = allocate(chans, plan, 60)
-    for i, (start, end) in enumerate(plan.boundaries):
+    alloc = allocate(chans, (25, 25, 25, 25), 60)
+    for i, (start, end) in enumerate(((0, 25), (25, 50), (50, 75), (75, 100))):
         var_sum = sum(ch.samples[start:end].var(ddof=1) for ch in chans)
         expected = (end - start) * np.sqrt(var_sum)
         assert alloc.per_stratum_weight[i] == pytest.approx(expected, rel=1e-12)
@@ -94,20 +87,20 @@ def test_allocation_conserves_total_and_caps():
         length = int(rng.integers(40, 400))
         k = int(rng.integers(2, 6))
         n_ch = int(rng.integers(1, 5))
-        plan = stratify(length, k)
+        sizes = stratify(length, k)
         n_bar = int(rng.integers(k, length + 1))
-        alloc = allocate(_channels(rng, n_ch, length), plan, n_bar)
+        alloc = allocate(_channels(rng, n_ch, length), sizes, n_bar)
         assert alloc.total == n_bar
-        for n_i, size in zip(alloc.per_stratum, plan.sizes):
+        for n_i, size in zip(alloc.per_stratum, sizes):
             assert 0 <= n_i <= size
 
 
 def test_allocation_duplicating_channels_is_invariant():
     rng = np.random.default_rng(11)
     chans = _channels(rng, 2, 200)
-    plan = stratify(200, 4)
-    once = allocate(chans, plan, 120)
-    twice = allocate(chans + chans, plan, 120)
+    sizes = stratify(200, 4)
+    once = allocate(chans, sizes, 120)
+    twice = allocate(chans + chans, sizes, 120)
     assert once.per_stratum == twice.per_stratum
 
 
@@ -117,8 +110,7 @@ def test_allocation_tracks_dispersion():
     samples = rng.standard_normal(400)
     samples[100:200] *= 10.0
     ch = Channel(id="A/c", set_label="A", samples=samples)
-    plan = stratify(400, 4)
-    alloc = allocate([ch], plan, 200)
+    alloc = allocate([ch], stratify(400, 4), 200)
     assert alloc.per_stratum[1] == max(alloc.per_stratum)
 
 
@@ -126,34 +118,33 @@ def test_allocation_fractional_leftover_rule():
     # weights force raw shares with distinct fractional parts
     base = np.concatenate([np.zeros(10), np.ones(10)])
     ch = Channel(id="A/c", set_label="A", samples=np.tile(base, 5))
-    plan = stratify(100, 4)
-    alloc = allocate([ch], plan, 99)
+    alloc = allocate([ch], stratify(100, 4), 99)
     # equal weights: raw share 24.75 each, floor 24, leftover 3 to lowest indices
     assert alloc.per_stratum == (25, 25, 25, 24)
 
 
 def test_allocation_degenerate_and_errors():
     flat = Channel(id="A/c", set_label="A", samples=np.full(80, 2.5))
-    plan = stratify(80, 4)
+    sizes = stratify(80, 4)
     with pytest.raises(DegenerateDataError):
-        allocate([flat], plan, 40)
+        allocate([flat], sizes, 40)
     with pytest.raises(DataError):
-        allocate([], plan, 40)
+        allocate([], sizes, 40)
     rng = np.random.default_rng(0)
     with pytest.raises(ConfigError):
-        allocate(_channels(rng, 1, 80), plan, 81)
-    with pytest.raises(DataError, match="length"):
-        allocate(_channels(rng, 1, 60), plan, 40)
+        allocate(_channels(rng, 1, 80), sizes, 81)
+    with pytest.raises(DataError, match="channel 'A/c0' has length 60, but its strata cover 80"):
+        allocate(_channels(rng, 1, 60), sizes, 40)
 
 
 def test_reduce_preserves_order_and_membership():
     # strictly increasing samples make positions recoverable from values
     ch = Channel(id="A/c", set_label="A", samples=np.arange(300, dtype=float))
-    plan = stratify(300, 4)
+    sizes = stratify(300, 4)
     alloc = allocate([Channel(id="A/r", set_label="A",
                               samples=np.random.default_rng(1).standard_normal(300))],
-                     plan, 120)
-    red = reduce_channel(ch, plan, alloc, seed=5)
+                     sizes, 120)
+    red = reduce_channel(ch, sizes, alloc.per_stratum, seed=5)
     assert len(red) == 120
     positions = red.samples.astype(int)
     assert np.all(np.diff(positions) > 0)
@@ -163,23 +154,22 @@ def test_reduce_preserves_order_and_membership():
 def test_reduce_is_seed_deterministic():
     rng = np.random.default_rng(3)
     ch = _channels(rng, 1, 200)[0]
-    plan = stratify(200, 4)
-    alloc = allocate([ch], plan, 90)
-    a = reduce_channel(ch, plan, alloc, seed=42)
-    b = reduce_channel(ch, plan, alloc, seed=42)
-    c = reduce_channel(ch, plan, alloc, seed=43)
+    sizes = stratify(200, 4)
+    counts = allocate([ch], sizes, 90).per_stratum
+    a = reduce_channel(ch, sizes, counts, seed=42)
+    b = reduce_channel(ch, sizes, counts, seed=42)
+    c = reduce_channel(ch, sizes, counts, seed=43)
     np.testing.assert_array_equal(a.samples, b.samples)
     assert not np.array_equal(a.samples, c.samples)
 
 
 def test_reduce_systematic_spacing():
     ch = Channel(id="A/c", set_label="A", samples=np.arange(100, dtype=float))
-    plan = StratificationPlan.from_sizes([50, 50])
-    alloc_like = allocate([Channel(id="A/r", set_label="A",
-                                   samples=np.random.default_rng(2).standard_normal(100))],
-                          plan, 20)
-    red = reduce_channel(ch, plan, alloc_like, seed=0, policy="systematic")
-    n0, n1 = alloc_like.per_stratum
+    alloc = allocate([Channel(id="A/r", set_label="A",
+                              samples=np.random.default_rng(2).standard_normal(100))],
+                     (50, 50), 20)
+    red = reduce_channel(ch, (50, 50), alloc.per_stratum, seed=0, policy="systematic")
+    n0, n1 = alloc.per_stratum
     expected = np.concatenate([(np.arange(n0) * 50) // n0,
                                50 + (np.arange(n1) * 50) // n1])
     np.testing.assert_array_equal(red.samples.astype(int), expected)
@@ -188,21 +178,25 @@ def test_reduce_systematic_spacing():
 def test_reduce_variance_sanity():
     rng = np.random.default_rng(17)
     ch = Channel(id="A/c", set_label="A", samples=rng.standard_normal(2000) * 3.0)
-    plan = stratify(2000, 4)
-    alloc = allocate([ch], plan, 800)
-    red = reduce_channel(ch, plan, alloc, seed=9)
-    red_plan = StratificationPlan.from_sizes(alloc.per_stratum)
-    for (s0, e0), (s1, e1) in zip(plan.boundaries, red_plan.boundaries):
-        full = ch.samples[s0:e0].var(ddof=1)
-        sub = red.samples[s1:e1].var(ddof=1)
-        assert 0.5 * full < sub < 1.5 * full
+    sizes = stratify(2000, 4)
+    counts = allocate([ch], sizes, 800).per_stratum
+    red = reduce_channel(ch, sizes, counts, seed=9)
+    full_edges = np.cumsum(sizes)[:-1]
+    sub_edges = np.cumsum(counts)[:-1]
+    for full, sub in zip(np.split(ch.samples, full_edges), np.split(red.samples, sub_edges)):
+        assert 0.5 * full.var(ddof=1) < sub.var(ddof=1) < 1.5 * full.var(ddof=1)
 
 
 def test_reduce_policy_validation():
     ch = Channel(id="A/c", set_label="A", samples=np.arange(40, dtype=float))
-    plan = stratify(40, 2)
-    alloc = allocate([Channel(id="A/r", set_label="A",
-                              samples=np.random.default_rng(0).standard_normal(40))],
-                     plan, 10)
     with pytest.raises(ConfigError, match="policy"):
-        reduce_channel(ch, plan, alloc, seed=0, policy="weird")
+        reduce_channel(ch, (20, 20), (5, 5), seed=0, policy="weird")
+    with pytest.raises(ConfigError, match="3 counts for 2 strata"):
+        reduce_channel(ch, (20, 20), (5, 5, 5), seed=0)
+    for policy in ("random", "systematic"):
+        with pytest.raises(ConfigError, match="allocated -1 samples to a stratum of size 20"):
+            reduce_channel(ch, (20, 20), (-1, 5), seed=0, policy=policy)
+        with pytest.raises(ConfigError, match="allocated 21 samples to a stratum of size 20"):
+            reduce_channel(ch, (20, 20), (5, 21), seed=0, policy=policy)
+    with pytest.raises(DataError, match="channel 'A/c' has length 40, but its strata cover 50"):
+        reduce_channel(ch, (25, 25), (5, 5), seed=0)

@@ -1,0 +1,61 @@
+"""Property tests for allocation and reduction over arbitrary stratum sizes."""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from eegstrata import Channel, DegenerateDataError, allocate, reduce_channel  # noqa: E402
+from eegstrata.sampler import SELECTION_POLICIES  # noqa: E402
+
+_SIZES = st.lists(st.integers(1, 300), min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(sizes=_SIZES, n_channels=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+@example(sizes=[1, 1, 1], n_channels=2, seed=0, data=None)  # every stratum has no variance
+@example(sizes=[300, 1, 2], n_channels=1, seed=1, data=None)
+def test_allocation_and_reduction_over_any_sizes(sizes, n_channels, seed, data):
+    length = sum(sizes)
+    n_bar = length if data is None else data.draw(st.integers(1, length), label="n_bar")
+    rng = np.random.default_rng(seed)
+    channels = [Channel(id=f"A/c{i}", set_label="A", samples=rng.standard_normal(length))
+                for i in range(n_channels)]
+    if max(sizes) == 1:  # a one-sample stratum has no sample variance
+        with pytest.raises(DegenerateDataError):
+            allocate(channels, sizes, n_bar)
+        return
+    alloc = allocate(channels, sizes, n_bar)
+    assert sum(alloc.per_stratum) == n_bar
+    assert all(0 <= count <= size for count, size in zip(alloc.per_stratum, sizes))
+
+    # positions are recoverable from the values of a strictly increasing channel
+    ramp = Channel(id="A/ramp", set_label="A", samples=np.arange(length, dtype=np.float64))
+    for policy in SELECTION_POLICIES:
+        reduced = reduce_channel(ramp, sizes, alloc.per_stratum, seed, policy)
+        positions = reduced.samples.astype(np.int64)
+        assert positions.size == n_bar
+        assert np.all(np.diff(positions) > 0)
+        assert 0 <= positions[0] and positions[-1] < length
+        # stratum i contributes exactly its count, drawn from within its bounds
+        edges = np.concatenate([[0], np.cumsum(sizes)])
+        per_stratum = np.histogram(positions, bins=edges)[0]
+        assert per_stratum.tolist() == list(alloc.per_stratum)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(sizes=_SIZES, values=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=3),
+       data=st.data())
+# the mean of eleven copies of this value rounds, leaving a variance of 2.3e-22
+@example(sizes=[11], values=[95325.9637840084], data=None)
+@example(sizes=[100, 100, 100, 100], values=[0.1, 0.0], data=None)
+def test_constant_channels_are_degenerate(sizes, values, data):
+    length = sum(sizes)
+    n_bar = length if data is None else data.draw(st.integers(1, length), label="n_bar")
+    flat = [Channel(id=f"A/c{i}", set_label="A", samples=np.full(length, value))
+            for i, value in enumerate(values)]
+    with pytest.raises(DegenerateDataError):
+        allocate(flat, sizes, n_bar)

@@ -9,7 +9,6 @@ class label. Labels are 0/1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +36,10 @@ def _check_rows(rows, n_features: int) -> np.ndarray:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != n_features:
         raise DataError(f"expected rows with {n_features} features, got shape {arr.shape}")
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise DataError(f"row {row}, column {col} is not finite: {arr[row, col]}")
     return arr
 
 
@@ -127,96 +130,117 @@ class NaiveBayesClassifier:
         return (scores[:, 1] > scores[:, 0]).astype(np.int64)
 
 
-@dataclass
-class _Node:
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-    counts: np.ndarray | None = None  # leaf class votes
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+# a step's (tree, candidate feature, row) arrays hold at most this many
+# elements; the trees of a step are grown in chunks below it
+_STEP_ELEMENTS = 1 << 15
 
 
-def _gini(counts: np.ndarray) -> float:
-    total = counts.sum()
-    p = counts / total
-    return float(1.0 - (p ** 2).sum())
+def _best_splits(x, y, members, feats):
+    """Best (feature, threshold) by Gini decrease for one node of each tree.
 
-
-def _best_split(values: np.ndarray, labels: np.ndarray, feature_order) -> tuple | None:
-    """Best (feature, threshold) by Gini decrease over the given features.
-
+    members[i] holds node i's training rows (x and y end in a padding row
+    of +inf and label 0) and feats[i] its candidate features in draw order.
     Candidate thresholds are midpoints of consecutive distinct sorted
     values. Ties keep the first candidate in feature order, then in
-    ascending threshold order. Returns None when no feature varies.
+    ascending threshold order. Returns per node the feature (-1 where no
+    split separates the rows), the threshold, the rows sorted by that
+    feature, and how many of them, and of their ones, go left; all but the
+    sorted rows as lists.
     """
-    n = labels.size
-    best = None
-    best_gain = -1.0
-    parent = _gini(np.bincount(labels, minlength=2))
-    for f in feature_order:
-        col = values[:, f]
-        order = np.argsort(col, kind="stable")
-        sorted_col = col[order]
-        sorted_lab = labels[order]
-        distinct = np.nonzero(np.diff(sorted_col))[0]
-        if distinct.size == 0:
-            continue
-        ones = np.cumsum(sorted_lab == 1)
-        left_n = distinct + 1
-        left_ones = ones[distinct]
-        left_zeros = left_n - left_ones
-        right_n = n - left_n
-        right_ones = ones[-1] - left_ones
-        right_zeros = right_n - right_ones
+    sizes = np.array([m.size for m in members])
+    width = int(sizes.max())
+    real = np.arange(width) < sizes[:, None]
+    rows = np.full(real.shape, x.shape[0] - 1)
+    rows[real] = np.concatenate(members)
+    vals = x[rows[:, None, :], feats[:, :, None]]
+    order = np.argsort(vals, axis=-1, kind="stable")
+    vals = np.take_along_axis(vals, order, axis=-1)
+    rows = np.take_along_axis(rows[:, None, :], order, axis=-1)
+    ones = np.cumsum(y[rows], axis=-1)
+    total_ones = ones[:, 0, -1]
+    p = np.stack([sizes - total_ones, total_ones], axis=1) / sizes[:, None]
+    parent = 1.0 - (p ** 2).sum(axis=1)
+    n = sizes[:, None, None]
+    left_n = np.arange(1, width)
+    left_ones = ones[..., :-1]
+    left_zeros = left_n - left_ones
+    right_n = n - left_n
+    right_ones = total_ones[:, None, None] - left_ones
+    right_zeros = right_n - right_ones
+    # past a node's last row right_n is 0 or less; those cuts are masked below
+    with np.errstate(divide="ignore", invalid="ignore"):
         gini_l = 1.0 - ((left_zeros / left_n) ** 2 + (left_ones / left_n) ** 2)
         gini_r = 1.0 - ((right_zeros / right_n) ** 2 + (right_ones / right_n) ** 2)
-        gain = parent - (left_n * gini_l + right_n * gini_r) / n
-        pos = int(np.argmax(gain))
-        if gain[pos] > best_gain:
-            best_gain = float(gain[pos])
-            cut = distinct[pos]
-            best = (int(f), float((sorted_col[cut] + sorted_col[cut + 1]) / 2.0))
-    return best
+        gain = parent[:, None, None] - (left_n * gini_l + right_n * gini_r) / n
+    cuts = (left_n < n) & (vals[..., 1:] != vals[..., :-1])
+    gain = np.where(cuts, gain, -np.inf).reshape(len(members), -1)
+    best = np.argmax(gain, axis=1)
+    node = np.arange(len(members))
+    slot, cut = np.divmod(best, width - 1)
+    with np.errstate(over="ignore"):
+        threshold = (vals[node, slot, cut] + vals[node, slot, cut + 1]) / 2.0
+    go_left = np.minimum((vals[node, slot] <= threshold[:, None]).sum(axis=1), sizes)
+    # a midpoint that rounds onto a value, or overflows, can leave one side empty
+    found = (gain[node, best] > -1.0) & (go_left > 0) & (go_left < sizes)
+    ones_left = ones[node, slot, np.maximum(go_left - 1, 0)]
+    return (np.where(found, feats[node, slot], -1).tolist(), threshold.tolist(), rows[node, slot],
+            go_left.tolist(), ones_left.tolist())
 
 
-def _grow(values: np.ndarray, labels: np.ndarray, rng, max_features: int | None) -> _Node:
-    counts = np.bincount(labels, minlength=2)
-    if labels.size < 2 or counts.min() == 0:
-        return _Node(counts=counts)
+def _grow_forest(values, labels, samples, rngs, per_node):
+    """Grow one tree per row of samples (its training rows) and rng, all
+    side by side.
+
+    Each tree keeps a stack of its nodes still to split, in preorder. A
+    step pops the next one of every tree, draws its candidate features from
+    that tree's rng and splits all of them with one batched search. Nodes
+    that hold one class only are leaves when made and draw nothing; nodes
+    where no candidate split separates the rows become leaves after their
+    draw. Returns flat node arrays feature (-1 at leaves), threshold, left,
+    right and vote; node t is the root of tree t.
+    """
     d = values.shape[1]
-    if max_features is None:
-        feature_order = np.arange(d)
-    else:
-        feature_order = rng.choice(d, size=min(max_features, d), replace=False)
-    split = _best_split(values, labels, feature_order)
-    if split is None:
-        return _Node(counts=counts)
-    f, t = split
-    mask = values[:, f] <= t
-    return _Node(feature=f, threshold=t,
-                 left=_grow(values[mask], labels[mask], rng, max_features),
-                 right=_grow(values[~mask], labels[~mask], rng, max_features))
+    x = np.vstack([values, np.full(d, np.inf)])
+    y = np.append(labels, 0)
+    feature, threshold, left, right, vote = [], [], [], [], []
+    stacks = [[] for _ in rngs]
 
+    def make(t, rows, ones):
+        """Add a leaf of tree t voting for the majority of these rows; push it
+        onto the tree's stack to be split if both classes are there."""
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        vote.append(int(2 * ones > rows.size))
+        if 0 < ones < rows.size:
+            stacks[t].append((len(vote) - 1, rows.copy(), ones))
+        return len(vote) - 1
 
-def _tree_predict(node: _Node, rows: np.ndarray) -> np.ndarray:
-    out = np.empty(rows.shape[0], dtype=np.int64)
-    idx = np.arange(rows.shape[0])
-    stack = [(node, idx)]
-    while stack:
-        nd, sel = stack.pop()
-        if sel.size == 0:
-            continue
-        if nd.is_leaf:
-            out[sel] = int(nd.counts[1] > nd.counts[0])
-            continue
-        mask = rows[sel, nd.feature] <= nd.threshold
-        stack.append((nd.left, sel[mask]))
-        stack.append((nd.right, sel[~mask]))
-    return out
+    for t, (rows, ones) in enumerate(zip(samples, labels[samples].sum(axis=1).tolist())):
+        make(t, rows, ones)
+    all_features = np.arange(d)
+    while True:
+        step = [(t, stack.pop()) for t, stack in enumerate(stacks) if stack]
+        if not step:
+            break
+        feats = np.array([all_features if per_node is None
+                          else rngs[t].choice(d, size=min(per_node, d), replace=False)
+                          for t, _ in step])
+        width = max(rows.size for _, (_, rows, _) in step)
+        chunk = max(1, _STEP_ELEMENTS // (feats.shape[1] * width))
+        for lo in range(0, len(step), chunk):
+            part = step[lo:lo + chunk]
+            splits = _best_splits(x, y, [rows for _, (_, rows, _) in part], feats[lo:lo + chunk])
+            for (t, (node, rows, ones)), f, thr, ordered, k, k_ones in zip(part, *splits):
+                if f < 0:
+                    continue
+                feature[node], threshold[node] = f, thr
+                # the right child is pushed first, so the left subtree is grown first
+                right[node] = make(t, ordered[k:rows.size], ones - k_ones)
+                left[node] = make(t, ordered[:k], k_ones)
+    return (np.array(feature), np.array(threshold), np.array(left), np.array(right),
+            np.array(vote))
 
 
 class RandomForestClassifier:
@@ -248,22 +272,27 @@ class RandomForestClassifier:
         d = train.n_features
         per_node = math.ceil(math.sqrt(d)) if self.max_features == "sqrt" else None
         n = train.n_rows
-        self._trees = []
-        for ss in np.random.SeedSequence(self.seed).spawn(self.n_trees):
-            rng = np.random.default_rng(ss)
-            if self.bootstrap:
-                sample = rng.integers(0, n, size=n)
-                values, labels = train.values[sample], train.labels[sample]
-            else:
-                values, labels = train.values, train.labels
-            self._trees.append(_grow(values, labels, rng, per_node))
+        rngs = [np.random.default_rng(ss)
+                for ss in np.random.SeedSequence(self.seed).spawn(self.n_trees)]
+        samples = np.array([rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
+                            for rng in rngs])
+        self._nodes = _grow_forest(train.values, train.labels, samples, rngs, per_node)
         return self
 
     def predict(self, rows) -> np.ndarray:
         x = _check_rows(rows, len(self.feature_names))
-        votes = np.zeros(x.shape[0], dtype=np.int64)
-        for tree in self._trees:
-            votes += _tree_predict(tree, x)
+        feature, threshold, left, right, vote = self._nodes
+        # every tree's node for every row, walked down one level per pass
+        node = np.repeat(np.arange(self.n_trees)[:, None], x.shape[0], axis=1)
+        row = np.arange(x.shape[0])
+        while True:
+            f = feature[node]
+            inner = f >= 0
+            if not inner.any():
+                break
+            go_left = x[row, f] <= threshold[node]
+            node = np.where(inner, np.where(go_left, left[node], right[node]), node)
+        votes = vote[node].sum(axis=0)
         # majority over trees, ties to the smaller label
         return (2 * votes > self.n_trees).astype(np.int64)
 

@@ -91,9 +91,9 @@ def allocate(class_channels, sizes, n_bar: int) -> AllocationResult:
     The weight of stratum i is N_i * sqrt(sum over channels of the sample
     variance of that channel restricted to stratum i); counts are the
     weight-proportional shares of n_bar. Shares are floored, then the
-    leftover is handed out one by one to the strata with the largest
-    remaining fractional part (ties to the lower stratum index), keeping
-    the total exactly n_bar while staying within the stratum sizes.
+    leftover is handed out as if one by one to the stratum with room whose
+    share exceeds its count the most (ties to the lower stratum index),
+    keeping the total exactly n_bar while staying within the stratum sizes.
     """
     channels = list(class_channels)
     if not channels:
@@ -120,13 +120,17 @@ def allocate(class_channels, sizes, n_bar: int) -> AllocationResult:
     raw = n_bar * weights / total_weight
     counts = np.minimum(np.floor(raw).astype(np.int64), caps)
     leftover = n_bar - int(counts.sum())
-    while leftover > 0:
-        room = counts < caps
-        # largest remaining fractional share first, ties to lower index
-        frac = np.where(room, raw - counts, -np.inf)
-        pick = int(np.argmax(frac))
-        counts[pick] += 1
-        leftover -= 1
+    if leftover > 0:
+        # One sample at a time, the leftover would go to the stratum with
+        # room whose raw - count is largest, ties to the lower index. A
+        # stratum's raw - count falls as its count grows, so those picks are
+        # the first `leftover` (stratum, count) pairs still in reach, ordered
+        # by raw - count descending, then by stratum, then by count.
+        take = np.minimum(caps - counts, leftover)
+        stratum = np.repeat(np.arange(caps.size), take)
+        count = counts[stratum] + np.arange(stratum.size) - np.repeat(np.cumsum(take) - take, take)
+        order = np.lexsort((stratum, -(raw[stratum] - count)))
+        counts += np.bincount(stratum[order[:leftover]], minlength=caps.size)
 
     return AllocationResult(per_stratum=tuple(int(c) for c in counts),
                             per_stratum_weight=tuple(float(w) for w in weights))

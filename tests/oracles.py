@@ -1,16 +1,20 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is written from the textbook definition with plain loops,
-no code shared with the package, except three former package bodies kept as
+no code shared with the package, except former package bodies kept as
 references for their faster forms: best_first_search_reference, the search
 with from-scratch merit, load_channel_reference, the per-line channel
-parse, and sample_entropy_reference, the all-pairs sample entropy loop.
+parse, sample_entropy_reference, the all-pairs sample entropy loop,
+grow_reference and tree_predict_reference, the recursive one-tree-at-a-time
+forest grower and its predictor, and allocate_reference, the leftover of an
+allocation handed out one sample per pass.
 Slow on purpose; only tests import this.
 """
 
 import heapq
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -225,6 +229,118 @@ def load_channel_reference(path):
         if not np.isfinite(values[i]):
             raise ValueError(f"{path}: non-finite value at line {i + 1}: {line.strip()!r}")
     return values
+
+
+@dataclass
+class TreeNode:
+    feature: int = -1
+    threshold: float = 0.0
+    left: "TreeNode | None" = None
+    right: "TreeNode | None" = None
+    counts: np.ndarray | None = None  # leaf class votes
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.left is None
+
+
+def _gini(counts):
+    total = counts.sum()
+    p = counts / total
+    return float(1.0 - (p ** 2).sum())
+
+
+def _best_split(values, labels, feature_order):
+    """Best (feature, threshold) by Gini decrease over the given features.
+
+    Candidate thresholds are midpoints of consecutive distinct sorted
+    values. Ties keep the first candidate in feature order, then in
+    ascending threshold order. Returns None when no feature varies.
+    """
+    n = labels.size
+    best = None
+    best_gain = -1.0
+    parent = _gini(np.bincount(labels, minlength=2))
+    for f in feature_order:
+        col = values[:, f]
+        order = np.argsort(col, kind="stable")
+        sorted_col = col[order]
+        sorted_lab = labels[order]
+        distinct = np.nonzero(np.diff(sorted_col))[0]
+        if distinct.size == 0:
+            continue
+        ones = np.cumsum(sorted_lab == 1)
+        left_n = distinct + 1
+        left_ones = ones[distinct]
+        left_zeros = left_n - left_ones
+        right_n = n - left_n
+        right_ones = ones[-1] - left_ones
+        right_zeros = right_n - right_ones
+        gini_l = 1.0 - ((left_zeros / left_n) ** 2 + (left_ones / left_n) ** 2)
+        gini_r = 1.0 - ((right_zeros / right_n) ** 2 + (right_ones / right_n) ** 2)
+        gain = parent - (left_n * gini_l + right_n * gini_r) / n
+        pos = int(np.argmax(gain))
+        if gain[pos] > best_gain:
+            best_gain = float(gain[pos])
+            cut = distinct[pos]
+            best = (int(f), float((sorted_col[cut] + sorted_col[cut + 1]) / 2.0))
+    return best
+
+
+def grow_reference(values, labels, rng, max_features):
+    """One forest tree grown recursively, node by node in preorder: the
+    reference for the forest's batched grower. max_features is the number
+    of candidate features drawn per node, or None for all of them in order."""
+    counts = np.bincount(labels, minlength=2)
+    if labels.size < 2 or counts.min() == 0:
+        return TreeNode(counts=counts)
+    d = values.shape[1]
+    if max_features is None:
+        feature_order = np.arange(d)
+    else:
+        feature_order = rng.choice(d, size=min(max_features, d), replace=False)
+    split = _best_split(values, labels, feature_order)
+    if split is None:
+        return TreeNode(counts=counts)
+    f, t = split
+    mask = values[:, f] <= t
+    return TreeNode(feature=f, threshold=t,
+                    left=grow_reference(values[mask], labels[mask], rng, max_features),
+                    right=grow_reference(values[~mask], labels[~mask], rng, max_features))
+
+
+def tree_predict_reference(node, rows):
+    """One tree's class votes for each row: the majority of its leaf."""
+    out = np.empty(rows.shape[0], dtype=np.int64)
+    idx = np.arange(rows.shape[0])
+    stack = [(node, idx)]
+    while stack:
+        nd, sel = stack.pop()
+        if sel.size == 0:
+            continue
+        if nd.is_leaf:
+            out[sel] = int(nd.counts[1] > nd.counts[0])
+            continue
+        mask = rows[sel, nd.feature] <= nd.threshold
+        stack.append((nd.left, sel[mask]))
+        stack.append((nd.right, sel[~mask]))
+    return out
+
+
+def allocate_reference(raw, caps, n_bar):
+    """Floored shares of n_bar, capped, then the leftover handed out one
+    sample per pass to the stratum with room whose raw share exceeds its
+    count the most, ties to the lower index: the reference for the
+    leftover step of sampler.allocate."""
+    counts = np.minimum(np.floor(raw).astype(np.int64), caps)
+    leftover = n_bar - int(counts.sum())
+    while leftover > 0:
+        room = counts < caps
+        frac = np.where(room, raw - counts, -np.inf)
+        pick = int(np.argmax(frac))
+        counts[pick] += 1
+        leftover -= 1
+    return tuple(int(c) for c in counts)
 
 
 def in_range_fraction_direct(values, lo, hi):

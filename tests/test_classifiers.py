@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,43 @@ def test_rf_validation():
         RandomForestClassifier(max_features="log2")
     with pytest.raises(DataError):
         RandomForestClassifier().fit(_fm([[1.0], [2.0], [3.0]], [0, 1, 2]))
+
+
+def test_rf_step_memory_is_bounded():
+    # the first step searches 100 roots over all 60 features of 135 rows; one
+    # unchunked (100, 60, 135) float array of it would be 6.2 MiB, and a step
+    # makes about a dozen
+    rng = np.random.default_rng(13)
+    values = rng.normal(size=(135, 60))
+    labels = (values[:, 0] + rng.normal(size=135) > 0).astype(int)
+    train = _fm(values, labels)
+    tracemalloc.start()
+    try:
+        RandomForestClassifier(n_trees=100, max_features="all").fit(train)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("a, b", [(1.0 + 2.0 ** -52, 1.0 + 2.0 ** -51),  # midpoint rounds to b
+                                  (1.6e308, 1.7e308)])  # midpoint overflows to inf
+def test_rf_midpoint_that_separates_nothing_makes_a_leaf(a, b):
+    # the recursive grower recursed without end here: every row went left
+    model = RandomForestClassifier(n_trees=1, max_features="all",
+                                   bootstrap=False).fit(_fm([[a], [b]], [0, 1]))
+    assert model._nodes[0].tolist() == [-1]
+    assert model.predict([[a], [b]]).tolist() == [0, 0]
+
+
+@pytest.mark.parametrize("model", [RandomForestClassifier(n_trees=3), KNNClassifier(k=1),
+                                   NaiveBayesClassifier()], ids=["rf", "knn", "nb"])
+def test_non_finite_query_rows_are_refused(model):
+    model.fit(_fm([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]], [0, 1, 1]))
+    with pytest.raises(DataError, match=r"row 1, column 0 is not finite: inf"):
+        model.predict([[0.0, 1.0], [np.inf, -np.inf]])
+    with pytest.raises(DataError, match=r"row 0, column 1 is not finite: nan"):
+        model.predict([0.0, np.nan])
 
 
 def test_functional_wrappers():

@@ -5,6 +5,7 @@ import types
 from pathlib import Path
 
 import eegstrata
+from eegstrata import classifiers
 
 
 def test_numpy_is_the_only_runtime_dependency():
@@ -63,3 +64,12 @@ def test_all_lists_the_public_names():
     public = {name for name, value in vars(eegstrata).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert sorted(eegstrata.__all__) == sorted(public)
+
+
+def test_classifier_methods_stay_on_their_classes():
+    """bench/tracing.py times fit and predict by wrapping them on each class in
+    classifiers, so moving one elsewhere must fail here, not in the benchmark."""
+    for cls in (classifiers.RandomForestClassifier, classifiers.NaiveBayesClassifier,
+                classifiers.KNNClassifier):
+        for name in ("fit", "predict"):
+            assert callable(vars(cls).get(name)), (cls.__name__, name)

@@ -7,6 +7,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import oracles  # noqa: E402
 from eegstrata import Channel, DegenerateDataError, allocate, reduce_channel  # noqa: E402
 from eegstrata.sampler import SELECTION_POLICIES  # noqa: E402
 
@@ -59,3 +60,30 @@ def test_constant_channels_are_degenerate(sizes, values, data):
             for i, value in enumerate(values)]
     with pytest.raises(DegenerateDataError):
         allocate(flat, sizes, n_bar)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(sizes=_SIZES, data=st.data())
+# after the first round the two quiet strata's raw - count both round to -1.0,
+# -2.0, ...; the loop gives the sample left in the last round to the lower index
+@example(sizes=[100, 100, 100], data=None)
+def test_allocation_hands_out_the_leftover_as_the_one_by_one_loop(sizes, data):
+    """Stratum i alternates +-10**e_i, so its weight is set by e_i: equal
+    exponents give equal fractional shares, a spread of 26 decades gives
+    shares that round to nothing, and a loud stratum is capped at its size."""
+    if data is None:
+        exponents, n_bar = [0, -20, -19.7], 251
+    else:
+        exponents = data.draw(st.lists(st.sampled_from([-20, -19.7, -8, -1, 0, 0.5, 3, 6]),
+                                       min_size=len(sizes), max_size=len(sizes)), label="exponents")
+        n_bar = data.draw(st.integers(0, sum(sizes)), label="n_bar")
+    if max(sizes) == 1:
+        return  # no stratum has a sample variance
+    samples = np.concatenate([10.0 ** e * np.resize([1.0, -1.0], size)
+                              for e, size in zip(exponents, sizes)])
+    alloc = allocate([Channel(id="A/c", set_label="A", samples=samples)], sizes, n_bar)
+    weights = np.array(alloc.per_stratum_weight)
+    raw = n_bar * weights / weights.sum()
+    assert alloc.per_stratum == oracles.allocate_reference(raw, np.array(sizes), n_bar)
+    if data is None:
+        assert alloc.per_stratum == (100, 76, 75)

@@ -25,7 +25,7 @@ samples = np.concatenate([
 channel = Channel(id="E/demo", set_label="E", samples=samples)
 
 plan = stratify(len(channel), 4)  # stratum sizes (256, 256, 256, 256)
-row = extract_vector(channel, plan)
+row = extract_vector([channel], plan)[0]  # one row per channel given
 names = feature_names(len(plan))
 print(f"row length: {row.size} ({len(plan)} strata x {len(FEATURE_ORDER)})")
 

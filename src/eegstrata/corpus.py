@@ -97,7 +97,7 @@ def save_channel(channel: Channel, path) -> None:
     written with repr precision so a load/save round trip is numerically exact."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("".join(f"{v!r}\n" for v in channel.samples.tolist()))
+    path.write_text("\n".join(map(repr, channel.samples.tolist())) + "\n")
 
 
 def _set_channel_files(directory: Path) -> list[Path]:

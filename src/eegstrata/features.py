@@ -5,6 +5,10 @@ into k strata yields a row of 15*k values, named by feature_names(k)
 ("s1_min" .. "s4_kurtosis" for k=4). Degenerate inputs (constant strata)
 map to finite documented values instead of NaN so downstream selection
 never sees missing data.
+
+Each feature but sample entropy is one array kernel over the rows of a
+(rows, samples) block; the public one-signal functions run the same kernel
+on a one-row block.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Channel
 from .errors import ConfigError, DataError
 from .sampler import _strata
 
@@ -32,6 +35,10 @@ MIN_STRATUM_LENGTH = 64
 # candidate template pairs sample_entropy tests at once: 64 KB per int64 or
 # float64 temporary, whatever the stratum (a constant one admits every pair)
 SAMPEN_BLOCK = 8192
+# extract_vector hands the kernels at most this many samples of a stratum
+# at once, (channels, samples), so each of their temporaries stays near
+# 512 KB whatever the number of channels
+_BLOCK_ELEMENTS = 1 << 16
 
 
 def _as_floats(x, min_len: int, what: str) -> np.ndarray:
@@ -43,44 +50,126 @@ def _as_floats(x, min_len: int, what: str) -> np.ndarray:
     return arr
 
 
+def _row_sums(values, keep) -> np.ndarray:
+    """Sum of each row's kept values, as numpy sums those values alone in a
+    1-d array: zeros in place of the others would regroup numpy's pairwise
+    sum, so rows keeping equally many are summed together as one 2-d array.
+    A row that keeps nothing sums to 0."""
+    if keep.all():
+        return values.sum(axis=1)
+    kept = keep.sum(axis=1)
+    sums = np.zeros(len(values))
+    for k in np.unique(kept[kept > 0]):
+        rows = kept == k
+        sums[rows] = values[rows][keep[rows]].reshape(-1, k).sum(axis=1)
+    return sums
+
+
+def _direct_shape_moments(block) -> tuple:
+    centered = block - block.mean(axis=1, keepdims=True)
+    m2 = np.mean(centered ** 2, axis=1)
+    m3 = np.mean(centered ** 3, axis=1)
+    m4 = np.mean(centered ** 4, axis=1)
+    skewness = np.zeros(len(block))
+    kurtosis = np.zeros(len(block))
+    for i in np.flatnonzero(m2 > 0.0):
+        # scalar powers: the array ** rounds some m2 ** 1.5 differently
+        skewness[i] = m3[i] / m2[i] ** 1.5
+        kurtosis[i] = m4[i] / m2[i] ** 2
+    return m2, skewness, kurtosis
+
+
+def _shape_moments(block) -> tuple:
+    """Skewness and kurtosis of each row, 0 for a constant row even where
+    its mean rounds. A row that varies but whose m2 underflows to 0, or
+    whose ratios come out inf or NaN, is first scaled by a power of two
+    into (-1, 1): that is exact and the ratios do not depend on scale, so
+    they are the row's own, and every other row keeps its direct values."""
+    varies = np.ptp(block, axis=1) > 0.0
+    m2, skewness, kurtosis = _direct_shape_moments(block)
+    skewness[~varies] = 0.0
+    kurtosis[~varies] = 0.0
+    bad = np.flatnonzero(varies & ~((m2 > 0.0) & np.isfinite(skewness + kurtosis)))
+    if bad.size:
+        _, exponent = np.frexp(np.abs(block[bad]).max(axis=1))
+        _, skewness[bad], kurtosis[bad] = _direct_shape_moments(
+            np.ldexp(block[bad], -exponent[:, None]))
+    return skewness, kurtosis
+
+
+def _mode(block) -> np.ndarray:
+    """Most frequent value of each row after rounding, ties to the smallest:
+    the first longest run of the sorted row, as np.unique counts it."""
+    ranked = np.sort(np.round(block, MODE_DECIMALS), axis=1)
+    starts = np.ones(ranked.shape, dtype=bool)
+    starts[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    at = np.flatnonzero(starts)
+    runs = np.zeros(ranked.size, dtype=np.int64)
+    runs[at] = np.diff(at, append=ranked.size)  # every row starts a run at its column 0
+    best = runs.reshape(ranked.shape).argmax(axis=1)
+    return ranked[np.arange(len(ranked)), best]
+
+
+def _basic_stats(block) -> dict:
+    skewness, kurtosis = _shape_moments(block)
+    return {
+        "min": block.min(axis=1),
+        "max": block.max(axis=1),
+        "mean": block.mean(axis=1),
+        "median": np.median(block, axis=1),
+        "mode": _mode(block),
+        "std": block.std(axis=1, ddof=1),
+        "skewness": skewness,
+        "kurtosis": kurtosis,
+    }
+
+
+def _quartiles(block) -> dict:
+    q1, q3 = np.quantile(block, [0.25, 0.75], axis=1)
+    return {"q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def _shannon_entropy(block, bins: int) -> np.ndarray:
+    """Entropy of each row's histogram, binned by np.histogram's rule for
+    uniform bins: the index from the row's span, the top bin taking the
+    maximum, then one bin down or up where the index disagrees with the
+    np.linspace edges. A row whose span overflows gets NaN."""
+    lo, hi = block.min(axis=1), block.max(axis=1)
+    span = hi - lo
+    out = np.where(lo == hi, 0.0, np.nan)
+    live = np.flatnonzero(np.isfinite(span) & (span > 0.0))
+    x, lo, hi, span = block[live], lo[live, None], hi[live], span[live, None]
+    edges = np.arange(bins + 1.0) * (span / bins) + lo
+    edges[:, -1] = hi
+    index = (((x - lo) / span) * bins).astype(np.intp)
+    index[index == bins] -= 1
+    index -= x < np.take_along_axis(edges, index, axis=1)
+    index += (x >= np.take_along_axis(edges, index + 1, axis=1)) & (index != bins - 1)
+    index += bins * np.arange(live.size)[:, None]
+    counts = np.bincount(index.ravel(), minlength=bins * live.size).reshape(-1, bins)
+    occupied = counts > 0
+    p = np.where(occupied, counts, 1) / x.shape[1]
+    out[live] = -_row_sums(p * np.log2(p), occupied)
+    return out
+
+
 def basic_stats(x) -> dict:
     """Min, max, mean, median, mode, std (n-1), skewness, kurtosis.
 
     Skewness is g1 = m3 / m2^1.5 and kurtosis is m4 / m2^2 (Pearson, so a
-    normal distribution sits near 3), both from population moments. A
-    constant input has m2 = 0; both ratios are defined as 0 in that case.
+    normal distribution sits near 3), both from population moments. Both
+    ratios are defined as 0 for a constant input. Moments that overflow or
+    underflow are taken on a copy rescaled by a power of two instead.
     The mode is the most frequent value after rounding to 6 decimals,
     ties broken toward the smallest value.
     """
-    arr = _as_floats(x, 2, "basic_stats")
-    centered = arr - arr.mean()
-    m2 = np.mean(centered ** 2)
-    if m2 > 0.0:
-        skewness = np.mean(centered ** 3) / m2 ** 1.5
-        kurtosis = np.mean(centered ** 4) / m2 ** 2
-    else:
-        skewness = 0.0
-        kurtosis = 0.0
-    rounded = np.round(arr, MODE_DECIMALS)
-    uniq, counts = np.unique(rounded, return_counts=True)
-    return {
-        "min": float(arr.min()),
-        "max": float(arr.max()),
-        "mean": float(arr.mean()),
-        "median": float(np.median(arr)),
-        "mode": float(uniq[np.argmax(counts)]),
-        "std": float(arr.std(ddof=1)),
-        "skewness": float(skewness),
-        "kurtosis": float(kurtosis),
-    }
+    return _one_row(_basic_stats, _as_floats(x, 2, "basic_stats"))
 
 
 def quartiles(x) -> dict:
     """First and third quartile by linear interpolation at position (n-1)*q,
     plus their difference."""
-    arr = _as_floats(x, 4, "quartiles")
-    q1, q3 = np.quantile(arr, [0.25, 0.75])
-    return {"q1": float(q1), "q3": float(q3), "iqr": float(q3 - q1)}
+    return _one_row(_quartiles, _as_floats(x, 4, "quartiles"))
 
 
 def shannon_entropy(x, bins: int = ENTROPY_BINS) -> float:
@@ -88,13 +177,7 @@ def shannon_entropy(x, bins: int = ENTROPY_BINS) -> float:
 
     Bounded by log2(bins); a constant signal has no spread and returns 0.
     """
-    arr = _as_floats(x, 2, "shannon_entropy")
-    lo, hi = arr.min(), arr.max()
-    if lo == hi:
-        return 0.0
-    counts, _ = np.histogram(arr, bins=bins, range=(lo, hi))
-    p = counts[counts > 0] / arr.size
-    return float(-(p * np.log2(p)).sum())
+    return float(_shannon_entropy(_as_floats(x, 2, "shannon_entropy")[None], bins)[0])
 
 
 def sample_entropy(x, m: int = 2, r_factor: float = 0.2) -> float:
@@ -163,6 +246,43 @@ def sample_entropy(x, m: int = 2, r_factor: float = 0.2) -> float:
     return float(-np.log(a / b) + 0.0)
 
 
+def _hurst(block) -> np.ndarray:
+    """hurst_exponent of each row: every row's windows of one size at once,
+    then one least-squares fit for all rows with the same usable sizes."""
+    rows, n = block.shape
+    log_sizes, log_rs, usable = [], [], []
+    w = 8
+    while w <= n // 2:
+        windows = block[:, : (n // w) * w].reshape(rows, -1, w)
+        centered = windows - windows.mean(axis=2, keepdims=True)
+        z = np.cumsum(centered, axis=2)
+        stds = np.sqrt(np.mean(centered * centered, axis=2))  # windows.std(axis=2)
+        valid = stds > 0.0
+        ratios = (z.max(axis=2) - z.min(axis=2)) / np.where(valid, stds, 1.0)
+        kept = valid.sum(axis=1)
+        log_sizes.append(np.log(w))
+        log_rs.append(np.log(_row_sums(ratios, valid) / np.maximum(kept, 1)))
+        usable.append(kept > 0)
+        w *= 2
+    log_sizes, log_rs, usable = np.array(log_sizes), np.array(log_rs), np.array(usable)
+    out = np.full(rows, 0.5)
+    fitted = usable.sum(axis=0) >= 2
+    # a fit through an inf or NaN log(R/S) is NaN, and in a shared fit it
+    # would spoil the other rows' slopes too
+    spoilt = fitted & ~np.where(usable, np.isfinite(log_rs), True).all(axis=0)
+    out[spoilt] = np.nan
+    fitted = np.flatnonzero(fitted & ~spoilt)
+    sets = (1 << np.arange(len(log_sizes))) @ usable  # each row's usable sizes as bits
+    for bits in np.unique(sets[fitted]):
+        members = fitted[sets[fitted] == bits]
+        sizes = usable[:, members[0]]
+        slope = np.polyfit(log_sizes[sizes], log_rs[sizes][:, members], 1)[0]
+        # min(max(slope, 0.0), 1.0), which keeps a NaN or -0.0 slope
+        slope = np.where(slope < 0.0, 0.0, slope)
+        out[members] = np.where(slope > 1.0, 1.0, slope)
+    return out
+
+
 def hurst_exponent(x) -> float:
     """Rescaled-range estimate of the Hurst exponent.
 
@@ -173,32 +293,16 @@ def hurst_exponent(x) -> float:
     log(size) is clamped to [0, 1]; if no window size yields a valid
     average the neutral 0.5 is returned.
     """
-    arr = _as_floats(x, MIN_STRATUM_LENGTH, "hurst_exponent")
-    n = arr.size
-    log_sizes = []
-    log_rs = []
-    w = 8
-    while w <= n // 2:
-        chunks = arr[: (n // w) * w].reshape(-1, w)
-        means = chunks.mean(axis=1, keepdims=True)
-        z = np.cumsum(chunks - means, axis=1)
-        ranges = z.max(axis=1) - z.min(axis=1)
-        stds = chunks.std(axis=1)
-        valid = stds > 0.0
-        if np.any(valid):
-            log_sizes.append(np.log(w))
-            log_rs.append(np.log(np.mean(ranges[valid] / stds[valid])))
-        w *= 2
-    if len(log_sizes) < 2:
-        return 0.5
-    slope = np.polyfit(log_sizes, log_rs, 1)[0]
-    return float(min(max(slope, 0.0), 1.0))
+    return float(_hurst(_as_floats(x, MIN_STRATUM_LENGTH, "hurst_exponent")[None])[0])
+
+
+def _fluctuation_index(block) -> np.ndarray:
+    return np.mean(np.abs(np.diff(block, axis=1)), axis=1)
 
 
 def fluctuation_index(x) -> float:
     """Mean absolute first difference."""
-    arr = _as_floats(x, 2, "fluctuation_index")
-    return float(np.mean(np.abs(np.diff(arr))))
+    return float(_fluctuation_index(_as_floats(x, 2, "fluctuation_index")[None])[0])
 
 
 @dataclass(frozen=True)
@@ -283,15 +387,27 @@ class FeatureMatrix:
         return cls(names=names, values=np.array(values), labels=np.array(labels))
 
 
+def _features(block) -> dict:
+    """All 15 features of each row of a (rows, samples) block, as arrays
+    keyed by feature name: one array kernel per feature, but sample entropy
+    row by row."""
+    out = _basic_stats(block)
+    out.update(_quartiles(block))
+    out["shannon_entropy"] = _shannon_entropy(block, ENTROPY_BINS)
+    out["hurst"] = _hurst(block)
+    out["fluctuation_index"] = _fluctuation_index(block)
+    out["sample_entropy"] = np.array([sample_entropy(row) for row in block])
+    return out
+
+
+def _one_row(kernel, arr) -> dict:
+    """A kernel's arrays for the one-row block of arr, as floats."""
+    return {name: float(values[0]) for name, values in kernel(arr[None]).items()}
+
+
 def stratum_features(x) -> dict:
     """All 15 features of one stratum keyed by feature name."""
-    out = basic_stats(x)
-    out.update(quartiles(x))
-    out["shannon_entropy"] = shannon_entropy(x)
-    out["hurst"] = hurst_exponent(x)
-    out["fluctuation_index"] = fluctuation_index(x)
-    out["sample_entropy"] = sample_entropy(x)
-    return out
+    return _one_row(_features, _as_floats(x, MIN_STRATUM_LENGTH, "stratum_features"))
 
 
 def feature_names(n_strata: int) -> tuple:
@@ -300,24 +416,34 @@ def feature_names(n_strata: int) -> tuple:
     return tuple(f"s{i}_{feature}" for i in range(1, n_strata + 1) for feature in FEATURE_ORDER)
 
 
-def extract_vector(channel: Channel, sizes) -> np.ndarray:
-    """Feature row of one channel cut into strata of the given sizes: 15
-    float64 values per stratum, named by feature_names(len(sizes))."""
-    values = []
-    for i, (stratum,) in enumerate(_strata([channel], sizes)):
-        if stratum.size < MIN_STRATUM_LENGTH:
+def extract_vector(channels, sizes) -> np.ndarray:
+    """Feature rows of channels that share a cut into strata of the given
+    sizes, one row per channel: 15 float64 values per stratum, named by
+    feature_names(len(sizes)). Each stratum of all channels is one
+    (channels, samples) block, handed to the kernels in row chunks of at
+    most _BLOCK_ELEMENTS samples."""
+    channels = list(channels)
+    if not channels:
+        raise DataError("feature extraction needs at least one channel")
+    width = len(FEATURE_ORDER)
+    rows = np.empty((len(channels), width * len(sizes)))
+    for i, block in enumerate(_strata(channels, sizes)):
+        if block.shape[1] < MIN_STRATUM_LENGTH:
             raise ConfigError(
-                f"stratum {i} of {stratum.size} samples is shorter than {MIN_STRATUM_LENGTH} "
+                f"stratum {i} of {block.shape[1]} samples is shorter than {MIN_STRATUM_LENGTH} "
                 "samples; lower n_strata or raise the confidence level"
             )
-        # finite samples can still overflow the moments; the check below
-        # names the feature that came out inf or NaN, so numpy need not warn
-        with np.errstate(all="ignore"):
-            feats = stratum_features(stratum)
-        values.extend(feats[feature] for feature in FEATURE_ORDER)
-    row = np.array(values, dtype=np.float64)
-    bad = np.flatnonzero(~np.isfinite(row))
+        step = max(1, _BLOCK_ELEMENTS // block.shape[1])
+        for lo in range(0, len(channels), step):
+            # finite samples can still overflow the moments; the check below
+            # names the feature that came out inf or NaN, so numpy need not warn
+            with np.errstate(all="ignore"):
+                feats = _features(block[lo:lo + step])
+            rows[lo:lo + step, i * width:(i + 1) * width] = np.column_stack(
+                [feats[feature] for feature in FEATURE_ORDER])
+    bad = np.argwhere(~np.isfinite(rows))
     if bad.size:
-        raise DataError(f"channel {channel.id!r}: feature {feature_names(len(sizes))[bad[0]]} "
-                        f"is {row[bad[0]]}; feature values must be finite")
-    return row
+        r, c = bad[0]
+        raise DataError(f"channel {channels[r].id!r}: feature {feature_names(len(sizes))[c]} "
+                        f"is {rows[r, c]}; feature values must be finite")
+    return rows

@@ -15,6 +15,8 @@ import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .classifiers import make_classifier
 from .corpus import (BONN_PREFIX_TO_SET, CASE_SETS, case_channels, generate_synthetic_case,
                      load_set, save_channel, _set_channel_files)
@@ -363,10 +365,14 @@ def stage_extract(cfg: PipelineConfig, label: str) -> dict:
         reduced_dir = artifact_path(cfg, "reduced", label, case_id)
         channels = case_channels(case_id, lambda s: load_set(reduced_dir / s, s))
         try:
-            rows = [extract_vector(ch, classes[str(lab)]["per_stratum"]) for ch, lab in channels]
+            # one call per class, whose channels share a plan; case_channels
+            # lists class 0 first, so the rows stay in case order
+            rows = [extract_vector([ch for ch, lab in channels if lab == label],
+                                   classes[str(label)]["per_stratum"]) for label in (0, 1)]
         except DataError as exc:
             raise DataError(f"{case_id}: {exc}") from None
-        fm = FeatureMatrix(feature_names(cfg.n_strata), rows, [lab for _, lab in channels])
+        fm = FeatureMatrix(feature_names(cfg.n_strata), np.vstack(rows),
+                           [lab for _, lab in channels])
         fm.to_csv(artifact_path(cfg, "features", label, case_id))
         out[case_id] = fm
     return out

@@ -5,6 +5,8 @@ no code shared with the package, except former package bodies kept as
 references for their faster forms: best_first_search_reference, the search
 with from-scratch merit, load_channel_reference, the per-line channel
 parse, sample_entropy_reference, the all-pairs sample entropy loop,
+stratum_features_reference and the *_reference feature bodies it calls,
+one signal at a time where the package takes a block of channels,
 grow_reference and tree_predict_reference, the recursive one-tree-at-a-time
 forest grower and its predictor, and allocate_reference, the leftover of an
 allocation handed out one sample per pass.
@@ -114,6 +116,97 @@ def sample_entropy_reference(x, m=2, r_factor=0.2):
     if a == 0:
         return float(np.log(b * (n_m - 1)))
     return float(-np.log(a / b) + 0.0)
+
+
+def basic_stats_reference(x):
+    """The package's basic_stats on one signal before its array kernels,
+    with two later rules: a constant signal's skewness and kurtosis are 0
+    even where its mean rounds, and where a varying signal's m2 is 0 or the
+    ratios come out inf or NaN they are taken again on the signal scaled by
+    a power of two into (-1, 1)."""
+    arr = np.asarray(x, dtype=np.float64)
+    centered = arr - arr.mean()
+    m2 = np.mean(centered ** 2)
+    if m2 > 0.0:
+        skewness = np.mean(centered ** 3) / m2 ** 1.5
+        kurtosis = np.mean(centered ** 4) / m2 ** 2
+    else:
+        skewness = 0.0
+        kurtosis = 0.0
+    if np.ptp(arr) == 0.0:
+        skewness = kurtosis = 0.0
+    elif not (m2 > 0.0 and np.isfinite(skewness + kurtosis)):
+        _, exponent = np.frexp(np.abs(arr).max())
+        scaled = basic_stats_reference(np.ldexp(arr, -exponent))
+        skewness, kurtosis = scaled["skewness"], scaled["kurtosis"]
+    rounded = np.round(arr, 6)
+    uniq, counts = np.unique(rounded, return_counts=True)
+    return {
+        "min": float(arr.min()),
+        "max": float(arr.max()),
+        "mean": float(arr.mean()),
+        "median": float(np.median(arr)),
+        "mode": float(uniq[np.argmax(counts)]),
+        "std": float(arr.std(ddof=1)),
+        "skewness": float(skewness),
+        "kurtosis": float(kurtosis),
+    }
+
+
+def quartiles_reference(x):
+    arr = np.asarray(x, dtype=np.float64)
+    q1, q3 = np.quantile(arr, [0.25, 0.75])
+    return {"q1": float(q1), "q3": float(q3), "iqr": float(q3 - q1)}
+
+
+def shannon_entropy_reference(x, bins=64):
+    arr = np.asarray(x, dtype=np.float64)
+    lo, hi = arr.min(), arr.max()
+    if lo == hi:
+        return 0.0
+    counts, _ = np.histogram(arr, bins=bins, range=(lo, hi))
+    p = counts[counts > 0] / arr.size
+    return float(-(p * np.log2(p)).sum())
+
+
+def hurst_reference(x):
+    arr = np.asarray(x, dtype=np.float64)
+    n = arr.size
+    log_sizes = []
+    log_rs = []
+    w = 8
+    while w <= n // 2:
+        chunks = arr[: (n // w) * w].reshape(-1, w)
+        means = chunks.mean(axis=1, keepdims=True)
+        z = np.cumsum(chunks - means, axis=1)
+        ranges = z.max(axis=1) - z.min(axis=1)
+        stds = chunks.std(axis=1)
+        valid = stds > 0.0
+        if np.any(valid):
+            log_sizes.append(np.log(w))
+            log_rs.append(np.log(np.mean(ranges[valid] / stds[valid])))
+        w *= 2
+    if len(log_sizes) < 2:
+        return 0.5
+    slope = np.polyfit(log_sizes, log_rs, 1)[0]
+    return float(min(max(slope, 0.0), 1.0))
+
+
+def fluctuation_index_reference(x):
+    arr = np.asarray(x, dtype=np.float64)
+    return float(np.mean(np.abs(np.diff(arr))))
+
+
+def stratum_features_reference(x, sample_entropy):
+    """All 15 features of one stratum from the per-signal references, with
+    the given sample entropy, which has its own reference above."""
+    out = basic_stats_reference(x)
+    out.update(quartiles_reference(x))
+    out["shannon_entropy"] = shannon_entropy_reference(x)
+    out["hurst"] = hurst_reference(x)
+    out["fluctuation_index"] = fluctuation_index_reference(x)
+    out["sample_entropy"] = sample_entropy(x)
+    return out
 
 
 def fluctuation_index_direct(x):

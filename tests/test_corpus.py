@@ -17,6 +17,18 @@ def test_load_save_round_trip(tmp_path):
     assert back.set_label == "A"
 
 
+def test_save_writes_one_repr_line_per_value(tmp_path):
+    """The joined write has the bytes of one f"{v!r}\\n" per value."""
+    rng = np.random.default_rng(14)
+    values = np.concatenate([
+        [-0.0, 0.0, np.inf, -np.inf, np.nan, 1e16, 5e-324, 1.7976931348623157e308, -3.0, 2872.0],
+        rng.standard_normal(300) * 10.0 ** rng.integers(-300, 300, 300),
+        rng.integers(-200, 200, 300)])
+    path = tmp_path / "x.txt"
+    save_channel(Channel(id="A/x", set_label="A", samples=values), path)
+    assert path.read_bytes() == "".join(f"{v!r}\n" for v in values.tolist()).encode()
+
+
 def test_load_tolerates_trailing_blank_lines(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("1.5\n-2\n3e1\n\n\n")

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import re
 import sys
 import types
@@ -73,3 +74,16 @@ def test_classifier_methods_stay_on_their_classes():
                 classifiers.KNNClassifier):
         for name in ("fit", "predict"):
             assert callable(vars(cls).get(name)), (cls.__name__, name)
+
+
+def test_bench_patch_points_exist():
+    """bench/tracing.py wraps each (owner, attr) of its TARGETS where callers
+    look the name up, so a rename or move must fail here, by name, rather
+    than as a KeyError inside the benchmark."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}" for owner, attr, _ in tracing.TARGETS
+               if attr not in vars(owner)]
+    assert not missing, f"bench/tracing.py patches names that are gone: {missing}"

@@ -23,6 +23,58 @@ def test_basic_stats_constant_degenerate():
     assert got["std"] == 0.0
     assert got["skewness"] == 0.0 and got["kurtosis"] == 0.0
     assert got["mode"] == 5.0
+    # the mean of 64 copies of 0.1 rounds, so every deviation is the same
+    # tiny number, whose skewness and kurtosis would be 1 and 1
+    got = basic_stats(np.full(64, 0.1))
+    assert got["skewness"] == 0.0 and got["kurtosis"] == 0.0
+
+
+@pytest.mark.parametrize("exponent", [266, 500])
+def test_moments_that_overflow_are_taken_at_an_exact_rescale(exponent):
+    # at 2**266 the fourth moment of a Gaussian stratum overflows float64,
+    # at 2**500 the third too; scaling by a power of two is exact, and only
+    # m2 ** 1.5 may round differently
+    x = np.random.default_rng(15).standard_normal(1024)
+    big = np.ldexp(x, exponent)
+    with np.errstate(all="ignore"):
+        assert np.mean((big - big.mean()) ** 4) == np.inf
+        got = basic_stats(big)
+    base = basic_stats(x)
+    assert got["kurtosis"] == base["kurtosis"]
+    assert abs(got["skewness"] - base["skewness"]) <= 4 * np.spacing(abs(base["skewness"]))
+    row = extract_vector([Channel(id="E/x", set_label="E", samples=big)], (512, 512))[0]
+    assert np.isfinite(row).all()
+
+
+def test_a_nan_hurst_fit_is_named_on_its_own_channel():
+    # one sample in eight is 1 + 2**-52 and the rest 1.0: every window's
+    # mean rounds to 1.0, so R is 0 while S is not, log(R/S) is -inf and
+    # the fit is NaN; the other channels' shared fit must not see that row
+    rng = np.random.default_rng(17)
+    spiky = np.ones(256)
+    spiky[::8] += 2.0 ** -52
+    channels = [Channel(id=f"A/c{i}", set_label="A", samples=rng.standard_normal(256))
+                for i in range(2)]
+    channels.append(Channel(id="A/spiky", set_label="A", samples=spiky))
+    with pytest.raises(DataError, match="channel 'A/spiky': feature s1_hurst is nan"):
+        extract_vector(channels, (256,))
+
+
+def test_extract_memory_is_bounded():
+    # 400 channels of one 512-sample stratum: the stacked block is 1.6 MiB,
+    # and the kernels' temporaries of all 400 rows at once take the peak to
+    # 9.6 MiB; in chunks of _BLOCK_ELEMENTS samples it stays near 4.2 MiB
+    rng = np.random.default_rng(16)
+    channels = [Channel(id=f"A/c{i}", set_label="A", samples=rng.standard_normal(512))
+                for i in range(400)]
+    tracemalloc.start()
+    try:
+        rows = extract_vector(channels, (512,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (400, 15)
+    assert peak < 6 * 2**20
 
 
 def test_basic_stats_against_moment_oracle():
@@ -174,13 +226,13 @@ def test_extract_vector_names_and_shape():
 
     rng = np.random.default_rng(10)
     ch = Channel(id="A/c", set_label="A", samples=rng.standard_normal(4097))
-    row = extract_vector(ch, stratify(4097, 4))
+    row = extract_vector([ch], stratify(4097, 4))[0]
     assert row.dtype == np.float64 and row.shape == (60,)
     # the row follows feature_names: stratum 2's std is the std of samples [1024, 2048)
     assert row[names.index("s2_std")] == np.std(ch.samples[1024:2048], ddof=1)
 
-    single = extract_vector(ch, (4097,))
-    assert single.shape == (15,) and feature_names(1) == names[:15]
+    single = extract_vector([ch], (4097,))
+    assert single.shape == (1, 15) and feature_names(1) == names[:15]
 
 
 def test_extract_vector_calls_sample_entropy_through_the_module(monkeypatch):
@@ -190,7 +242,7 @@ def test_extract_vector_calls_sample_entropy_through_the_module(monkeypatch):
     monkeypatch.setattr(features, "sample_entropy",
                         lambda x: calls.append(len(x)) or sample_entropy(x))
     ch = Channel(id="A/c", set_label="A", samples=np.random.default_rng(13).standard_normal(512))
-    extract_vector(ch, stratify(512, 4))
+    extract_vector([ch], stratify(512, 4))
     assert calls == [128, 128, 128, 128]
 
 
@@ -198,8 +250,8 @@ def test_extract_vector_deterministic():
     rng = np.random.default_rng(11)
     samples = rng.standard_normal(512)
     sizes = stratify(512, 4)
-    a = extract_vector(Channel(id="A/x", set_label="A", samples=samples), sizes)
-    b = extract_vector(Channel(id="A/y", set_label="A", samples=samples.copy()), sizes)
+    a = extract_vector([Channel(id="A/x", set_label="A", samples=samples)], sizes)
+    b = extract_vector([Channel(id="A/y", set_label="A", samples=samples.copy())], sizes)
     np.testing.assert_array_equal(a, b)
 
 
@@ -207,9 +259,9 @@ def test_extract_vector_rejects_short_strata():
     rng = np.random.default_rng(12)
     ch = Channel(id="A/c", set_label="A", samples=rng.standard_normal(100))
     with pytest.raises(ConfigError, match="stratum 0 of 25 samples is shorter than 64 samples"):
-        extract_vector(ch, stratify(100, 4))
+        extract_vector([ch], stratify(100, 4))
     with pytest.raises(DataError, match="channel 'A/c' has length 100, but its strata cover 128"):
-        extract_vector(ch, (64, 64))
+        extract_vector([ch], (64, 64))
 
 
 def test_feature_matrix_validation():

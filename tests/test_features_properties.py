@@ -1,4 +1,8 @@
-"""Property tests for sample entropy against the all-pairs reference loop."""
+"""Property tests for the feature kernels: sample entropy against the
+all-pairs reference loop, extract_vector and the one-signal functions
+against the per-signal references, and moments and the IQR against scipy."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +12,10 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import oracles  # noqa: E402
-from eegstrata import sample_entropy  # noqa: E402
+from eegstrata import (FEATURE_ORDER, Channel, extract_vector, features,  # noqa: E402
+                       fluctuation_index, hurst_exponent, sample_entropy, shannon_entropy,
+                       stratum_features)
+from eegstrata.features import basic_stats, quartiles  # noqa: E402
 
 
 @st.composite
@@ -56,3 +63,92 @@ def test_sample_entropy_equals_reference_loop(stratum):
     with np.errstate(all="ignore"):
         assert sample_entropy(x, r_factor=r_factor) == \
             oracles.sample_entropy_reference(x, r_factor=r_factor)
+
+
+SCALES = (1.0, -1.0, 2.0**-40, 1e-3, 1e150, -1e150)
+
+
+def _signal(rng, n, scales=SCALES):
+    """Gaussian, small-integer, rounded Gaussian or constant samples, with
+    up to three constant runs long enough to cover whole dyadic windows,
+    at one of the scales: 2**-40 rounds every value to -0.0 or 0.0 for the
+    mode, and 1e150 overflows the third and fourth moments."""
+    kind = rng.integers(4)
+    if kind == 0:
+        x = rng.standard_normal(n)
+    elif kind == 1:
+        x = rng.integers(-3, 4, n).astype(np.float64)
+    elif kind == 2:
+        x = np.round(rng.standard_normal(n), int(rng.integers(0, 3)))
+    else:
+        x = np.full(n, rng.standard_normal())
+    for _ in range(rng.integers(0, 4)):
+        start = int(rng.integers(0, n))
+        x[start:start + int(rng.integers(1, 64))] = x[start]
+    return x * rng.choice(scales)
+
+
+@st.composite
+def _groups(draw):
+    """(channels, sizes): 1-12 channels cut into 1-4 strata of 64-800
+    samples, each stratum of each channel drawn on its own."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = tuple(draw(st.lists(st.integers(64, 800), min_size=1, max_size=4)))
+    channels = [Channel(id=f"A/c{i}", set_label="A",
+                        samples=np.concatenate([_signal(rng, n) for n in sizes]))
+                for i in range(draw(st.integers(1, 12)))]
+    return channels, sizes
+
+
+def _stratum_tag(x):
+    """A cheap stand-in for sample entropy, which has its own reference test
+    above: it tells the strata apart, so it shows each row's sample entropy
+    is taken on that row's own stratum."""
+    return float(x[0]) + 1e-3 * len(x) + float(x[-1])
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(group=_groups())
+def test_extract_vector_equals_the_per_signal_references(group):
+    channels, sizes = group
+    with np.errstate(all="ignore"), mock.patch.object(features, "sample_entropy", _stratum_tag):
+        got = extract_vector(channels, sizes)
+        expected = np.array([[oracles.stratum_features_reference(stratum, _stratum_tag)[feature]
+                              for stratum in np.split(ch.samples, np.cumsum(sizes[:-1]))
+                              for feature in FEATURE_ORDER] for ch in channels])
+    assert (got == expected).all(), np.argwhere(got != expected)[:5]
+
+
+@st.composite
+def _strata_64_800(draw, scales=SCALES):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _signal(rng, draw(st.integers(64, 800)), scales)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(x=_strata_64_800())
+@example(x=np.full(64, -0.0))
+def test_one_signal_functions_equal_their_references(x):
+    with np.errstate(all="ignore"):
+        assert basic_stats(x) == oracles.basic_stats_reference(x)
+        assert quartiles(x) == oracles.quartiles_reference(x)
+        assert shannon_entropy(x) == oracles.shannon_entropy_reference(x)
+        assert hurst_exponent(x) == oracles.hurst_reference(x)
+        assert fluctuation_index(x) == oracles.fluctuation_index_reference(x)
+        assert stratum_features(x) == oracles.stratum_features_reference(x, sample_entropy)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(x=_strata_64_800(scales=(1.0, -1.0, 1e-3, 1e3)))
+def test_moments_and_iqr_agree_with_scipy(x):
+    stats = pytest.importorskip("scipy.stats")
+    got = basic_stats(x)
+    assert quartiles(x)["iqr"] == pytest.approx(stats.iqr(x), rel=1e-9)
+    if np.ptp(x) == 0.0:
+        # scipy gives NaN here; the documented value is 0
+        assert got["skewness"] == 0.0 and got["kurtosis"] == 0.0
+        return
+    assert got["kurtosis"] == pytest.approx(stats.kurtosis(x, fisher=False), rel=1e-9)
+    # a skewness near 0 is a difference of nearly equal sums, so the absolute
+    # term covers what its relative error cannot
+    assert got["skewness"] == pytest.approx(stats.skew(x), rel=1e-9, abs=1e-12)

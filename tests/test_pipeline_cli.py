@@ -565,12 +565,28 @@ def test_cli_unusable_allocation_is_refused(tmp_path, edit, code, fragment):
 
 
 def test_cli_feature_that_is_not_finite_names_case_channel_and_feature(tmp_path):
-    # set E so large that the fourth moment of its strata overflows float64
-    _write_bonn_corpus(tmp_path / "corpus", 1024, lambda prefix, x: x * 1e80 if prefix == "S" else x)
-    stderr = _assert_child_error(["pipeline", "--data", str(tmp_path / "corpus"), "--case", "Case1",
-                                  "--classifier", "nb", "--out", str(tmp_path / "out")], "")
-    assert stderr == ("error: extract: Case1: channel 'E/S000': feature s1_kurtosis is nan; "
-                      "feature values must be finite\n")
+    conf = _small_conf(tmp_path / "run.conf")
+    for stage in ("ingest", "sample"):
+        assert main([stage, "--config", str(conf)]) == 0
+    # a reduced channel whose squared deviations overflow float64, so its std is inf
+    path = sorted((tmp_path / "out" / "confidence_95" / "reduced" / "Case1" / "E").glob("*.txt"))[0]
+    n = len(path.read_text().splitlines())
+    path.write_text("".join(f"{v!r}\n" for v in np.resize([1e300, -1e300], n).tolist()))
+    assert _assert_child_error(["extract", "--config", str(conf)], "") == (
+        f"error: Case1: channel 'E/{path.stem}': feature s1_std is inf; "
+        "feature values must be finite\n")
+
+
+@pytest.mark.parametrize("scale", [2.0 ** 266, 2.0 ** 500], ids=["2^266", "2^500"])
+def test_cli_extracts_data_whose_moments_overflow(tmp_path, scale):
+    # set E so large that the third or fourth moment of its strata overflows
+    _write_bonn_corpus(tmp_path / "corpus", 1024, lambda prefix, x: x * scale if prefix == "S" else x)
+    args = ["--out", str(tmp_path / "out"), "--case", "Case1"]
+    assert main(["ingest", "--data", str(tmp_path / "corpus"), *args]) == 0
+    for stage in ("sample", "extract"):
+        assert main([stage, *args]) == 0
+    fm = FeatureMatrix.from_csv(tmp_path / "out" / "confidence_95" / "features_Case1.csv")
+    assert fm.column("s1_kurtosis").min() > 1.0
 
 
 @pytest.mark.parametrize("command, code", [

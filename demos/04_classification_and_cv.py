@@ -4,13 +4,16 @@ Three classifiers under one cross-validation harness
 
 Random forest, Gaussian naive Bayes, and k-nearest-neighbours share a
 fit/predict interface, so the repeated stratified k-fold harness treats
-them uniformly. Per-case accuracies combine into one channel-count
-weighted average.
+them uniformly: it reads the classifier, cross-validation and selection
+settings from one PipelineConfig. Per-case accuracies combine into one
+channel-count weighted average.
 """
+
+import dataclasses
 
 import numpy as np
 
-from eegstrata import (CVConfig, FeatureMatrix, run_cv, weighted_accuracy)
+from eegstrata import FeatureMatrix, PipelineConfig, run_cv, weighted_accuracy
 
 # two overlapping classes in five dimensions
 rng = np.random.default_rng(5)
@@ -22,17 +25,18 @@ values = np.vstack([
 labels = np.array([0] * n_per_class + [1] * n_per_class)
 fm = FeatureMatrix(names=tuple(f"f{i}" for i in range(5)), values=values, labels=labels)
 
-# 5 folds, 5 reshuffled repeats; accuracy is pooled over folds per repeat
-cfg = CVConfig(n_folds=5, n_repeats=5, seed=1)
+# 5 folds, 5 reshuffled repeats; accuracy is pooled over folds per repeat.
+# Only the classifier, cv_*, selection and seed fields matter here.
+cfg = PipelineConfig(cv_folds=5, cv_repeats=5, seed=1, rf_trees=50, knn_k=3,
+                     selection_mode="off")
 
-for spec in (("rf", {"n_trees": 50}), "nb", ("knn", {"k": 3})):
-    kind = spec if isinstance(spec, str) else spec[0]
-    result = run_cv(fm, spec, cfg, select="off")
+for kind in ("rf", "nb", "knn"):
+    result = run_cv(fm, dataclasses.replace(cfg, classifier=kind))
     print(f"{kind:4s} accuracy: {result.mean:5.2f} +/- {result.std:.2f} %")
 
 # per-fold selection re-picks features inside each training split, so the
 # held-out fold never leaks into the choice
-result = run_cv(fm, ("rf", {"n_trees": 50}), cfg, select="per-fold")
+result = run_cv(fm, dataclasses.replace(cfg, selection_mode="per-fold"))
 print(f"rf + per-fold selection: {result.mean:5.2f} +/- {result.std:.2f} %")
 
 # combining several cases: each case's accuracy is weighted by how many

@@ -11,8 +11,7 @@ from .corpus import (CASE_SETS, SET_LABELS, Channel, case_channels,
                      save_channel)
 from .errors import (ConfigError, DataError, DegenerateDataError,
                      EegStrataError)
-from .evaluation import (CVConfig, CVResult, kfold_split, run_cv,
-                         weighted_accuracy)
+from .evaluation import CVResult, kfold_split, run_cv, weighted_accuracy
 from .features import (FEATURE_ORDER, FeatureMatrix, extract_vector,
                        feature_names, fluctuation_index, hurst_exponent,
                        sample_entropy, shannon_entropy, stratum_features)
@@ -31,7 +30,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CASE_SETS", "CONFIDENCE_Z", "FEATURE_ORDER", "SET_LABELS",
-    "AllocationResult", "CVConfig", "CVResult", "Channel", "ConfigError",
+    "AllocationResult", "CVResult", "Channel", "ConfigError",
     "CorrelationMatrix", "DataError", "DegenerateDataError", "EegStrataError",
     "FeatureMatrix", "FeatureSubset", "KNNClassifier", "NaiveBayesClassifier",
     "PipelineConfig", "RandomForestClassifier", "allocate", "assemble_report",

@@ -51,8 +51,6 @@ class KNNClassifier:
     distances.
     """
 
-    kind = "knn"
-
     def __init__(self, k: int = KNN_K, standardize: bool = True):
         if k < 1:
             raise ConfigError(f"k must be at least 1, got {k}")
@@ -93,11 +91,9 @@ class NaiveBayesClassifier:
     """Gaussian naive Bayes with a variance floor against zero-variance
     features."""
 
-    kind = "nb"
-
     def __init__(self, var_floor: float = NB_VAR_FLOOR):
-        if var_floor <= 0.0:
-            raise ConfigError(f"var_floor must be positive, got {var_floor}")
+        if not 0.0 < var_floor < math.inf:
+            raise ConfigError(f"var_floor must be positive and finite, got {var_floor}")
         self.var_floor = var_floor
         self.feature_names: tuple = ()
 
@@ -251,8 +247,6 @@ class RandomForestClassifier:
     max_features to "all" reduces a 1-tree forest to a plain decision
     tree, which is how the implementation is cross-checked.
     """
-
-    kind = "rf"
 
     def __init__(self, n_trees: int = RF_TREES, seed: int = 0,
                  max_features: str = "sqrt", bootstrap: bool = True):

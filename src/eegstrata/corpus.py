@@ -162,6 +162,8 @@ def generate_synthetic_case(n_per_class, length: int, seed: int,
         raise ConfigError("n_per_class must be at least 1 for each class")
     if length < 64:
         raise ConfigError(f"length {length} is too small for downstream strata (need >= 64)")
+    if not math.isfinite(burst_amplitude):
+        raise ConfigError(f"burst_amplitude must be finite, got {burst_amplitude}")
 
     channels = []
     n_set_a = math.ceil(n0 / 2)

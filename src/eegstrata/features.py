@@ -79,13 +79,13 @@ def _direct_shape_moments(block) -> tuple:
     return m2, skewness, kurtosis
 
 
-def _shape_moments(block) -> tuple:
-    """Skewness and kurtosis of each row, 0 for a constant row even where
-    its mean rounds. A row that varies but whose m2 underflows to 0, or
-    whose ratios come out inf or NaN, is first scaled by a power of two
-    into (-1, 1): that is exact and the ratios do not depend on scale, so
-    they are the row's own, and every other row keeps its direct values."""
-    varies = np.ptp(block, axis=1) > 0.0
+def _shape_moments(block, varies) -> tuple:
+    """Skewness and kurtosis of each row, 0 for a constant row (varies
+    False) even where its mean rounds. A row that varies but whose m2
+    underflows to 0, or whose ratios come out inf or NaN, is first scaled by
+    a power of two into (-1, 1): that is exact and the ratios do not depend
+    on scale, so they are the row's own, and every other row keeps its
+    direct values."""
     m2, skewness, kurtosis = _direct_shape_moments(block)
     skewness[~varies] = 0.0
     kurtosis[~varies] = 0.0
@@ -111,14 +111,16 @@ def _mode(block) -> np.ndarray:
 
 
 def _basic_stats(block) -> dict:
-    skewness, kurtosis = _shape_moments(block)
+    # a constant row whose mean rounds has a std and m2 above 0: judge it by its span
+    varies = np.ptp(block, axis=1) > 0.0
+    skewness, kurtosis = _shape_moments(block, varies)
     return {
         "min": block.min(axis=1),
         "max": block.max(axis=1),
         "mean": block.mean(axis=1),
         "median": np.median(block, axis=1),
         "mode": _mode(block),
-        "std": block.std(axis=1, ddof=1),
+        "std": np.where(varies, block.std(axis=1, ddof=1), 0.0),
         "skewness": skewness,
         "kurtosis": kurtosis,
     }
@@ -157,9 +159,10 @@ def basic_stats(x) -> dict:
     """Min, max, mean, median, mode, std (n-1), skewness, kurtosis.
 
     Skewness is g1 = m3 / m2^1.5 and kurtosis is m4 / m2^2 (Pearson, so a
-    normal distribution sits near 3), both from population moments. Both
-    ratios are defined as 0 for a constant input. Moments that overflow or
-    underflow are taken on a copy rescaled by a power of two instead.
+    normal distribution sits near 3), both from population moments. The std
+    and both ratios are 0 for a constant input, even where its mean rounds.
+    Moments that overflow or underflow are taken on a copy rescaled by a
+    power of two instead.
     The mode is the most frequent value after rounding to 6 decimals,
     ties broken toward the smallest value.
     """
@@ -257,11 +260,13 @@ def _hurst(block) -> np.ndarray:
         centered = windows - windows.mean(axis=2, keepdims=True)
         z = np.cumsum(centered, axis=2)
         stds = np.sqrt(np.mean(centered * centered, axis=2))  # windows.std(axis=2)
-        valid = stds > 0.0
+        # a constant window whose mean rounds has a std above 0: skip it by its span
+        valid = (np.ptp(windows, axis=2) > 0.0) & (stds > 0.0)
         ratios = (z.max(axis=2) - z.min(axis=2)) / np.where(valid, stds, 1.0)
         kept = valid.sum(axis=1)
         log_sizes.append(np.log(w))
-        log_rs.append(np.log(_row_sums(ratios, valid) / np.maximum(kept, 1)))
+        log_rs.append(np.log(_row_sums(ratios, valid) / np.maximum(kept, 1),
+                             out=np.zeros(rows), where=kept > 0))
         usable.append(kept > 0)
         w *= 2
     log_sizes, log_rs, usable = np.array(log_sizes), np.array(log_rs), np.array(usable)
@@ -289,9 +294,9 @@ def hurst_exponent(x) -> float:
     The signal is split into non-overlapping windows of dyadic sizes
     8..n/2; each window contributes R/S where R is the range of the
     cumulative mean-adjusted sum and S the window's standard deviation
-    (constant windows are skipped). The slope of log(R/S) against
-    log(size) is clamped to [0, 1]; if no window size yields a valid
-    average the neutral 0.5 is returned.
+    (constant windows, whose max equals their min, are skipped). The slope
+    of log(R/S) against log(size) is clamped to [0, 1]; if no window size
+    yields a valid average the neutral 0.5 is returned.
     """
     return float(_hurst(_as_floats(x, MIN_STRATUM_LENGTH, "hurst_exponent")[None])[0])
 

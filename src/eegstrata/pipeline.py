@@ -17,11 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifiers import make_classifier
+from .classifiers import KNN_K, NB_VAR_FLOOR, RF_TREES, make_classifier
 from .corpus import (BONN_PREFIX_TO_SET, CASE_SETS, case_channels, generate_synthetic_case,
                      load_set, save_channel, _set_channel_files)
 from .errors import ConfigError, DataError, DegenerateDataError, EegStrataError
-from .evaluation import SELECTION_MODES, CVConfig, run_cv, weighted_accuracy
+from .evaluation import SELECTION_MODES, run_cv, weighted_accuracy
 from .features import MIN_STRATUM_LENGTH, FeatureMatrix, extract_vector, feature_names
 from .sampler import (CONFIDENCE_Z, SELECTION_POLICIES, allocate, reduce_channel,
                       required_sample_size, stratify)
@@ -60,13 +60,13 @@ class PipelineConfig:
     range_threshold: float = RANGE_THRESHOLD
     # classifier
     classifier: str = "rf"
-    knn_k: int = 3
+    knn_k: int = KNN_K
     knn_standardize: bool = True
-    rf_trees: int = 100
+    rf_trees: int = RF_TREES
     rf_seed: int | None = None
     rf_max_features: str = "sqrt"
     rf_bootstrap: bool = True
-    nb_var_floor: float = 1e-9
+    nb_var_floor: float = NB_VAR_FLOOR
     # cross-validation
     cv_folds: int = 10
     cv_repeats: int = 20
@@ -103,14 +103,24 @@ class PipelineConfig:
         if not self.out_dir:
             raise ConfigError("an output directory is required")
         # build what sample (for the shortest channel strata allow) and classify
-        # build, so a bad setting fails before any stage writes
+        # build, and check what classify reads, so a bad setting fails before
+        # any stage writes
         for _, z in resolve_levels(self):
             _design(self, z, self.n_strata)
         kind, params = self.classifier_spec()
         make_classifier(kind, **params)
-        self.cv_config()
+        if self.cv_folds < 2:
+            raise ConfigError(f"n_folds must be at least 2, got {self.cv_folds}")
+        if self.cv_repeats < 1:
+            raise ConfigError(f"n_repeats must be at least 1, got {self.cv_repeats}")
+        if self.stall_limit is not None and self.stall_limit < 1:
+            raise ConfigError(f"stall_limit must be positive or None, got {self.stall_limit}")
+        if not 0.0 <= self.range_threshold <= 1.0:
+            raise ConfigError(f"range_threshold must be in [0, 1], got {self.range_threshold}")
 
     def classifier_spec(self) -> tuple:
+        """The classifier's name and constructor parameters; a forest's seed is
+        rf_seed, or the run's seed where rf_seed is None."""
         if self.classifier == "knn":
             return "knn", {"k": self.knn_k, "standardize": self.knn_standardize}
         if self.classifier == "nb":
@@ -120,10 +130,6 @@ class PipelineConfig:
                           "bootstrap": self.rf_bootstrap,
                           "seed": self.seed if self.rf_seed is None else self.rf_seed}
         raise ConfigError(f"unknown classifier {self.classifier!r}")
-
-    def cv_config(self) -> CVConfig:
-        return CVConfig(n_folds=self.cv_folds, n_repeats=self.cv_repeats,
-                        seed=self.seed, stratified=self.cv_stratified)
 
     def classify_settings(self) -> dict:
         """The fields classify reads: its classifier's, the CV's, the selection's and the seed."""
@@ -395,9 +401,7 @@ def stage_classify(cfg: PipelineConfig, label: str) -> dict:
     out = {}
     for case_id in cfg.cases:
         fm = _read(cfg, "features", label, case_id)
-        result = run_cv(fm, cfg.classifier_spec(), cfg.cv_config(),
-                        select=cfg.selection_mode, stall_limit=cfg.stall_limit,
-                        range_threshold=cfg.range_threshold)
+        result = run_cv(fm, cfg)
         _write_json(artifact_path(cfg, "evaluation", label, case_id), {
             "case": case_id,
             "classifier": cfg.classifier,

@@ -120,10 +120,10 @@ def sample_entropy_reference(x, m=2, r_factor=0.2):
 
 def basic_stats_reference(x):
     """The package's basic_stats on one signal before its array kernels,
-    with two later rules: a constant signal's skewness and kurtosis are 0
-    even where its mean rounds, and where a varying signal's m2 is 0 or the
-    ratios come out inf or NaN they are taken again on the signal scaled by
-    a power of two into (-1, 1)."""
+    with two later rules: a constant signal (max equal to min) has std,
+    skewness and kurtosis 0 even where its mean rounds, and where a varying
+    signal's m2 is 0 or the ratios come out inf or NaN they are taken again
+    on the signal scaled by a power of two into (-1, 1)."""
     arr = np.asarray(x, dtype=np.float64)
     centered = arr - arr.mean()
     m2 = np.mean(centered ** 2)
@@ -147,7 +147,7 @@ def basic_stats_reference(x):
         "mean": float(arr.mean()),
         "median": float(np.median(arr)),
         "mode": float(uniq[np.argmax(counts)]),
-        "std": float(arr.std(ddof=1)),
+        "std": float(arr.std(ddof=1)) if np.ptp(arr) > 0.0 else 0.0,
         "skewness": float(skewness),
         "kurtosis": float(kurtosis),
     }
@@ -170,6 +170,9 @@ def shannon_entropy_reference(x, bins=64):
 
 
 def hurst_reference(x):
+    """The package's hurst_exponent on one signal before its array kernel,
+    with one later rule: a constant window (max equal to min) is skipped
+    even where its mean rounds and its std comes out above 0."""
     arr = np.asarray(x, dtype=np.float64)
     n = arr.size
     log_sizes = []
@@ -181,7 +184,7 @@ def hurst_reference(x):
         z = np.cumsum(chunks - means, axis=1)
         ranges = z.max(axis=1) - z.min(axis=1)
         stds = chunks.std(axis=1)
-        valid = stds > 0.0
+        valid = (np.ptp(chunks, axis=1) > 0.0) & (stds > 0.0)
         if np.any(valid):
             log_sizes.append(np.log(w))
             log_rs.append(np.log(np.mean(ranges[valid] / stds[valid])))

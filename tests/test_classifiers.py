@@ -113,6 +113,9 @@ def test_nb_log_posterior_matches_oracle():
 def test_nb_validation():
     with pytest.raises(ConfigError):
         NaiveBayesClassifier(var_floor=0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ConfigError, match="var_floor must be positive and finite"):
+            NaiveBayesClassifier(var_floor=bad)
     with pytest.raises(DataError):
         NaiveBayesClassifier().fit(_fm([[1.0], [2.0]], [1, 1]))
 
@@ -225,7 +228,7 @@ def test_functional_wrappers():
 
 def test_make_classifier():
     assert make_classifier("knn", k=5).k == 5
-    assert make_classifier("nb").kind == "nb"
+    assert isinstance(make_classifier("nb"), NaiveBayesClassifier)
     assert make_classifier("rf", n_trees=7).n_trees == 7
     with pytest.raises(ConfigError):
         make_classifier("svm")

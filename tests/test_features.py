@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,8 +25,9 @@ def test_basic_stats_constant_degenerate():
     assert got["skewness"] == 0.0 and got["kurtosis"] == 0.0
     assert got["mode"] == 5.0
     # the mean of 64 copies of 0.1 rounds, so every deviation is the same
-    # tiny number, whose skewness and kurtosis would be 1 and 1
+    # tiny number, whose std would be 1.4e-17 and skewness and kurtosis 1 and 1
     got = basic_stats(np.full(64, 0.1))
+    assert got["std"] == 0.0
     assert got["skewness"] == 0.0 and got["kurtosis"] == 0.0
 
 
@@ -183,6 +185,22 @@ def test_hurst_trend_and_bounds():
     assert 0.0 <= hurst_exponent(x) <= 1.0
     with pytest.raises(DataError):
         hurst_exponent(np.arange(32.0))
+
+
+@pytest.mark.parametrize("value", [0.0, 0.1, 0.7])
+def test_hurst_of_a_constant_signal_is_neutral_and_quiet(value):
+    # windows of copies of 0.1 or 0.7 whose mean rounds have a std above 0,
+    # which made the fit 1.0; all-zero windows left no size usable, and the
+    # log of their empty average warned outside extract's errstate
+    x = np.full(256, value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert hurst_exponent(x) == 0.5
+        feats = stratum_features(x)
+    assert feats["hurst"] == 0.5 and feats["std"] == 0.0
+    # constant windows drop out of a signal that also varies
+    y = np.r_[x, np.random.default_rng(3).standard_normal(256)]
+    assert hurst_exponent(y) == oracles.hurst_reference(y)
 
 
 def test_fluctuation_index_cases():

@@ -480,11 +480,19 @@ def test_cli_feature_file_is_checked_against_its_names_and_labels(tmp_path, edit
 @pytest.mark.parametrize("change, fragment", [
     (("classifier", "svm"), "unknown classifier 'svm'"),
     (("cv.folds", "1"), "n_folds must be at least 2, got 1"),
+    (("cv.repeats", "0"), "n_repeats must be at least 1, got 0"),
+    (("selection.stall_limit", "0"), "stall_limit must be positive or None, got 0"),
+    (("selection.range_threshold", "1.5"), "range_threshold must be in [0, 1], got 1.5"),
+    (("selection.range_threshold", "nan"), "range_threshold must be in [0, 1], got nan"),
+    (("nb.var_floor", "nan"), "var_floor must be positive and finite, got nan"),
+    (("synthetic.burst_amplitude", "inf"), "ingest: burst_amplitude must be finite, got inf"),
     (("e", "2"), "e must be in (0, 1), got 2.0"),
     (("strata", "0"), "n_strata must be at least 1, got 0"),
     (("cases", "Case1, Case1"), "case Case1 is listed twice"),
     (("confidence", "95, 95"), "confidence level 95 is listed twice"),
-], ids=["classifier", "cv-folds", "e", "strata", "case-twice", "confidence-twice"])
+], ids=["classifier", "cv-folds", "cv-repeats", "stall-limit", "range-threshold",
+        "range-threshold-nan", "nb-var-floor-nan", "burst-amplitude-inf", "e", "strata",
+        "case-twice", "confidence-twice"])
 def test_cli_bad_classifier_or_cv_fails_before_any_stage(tmp_path, capsys, change, fragment):
     assert main(["pipeline", "--config", str(_small_conf(tmp_path / "run.conf", [change]))]) == 2
     assert fragment in capsys.readouterr().err

@@ -5,7 +5,7 @@ import oracles
 from eegstrata import (ConfigError, DataError, FeatureMatrix, PipelineConfig,
                        best_first_search, cfs_merit, correlation_matrix,
                        range_bounds, range_filter, select_features)
-from eegstrata.evaluation import CVConfig, kfold_split
+from eegstrata.evaluation import kfold_split
 from eegstrata.pipeline import stage_extract, stage_ingest, stage_sample
 from eegstrata.selection import CorrelationMatrix
 
@@ -150,14 +150,14 @@ def test_best_first_equals_exhaustive_oracle():
 def _fold_training_matrices(out_dir, seed):
     """Per-fold training matrices (5-fold x 2) of a 14+7 channel extract."""
     cfg = PipelineConfig(synthetic=True, synthetic_n0=14, synthetic_n1=7,
-                         synthetic_length=512, seed=seed, out_dir=str(out_dir))
+                         synthetic_length=512, cv_folds=5, cv_repeats=2, seed=seed,
+                         out_dir=str(out_dir))
     stage_ingest(cfg)
     stage_sample(cfg, "95", 1.96)
     fm = stage_extract(cfg, "95")["Case1"]
-    cv = CVConfig(n_folds=5, n_repeats=2, seed=seed)
     return [_matrix(fm.values[train], fm.labels[train], names=fm.names)
-            for r in range(cv.n_repeats)
-            for train, _ in kfold_split(fm.n_rows, fm.labels, cv, repeat=r)]
+            for r in range(cfg.cv_repeats)
+            for train, _ in kfold_split(fm.labels, cfg, repeat=r)]
 
 
 def _random_matrices(n_matrices, seed):

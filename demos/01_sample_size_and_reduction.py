@@ -31,18 +31,19 @@ samples = np.concatenate([
 ])
 channel = Channel(id="A/demo", set_label="A", samples=samples)
 
-# optimum allocation hands the noisy strata a larger share of the budget
+# optimum allocation hands the noisy strata a larger share of the budget:
+# one count per stratum, and the dispersion weight each count came from
 n_bar = required_sample_size(1.96, 4097)
-alloc = allocate([channel], plan, n_bar)
+counts, weights = allocate([channel], plan, n_bar)
 print(f"allocating n_bar={n_bar}:")
-for i, (n_i, w) in enumerate(zip(alloc.per_stratum, alloc.per_stratum_weight), start=1):
+for i, (n_i, w) in enumerate(zip(counts, weights), start=1):
     print(f"  stratum {i}: {n_i:4d} samples (weight {w:8.1f})")
-print("total drawn:", alloc.total)
+print("total drawn:", sum(counts))
 
 # the reduced channel is an order-preserving subsequence of the original
-reduced = reduce_channel(channel, plan, alloc.per_stratum, seed=42)
+reduced = reduce_channel(channel, plan, counts, seed=42)
 print("reduced length:", len(reduced), "of", len(channel))
 
 # a systematic (evenly spaced) draw is available as well and ignores the seed
-systematic = reduce_channel(channel, plan, alloc.per_stratum, seed=0, policy="systematic")
+systematic = reduce_channel(channel, plan, counts, seed=0, policy="systematic")
 print("systematic draw, first 5 values:", np.round(systematic.samples[:5], 3))

@@ -24,17 +24,18 @@ values = np.column_stack([informative_a, informative_b, noise])
 names = ("amplitude", "irregularity", "n0", "n1", "n2", "n3", "n4", "n5")
 fm = FeatureMatrix(names=names, values=values, labels=labels)
 
-# the correlation matrix drives everything downstream
-cm = correlation_matrix(fm)
+# the feature-feature and feature-class correlations drive everything
+# downstream; both follow the matrix's column order
+ff, fc = correlation_matrix(fm)
 print("feature-class correlations:")
-for name, r in zip(cm.names, cm.feature_class):
+for name, r in zip(fm.names, fc):
     print(f"  {name:14s} {r: .3f}")
 
-# merit rewards class correlation and punishes redundancy
+# merit rewards class correlation and punishes redundancy; it takes column indices
 print("merit of singletons vs the informative pair:")
-print("  [amplitude]               ", round(cfs_merit(["amplitude"], cm), 4))
-print("  [irregularity]            ", round(cfs_merit(["irregularity"], cm), 4))
-print("  [amplitude, irregularity] ", round(cfs_merit(["amplitude", "irregularity"], cm), 4))
+print("  [amplitude]               ", round(cfs_merit([0], ff, fc), 4))
+print("  [irregularity]            ", round(cfs_merit([1], ff, fc), 4))
+print("  [amplitude, irregularity] ", round(cfs_merit([0, 1], ff, fc), 4))
 
 # the full two-pass selection
 subset = select_features(fm)

@@ -25,6 +25,10 @@ from .seeding import derive_seed
 SET_LABELS = ("A", "B", "C", "D", "E")
 BONN_PREFIX_TO_SET = {"Z": "A", "O": "B", "N": "C", "F": "D", "S": "E"}
 
+# at most 7 bursts overlap and noise is added on top, so a burst amplitude
+# up to this magnitude keeps every synthetic sample finite
+MAX_BURST_AMPLITUDE = np.finfo(np.float64).max / 8
+
 # case id -> (category-1 sets, category-2 sets); category 2 is the seizure side
 CASE_SETS = {
     "Case1": (("A", "B"), ("E",)),
@@ -164,6 +168,9 @@ def generate_synthetic_case(n_per_class, length: int, seed: int,
         raise ConfigError(f"length {length} is too small for downstream strata (need >= 64)")
     if not math.isfinite(burst_amplitude):
         raise ConfigError(f"burst_amplitude must be finite, got {burst_amplitude}")
+    if abs(burst_amplitude) > MAX_BURST_AMPLITUDE:
+        raise ConfigError(f"burst_amplitude must be at most {MAX_BURST_AMPLITUDE:g} in "
+                          f"magnitude, got {burst_amplitude:g}")
 
     channels = []
     n_set_a = math.ceil(n0 / 2)

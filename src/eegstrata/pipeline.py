@@ -328,16 +328,17 @@ def stage_sample(cfg: PipelineConfig, label: str, z: float) -> dict:
         length = lengths.pop()
         design = _design(cfg, z, length)
 
-        allocs = {}
+        counts, weights = {}, {}
         for class_label in (0, 1):
             chans = [ch for ch, lab in channels if lab == class_label]
             try:
-                allocs[class_label] = allocate(chans, design["plan"], design["n_bar"])
+                counts[class_label], weights[class_label] = allocate(chans, design["plan"],
+                                                                     design["n_bar"])
             except DegenerateDataError as exc:
                 raise DegenerateDataError(f"{case_id} class {class_label}: {exc}") from None
             # extract needs MIN_STRATUM_LENGTH points per stratum: refuse here,
             # before writing, rather than leave artifacts extract cannot use
-            for i, count in enumerate(allocs[class_label].per_stratum):
+            for i, count in enumerate(counts[class_label]):
                 if count < MIN_STRATUM_LENGTH:
                     raise ConfigError(
                         f"{case_id} class {class_label}: stratum {i} is allocated {count} "
@@ -346,7 +347,7 @@ def stage_sample(cfg: PipelineConfig, label: str, z: float) -> dict:
 
         reduced_dir = artifact_path(cfg, "reduced", label, case_id)
         for ch, lab in channels:
-            reduced = reduce_channel(ch, design["plan"], allocs[lab].per_stratum,
+            reduced = reduce_channel(ch, design["plan"], counts[lab],
                                      seed=derive_seed(cfg.seed, "reduce", ch.id),
                                      policy=cfg.policy)
             stem = ch.id.rsplit("/", 1)[-1]
@@ -354,8 +355,7 @@ def stage_sample(cfg: PipelineConfig, label: str, z: float) -> dict:
 
         sampling = {
             "case": case_id, "length": length, "z": z, **design,
-            "classes": {str(lab): {"per_stratum": list(allocs[lab].per_stratum),
-                                   "weights": list(allocs[lab].per_stratum_weight)}
+            "classes": {str(lab): {"per_stratum": list(counts[lab]), "weights": list(weights[lab])}
                         for lab in (0, 1)},
         }
         _write_json(artifact_path(cfg, "sampling", label, case_id), sampling)

@@ -6,12 +6,11 @@ contiguous strata, split n_bar across strata proportionally to stratum
 size times pooled within-stratum dispersion, then draw that many points
 from each stratum while preserving temporal order. A plan is its stratum
 sizes, a tuple of positive integers in signal order that sum to the signal
-length; an allocation is one count per stratum.
+length; an allocation is one count per stratum, returned by ``allocate``
+with the dispersion weight each count came from.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,18 +21,6 @@ from .errors import ConfigError, DataError, DegenerateDataError
 CONFIDENCE_Z = {70: 1.04, 85: 1.44, 95: 1.96, 99: 2.58}
 
 SELECTION_POLICIES = ("random", "systematic")
-
-
-@dataclass(frozen=True)
-class AllocationResult:
-    """Per-stratum sample counts plus the dispersion weights they came from."""
-
-    per_stratum: tuple
-    per_stratum_weight: tuple
-
-    @property
-    def total(self) -> int:
-        return int(sum(self.per_stratum))
 
 
 def required_sample_size(z: float, population_size: int, p: float = 0.5,
@@ -84,9 +71,10 @@ def _strata(channels, sizes) -> list:
     return np.split(np.stack([ch.samples for ch in channels]), np.cumsum(sizes[:-1]), axis=-1)
 
 
-def allocate(class_channels, sizes, n_bar: int) -> AllocationResult:
+def allocate(class_channels, sizes, n_bar: int) -> tuple:
     """Optimum allocation of n_bar across strata of the given sizes for one
-    class of channels.
+    class of channels, as the pair (counts, weights): a tuple of ints and a
+    tuple of floats, one each per stratum.
 
     The weight of stratum i is N_i * sqrt(sum over channels of the sample
     variance of that channel restricted to stratum i); counts are the
@@ -105,8 +93,11 @@ def allocate(class_channels, sizes, n_bar: int) -> AllocationResult:
     weights = np.zeros(len(sizes))
     for i, rows in enumerate(strata):
         if sizes[i] > 1:
-            # the mean of a constant row can round, so its variance is set to 0, not computed
-            var = np.where(np.ptp(rows, axis=1) > 0, rows.var(axis=1, ddof=1), 0.0)
+            # the mean of a constant row can round, so its variance is set to 0, not
+            # computed; a variance that overflows (to inf, or to nan where sums of
+            # opposite sign overflow) is refused below rather than warned about
+            with np.errstate(over="ignore", invalid="ignore"):
+                var = np.where(np.ptp(rows, axis=1) > 0, rows.var(axis=1, ddof=1), 0.0)
             weights[i] = sizes[i] * np.sqrt(var.sum())
     if not np.isfinite(weights).all():
         i = int(np.argmin(np.isfinite(weights)))
@@ -132,8 +123,7 @@ def allocate(class_channels, sizes, n_bar: int) -> AllocationResult:
         order = np.lexsort((stratum, -(raw[stratum] - count)))
         counts += np.bincount(stratum[order[:leftover]], minlength=caps.size)
 
-    return AllocationResult(per_stratum=tuple(int(c) for c in counts),
-                            per_stratum_weight=tuple(float(w) for w in weights))
+    return tuple(int(c) for c in counts), tuple(float(w) for w in weights)
 
 
 def reduce_channel(channel: Channel, sizes, counts, seed: int,

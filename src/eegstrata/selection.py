@@ -4,12 +4,16 @@ Stage one scores candidate subsets by the classic correlation-based merit
 (high feature-class correlation, low feature-feature redundancy) explored
 with a best-first search. Stage two drops selected features whose values
 rarely fall inside a band derived from their own min and max.
+
+The correlations are the float64 pair (ff, fc) in a FeatureMatrix's column
+order, and the merit and the search work on column indices; range_filter
+and select_features map between the column names and those indices.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,41 +24,9 @@ RANGE_THRESHOLD = 0.8
 STALL_LIMIT = 5
 
 
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    names: tuple
-    feature_feature: np.ndarray = field(repr=False)
-    feature_class: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
-        ff = np.asarray(self.feature_feature, dtype=np.float64)
-        fc = np.asarray(self.feature_class, dtype=np.float64)
-        object.__setattr__(self, "feature_feature", ff)
-        object.__setattr__(self, "feature_class", fc)
-        d = len(self.names)
-        if ff.shape != (d, d) or fc.shape != (d,):
-            raise DataError("correlation matrix shapes do not match the feature names")
-        if not np.allclose(ff, ff.T, atol=1e-12, rtol=0.0):
-            raise DataError("feature-feature correlations must be symmetric")
-        if not np.allclose(np.diag(ff), 1.0, atol=1e-12, rtol=0.0):
-            raise DataError("feature-feature diagonal must be 1")
-        if np.abs(ff).max() > 1.0 + 1e-12 or (fc.size and np.abs(fc).max() > 1.0 + 1e-12):
-            raise DataError("correlations must lie in [-1, 1]")
-
-    @property
-    def n_features(self) -> int:
-        return len(self.names)
-
-    def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise ConfigError(f"unknown feature {name!r}") from None
-
-
-def correlation_matrix(fm: FeatureMatrix) -> CorrelationMatrix:
-    """Feature-feature and feature-class Pearson correlations.
+def correlation_matrix(fm: FeatureMatrix) -> tuple:
+    """Feature-feature and feature-class Pearson correlations, as the float64
+    pair (ff, fc) of shapes (d, d) and (d,) in fm's column order.
 
     The class enters as numeric 0/1 (point-biserial). Constant columns
     have no defined correlation and get 0 against everything, which
@@ -69,7 +41,8 @@ def correlation_matrix(fm: FeatureMatrix) -> CorrelationMatrix:
     x = fm.values
     centered = x - x.mean(axis=0)
     norms = np.sqrt((centered ** 2).sum(axis=0))
-    constant = norms == 0.0
+    # the mean of a constant column can round, leaving it a tiny nonzero norm
+    constant = (np.ptp(x, axis=0) == 0.0) | (norms == 0.0)
     safe = np.where(constant, 1.0, norms)
     z = centered / safe
     ff = z.T @ z
@@ -84,29 +57,31 @@ def correlation_matrix(fm: FeatureMatrix) -> CorrelationMatrix:
     fc = np.clip(z.T @ (yc / ynorm), -1.0, 1.0)
     fc[constant] = 0.0
 
-    return CorrelationMatrix(names=fm.names, feature_feature=ff, feature_class=fc)
+    return ff, fc
 
 
-def cfs_merit(subset, cm: CorrelationMatrix) -> float:
-    """Merit of a feature subset: k * mean|r_cf| / sqrt(k + k(k-1) * mean|r_ff|),
-    where the feature-feature mean runs over distinct pairs and is 0 for k=1.
-    This is the reference form; best_first_search scores the same formula
-    from running sums."""
-    idx = [cm.index(n) for n in subset]
+def cfs_merit(idx, ff: np.ndarray, fc: np.ndarray) -> float:
+    """Merit of the feature subset with these column indices:
+    k * mean|r_cf| / sqrt(k + k(k-1) * mean|r_ff|), where the feature-feature
+    mean runs over distinct pairs and is 0 for k=1. This is the reference
+    form; best_first_search scores the same formula from running sums."""
+    idx = list(idx)
     if not idx:
         raise ConfigError("merit of the empty subset is undefined")
     k = len(idx)
-    r_cf = np.abs(cm.feature_class[idx]).mean()
+    r_cf = np.abs(fc[idx]).mean()
     if k == 1:
         r_ff = 0.0
     else:
-        sub = np.abs(cm.feature_feature[np.ix_(idx, idx)])
+        sub = np.abs(ff[np.ix_(idx, idx)])
         r_ff = (sub.sum() - k) / (k * (k - 1))
     return float(k * r_cf / np.sqrt(k + k * (k - 1) * r_ff))
 
 
-def best_first_search(cm: CorrelationMatrix, stall_limit: int | None = STALL_LIMIT) -> tuple:
-    """Best-first search over feature subsets under the merit score.
+def best_first_search(ff: np.ndarray, fc: np.ndarray,
+                      stall_limit: int | None = STALL_LIMIT) -> tuple:
+    """Best-first search over feature subsets under the merit score; returns
+    the chosen column indices in ascending order.
 
     Starts from the empty set; each expansion pops the most promising open
     subset (highest merit, ties to the lexicographically smaller index
@@ -121,14 +96,14 @@ def best_first_search(cm: CorrelationMatrix, stall_limit: int | None = STALL_LIM
     Each open subset carries its two sums, so one row-sum of |r_ff| scores
     all of its extensions at once.
     """
-    d = cm.n_features
+    d = len(fc)
     if d < 1:
         raise ConfigError("search needs at least one feature")
     if stall_limit is not None and stall_limit < 1:
         raise ConfigError(f"stall_limit must be positive or None, got {stall_limit}")
 
-    abs_fc = np.abs(cm.feature_class)
-    abs_ff = np.abs(cm.feature_feature)
+    abs_fc = np.abs(fc)
+    abs_ff = np.abs(ff)
     best_idx: tuple = ()
     best_merit = 0.0
     open_heap = [(-0.0, (), 0.0, 0.0)]  # (-merit, subset, s_cf, s_ff)
@@ -162,8 +137,8 @@ def best_first_search(cm: CorrelationMatrix, stall_limit: int | None = STALL_LIM
                 break
 
     if not best_idx:
-        best_idx = (int(np.argmax(np.abs(cm.feature_class))),)
-    return tuple(cm.names[i] for i in best_idx)
+        best_idx = (int(np.argmax(abs_fc)),)
+    return best_idx
 
 
 def range_bounds(values) -> tuple:
@@ -194,15 +169,6 @@ class FeatureSubset:
     prefilter_names: tuple
     prefilter_merit: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "eliminated_by_range", tuple(self.eliminated_by_range))
-        object.__setattr__(self, "prefilter_names", tuple(self.prefilter_names))
-        if not self.names:
-            raise DataError("a feature subset cannot be empty")
-        if set(self.names) & set(self.eliminated_by_range):
-            raise DataError("kept and eliminated feature sets overlap")
-
     def to_dict(self) -> dict:
         return {
             "selected": list(self.names),
@@ -215,13 +181,15 @@ class FeatureSubset:
         }
 
 
-def range_filter(fm: FeatureMatrix, subset, threshold: float = RANGE_THRESHOLD,
-                 cm: CorrelationMatrix | None = None) -> FeatureSubset:
+def range_filter(fm: FeatureMatrix, subset, corr: tuple,
+                 threshold: float = RANGE_THRESHOLD) -> FeatureSubset:
     """Drop features whose in-band fraction falls below 1 - threshold.
 
-    Bounds come from each feature's pooled values over all instances,
-    endpoints inclusive. Should every feature fail the test, the one with
-    the highest class correlation is kept so the subset stays usable.
+    ``subset`` names columns of fm, and ``corr`` is correlation_matrix(fm),
+    the (ff, fc) pair the merits are scored with. Bounds come from each
+    feature's pooled values over all instances, endpoints inclusive. Should
+    every feature fail the test, the one with the highest class correlation
+    is kept so the subset stays usable.
     """
     subset = tuple(subset)
     if not subset:
@@ -231,8 +199,8 @@ def range_filter(fm: FeatureMatrix, subset, threshold: float = RANGE_THRESHOLD,
     for n in subset:
         if n not in fm.names:
             raise ConfigError(f"unknown feature {n!r}")
-    if cm is None:
-        cm = correlation_matrix(fm)
+    ff, fc = corr
+    index = {n: fm.names.index(n) for n in subset}
 
     bounds = {}
     fractions = {}
@@ -251,24 +219,24 @@ def range_filter(fm: FeatureMatrix, subset, threshold: float = RANGE_THRESHOLD,
 
     if not kept:
         # nothing survived; keep the most class-correlated candidate
-        ranked = max(subset, key=lambda n: (abs(cm.feature_class[cm.index(n)]), -cm.index(n)))
+        ranked = max(subset, key=lambda n: (abs(fc[index[n]]), -index[n]))
         kept = [ranked]
         eliminated = [n for n in subset if n != ranked]
 
     return FeatureSubset(
         names=tuple(kept),
-        merit=cfs_merit(kept, cm),
+        merit=cfs_merit([index[n] for n in kept], ff, fc),
         range_bounds=bounds,
         eliminated_by_range=tuple(eliminated),
         in_range_fraction=fractions,
         prefilter_names=subset,
-        prefilter_merit=cfs_merit(subset, cm),
+        prefilter_merit=cfs_merit([index[n] for n in subset], ff, fc),
     )
 
 
 def select_features(fm: FeatureMatrix, stall_limit: int | None = STALL_LIMIT,
                     threshold: float = RANGE_THRESHOLD) -> FeatureSubset:
     """Full selection: correlations, best-first merit search, range filter."""
-    cm = correlation_matrix(fm)
-    prefilter = best_first_search(cm, stall_limit=stall_limit)
-    return range_filter(fm, prefilter, threshold=threshold, cm=cm)
+    corr = correlation_matrix(fm)
+    prefilter = best_first_search(*corr, stall_limit=stall_limit)
+    return range_filter(fm, [fm.names[i] for i in prefilter], corr, threshold=threshold)

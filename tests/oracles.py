@@ -256,24 +256,25 @@ def exhaustive_best_subset(feature_class, feature_feature):
     return best, best_merit
 
 
-def _merit_by_indices_reference(idx, cm):
+def _merit_by_indices_reference(idx, ff, fc):
     """CFS merit of a non-empty index subset, rebuilt from scratch."""
     idx = list(idx)
     k = len(idx)
-    r_cf = np.abs(cm.feature_class[idx]).mean()
+    r_cf = np.abs(fc[idx]).mean()
     if k == 1:
         r_ff = 0.0
     else:
-        sub = np.abs(cm.feature_feature[np.ix_(idx, idx)])
+        sub = np.abs(ff[np.ix_(idx, idx)])
         r_ff = (sub.sum() - k) / (k * (k - 1))
     return float(k * r_cf / np.sqrt(k + k * (k - 1) * r_ff))
 
 
-def best_first_search_reference(cm, stall_limit=5):
+def best_first_search_reference(ff, fc, stall_limit=5):
     """Best-first search with every child subset's merit rebuilt with np.ix_:
     the reference for selection.best_first_search, with the same heap order,
-    tie rule, stall rule and empty-set fallback, and no argument checks."""
-    d = cm.n_features
+    tie rule, stall rule and empty-set fallback, and no argument checks;
+    returns the chosen column indices."""
+    d = len(fc)
     best_idx = ()
     best_merit = 0.0
     open_heap = [(-0.0, ())]
@@ -289,7 +290,7 @@ def best_first_search_reference(cm, stall_limit=5):
             if child in seen:
                 continue
             seen.add(child)
-            merit = _merit_by_indices_reference(child, cm)
+            merit = _merit_by_indices_reference(child, ff, fc)
             heapq.heappush(open_heap, (-merit, child))
             if merit > best_merit or (merit == best_merit and child < best_idx):
                 best_idx = child
@@ -303,8 +304,8 @@ def best_first_search_reference(cm, stall_limit=5):
                 break
 
     if not best_idx:
-        best_idx = (int(np.argmax(np.abs(cm.feature_class))),)
-    return tuple(cm.names[i] for i in best_idx)
+        best_idx = (int(np.argmax(np.abs(fc))),)
+    return best_idx
 
 
 def load_channel_reference(path):

@@ -65,8 +65,8 @@ def test_criterion_4_allocation_conservation():
                             samples=rng.standard_normal(length))
                     for j in range(n_channels)]
         n_bar = int(rng.integers(k, length + 1))
-        alloc = allocate(channels, sizes, n_bar)
-        per = np.asarray(alloc.per_stratum)
+        counts, _ = allocate(channels, sizes, n_bar)
+        per = np.asarray(counts)
         assert per.sum() == n_bar
         assert np.all(per <= np.asarray(sizes))
         assert np.all(per >= 0)
@@ -85,10 +85,9 @@ def test_criterion_5_search_matches_exhaustive():
         values = rng.standard_normal((40, 8))
         fm = FeatureMatrix(names=tuple(f"f{i}" for i in range(8)), values=values,
                            labels=labels)
-        cm = correlation_matrix(fm)
-        got = best_first_search(cm, stall_limit=None)
-        ref_idx, _ = oracles.exhaustive_best_subset(cm.feature_class, cm.feature_feature)
-        if got == tuple(cm.names[i] for i in ref_idx):
+        ff, fc = correlation_matrix(fm)
+        ref_idx, _ = oracles.exhaustive_best_subset(fc, ff)
+        if best_first_search(ff, fc, stall_limit=None) == ref_idx:
             agreements += 1
     elapsed = time.monotonic() - start
     ok = agreements == 100 and elapsed < 30.0
@@ -179,9 +178,8 @@ def test_criterion_8_real_data_bands(tmp_path):
 
     # per-stratum allocation for set A alone at the 95% sample size
     a_channels = load_set(set_dirs["A"], "A")
-    alloc = allocate(a_channels, stratify(4097, 4), 2872)
-    alloc_ok = all(abs(got - want) <= 2
-                   for got, want in zip(alloc.per_stratum, (696, 718, 731, 727)))
+    counts, _ = allocate(a_channels, stratify(4097, 4), 2872)
+    alloc_ok = all(abs(got - want) <= 2 for got, want in zip(counts, (696, 718, 731, 727)))
 
     cfg = PipelineConfig(data_dir=str(root), cases=("Case1", "Case2", "Case3"),
                          confidence_levels=(95,), out_dir=str(tmp_path))
@@ -199,7 +197,7 @@ def test_criterion_8_real_data_bands(tmp_path):
     filter_ok = shrunk >= 2
 
     ok = alloc_ok and bands_ok and filter_ok
-    _verdict(8, ok, f"set-A allocation {tuple(alloc.per_stratum)} (want (696, 718, 731, 727) +/-2), "
+    _verdict(8, ok, f"set-A allocation {counts} (want (696, 718, 731, 727) +/-2), "
                     f"accuracies {means} vs bands {bands}, range filter shrank {shrunk}/3 cases (>= 2)")
 
 

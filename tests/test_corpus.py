@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from eegstrata import (Channel, ConfigError, DataError, case_channels,
                        generate_synthetic_case, load_channel, load_set,
                        save_channel)
+from eegstrata.corpus import MAX_BURST_AMPLITUDE
 
 
 def test_load_save_round_trip(tmp_path):
@@ -139,3 +142,16 @@ def test_synthetic_validation():
         generate_synthetic_case(0, 128, seed=0)
     with pytest.raises(ConfigError):
         generate_synthetic_case(4, 16, seed=0)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_synthetic_burst_amplitude_is_bounded_so_samples_stay_finite(sign):
+    """An amplitude whose overlapping bursts would overflow float64 is refused
+    before any arithmetic; the largest one allowed gives finite samples."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="burst_amplitude must be at most 2.24712e"):
+            generate_synthetic_case((2, 20), 4097, 0, burst_amplitude=sign * 1e308)
+        channels = generate_synthetic_case((2, 20), 4097, 0,
+                                           burst_amplitude=sign * MAX_BURST_AMPLITUDE)
+    assert all(np.isfinite(ch.samples).all() for ch, _ in channels)

@@ -486,12 +486,15 @@ def test_cli_feature_file_is_checked_against_its_names_and_labels(tmp_path, edit
     (("selection.range_threshold", "nan"), "range_threshold must be in [0, 1], got nan"),
     (("nb.var_floor", "nan"), "var_floor must be positive and finite, got nan"),
     (("synthetic.burst_amplitude", "inf"), "ingest: burst_amplitude must be finite, got inf"),
+    (("synthetic.burst_amplitude", "1e308"),
+     "ingest: burst_amplitude must be at most 2.24712e+307 in magnitude, got 1e+308"),
     (("e", "2"), "e must be in (0, 1), got 2.0"),
     (("strata", "0"), "n_strata must be at least 1, got 0"),
     (("cases", "Case1, Case1"), "case Case1 is listed twice"),
     (("confidence", "95, 95"), "confidence level 95 is listed twice"),
 ], ids=["classifier", "cv-folds", "cv-repeats", "stall-limit", "range-threshold",
-        "range-threshold-nan", "nb-var-floor-nan", "burst-amplitude-inf", "e", "strata",
+        "range-threshold-nan", "nb-var-floor-nan", "burst-amplitude-inf",
+        "burst-amplitude-1e308", "e", "strata",
         "case-twice", "confidence-twice"])
 def test_cli_bad_classifier_or_cv_fails_before_any_stage(tmp_path, capsys, change, fragment):
     assert main(["pipeline", "--config", str(_small_conf(tmp_path / "run.conf", [change]))]) == 2
@@ -609,14 +612,44 @@ def test_cli_os_and_decode_errors_exit_cleanly(tmp_path, command, code):
     _assert_child_error(args, args[-1], code)
 
 
+def _run_child(args):
+    """Run the CLI in a separate interpreter, with the package on PYTHONPATH."""
+    env = {**os.environ, "PYTHONPATH": str(Path(eegstrata.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "eegstrata", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 def _assert_child_error(args, fragment, code=3):
     """Run the CLI in a separate interpreter, so an uncaught exception would
     show as a traceback: it must exit with code and a message holding
     fragment. Returns its stderr."""
-    env = {**os.environ, "PYTHONPATH": str(Path(eegstrata.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-m", "eegstrata", *args],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = _run_child(args)
     assert proc.returncode == code, proc.stderr
     assert str(fragment) in proc.stderr
     assert "Traceback" not in proc.stderr
     return proc.stderr
+
+
+def _scaled_bonn_corpus(root):
+    """A 3-file-per-set Bonn corpus whose set E (directory S) is scaled by
+    1e160, so its stratum variances overflow float64."""
+    corpus_gen.write_corpus(root, seed=0, n_per_set=3, length=1024)
+    for path in (root / "S").glob("*.txt"):
+        path.write_text("".join(f"{float(v) * 1e160!r}\n" for v in path.read_text().split()))
+    return ["--data", str(root), "--case", "Case1"]
+
+
+@pytest.mark.parametrize("setup, code, stderr", [
+    (_scaled_bonn_corpus, 4, "error: sample: Case1 class 1: stratum 0 weight is not finite: "
+                             "its variance overflows float64; rescale the data\n"),
+    (lambda root: ["--config", str(_small_conf(root / "run.conf",
+                                               [("synthetic.burst_amplitude", "1e308")]))],
+     2, "error: ingest: burst_amplitude must be at most 2.24712e+307 in magnitude, got 1e+308\n"),
+    (lambda root: ["--config", str(_small_conf(root / "run.conf"))], 0, ""),
+], ids=["variance-overflow", "burst-amplitude-1e308", "success"])
+def test_cli_stderr_is_one_error_line_or_empty(tmp_path, setup, code, stderr):
+    """numpy's own warnings are attributed to numpy, not eegstrata, so only a
+    separate interpreter's stderr shows them: a refused run prints exactly
+    its one error line, and a run that succeeds prints nothing."""
+    proc = _run_child(["pipeline", *setup(tmp_path), "--out", str(tmp_path / "out")])
+    assert (proc.returncode, proc.stderr) == (code, stderr)

@@ -7,7 +7,6 @@ from eegstrata import (ConfigError, DataError, FeatureMatrix, PipelineConfig,
                        range_bounds, range_filter, select_features)
 from eegstrata.evaluation import kfold_split
 from eegstrata.pipeline import stage_extract, stage_ingest, stage_sample
-from eegstrata.selection import CorrelationMatrix
 
 
 def _matrix(values, labels, names=None):
@@ -24,24 +23,64 @@ def test_correlation_matrix_known_entries():
         np.arange(6, dtype=float),     # duplicate column
         np.full(6, 3.0),               # constant
     ])
-    cm = correlation_matrix(_matrix(values, labels))
-    assert cm.feature_class[0] == pytest.approx(1.0)
-    assert cm.feature_feature[1, 2] == pytest.approx(1.0)
-    assert cm.feature_class[3] == 0.0
-    assert np.all(cm.feature_feature[3, :3] == 0.0)
-    assert cm.feature_feature[3, 3] == 1.0
+    ff, fc = correlation_matrix(_matrix(values, labels))
+    assert fc[0] == pytest.approx(1.0)
+    assert ff[1, 2] == pytest.approx(1.0)
+    assert fc[3] == 0.0
+    assert np.all(ff[3, :3] == 0.0)
+    assert ff[3, 3] == 1.0
 
 
 def test_correlation_matrix_properties():
+    """fc is the textbook Pearson correlation with the label; and over finite
+    matrices with constant and duplicated columns, ff is symmetric with a
+    unit diagonal, every correlation lies in [-1, 1], a constant column is 0
+    against everything and a duplicated pair has |r| = 1."""
     rng = np.random.default_rng(1)
     fm = _matrix(rng.standard_normal((50, 5)), rng.integers(0, 2, 50))
-    cm = correlation_matrix(fm)
-    np.testing.assert_allclose(cm.feature_feature, cm.feature_feature.T, atol=1e-15)
-    np.testing.assert_allclose(np.diag(cm.feature_feature), 1.0)
-    assert np.abs(cm.feature_feature).max() <= 1.0
+    _, fc = correlation_matrix(fm)
     for i in range(5):
         expected = oracles.pearson_direct(fm.values[:, i], fm.labels)
-        assert cm.feature_class[i] == pytest.approx(expected, abs=1e-10)
+        assert fc[i] == pytest.approx(expected, abs=1e-10)
+
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    finite = st.floats(-1e100, 1e100)  # squared deviations summed over 30 rows stay finite
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(data=st.data())
+    # a constant 0.1 over 3 rows has a mean that rounds away from 0.1
+    @hypothesis.example(data=None)
+    def check(data):
+        if data is None:
+            labels, cols = [0, 1, 0], [[0.0, 1.0, 3.0], [0.1] * 3, [0.0, 1.0, 3.0]]
+        else:
+            n = data.draw(st.integers(2, 30), label="n")
+            labels = [0, 1] + data.draw(st.lists(st.integers(0, 1), min_size=n - 2,
+                                                 max_size=n - 2), label="labels")
+            cols = data.draw(st.lists(st.lists(finite, min_size=n, max_size=n),
+                                      min_size=1, max_size=5), label="columns")
+            cols += [[v] * n for v in data.draw(st.lists(finite, max_size=2), label="constants")]
+            cols += [cols[i] for i in data.draw(st.lists(st.integers(0, len(cols) - 1),
+                                                         max_size=2), label="duplicated")]
+            cols = data.draw(st.permutations(cols), label="order")
+        values = np.array(cols, dtype=np.float64).T
+        ff, fc = correlation_matrix(_matrix(values, labels))
+        assert ff.dtype == fc.dtype == np.float64
+        assert np.array_equal(ff, ff.T)
+        assert np.all(np.diag(ff) == 1.0)
+        assert np.all(np.abs(ff) <= 1.0) and np.all(np.abs(fc) <= 1.0)
+        d = values.shape[1]
+        for j in range(d):
+            if np.ptp(values[:, j]) == 0.0:
+                assert fc[j] == 0.0
+                assert np.all(np.delete(ff[j], j) == 0.0)
+            for k in range(j + 1, d):
+                # a spread whose squares do not underflow has a nonzero norm
+                if np.array_equal(values[:, j], values[:, k]) and np.ptp(values[:, j]) > 1e-150:
+                    assert abs(ff[j, k]) == pytest.approx(1.0, abs=1e-12)
+
+    check()
 
 
 def test_correlation_matrix_single_class_raises():
@@ -50,17 +89,15 @@ def test_correlation_matrix_single_class_raises():
         correlation_matrix(_matrix(rng.standard_normal((10, 3)), np.zeros(10, dtype=int)))
 
 
-def _toy_cm(fc, ff, names=None):
-    d = len(fc)
-    names = names or tuple(f"f{i}" for i in range(d))
-    return CorrelationMatrix(names=names, feature_feature=np.asarray(ff, dtype=float),
-                             feature_class=np.asarray(fc, dtype=float))
+def _toy_cm(fc, ff):
+    """The (ff, fc) pair of the given feature-class and feature-feature correlations."""
+    return np.asarray(ff, dtype=float), np.asarray(fc, dtype=float)
 
 
 def test_merit_reference_values():
-    cm = _toy_cm([0.8, 0.5, 0.5], np.eye(3))
-    assert cfs_merit(["f0"], cm) == pytest.approx(0.8)
-    assert cfs_merit(["f1", "f2"], cm) == pytest.approx(2 * 0.5 / np.sqrt(2))
+    ff, fc = _toy_cm([0.8, 0.5, 0.5], np.eye(3))
+    assert cfs_merit([0], ff, fc) == pytest.approx(0.8)
+    assert cfs_merit([1, 2], ff, fc) == pytest.approx(2 * 0.5 / np.sqrt(2))
 
 
 def test_merit_redundant_feature_never_helps():
@@ -71,38 +108,34 @@ def test_merit_redundant_feature_never_helps():
         labels = rng.integers(0, 2, 40)
         if labels.min() == labels.max():
             continue
-        cm = correlation_matrix(_matrix(values, labels))
-        with_dup = cfs_merit(["f0", "f4"], cm)
-        without = cfs_merit(["f0"], cm)
+        corr = correlation_matrix(_matrix(values, labels))
+        with_dup = cfs_merit([0, 4], *corr)
+        without = cfs_merit([0], *corr)
         assert with_dup <= without + 1e-12
 
 
 def test_merit_matches_direct_oracle():
     rng = np.random.default_rng(4)
     fm = _matrix(rng.standard_normal((60, 6)), rng.integers(0, 2, 60))
-    cm = correlation_matrix(fm)
-    for subset in (["f0"], ["f1", "f3"], ["f0", "f2", "f4", "f5"]):
-        idx = [int(n[1:]) for n in subset]
-        ref = oracles.merit_direct(idx, cm.feature_class, cm.feature_feature)
-        assert cfs_merit(subset, cm) == pytest.approx(ref, abs=1e-12)
+    ff, fc = correlation_matrix(fm)
+    for idx in ([0], [1, 3], [0, 2, 4, 5]):
+        ref = oracles.merit_direct(idx, fc, ff)
+        assert cfs_merit(idx, ff, fc) == pytest.approx(ref, abs=1e-12)
 
 
 def test_merit_affine_rescale_invariance():
     rng = np.random.default_rng(5)
     values = rng.standard_normal((50, 4))
     labels = rng.integers(0, 2, 50)
-    before = cfs_merit(["f0", "f1", "f2"], correlation_matrix(_matrix(values, labels)))
+    before = cfs_merit([0, 1, 2], *correlation_matrix(_matrix(values, labels)))
     values[:, 1] = 3.0 * values[:, 1] + 7.0
-    after = cfs_merit(["f0", "f1", "f2"], correlation_matrix(_matrix(values, labels)))
+    after = cfs_merit([0, 1, 2], *correlation_matrix(_matrix(values, labels)))
     assert after == pytest.approx(before, abs=1e-9)
 
 
 def test_merit_errors():
-    cm = _toy_cm([0.5], [[1.0]])
     with pytest.raises(ConfigError):
-        cfs_merit([], cm)
-    with pytest.raises(ConfigError):
-        cfs_merit(["nope"], cm)
+        cfs_merit([], *_toy_cm([0.5], [[1.0]]))
 
 
 def test_best_first_finds_the_label_feature():
@@ -110,29 +143,27 @@ def test_best_first_finds_the_label_feature():
     labels = rng.integers(0, 2, 80)
     values = rng.standard_normal((80, 6)) * 0.5
     values[:, 3] = labels.astype(float)
-    cm = correlation_matrix(_matrix(values, labels))
-    assert best_first_search(cm) == ("f3",)
+    assert best_first_search(*correlation_matrix(_matrix(values, labels))) == (3,)
 
 
 def test_best_first_stall_limit_behavior():
     rng = np.random.default_rng(7)
     labels = np.tile([0, 1], 40)
-    cm = correlation_matrix(_matrix(rng.standard_normal((80, 8)), labels))
-    eager = best_first_search(cm, stall_limit=1)
-    patient = best_first_search(cm, stall_limit=None)
-    assert cfs_merit(patient, cm) >= cfs_merit(eager, cm) - 1e-12
+    corr = correlation_matrix(_matrix(rng.standard_normal((80, 8)), labels))
+    eager = best_first_search(*corr, stall_limit=1)
+    patient = best_first_search(*corr, stall_limit=None)
+    assert cfs_merit(patient, *corr) >= cfs_merit(eager, *corr) - 1e-12
     with pytest.raises(ConfigError):
-        best_first_search(cm, stall_limit=0)
+        best_first_search(*corr, stall_limit=0)
 
 
 def test_best_first_beats_every_singleton():
     rng = np.random.default_rng(8)
     fm = _matrix(rng.standard_normal((60, 7)), rng.integers(0, 2, 60))
-    cm = correlation_matrix(fm)
-    chosen = best_first_search(cm)
-    best = cfs_merit(chosen, cm)
-    for name in cm.names:
-        assert best >= cfs_merit([name], cm) - 1e-12
+    corr = correlation_matrix(fm)
+    best = cfs_merit(best_first_search(*corr), *corr)
+    for i in range(len(fm.names)):
+        assert best >= cfs_merit([i], *corr) - 1e-12
 
 
 def test_best_first_equals_exhaustive_oracle():
@@ -141,10 +172,9 @@ def test_best_first_equals_exhaustive_oracle():
         labels = rng.integers(0, 2, 40)
         if labels.min() == labels.max():
             continue
-        cm = correlation_matrix(_matrix(rng.standard_normal((40, 7)), labels))
-        got = best_first_search(cm, stall_limit=None)
-        ref_idx, _ = oracles.exhaustive_best_subset(cm.feature_class, cm.feature_feature)
-        assert got == tuple(cm.names[i] for i in ref_idx)
+        ff, fc = correlation_matrix(_matrix(rng.standard_normal((40, 7)), labels))
+        ref_idx, _ = oracles.exhaustive_best_subset(fc, ff)
+        assert best_first_search(ff, fc, stall_limit=None) == ref_idx
 
 
 def _fold_training_matrices(out_dir, seed):
@@ -179,13 +209,13 @@ def _random_matrices(n_matrices, seed):
     return out
 
 
-def _tie_between_duplicates(got, ref, cm):
+def _tie_between_duplicates(got, ref, ff, fc):
     """got and ref differ only by exchanging duplicated columns (|r_ff| = 1),
     so their merits tie in exact arithmetic and rounding picks the winner."""
-    gi, ri = {cm.index(n) for n in got}, {cm.index(n) for n in ref}
+    gi, ri = set(got), set(ref)
     swapped = len(gi - ri) == len(ri - gi) and all(
-        any(abs(cm.feature_feature[a, b]) == 1.0 for b in ri - gi) for a in gi - ri)
-    return swapped and cfs_merit(got, cm) == pytest.approx(cfs_merit(ref, cm), abs=1e-12)
+        any(abs(ff[a, b]) == 1.0 for b in ri - gi) for a in gi - ri)
+    return swapped and cfs_merit(got, ff, fc) == pytest.approx(cfs_merit(ref, ff, fc), abs=1e-12)
 
 
 # f2 and f5 are duplicates; here the two searches break the {f0, f2|f5, f4}
@@ -213,11 +243,11 @@ def test_best_first_matches_reference_search(tmp_path):
     fms = (_fold_training_matrices(tmp_path / "s0", 0)
            + _fold_training_matrices(tmp_path / "s1", 1)
            + _random_matrices(100, seed=16))
-    for cm in [correlation_matrix(fm) for fm in fms] + [_DUPLICATE_TIE]:
+    for ff, fc in [correlation_matrix(fm) for fm in fms] + [_DUPLICATE_TIE]:
         for stall_limit in (1, 2, 5):
-            got = best_first_search(cm, stall_limit=stall_limit)
-            ref = oracles.best_first_search_reference(cm, stall_limit=stall_limit)
-            assert got == ref or _tie_between_duplicates(got, ref, cm), (stall_limit, got, ref)
+            got = best_first_search(ff, fc, stall_limit=stall_limit)
+            ref = oracles.best_first_search_reference(ff, fc, stall_limit=stall_limit)
+            assert got == ref or _tie_between_duplicates(got, ref, ff, fc), (stall_limit, got, ref)
 
 
 def test_range_bounds_reference_points():
@@ -237,7 +267,7 @@ def test_range_filter_keeps_and_drops():
     outlier = np.where(rng.uniform(size=60) < 0.5, 0.01, 0.99)
     outlier[:3] = 0.5  # a little mass inside, below the 20% cutoff
     fm = _matrix(np.column_stack([inside, outlier]), labels, names=("good", "spread"))
-    subset = range_filter(fm, ("good", "spread"))
+    subset = range_filter(fm, ("good", "spread"), correlation_matrix(fm))
     assert subset.names == ("good",)
     assert subset.eliminated_by_range == ("spread",)
     lo, hi = subset.range_bounds["spread"]
@@ -250,7 +280,7 @@ def test_range_filter_threshold_one_keeps_everything():
     rng = np.random.default_rng(11)
     labels = np.tile([0, 1], 20)
     fm = _matrix(rng.uniform(size=(40, 3)), labels)
-    subset = range_filter(fm, ("f0", "f1", "f2"), threshold=1.0)
+    subset = range_filter(fm, ("f0", "f1", "f2"), correlation_matrix(fm), threshold=1.0)
     assert subset.names == ("f0", "f1", "f2")
     assert subset.eliminated_by_range == ()
 
@@ -261,7 +291,7 @@ def test_range_filter_fallback_keeps_most_correlated():
     f0 = np.where(np.random.default_rng(12).uniform(size=40) < 0.5, 0.0, 1.0)
     f1 = labels * 1000.0 - 500.0
     fm = _matrix(np.column_stack([f0, f1]), labels)
-    subset = range_filter(fm, ("f0", "f1"))
+    subset = range_filter(fm, ("f0", "f1"), correlation_matrix(fm))
     assert subset.names == ("f1",)
     assert set(subset.eliminated_by_range) == {"f0"}
 
@@ -273,8 +303,8 @@ def test_range_filter_row_order_invariant():
     fm = _matrix(values, labels)
     perm = rng.permutation(50)
     shuffled = _matrix(values[perm], labels[perm])
-    a = range_filter(fm, fm.names)
-    b = range_filter(shuffled, shuffled.names)
+    a = range_filter(fm, fm.names, correlation_matrix(fm))
+    b = range_filter(shuffled, shuffled.names, correlation_matrix(shuffled))
     assert a.names == b.names
     assert a.range_bounds == b.range_bounds
 

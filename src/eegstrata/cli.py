@@ -16,8 +16,8 @@ from typing import get_args, get_origin, get_type_hints
 from .classifiers import CLASSIFIER_KINDS
 from .errors import ConfigError, DataError, DegenerateDataError
 from .pipeline import (REPORT_FORMATS, PipelineConfig, artifact_path,
-                       assemble_report, emit_report, resolve_levels, run_pipeline,
-                       stage_classify, stage_extract, stage_ingest,
+                       assemble_report, emit_report, load_corpus, resolve_levels,
+                       run_pipeline, stage_classify, stage_extract, stage_ingest,
                        stage_sample, stage_select)
 from .sampler import SELECTION_POLICIES
 
@@ -176,6 +176,12 @@ def _ingest(cfg, args):
         print(f"  set {s}: {count} channels")
 
 
+def _sample(cfg, args):
+    corpus = load_corpus(cfg)  # parsed once for every level
+    _per_level(lambda cfg, label, z: stage_sample(cfg, label, z, corpus),
+               _show_sampling)(cfg, args)
+
+
 def _pipeline(cfg, args):
     sys.stdout.write(emit_report(run_pipeline(cfg), "table").decode())
     print(f"report written to {artifact_path(cfg, 'report')}")
@@ -198,7 +204,7 @@ _COMMON = (
 # Each stage subcommand: name, help, flags beside _COMMON, run(cfg, args).
 _COMMANDS = (
     ("ingest", "run the ingest stage", _DATA, _ingest),
-    ("sample", "run the sample stage", _POLICY, _per_level(stage_sample, _show_sampling)),
+    ("sample", "run the sample stage", _POLICY, _sample),
     ("extract", "run the extract stage", _POLICY, _per_level(
         lambda cfg, label, z: stage_extract(cfg, label),
         lambda cfg, z, fm: f": {fm.n_rows} channels x {fm.n_features} features")),

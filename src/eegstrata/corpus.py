@@ -106,7 +106,11 @@ def save_channel(channel: Channel, path) -> None:
 
 def _set_channel_files(directory: Path) -> list[Path]:
     files = {p.name: p for p in directory.glob("*.txt")}
-    files.update({p.name: p for p in directory.glob("*.TXT")})
+    for p in directory.glob("*.TXT"):
+        # both would be channel <set>/<stem>, written back to one <stem>.txt
+        if p.stem + ".txt" in files:
+            raise DataError(f"{directory}: {p.name} and {p.stem}.txt are the same channel")
+        files[p.name] = p
     return [files[name] for name in sorted(files)]
 
 

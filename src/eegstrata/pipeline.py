@@ -1,15 +1,19 @@
 """End-to-end orchestration: ingest, sample, extract, select, classify, report.
 
-Every stage reads its inputs from and writes its outputs to the output
-directory, so a single `run_pipeline` call and the equivalent sequence of
-stage calls produce byte-identical artifacts. Nothing here depends on
-wall-clock time; a (config, seed) pair fully determines every output byte.
+Every stage writes its outputs to the output directory. Called on its own,
+a stage reads its inputs from there; `run_pipeline` instead hands each
+stage's output to the next in memory, so it generates or parses its input
+corpus once and never parses a channel file it wrote itself. The files are
+checkpoints: after its input is resolved a stage runs the same code either
+way, and `repr` round-trips float64, so a single `run_pipeline` call and the
+equivalent sequence of stage calls produce byte-identical artifacts. Nothing
+here depends on wall-clock time; a (config, seed) pair fully determines every
+output byte.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 from dataclasses import asdict, dataclass
@@ -269,8 +273,30 @@ def _read(cfg: PipelineConfig, kind: str, *where):
     return data
 
 
-def stage_ingest(cfg: PipelineConfig) -> dict:
-    """Resolve (or synthesize) the channel corpus and write the manifest."""
+def _clear_channels(directory: Path) -> None:
+    """Remove the channel files an earlier run left in a directory this run writes."""
+    for path in _set_channel_files(directory):
+        path.unlink()
+
+
+def _file_name(ch) -> str:
+    """The name of the file a channel is written to, in its set's directory."""
+    return f"{ch.id.rsplit('/', 1)[-1]}.txt"
+
+
+def _in_file_order(by_name: dict) -> list:
+    """Channels keyed by file name, in the order load_set reads those files:
+    by name, so syn1000.txt comes before syn101.txt."""
+    return [by_name[name] for name in sorted(by_name)]
+
+
+def stage_ingest(cfg: PipelineConfig, corpus: dict | None = None) -> dict:
+    """Resolve (or synthesize) the channel corpus and write the manifest.
+
+    A synthetic corpus is written to the data directory; corpus, if a dict,
+    also receives it there, each set's channels in load_set's order. From a
+    data directory ingest parses nothing and corpus stays as it is.
+    """
     needed = sorted({s for case in cfg.cases for sets in CASE_SETS[case] for s in sets})
     if cfg.synthetic:
         if cfg.cases != ("Case1",):
@@ -279,9 +305,15 @@ def stage_ingest(cfg: PipelineConfig) -> dict:
                                            cfg.synthetic_length, cfg.seed,
                                            burst_amplitude=cfg.synthetic_burst_amplitude)
         root = artifact_path(cfg, "data")
-        for ch, _ in channels:
-            save_channel(ch, root / ch.set_label / f"{ch.id.rsplit('/', 1)[-1]}.txt")
         set_dirs = {s: root / s for s in needed}
+        by_name = {s: {} for s in needed}
+        for directory in set_dirs.values():
+            _clear_channels(directory)
+        for ch, _ in channels:
+            save_channel(ch, set_dirs[ch.set_label] / _file_name(ch))
+            by_name[ch.set_label][_file_name(ch)] = ch
+        if corpus is not None:
+            corpus.update((s, _in_file_order(chans)) for s, chans in by_name.items())
     else:
         if not cfg.data_dir:
             raise ConfigError("either a data directory or synthetic data is required")
@@ -308,20 +340,36 @@ def stage_ingest(cfg: PipelineConfig) -> dict:
     return manifest
 
 
-def stage_sample(cfg: PipelineConfig, label: str, z: float) -> dict:
-    """Reduce every channel of every case at one confidence level."""
-    out = {}
+def load_corpus(cfg: PipelineConfig) -> dict:
+    """Each set cfg's cases draw on, parsed once from the directory the
+    manifest names, as a list of channels in load_set's order."""
     set_dirs = _read(cfg, "manifest")["set_dirs"]
-
-    @functools.cache  # for this call only: cases that share a set parse it once
-    def load(set_label):
-        if set_label not in set_dirs:  # case_id is the case being built
-            raise DataError(f"{case_id}: set {set_label} is not in the manifest; "
-                            "run 'ingest' again")
-        return load_set(set_dirs[set_label], set_label)
-
+    corpus = {}
     for case_id in cfg.cases:
-        channels = case_channels(case_id, load)
+        for set_label in (s for sets in CASE_SETS[case_id] for s in sets):
+            if set_label in corpus:
+                continue
+            if set_label not in set_dirs:
+                raise DataError(f"{case_id}: set {set_label} is not in the manifest; "
+                                "run 'ingest' again")
+            corpus[set_label] = load_set(set_dirs[set_label], set_label)
+    return corpus
+
+
+def stage_sample(cfg: PipelineConfig, label: str, z: float, corpus: dict | None = None,
+                 reduced: dict | None = None) -> dict:
+    """Reduce every channel of every case at one confidence level.
+
+    corpus is each set's channels as stage_ingest or load_corpus gives them;
+    load_corpus parses them when it is None. reduced, if a dict, receives
+    each case's reduced (channel, label) pairs, in the order extract reads
+    their files. Returns each case's sampling.
+    """
+    if corpus is None:
+        corpus = load_corpus(cfg)
+    samplings = {}
+    for case_id in cfg.cases:
+        channels = case_channels(case_id, corpus.__getitem__)
         lengths = {len(ch) for ch, _ in channels}
         if len(lengths) != 1:
             raise DataError(f"{case_id}: channels have mixed lengths {sorted(lengths)}")
@@ -346,12 +394,17 @@ def stage_sample(cfg: PipelineConfig, label: str, z: float) -> dict:
                         "lower n_strata or raise the confidence level")
 
         reduced_dir = artifact_path(cfg, "reduced", label, case_id)
+        by_name = {s: {} for sets in CASE_SETS[case_id] for s in sets}
+        for set_label in by_name:
+            _clear_channels(reduced_dir / set_label)
         for ch, lab in channels:
-            reduced = reduce_channel(ch, design["plan"], counts[lab],
-                                     seed=derive_seed(cfg.seed, "reduce", ch.id),
-                                     policy=cfg.policy)
-            stem = ch.id.rsplit("/", 1)[-1]
-            save_channel(reduced, reduced_dir / ch.set_label / f"{stem}.txt")
+            kept = reduce_channel(ch, design["plan"], counts[lab],
+                                  seed=derive_seed(cfg.seed, "reduce", ch.id), policy=cfg.policy)
+            save_channel(kept, reduced_dir / ch.set_label / _file_name(ch))
+            if reduced is not None:  # else each is released once written
+                by_name[ch.set_label][_file_name(ch)] = kept
+        if reduced is not None:
+            reduced[case_id] = case_channels(case_id, lambda s: _in_file_order(by_name[s]))
 
         sampling = {
             "case": case_id, "length": length, "z": z, **design,
@@ -359,17 +412,22 @@ def stage_sample(cfg: PipelineConfig, label: str, z: float) -> dict:
                         for lab in (0, 1)},
         }
         _write_json(artifact_path(cfg, "sampling", label, case_id), sampling)
-        out[case_id] = sampling
-    return out
+        samplings[case_id] = sampling
+    return samplings
 
 
-def stage_extract(cfg: PipelineConfig, label: str) -> dict:
-    """Turn reduced channels into per-case feature matrices."""
+def stage_extract(cfg: PipelineConfig, label: str, reduced: dict | None = None) -> dict:
+    """Turn reduced channels into per-case feature matrices. reduced is what
+    stage_sample gave; each case's reduced channel files are parsed when it
+    is None."""
     out = {}
     for case_id in cfg.cases:
         classes = _read(cfg, "sampling", label, case_id)["classes"]
-        reduced_dir = artifact_path(cfg, "reduced", label, case_id)
-        channels = case_channels(case_id, lambda s: load_set(reduced_dir / s, s))
+        if reduced is None:
+            reduced_dir = artifact_path(cfg, "reduced", label, case_id)
+            channels = case_channels(case_id, lambda s: load_set(reduced_dir / s, s))
+        else:
+            channels = reduced[case_id]
         try:
             # one call per class, whose channels share a plan; case_channels
             # lists class 0 first, so the rows stay in case order
@@ -497,11 +555,20 @@ def _stage(name: str, fn, *args):
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict:
-    """All stages in order for every configured confidence level."""
-    _stage("ingest", stage_ingest, cfg)
-    for label, z in resolve_levels(cfg):
-        _stage("sample", stage_sample, cfg, label, z)
-        _stage("extract", stage_extract, cfg, label)
+    """All stages in order for every configured confidence level, each
+    handing its channels to the next in memory: the corpus is generated or
+    parsed once for every level, and sample's reduced channels go to extract."""
+    corpus, reduced = {}, {}
+    _stage("ingest", stage_ingest, cfg, corpus)
+    if not corpus:  # a data directory: ingest parsed nothing
+        corpus = _stage("sample", load_corpus, cfg)
+    levels = resolve_levels(cfg)
+    for i, (label, z) in enumerate(levels, 1):
+        _stage("sample", stage_sample, cfg, label, z, corpus, reduced)
+        if i == len(levels):
+            corpus.clear()  # released after its last reader, as reduced is below
+        _stage("extract", stage_extract, cfg, label, reduced)
+        reduced.clear()
         _stage("select", stage_select, cfg, label)
         _stage("classify", stage_classify, cfg, label)
     return _stage("report", assemble_report, cfg)

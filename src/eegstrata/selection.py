@@ -40,7 +40,14 @@ def correlation_matrix(fm: FeatureMatrix) -> tuple:
 
     x = fm.values
     centered = x - x.mean(axis=0)
-    norms = np.sqrt((centered ** 2).sum(axis=0))
+    with np.errstate(over="ignore"):
+        norms = np.sqrt((centered ** 2).sum(axis=0))
+    # a spread beyond about 1e154 overflows its square: scale such a column
+    # by its largest magnitude first, leaving every other norm as it was
+    big = np.isinf(norms)
+    if big.any():
+        scale = np.abs(centered[:, big]).max(axis=0)
+        norms[big] = scale * np.sqrt(((centered[:, big] / scale) ** 2).sum(axis=0))
     # the mean of a constant column can round, leaving it a tiny nonzero norm
     constant = (np.ptp(x, axis=0) == 0.0) | (norms == 0.0)
     safe = np.where(constant, 1.0, norms)

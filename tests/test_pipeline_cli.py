@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -91,21 +92,131 @@ def test_rerun_is_byte_identical(tiny_run):
     assert before == after
 
 
+def _files(out: Path) -> dict:
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*"))
+            if p.is_file()}
+
+
+def _run_staged(cfg):
+    """Every stage called on its own, so each reads its inputs from out_dir."""
+    stage_ingest(cfg)
+    for label, z in resolve_levels(cfg):
+        stage_sample(cfg, label, z)
+        stage_extract(cfg, label)
+        stage_select(cfg, label)
+        stage_classify(cfg, label)
+    assemble_report(cfg)
+
+
+def _assert_staged_run_matches_one_shot(cfg):
+    """Both runs write the same files, byte for byte, into the same out_dir,
+    emptied in between so that neither sees the other's files."""
+    _run_staged(cfg)
+    staged = _files(Path(cfg.out_dir))
+    shutil.rmtree(cfg.out_dir)
+    run_pipeline(cfg)
+    assert _files(Path(cfg.out_dir)) == staged
+
+
 def test_staged_run_matches_one_shot(tiny_run, tmp_path):
     cfg, _ = tiny_run
-    staged_cfg = dataclasses.replace(cfg, out_dir=str(tmp_path / "staged"))
-    stage_ingest(staged_cfg)
-    for label, z in resolve_levels(staged_cfg):
-        stage_sample(staged_cfg, label, z)
-        stage_extract(staged_cfg, label)
-        stage_select(staged_cfg, label)
-        stage_classify(staged_cfg, label)
-    assemble_report(staged_cfg)
-    staged = json.loads((Path(staged_cfg.out_dir) / "report.json").read_text())
-    oneshot = json.loads((Path(cfg.out_dir) / "report.json").read_text())
-    staged["config"].pop("out_dir")
-    oneshot["config"].pop("out_dir")
-    assert staged == oneshot
+    _assert_staged_run_matches_one_shot(dataclasses.replace(cfg, out_dir=str(tmp_path)))
+
+
+@pytest.fixture(scope="module")
+def bonn_corpus(tmp_path_factory):
+    """Three channels per set of a seeded Bonn-layout corpus, and their paths."""
+    root = tmp_path_factory.mktemp("bonn")
+    return root, corpus_gen.write_corpus(root, seed=0, n_per_set=3, length=1024)
+
+
+def _bonn_config(root, out, levels):
+    return PipelineConfig(data_dir=str(root), cases=("Case1", "Case2", "Case3"),
+                          confidence_levels=levels, classifier="nb", cv_folds=3,
+                          cv_repeats=1, out_dir=str(out))
+
+
+def test_staged_run_matches_one_shot_on_a_data_directory(bonn_corpus, tmp_path):
+    _assert_staged_run_matches_one_shot(_bonn_config(bonn_corpus[0], tmp_path, (70, 99)))
+
+
+def _count_loads(monkeypatch) -> list:
+    loaded, load_channel = [], corpus.load_channel
+    monkeypatch.setattr(corpus, "load_channel",
+                        lambda path, *args: loaded.append(path) or load_channel(path, *args))
+    return loaded
+
+
+def test_synthetic_run_parses_no_channel_file(tiny_run, tmp_path, monkeypatch):
+    cfg, _ = tiny_run
+    loaded = _count_loads(monkeypatch)
+    run_pipeline(dataclasses.replace(cfg, out_dir=str(tmp_path)))
+    assert loaded == []
+
+
+def test_data_directory_run_parses_each_channel_file_once(bonn_corpus, tmp_path, monkeypatch):
+    root, paths = bonn_corpus
+    loaded = _count_loads(monkeypatch)
+    report = run_pipeline(_bonn_config(root, tmp_path, (70, 85, 95, 99)))
+    assert len(report["levels"]) == 4 and all(len(row["cases"]) == 3 for row in report["levels"])
+    assert sorted(loaded) == sorted(paths)
+
+
+def test_cli_sample_parses_each_channel_file_once_for_every_level(bonn_corpus, tmp_path,
+                                                                  monkeypatch):
+    root, paths = bonn_corpus
+    args = ["--case", "Case1", "--case", "Case2", "--case", "Case3", "--out", str(tmp_path)]
+    assert main(["ingest", "--data", str(root), *args]) == 0
+    loaded = _count_loads(monkeypatch)
+    assert main(["sample", "--confidence", "70,85,95,99", *args]) == 0
+    assert sorted(loaded) == sorted(paths)
+    assert len(list(tmp_path.glob("confidence_*/sampling_Case*.json"))) == 12
+
+
+def test_channels_in_memory_are_in_file_name_order(tmp_path):
+    """Past 1000 channels of a set, syn1000.txt sorts before syn101.txt: the
+    channels ingest and sample hand on come in the order load_set reads them."""
+    cfg = PipelineConfig(synthetic=True, synthetic_n0=2, synthetic_n1=1001, synthetic_length=256,
+                         n_strata=2, out_dir=str(tmp_path))
+    generated, reduced = {}, {}
+    stage_ingest(cfg, generated)
+    stage_sample(cfg, "95", 1.96, generated, reduced)
+    ids = [ch.id for ch in generated["E"]]
+    assert ids.index("E/syn1000") == ids.index("E/syn101") - 1
+    for set_label, channels in generated.items():
+        loaded = corpus.load_set(tmp_path / "data" / set_label, set_label)
+        assert [ch.id for ch in channels] == [ch.id for ch in loaded]
+        assert all(np.array_equal(a.samples, b.samples) for a, b in zip(channels, loaded))
+    reduced_dir = tmp_path / "confidence_95" / "reduced" / "Case1"
+    assert [(ch.id, lab) for ch, lab in reduced["Case1"]] == [
+        (ch.id, lab) for ch, lab in corpus.case_channels(
+            "Case1", lambda s: corpus.load_set(reduced_dir / s, s))]
+
+
+def test_rerun_with_fewer_channels_leaves_no_stale_channel_files(tmp_path):
+    """ingest rewrites data/<SET>/ and sample confidence_<x>/reduced/<case>/
+    whole, so a staged rerun reads only its own corpus."""
+    cfg = PipelineConfig(synthetic=True, synthetic_n0=14, synthetic_n1=7, synthetic_length=512,
+                         classifier="nb", cv_folds=3, cv_repeats=1, out_dir=str(tmp_path))
+    run_pipeline(cfg)
+    smaller = dataclasses.replace(cfg, synthetic_n0=10)
+    _run_staged(smaller)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["channels_per_set"] == {"A": 5, "B": 5, "E": 7}
+    assert len(list((tmp_path / "data").rglob("*.txt"))) == 17
+    assert len(list((tmp_path / "confidence_95" / "reduced").rglob("*.txt"))) == 17
+    staged = _files(tmp_path)
+    report = run_pipeline(smaller)
+    assert report["levels"][0]["cases"]["Case1"]["n_channels"] == 17
+    assert _files(tmp_path) == staged
+
+
+def test_channel_files_that_differ_only_in_suffix_case_are_refused(tmp_path):
+    """x.txt and x.TXT would both be channel <set>/x, reduced into one x.txt."""
+    path = _write_bonn_corpus(tmp_path / "corpus", 256)
+    path.with_suffix(".TXT").write_bytes(path.read_bytes())
+    _assert_child_error(["ingest", "--data", str(tmp_path / "corpus"), "--out", str(tmp_path)],
+                        f"{path.stem}.TXT and {path.name} are the same channel")
 
 
 def test_report_formats(tiny_run):

@@ -83,6 +83,22 @@ def test_correlation_matrix_properties():
     check()
 
 
+def test_correlation_matrix_of_a_column_whose_square_overflows(recwarn):
+    """A spread of 1e160 overflows the direct sum of squares; the column is
+    scaled first, so it still tracks the label, the one an unscaled copy
+    (spread 1) tracks, and no warning is raised."""
+    rng = np.random.default_rng(0)
+    labels = np.repeat([0, 1], 20)
+    tracks = rng.standard_normal(40) + labels
+    values = np.column_stack([rng.standard_normal(40), 1e160 * tracks, rng.standard_normal(40)])
+    ff, fc = correlation_matrix(_matrix(values, labels, ("a", "b", "c")))
+    unscaled = correlation_matrix(_matrix(values[:, :2] / [1.0, 1e160], labels))
+    assert fc[1] == pytest.approx(unscaled[1][1], rel=1e-12)
+    assert ff[0, 1] == pytest.approx(unscaled[0][0, 1], rel=1e-12)
+    assert select_features(_matrix(values, labels, ("a", "b", "c"))).names == ("b",)
+    assert len(recwarn) == 0
+
+
 def test_correlation_matrix_single_class_raises():
     rng = np.random.default_rng(2)
     with pytest.raises(DataError):

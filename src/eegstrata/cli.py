@@ -18,7 +18,7 @@ from .errors import ConfigError, DataError, DegenerateDataError
 from .pipeline import (REPORT_FORMATS, PipelineConfig, artifact_path,
                        assemble_report, emit_report, load_corpus, resolve_levels,
                        run_pipeline, stage_classify, stage_extract, stage_ingest,
-                       stage_sample, stage_select)
+                       stage_sample, stage_select, _stage)
 from .sampler import SELECTION_POLICIES
 
 # The config file's one list of keys, in template order: each section's
@@ -248,8 +248,10 @@ def main(argv=None) -> int:
     try:
         if args.command == "init-config":
             _init_config(Path(args.path))
-        else:
+        elif args.command == "pipeline":  # run_pipeline names the failing stage itself
             args.run(build_config(args), args)
+        else:
+            _stage(args.command, args.run, build_config(args), args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,12 +3,13 @@
 Every stage writes its outputs to the output directory. Called on its own,
 a stage reads its inputs from there; `run_pipeline` instead hands each
 stage's output to the next in memory, so it generates or parses its input
-corpus once and never parses a channel file it wrote itself. The files are
-checkpoints: after its input is resolved a stage runs the same code either
-way, and `repr` round-trips float64, so a single `run_pipeline` call and the
-equivalent sequence of stage calls produce byte-identical artifacts. Nothing
-here depends on wall-clock time; a (config, seed) pair fully determines every
-output byte.
+corpus once and never parses a channel file it wrote itself. `_write_set`
+writes every directory of channel files and hands on its channels in the
+order `load_set` reads them back. The files are checkpoints: after its input
+is resolved a stage runs the same code either way, and `repr` round-trips
+float64, so a single `run_pipeline` call and the equivalent sequence of stage
+calls produce byte-identical artifacts. Nothing here depends on wall-clock
+time; a (config, seed) pair fully determines every output byte.
 """
 
 from __future__ import annotations
@@ -106,6 +107,9 @@ class PipelineConfig:
                     )
         if not self.out_dir:
             raise ConfigError("an output directory is required")
+        if self.synthetic and self.synthetic_n0 < 2:
+            raise ConfigError("synthetic n0 must be at least 2, one channel each for sets A and B, "
+                              f"got {self.synthetic_n0}")
         # build what sample (for the shortest channel strata allow) and classify
         # build, and check what classify reads, so a bad setting fails before
         # any stage writes
@@ -273,20 +277,16 @@ def _read(cfg: PipelineConfig, kind: str, *where):
     return data
 
 
-def _clear_channels(directory: Path) -> None:
-    """Remove the channel files an earlier run left in a directory this run writes."""
+def _write_set(directory: Path, channels) -> list:
+    """Replace directory's channel files with one <stem>.txt per channel; return
+    the channels in load_set's order, by file name (syn1000.txt before syn101.txt)."""
     for path in _set_channel_files(directory):
         path.unlink()
-
-
-def _file_name(ch) -> str:
-    """The name of the file a channel is written to, in its set's directory."""
-    return f"{ch.id.rsplit('/', 1)[-1]}.txt"
-
-
-def _in_file_order(by_name: dict) -> list:
-    """Channels keyed by file name, in the order load_set reads those files:
-    by name, so syn1000.txt comes before syn101.txt."""
+    by_name = {}
+    for ch in channels:
+        name = f"{ch.id.rsplit('/', 1)[-1]}.txt"
+        save_channel(ch, directory / name)
+        by_name[name] = ch
     return [by_name[name] for name in sorted(by_name)]
 
 
@@ -294,8 +294,8 @@ def stage_ingest(cfg: PipelineConfig, corpus: dict | None = None) -> dict:
     """Resolve (or synthesize) the channel corpus and write the manifest.
 
     A synthetic corpus is written to the data directory; corpus, if a dict,
-    also receives it there, each set's channels in load_set's order. From a
-    data directory ingest parses nothing and corpus stays as it is.
+    receives each set's channels as _write_set returns them. From a data
+    directory ingest parses nothing and corpus stays as it is.
     """
     needed = sorted({s for case in cfg.cases for sets in CASE_SETS[case] for s in sets})
     if cfg.synthetic:
@@ -306,14 +306,10 @@ def stage_ingest(cfg: PipelineConfig, corpus: dict | None = None) -> dict:
                                            burst_amplitude=cfg.synthetic_burst_amplitude)
         root = artifact_path(cfg, "data")
         set_dirs = {s: root / s for s in needed}
-        by_name = {s: {} for s in needed}
-        for directory in set_dirs.values():
-            _clear_channels(directory)
-        for ch, _ in channels:
-            save_channel(ch, set_dirs[ch.set_label] / _file_name(ch))
-            by_name[ch.set_label][_file_name(ch)] = ch
+        written = {s: _write_set(d, [ch for ch, _ in channels if ch.set_label == s])
+                   for s, d in set_dirs.items()}
         if corpus is not None:
-            corpus.update((s, _in_file_order(chans)) for s, chans in by_name.items())
+            corpus.update(written)
     else:
         if not cfg.data_dir:
             raise ConfigError("either a data directory or synthetic data is required")
@@ -394,17 +390,17 @@ def stage_sample(cfg: PipelineConfig, label: str, z: float, corpus: dict | None 
                         "lower n_strata or raise the confidence level")
 
         reduced_dir = artifact_path(cfg, "reduced", label, case_id)
-        by_name = {s: {} for sets in CASE_SETS[case_id] for s in sets}
-        for set_label in by_name:
-            _clear_channels(reduced_dir / set_label)
-        for ch, lab in channels:
-            kept = reduce_channel(ch, design["plan"], counts[lab],
-                                  seed=derive_seed(cfg.seed, "reduce", ch.id), policy=cfg.policy)
-            save_channel(kept, reduced_dir / ch.set_label / _file_name(ch))
-            if reduced is not None:  # else each is released once written
-                by_name[ch.set_label][_file_name(ch)] = kept
+        written = {}
+        for set_label in (s for sets in CASE_SETS[case_id] for s in sets):
+            # reduced one at a time, each just before it is written
+            kept = _write_set(reduced_dir / set_label, (
+                reduce_channel(ch, design["plan"], counts[lab],
+                               seed=derive_seed(cfg.seed, "reduce", ch.id), policy=cfg.policy)
+                for ch, lab in channels if ch.set_label == set_label))
+            if reduced is not None:  # else released once its set is written
+                written[set_label] = kept
         if reduced is not None:
-            reduced[case_id] = case_channels(case_id, lambda s: _in_file_order(by_name[s]))
+            reduced[case_id] = case_channels(case_id, written.__getitem__)
 
         sampling = {
             "case": case_id, "length": length, "z": z, **design,

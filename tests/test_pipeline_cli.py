@@ -14,7 +14,7 @@ import pytest
 import eegstrata
 import oracles
 from eegstrata import (ConfigError, FeatureMatrix, PipelineConfig,
-                       assemble_report, corpus, emit_report,
+                       assemble_report, corpus, emit_report, pipeline,
                        required_sample_size, run_pipeline)
 from eegstrata.cli import (CONFIG_TEMPLATE, build_config, build_parser, main,
                            parse_config_file)
@@ -191,6 +191,30 @@ def test_channels_in_memory_are_in_file_name_order(tmp_path):
     assert [(ch.id, lab) for ch, lab in reduced["Case1"]] == [
         (ch.id, lab) for ch, lab in corpus.case_channels(
             "Case1", lambda s: corpus.load_set(reduced_dir / s, s))]
+
+
+@pytest.mark.parametrize("source", ["synthetic", "data-directory"])
+def test_one_shot_and_staged_runs_write_channels_alike(bonn_corpus, tmp_path, monkeypatch, source):
+    """Each save_channel call is a leaf span that the benchmark cuts wall_s
+    at: run_pipeline and the stages run one by one make the same calls in
+    the same order, each writes each path once, and the paths written are
+    exactly the channel files on disk."""
+    out = tmp_path / "out"
+    cfg = (PipelineConfig(synthetic=True, synthetic_n0=5, synthetic_n1=3, synthetic_length=256,
+                          n_strata=2, confidence_levels=(70, 95), classifier="nb", cv_folds=2,
+                          cv_repeats=1, out_dir=str(out)) if source == "synthetic"
+           else _bonn_config(bonn_corpus[0], out, (70, 95)))
+    saved, save_channel = [], pipeline.save_channel
+    monkeypatch.setattr(pipeline, "save_channel",
+                        lambda ch, path: saved.append(Path(path)) or save_channel(ch, path))
+    _run_staged(cfg)
+    staged = saved[:]
+    shutil.rmtree(out)
+    saved.clear()
+    run_pipeline(cfg)
+    assert saved == staged
+    assert len(set(saved)) == len(saved)
+    assert set(saved) == set(out.rglob("*.txt"))
 
 
 def test_rerun_with_fewer_channels_leaves_no_stale_channel_files(tmp_path):
@@ -535,7 +559,7 @@ def test_cli_allocation_other_than_the_reduced_channels_names_case_and_channel(t
     counts[0] += 1  # one count more than the reduced files hold
     path.write_text(json.dumps(sampling))
     assert _assert_child_error(["extract", "--config", str(conf)], "") == \
-        "error: Case1: channel 'A/syn000' has length 486, but its strata cover 487\n"
+        "error: extract: Case1: channel 'A/syn000' has length 486, but its strata cover 487\n"
 
 
 @pytest.mark.parametrize("change, command, artifact, key", [
@@ -585,7 +609,8 @@ def test_cli_feature_file_is_checked_against_its_names_and_labels(tmp_path, edit
         assert main([stage, "--config", str(conf)]) == 0
     path = tmp_path / "out" / "confidence_95" / "features_Case1.csv"
     path.write_text(edit(path.read_text()))
-    assert _assert_child_error([command, "--config", str(conf)], "") == f"error: {path}{message}\n"
+    assert _assert_child_error([command, "--config", str(conf)], "") == (
+        f"error: {command}: {path}{message}\n")
 
 
 @pytest.mark.parametrize("change, fragment", [
@@ -603,14 +628,40 @@ def test_cli_feature_file_is_checked_against_its_names_and_labels(tmp_path, edit
     (("strata", "0"), "n_strata must be at least 1, got 0"),
     (("cases", "Case1, Case1"), "case Case1 is listed twice"),
     (("confidence", "95, 95"), "confidence level 95 is listed twice"),
+    # one class-0 channel would leave set B empty
+    (("synthetic.n0", "1"), "synthetic n0 must be at least 2, one channel each for sets A and B"),
 ], ids=["classifier", "cv-folds", "cv-repeats", "stall-limit", "range-threshold",
         "range-threshold-nan", "nb-var-floor-nan", "burst-amplitude-inf",
         "burst-amplitude-1e308", "e", "strata",
-        "case-twice", "confidence-twice"])
+        "case-twice", "confidence-twice", "synthetic-n0"])
 def test_cli_bad_classifier_or_cv_fails_before_any_stage(tmp_path, capsys, change, fragment):
     assert main(["pipeline", "--config", str(_small_conf(tmp_path / "run.conf", [change]))]) == 2
     assert fragment in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, before, change, code, message", [
+    ("ingest", [], ("synthetic.n1", "0"), 2, "n_per_class must be at least 1 for each class"),
+    ("sample", [], (), 3, "missing {out}/manifest.json; run 'ingest' first"),
+    ("extract", ["ingest"], (), 3,
+     "missing {out}/confidence_95/sampling_Case1.json; run 'sample' first"),
+    ("select", ["ingest", "sample"], (), 3,
+     "missing {out}/confidence_95/features_Case1.csv; run 'extract' first"),
+    ("classify", ["ingest", "sample", "extract"], ("cv.folds", "4"), 2,
+     "class 1 has 3 rows, fewer than 4 folds"),
+    ("report", ["ingest", "sample", "extract", "select"], (), 3,
+     "missing {out}/confidence_95/evaluation_Case1.json; run 'classify' first"),
+])
+def test_cli_stage_command_names_its_stage_in_errors(tmp_path, capsys, command, before, change,
+                                                      code, message):
+    """A stage run on its own names itself as pipeline names the stage that fails."""
+    conf = _small_conf(tmp_path / "run.conf", [change] if change else [])
+    for stage in before:
+        assert main([stage, "--config", str(conf)]) == 0
+    capsys.readouterr()
+    assert main([command, "--config", str(conf)]) == code
+    assert capsys.readouterr().err == (
+        f"error: {command}: {message.format(out=tmp_path / 'out')}\n")
 
 
 @pytest.mark.parametrize("stages", [
@@ -695,7 +746,7 @@ def test_cli_feature_that_is_not_finite_names_case_channel_and_feature(tmp_path)
     n = len(path.read_text().splitlines())
     path.write_text("".join(f"{v!r}\n" for v in np.resize([1e300, -1e300], n).tolist()))
     assert _assert_child_error(["extract", "--config", str(conf)], "") == (
-        f"error: Case1: channel 'E/{path.stem}': feature s1_std is inf; "
+        f"error: extract: Case1: channel 'E/{path.stem}': feature s1_std is inf; "
         "feature values must be finite\n")
 
 

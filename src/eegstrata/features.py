@@ -6,14 +6,17 @@ into k strata yields a row of 15*k values, named by feature_names(k)
 map to finite documented values instead of NaN so downstream selection
 never sees missing data.
 
-Each feature but sample entropy is one array kernel over the rows of a
-(rows, samples) block; the public one-signal functions run the same kernel
-on a one-row block.
+Each feature is one function over a signal or a (rows, samples) block:
+given one signal it returns Python floats, given a block one float64 value
+per row. Sample entropy alone takes one signal, and stratum_features calls
+it row by row; extract_vector hands stratum_features each stratum of its
+channels as one block.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -35,19 +38,31 @@ MIN_STRATUM_LENGTH = 64
 # candidate template pairs sample_entropy tests at once: 64 KB per int64 or
 # float64 temporary, whatever the stratum (a constant one admits every pair)
 SAMPEN_BLOCK = 8192
-# extract_vector hands the kernels at most this many samples of a stratum
+# extract_vector hands stratum_features at most this many samples of a stratum
 # at once, (channels, samples), so each of their temporaries stays near
 # 512 KB whatever the number of channels
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def _as_floats(x, min_len: int, what: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise DataError(f"{what} expects a 1-d sequence, got shape {arr.shape}")
-    if arr.size < min_len:
-        raise DataError(f"{what} needs at least {min_len} samples, got {arr.size}")
-    return arr
+def _per_row(min_len: int):
+    """Turn a kernel over the rows of a (rows, samples) block x into the
+    feature function of a signal or a block, with at least min_len samples
+    a row: for a block it returns the kernel's float64 values, one per row,
+    and for a signal those of its one-row block as Python floats."""
+    def wrap(kernel):
+        @functools.wraps(kernel)
+        def feature(x, *args, **kwargs):
+            arr = np.asarray(x, dtype=np.float64)
+            if arr.ndim not in (1, 2) or arr.shape[-1] < min_len or not arr.size:
+                raise DataError(f"{kernel.__name__} needs a signal of at least {min_len} samples "
+                                f"or a (rows, samples) block of such rows, got shape {arr.shape}")
+            out = kernel(np.atleast_2d(arr), *args, **kwargs)
+            if arr.ndim == 1:
+                out = ({name: float(v[0]) for name, v in out.items()} if isinstance(out, dict)
+                       else float(out[0]))
+            return out
+        return feature
+    return wrap
 
 
 def _row_sums(values, keep) -> np.ndarray:
@@ -110,37 +125,56 @@ def _mode(block) -> np.ndarray:
     return ranked[np.arange(len(ranked)), best]
 
 
-def _basic_stats(block) -> dict:
+@_per_row(2)
+def basic_stats(x) -> dict:
+    """Min, max, mean, median, mode, std (n-1), skewness, kurtosis.
+
+    Skewness is g1 = m3 / m2^1.5 and kurtosis is m4 / m2^2 (Pearson, so a
+    normal distribution sits near 3), both from population moments. The std
+    and both ratios are 0 for a constant input, even where its mean rounds.
+    Moments that overflow or underflow are taken on a copy rescaled by a
+    power of two instead.
+    The mode is the most frequent value after rounding to 6 decimals,
+    ties broken toward the smallest value.
+    """
     # a constant row whose mean rounds has a std and m2 above 0: judge it by its span
-    varies = np.ptp(block, axis=1) > 0.0
-    skewness, kurtosis = _shape_moments(block, varies)
+    varies = np.ptp(x, axis=1) > 0.0
+    skewness, kurtosis = _shape_moments(x, varies)
     return {
-        "min": block.min(axis=1),
-        "max": block.max(axis=1),
-        "mean": block.mean(axis=1),
-        "median": np.median(block, axis=1),
-        "mode": _mode(block),
-        "std": np.where(varies, block.std(axis=1, ddof=1), 0.0),
+        "min": x.min(axis=1),
+        "max": x.max(axis=1),
+        "mean": x.mean(axis=1),
+        "median": np.median(x, axis=1),
+        "mode": _mode(x),
+        "std": np.where(varies, x.std(axis=1, ddof=1), 0.0),
         "skewness": skewness,
         "kurtosis": kurtosis,
     }
 
 
-def _quartiles(block) -> dict:
-    q1, q3 = np.quantile(block, [0.25, 0.75], axis=1)
+@_per_row(4)
+def quartiles(x) -> dict:
+    """First and third quartile by linear interpolation at position (n-1)*q,
+    plus their difference."""
+    q1, q3 = np.quantile(x, [0.25, 0.75], axis=1)
     return {"q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def _shannon_entropy(block, bins: int) -> np.ndarray:
-    """Entropy of each row's histogram, binned by np.histogram's rule for
-    uniform bins: the index from the row's span, the top bin taking the
+@_per_row(2)
+def shannon_entropy(x, bins: int = ENTROPY_BINS) -> float | np.ndarray:
+    """Entropy in bits of the equal-width histogram over [min, max].
+
+    Bounded by log2(bins); a constant signal has no spread and returns 0,
+    and one whose span overflows NaN. Samples are binned by np.histogram's
+    rule for uniform bins: the index from the span, the top bin taking the
     maximum, then one bin down or up where the index disagrees with the
-    np.linspace edges. A row whose span overflows gets NaN."""
-    lo, hi = block.min(axis=1), block.max(axis=1)
+    np.linspace edges.
+    """
+    lo, hi = x.min(axis=1), x.max(axis=1)
     span = hi - lo
     out = np.where(lo == hi, 0.0, np.nan)
     live = np.flatnonzero(np.isfinite(span) & (span > 0.0))
-    x, lo, hi, span = block[live], lo[live, None], hi[live], span[live, None]
+    x, lo, hi, span = x[live], lo[live, None], hi[live], span[live, None]
     edges = np.arange(bins + 1.0) * (span / bins) + lo
     edges[:, -1] = hi
     index = (((x - lo) / span) * bins).astype(np.intp)
@@ -153,34 +187,6 @@ def _shannon_entropy(block, bins: int) -> np.ndarray:
     p = np.where(occupied, counts, 1) / x.shape[1]
     out[live] = -_row_sums(p * np.log2(p), occupied)
     return out
-
-
-def basic_stats(x) -> dict:
-    """Min, max, mean, median, mode, std (n-1), skewness, kurtosis.
-
-    Skewness is g1 = m3 / m2^1.5 and kurtosis is m4 / m2^2 (Pearson, so a
-    normal distribution sits near 3), both from population moments. The std
-    and both ratios are 0 for a constant input, even where its mean rounds.
-    Moments that overflow or underflow are taken on a copy rescaled by a
-    power of two instead.
-    The mode is the most frequent value after rounding to 6 decimals,
-    ties broken toward the smallest value.
-    """
-    return _one_row(_basic_stats, _as_floats(x, 2, "basic_stats"))
-
-
-def quartiles(x) -> dict:
-    """First and third quartile by linear interpolation at position (n-1)*q,
-    plus their difference."""
-    return _one_row(_quartiles, _as_floats(x, 4, "quartiles"))
-
-
-def shannon_entropy(x, bins: int = ENTROPY_BINS) -> float:
-    """Entropy in bits of the equal-width histogram over [min, max].
-
-    Bounded by log2(bins); a constant signal has no spread and returns 0.
-    """
-    return float(_shannon_entropy(_as_floats(x, 2, "shannon_entropy")[None], bins)[0])
 
 
 def sample_entropy(x, m: int = 2, r_factor: float = 0.2) -> float:
@@ -198,7 +204,10 @@ def sample_entropy(x, m: int = 2, r_factor: float = 0.2) -> float:
     pair is tested with the same float comparisons as an all-pairs loop,
     so A and B are the same integers.
     """
-    arr = _as_floats(x, m + 2, "sample_entropy")
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim != 1 or arr.size < m + 2:
+        raise DataError(f"sample_entropy needs a signal of at least {m + 2} samples, "
+                        f"got shape {arr.shape}")
     n = arr.size
     r = r_factor * arr.std()
     n_m = n - m
@@ -249,14 +258,24 @@ def sample_entropy(x, m: int = 2, r_factor: float = 0.2) -> float:
     return float(-np.log(a / b) + 0.0)
 
 
-def _hurst(block) -> np.ndarray:
-    """hurst_exponent of each row: every row's windows of one size at once,
-    then one least-squares fit for all rows with the same usable sizes."""
-    rows, n = block.shape
+@_per_row(MIN_STRATUM_LENGTH)
+def hurst_exponent(x) -> float | np.ndarray:
+    """Rescaled-range estimate of the Hurst exponent.
+
+    The signal is split into non-overlapping windows of dyadic sizes
+    8..n/2; each window contributes R/S where R is the range of the
+    cumulative mean-adjusted sum and S the window's standard deviation
+    (constant windows, whose max equals their min, are skipped). The slope
+    of log(R/S) against log(size) is clamped to [0, 1]; if no window size
+    yields a valid average the neutral 0.5 is returned. A block's rows have
+    their windows of one size taken at once, then one least-squares fit for
+    all rows with the same usable sizes.
+    """
+    rows, n = x.shape
     log_sizes, log_rs, usable = [], [], []
     w = 8
     while w <= n // 2:
-        windows = block[:, : (n // w) * w].reshape(rows, -1, w)
+        windows = x[:, : (n // w) * w].reshape(rows, -1, w)
         centered = windows - windows.mean(axis=2, keepdims=True)
         z = np.cumsum(centered, axis=2)
         stds = np.sqrt(np.mean(centered * centered, axis=2))  # windows.std(axis=2)
@@ -288,26 +307,24 @@ def _hurst(block) -> np.ndarray:
     return out
 
 
-def hurst_exponent(x) -> float:
-    """Rescaled-range estimate of the Hurst exponent.
-
-    The signal is split into non-overlapping windows of dyadic sizes
-    8..n/2; each window contributes R/S where R is the range of the
-    cumulative mean-adjusted sum and S the window's standard deviation
-    (constant windows, whose max equals their min, are skipped). The slope
-    of log(R/S) against log(size) is clamped to [0, 1]; if no window size
-    yields a valid average the neutral 0.5 is returned.
-    """
-    return float(_hurst(_as_floats(x, MIN_STRATUM_LENGTH, "hurst_exponent")[None])[0])
-
-
-def _fluctuation_index(block) -> np.ndarray:
-    return np.mean(np.abs(np.diff(block, axis=1)), axis=1)
-
-
-def fluctuation_index(x) -> float:
+@_per_row(2)
+def fluctuation_index(x) -> float | np.ndarray:
     """Mean absolute first difference."""
-    return float(_fluctuation_index(_as_floats(x, 2, "fluctuation_index")[None])[0])
+    return np.mean(np.abs(np.diff(x, axis=1)), axis=1)
+
+
+@_per_row(MIN_STRATUM_LENGTH)
+def stratum_features(x) -> dict:
+    """All 15 features of a stratum keyed by feature name. Each feature's
+    function takes the whole block, but sample_entropy one row at a time;
+    each is looked up on the module at every call."""
+    out = basic_stats(x)
+    out.update(quartiles(x))
+    out["shannon_entropy"] = shannon_entropy(x)
+    out["hurst"] = hurst_exponent(x)
+    out["fluctuation_index"] = fluctuation_index(x)
+    out["sample_entropy"] = np.array([sample_entropy(row) for row in x])
+    return out
 
 
 @dataclass(frozen=True)
@@ -392,29 +409,6 @@ class FeatureMatrix:
         return cls(names=names, values=np.array(values), labels=np.array(labels))
 
 
-def _features(block) -> dict:
-    """All 15 features of each row of a (rows, samples) block, as arrays
-    keyed by feature name: one array kernel per feature, but sample entropy
-    row by row."""
-    out = _basic_stats(block)
-    out.update(_quartiles(block))
-    out["shannon_entropy"] = _shannon_entropy(block, ENTROPY_BINS)
-    out["hurst"] = _hurst(block)
-    out["fluctuation_index"] = _fluctuation_index(block)
-    out["sample_entropy"] = np.array([sample_entropy(row) for row in block])
-    return out
-
-
-def _one_row(kernel, arr) -> dict:
-    """A kernel's arrays for the one-row block of arr, as floats."""
-    return {name: float(values[0]) for name, values in kernel(arr[None]).items()}
-
-
-def stratum_features(x) -> dict:
-    """All 15 features of one stratum keyed by feature name."""
-    return _one_row(_features, _as_floats(x, MIN_STRATUM_LENGTH, "stratum_features"))
-
-
 def feature_names(n_strata: int) -> tuple:
     """Names of the values of a feature row over n_strata strata, in row
     order: stratum by stratum from 1, FEATURE_ORDER within each."""
@@ -425,8 +419,8 @@ def extract_vector(channels, sizes) -> np.ndarray:
     """Feature rows of channels that share a cut into strata of the given
     sizes, one row per channel: 15 float64 values per stratum, named by
     feature_names(len(sizes)). Each stratum of all channels is one
-    (channels, samples) block, handed to the kernels in row chunks of at
-    most _BLOCK_ELEMENTS samples."""
+    (channels, samples) block, handed to stratum_features in row chunks of
+    at most _BLOCK_ELEMENTS samples."""
     channels = list(channels)
     if not channels:
         raise DataError("feature extraction needs at least one channel")
@@ -443,7 +437,7 @@ def extract_vector(channels, sizes) -> np.ndarray:
             # finite samples can still overflow the moments; the check below
             # names the feature that came out inf or NaN, so numpy need not warn
             with np.errstate(all="ignore"):
-                feats = _features(block[lo:lo + step])
+                feats = stratum_features(block[lo:lo + step])
             rows[lo:lo + step, i * width:(i + 1) * width] = np.column_stack(
                 [feats[feature] for feature in FEATURE_ORDER])
     bad = np.argwhere(~np.isfinite(rows))

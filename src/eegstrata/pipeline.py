@@ -26,7 +26,7 @@ from .classifiers import KNN_K, NB_VAR_FLOOR, RF_TREES, make_classifier
 from .corpus import (BONN_PREFIX_TO_SET, CASE_SETS, case_channels, generate_synthetic_case,
                      load_set, save_channel, _set_channel_files)
 from .errors import ConfigError, DataError, DegenerateDataError, EegStrataError
-from .evaluation import SELECTION_MODES, run_cv, weighted_accuracy
+from .evaluation import SELECTION_MODES, kfold_split, run_cv, weighted_accuracy
 from .features import MIN_STRATUM_LENGTH, FeatureMatrix, extract_vector, feature_names
 from .sampler import (CONFIDENCE_Z, SELECTION_POLICIES, allocate, reduce_channel,
                       required_sample_size, stratify)
@@ -110,6 +110,8 @@ class PipelineConfig:
         if self.synthetic and self.synthetic_n0 < 2:
             raise ConfigError("synthetic n0 must be at least 2, one channel each for sets A and B, "
                               f"got {self.synthetic_n0}")
+        if self.synthetic and self.synthetic_n1 < 1:
+            raise ConfigError(f"synthetic n1 must be at least 1, got {self.synthetic_n1}")
         # build what sample (for the shortest channel strata allow) and classify
         # build, and check what classify reads, so a bad setting fails before
         # any stage writes
@@ -555,6 +557,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     handing its channels to the next in memory: the corpus is generated or
     parsed once for every level, and sample's reduced channels go to extract."""
     corpus, reduced = {}, {}
+    if cfg.synthetic:  # class sizes are known now, so classify's check need not wait for it
+        _stage("classify", kfold_split, [0] * cfg.synthetic_n0 + [1] * cfg.synthetic_n1, cfg)
     _stage("ingest", stage_ingest, cfg, corpus)
     if not corpus:  # a data directory: ingest parsed nothing
         corpus = _stage("sample", load_corpus, cfg)

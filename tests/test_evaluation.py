@@ -35,31 +35,6 @@ def test_cv_config_validation():
     assert cfg.cv_folds == 10 and cfg.cv_repeats == 20
 
 
-def test_kfold_partitions_every_index_once():
-    labels = np.tile([0, 1], 150)
-    cfg = PipelineConfig(cv_folds=10, seed=3)
-    splits = kfold_split(labels, cfg)
-    assert len(splits) == 10
-    all_test = np.concatenate([test for _, test in splits])
-    assert sorted(all_test.tolist()) == list(range(300))
-    for train, test in splits:
-        assert test.size == 30
-        assert np.intersect1d(train, test).size == 0
-        assert train.size + test.size == 300
-        # indices come back sorted so downstream slicing is reproducible
-        assert np.all(np.diff(test) > 0)
-        assert np.all(np.diff(train) > 0)
-
-
-def test_kfold_stratification_preserves_class_ratio():
-    labels = np.array([0] * 200 + [1] * 100)
-    cfg = PipelineConfig(cv_folds=10, seed=4)
-    for _, test in kfold_split(labels, cfg):
-        counts = np.bincount(labels[test], minlength=2)
-        assert counts[0] == 20
-        assert counts[1] == 10
-
-
 def test_kfold_unstratified_still_partitions():
     labels = np.array([0] * 5 + [1] * 15)
     cfg = PipelineConfig(cv_folds=10, seed=5, cv_stratified=False)

@@ -1,6 +1,7 @@
-"""Property tests for the feature kernels: sample entropy against the
+"""Property tests for the feature functions: sample entropy against the
 all-pairs reference loop, extract_vector and the one-signal functions
-against the per-signal references, and moments and the IQR against scipy."""
+against the per-signal references, each function over a block against the
+same function over its rows, and moments and the IQR against scipy."""
 
 from unittest import mock
 
@@ -12,8 +13,8 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import oracles  # noqa: E402
-from eegstrata import (FEATURE_ORDER, Channel, extract_vector, features,  # noqa: E402
-                       fluctuation_index, hurst_exponent, sample_entropy, shannon_entropy,
+from eegstrata import (FEATURE_ORDER, Channel, DataError, extract_vector,  # noqa: E402
+                       features, fluctuation_index, hurst_exponent, sample_entropy, shannon_entropy,
                        stratum_features)
 from eegstrata.features import basic_stats, quartiles  # noqa: E402
 
@@ -107,16 +108,35 @@ def _stratum_tag(x):
     return float(x[0]) + 1e-3 * len(x) + float(x[-1])
 
 
+FEATURE_FUNCTIONS = (basic_stats, quartiles, shannon_entropy, hurst_exponent, fluctuation_index,
+                     stratum_features)
+
+
+def _by_name(values):
+    return values if isinstance(values, dict) else {"value": values}
+
+
 @settings(max_examples=40, deadline=None, database=None)
 @given(group=_groups())
 def test_extract_vector_equals_the_per_signal_references(group):
     channels, sizes = group
+    strata = [np.split(ch.samples, np.cumsum(sizes[:-1])) for ch in channels]
     with np.errstate(all="ignore"), mock.patch.object(features, "sample_entropy", _stratum_tag):
         got = extract_vector(channels, sizes)
         expected = np.array([[oracles.stratum_features_reference(stratum, _stratum_tag)[feature]
-                              for stratum in np.split(ch.samples, np.cumsum(sizes[:-1]))
-                              for feature in FEATURE_ORDER] for ch in channels])
-    assert (got == expected).all(), np.argwhere(got != expected)[:5]
+                              for stratum in row for feature in FEATURE_ORDER]
+                             for row in strata])
+        assert (got == expected).all(), np.argwhere(got != expected)[:5]
+        # each function gives a block's rows, as float64, what it gives each row alone
+        for block in map(np.stack, zip(*strata)):
+            for f in FEATURE_FUNCTIONS:
+                whole = _by_name(f(block))
+                for values in whole.values():
+                    assert values.dtype == np.float64 and values.shape == (len(block),)
+                for i, row in enumerate(block):
+                    assert {k: v[i] for k, v in whole.items()} == _by_name(f(row)), (f.__name__, i)
+                with pytest.raises(DataError):
+                    f(block[None])
 
 
 @st.composite

@@ -1,6 +1,8 @@
 """The benchmark's recorded outputs, checked with the tests: each workload at
 seed 0 reproduces the digests in bench/golden.json, so a change to any
-output it pins shows here, not only when bench/run.py runs."""
+output it pins shows here, not only when bench/run.py runs. The iteration
+runs traced, and the kernel timers the workload exercises must read above
+0: a timer whose target the program no longer calls would read 0."""
 
 import sys
 from pathlib import Path
@@ -9,8 +11,17 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.append(str(ROOT / "bench"))
+import tracing  # noqa: E402
 import workloads  # noqa: E402
 from run import WORKLOADS  # noqa: E402
+
+# per-layer timers of bench/tracing.py that each workload's iteration runs
+KERNEL_TIMERS = {
+    "pipeline-rf": ("features.hurst_exponent.s", "features.sample_entropy.s",
+                    "selection.best_first_search.s", "classifiers.fit.s"),
+    "classify-sweep": ("selection.best_first_search.s",),
+    "reduce-sweep": ("sampler.reduce_channel.s",),
+}
 
 
 @pytest.mark.parametrize("name", WORKLOADS)
@@ -22,5 +33,9 @@ def test_workload_reproduces_its_recorded_digests(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     workloads.prepare(name, cfg)
     workloads.reset(name, cfg)
-    results = {label: call() for label, _, call in workloads.operations(name, cfg)}
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        results = {label: call() for label, _, call in workloads.operations(name, cfg)}
     assert workloads.check(name, cfg, results) == []
+    metrics = tracer.metrics(wall_s=1.0)  # the timers do not depend on wall_s
+    assert {t: metrics[t] for t in KERNEL_TIMERS[name] if not metrics[t] > 0} == {}

@@ -630,10 +630,13 @@ def test_cli_feature_file_is_checked_against_its_names_and_labels(tmp_path, edit
     (("confidence", "95, 95"), "confidence level 95 is listed twice"),
     # one class-0 channel would leave set B empty
     (("synthetic.n0", "1"), "synthetic n0 must be at least 2, one channel each for sets A and B"),
+    (("synthetic.n1", "0"), "synthetic n1 must be at least 1, got 0"),
+    # 4 + 3 channels: classify's fold check runs before ingest
+    (("cv.folds", "4"), "classify: class 1 has 3 rows, fewer than 4 folds"),
 ], ids=["classifier", "cv-folds", "cv-repeats", "stall-limit", "range-threshold",
         "range-threshold-nan", "nb-var-floor-nan", "burst-amplitude-inf",
         "burst-amplitude-1e308", "e", "strata",
-        "case-twice", "confidence-twice", "synthetic-n0"])
+        "case-twice", "confidence-twice", "synthetic-n0", "synthetic-n1", "class-below-folds"])
 def test_cli_bad_classifier_or_cv_fails_before_any_stage(tmp_path, capsys, change, fragment):
     assert main(["pipeline", "--config", str(_small_conf(tmp_path / "run.conf", [change]))]) == 2
     assert fragment in capsys.readouterr().err
@@ -641,7 +644,8 @@ def test_cli_bad_classifier_or_cv_fails_before_any_stage(tmp_path, capsys, chang
 
 
 @pytest.mark.parametrize("command, before, change, code, message", [
-    ("ingest", [], ("synthetic.n1", "0"), 2, "n_per_class must be at least 1 for each class"),
+    ("ingest", [], ("cases", "Case2"), 2,
+     "synthetic data covers sets A/B/E, so only Case1 is supported"),
     ("sample", [], (), 3, "missing {out}/manifest.json; run 'ingest' first"),
     ("extract", ["ingest"], (), 3,
      "missing {out}/confidence_95/sampling_Case1.json; run 'sample' first"),

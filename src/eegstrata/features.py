@@ -80,17 +80,40 @@ def _row_sums(values, keep) -> np.ndarray:
     return sums
 
 
+def _unit_scale(rows) -> tuple:
+    """Each row of a block scaled by the power of two that brings its largest
+    magnitude into [0.5, 1), with the exponents that scale it back. Scaling
+    by a power of two is exact, barring underflow of the smallest values."""
+    _, exponent = np.frexp(np.abs(rows).max(axis=1))
+    return np.ldexp(rows, -exponent[:, None]), exponent
+
+
+def _std(block, ddof: int) -> np.ndarray:
+    """np.std of each row of a block. A row whose squares overflow is taken
+    on its unit-scaled copy and scaled back, which is exact, so every other
+    row keeps its direct value."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        std = block.std(axis=1, ddof=ddof)
+        bad = np.flatnonzero(~np.isfinite(std))
+        if bad.size:
+            scaled, exponent = _unit_scale(block[bad])
+            std[bad] = np.ldexp(scaled.std(axis=1, ddof=ddof), exponent)
+    return std
+
+
 def _direct_shape_moments(block) -> tuple:
-    centered = block - block.mean(axis=1, keepdims=True)
-    m2 = np.mean(centered ** 2, axis=1)
-    m3 = np.mean(centered ** 3, axis=1)
-    m4 = np.mean(centered ** 4, axis=1)
     skewness = np.zeros(len(block))
     kurtosis = np.zeros(len(block))
-    for i in np.flatnonzero(m2 > 0.0):
-        # scalar powers: the array ** rounds some m2 ** 1.5 differently
-        skewness[i] = m3[i] / m2[i] ** 1.5
-        kurtosis[i] = m4[i] / m2[i] ** 2
+    # _shape_moments takes a row whose powers overflow again at a rescale
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = block - block.mean(axis=1, keepdims=True)
+        m2 = np.mean(centered ** 2, axis=1)
+        m3 = np.mean(centered ** 3, axis=1)
+        m4 = np.mean(centered ** 4, axis=1)
+        for i in np.flatnonzero(m2 > 0.0):
+            # scalar powers: the array ** rounds some m2 ** 1.5 differently
+            skewness[i] = m3[i] / m2[i] ** 1.5
+            kurtosis[i] = m4[i] / m2[i] ** 2
     return m2, skewness, kurtosis
 
 
@@ -106,9 +129,7 @@ def _shape_moments(block, varies) -> tuple:
     kurtosis[~varies] = 0.0
     bad = np.flatnonzero(varies & ~((m2 > 0.0) & np.isfinite(skewness + kurtosis)))
     if bad.size:
-        _, exponent = np.frexp(np.abs(block[bad]).max(axis=1))
-        _, skewness[bad], kurtosis[bad] = _direct_shape_moments(
-            np.ldexp(block[bad], -exponent[:, None]))
+        _, skewness[bad], kurtosis[bad] = _direct_shape_moments(_unit_scale(block[bad])[0])
     return skewness, kurtosis
 
 
@@ -132,8 +153,9 @@ def basic_stats(x) -> dict:
     Skewness is g1 = m3 / m2^1.5 and kurtosis is m4 / m2^2 (Pearson, so a
     normal distribution sits near 3), both from population moments. The std
     and both ratios are 0 for a constant input, even where its mean rounds.
-    Moments that overflow or underflow are taken on a copy rescaled by a
-    power of two instead.
+    The std and the moments of a row whose direct form overflows (or, for
+    the moments, underflows) are taken on a copy rescaled by a power of two
+    instead.
     The mode is the most frequent value after rounding to 6 decimals,
     ties broken toward the smallest value.
     """
@@ -146,7 +168,7 @@ def basic_stats(x) -> dict:
         "mean": x.mean(axis=1),
         "median": np.median(x, axis=1),
         "mode": _mode(x),
-        "std": np.where(varies, x.std(axis=1, ddof=1), 0.0),
+        "std": np.where(varies, _std(x, 1), 0.0),
         "skewness": skewness,
         "kurtosis": kurtosis,
     }
@@ -196,7 +218,9 @@ def sample_entropy(x, m: int = 2, r_factor: float = 0.2) -> float:
 
     Both template sets are indexed over [0, n-m) so A and B draw from the
     same pairs. Caps keep the value finite: A = 0 maps to ln(B*(n-m-1)),
-    and B = 0 maps to ln((n-m)*(n-m-1)).
+    and B = 0 maps to ln((n-m)*(n-m-1)). The std behind r is taken at an
+    exact rescale where its squares overflow, so r is finite and every pair
+    is tested against the signal's own tolerance.
 
     Only pairs whose first coordinates lie within r can match, so templates
     are sorted by their first coordinate and each is tested against the
@@ -209,7 +233,7 @@ def sample_entropy(x, m: int = 2, r_factor: float = 0.2) -> float:
         raise DataError(f"sample_entropy needs a signal of at least {m + 2} samples, "
                         f"got shape {arr.shape}")
     n = arr.size
-    r = r_factor * arr.std()
+    r = r_factor * _std(arr[None], 0)[0]
     n_m = n - m
     order = np.argsort(arr[:n_m], kind="stable")
     keys = arr[order]
@@ -267,18 +291,35 @@ def hurst_exponent(x) -> float | np.ndarray:
     cumulative mean-adjusted sum and S the window's standard deviation
     (constant windows, whose max equals their min, are skipped). The slope
     of log(R/S) against log(size) is clamped to [0, 1]; if no window size
-    yields a valid average the neutral 0.5 is returned. A block's rows have
-    their windows of one size taken at once, then one least-squares fit for
-    all rows with the same usable sizes.
+    yields a valid average the neutral 0.5 is returned, and a fit through an
+    inf or NaN log(R/S) is NaN. A block's rows have their windows of one
+    size taken at once, then one least-squares fit for all rows with the
+    same usable sizes. R/S does not depend on scale, so a row that comes out
+    NaN, as one whose window stds overflow does, is taken again on a copy
+    rescaled by a power of two, which is exact; every other row keeps its
+    direct value.
     """
+    with np.errstate(all="ignore"):
+        out = _rescaled_range_slopes(x)
+        bad = np.flatnonzero(np.isnan(out))
+        if bad.size:
+            out[bad] = _rescaled_range_slopes(_unit_scale(x[bad])[0])
+    return out
+
+
+def _rescaled_range_slopes(x) -> np.ndarray:
+    """hurst_exponent of each row of a block, NaN where a window's std
+    overflows."""
     rows, n = x.shape
     log_sizes, log_rs, usable = [], [], []
+    overflow = np.zeros(rows, dtype=bool)
     w = 8
     while w <= n // 2:
         windows = x[:, : (n // w) * w].reshape(rows, -1, w)
         centered = windows - windows.mean(axis=2, keepdims=True)
         z = np.cumsum(centered, axis=2)
         stds = np.sqrt(np.mean(centered * centered, axis=2))  # windows.std(axis=2)
+        overflow |= ~np.isfinite(stds).all(axis=1)
         # a constant window whose mean rounds has a std above 0: skip it by its span
         valid = (np.ptp(windows, axis=2) > 0.0) & (stds > 0.0)
         ratios = (z.max(axis=2) - z.min(axis=2)) / np.where(valid, stds, 1.0)
@@ -293,7 +334,7 @@ def hurst_exponent(x) -> float | np.ndarray:
     fitted = usable.sum(axis=0) >= 2
     # a fit through an inf or NaN log(R/S) is NaN, and in a shared fit it
     # would spoil the other rows' slopes too
-    spoilt = fitted & ~np.where(usable, np.isfinite(log_rs), True).all(axis=0)
+    spoilt = overflow | (fitted & ~np.where(usable, np.isfinite(log_rs), True).all(axis=0))
     out[spoilt] = np.nan
     fitted = np.flatnonzero(fitted & ~spoilt)
     sets = (1 << np.arange(len(log_sizes))) @ usable  # each row's usable sizes as bits

@@ -92,16 +92,27 @@ def best_first_search(ff: np.ndarray, fc: np.ndarray,
 
     Starts from the empty set; each expansion pops the most promising open
     subset (highest merit, ties to the lexicographically smaller index
-    tuple) and evaluates all one-feature extensions. The best subset seen
-    so far is returned once stall_limit consecutive expansions fail to
-    improve it (stall_limit=None exhausts the whole lattice). If nothing
-    beats the empty set, the single feature with the highest class
-    correlation is returned instead.
+    tuple) and evaluates all one-feature extensions not made before. The
+    best subset seen so far is returned once stall_limit consecutive
+    expansions fail to improve it (stall_limit=None exhausts the whole
+    lattice). If nothing beats the empty set, the single feature with the
+    highest class correlation is returned instead.
 
     Merit is scored incrementally (Hall 1999): with s_cf = sum|r_cf| and
     s_ff = sum|r_ff| over ordered distinct pairs, merit = s_cf / sqrt(k + s_ff).
     Each open subset carries its two sums, so one row-sum of |r_ff| scores
     all of its extensions at once.
+
+    An expansion's new children form one run, sorted once by (-merit,
+    feature index); for children of one parent, index order is the order of
+    their index tuples. The heap holds only each run's first child not yet
+    popped, so popping it merges the runs in the order one heap of every
+    child would pop them, and a child's tuple is built only when it heads
+    its run. The best-so-far can change only to a run's head. A child
+    current + f was made before exactly when a sibling current - g + f
+    (g in current) was expanded, so each expanded subset is indexed under
+    its one-smaller subsets, and the repeats of an expansion are found by
+    len(current) lookups.
     """
     d = len(fc)
     if d < 1:
@@ -113,25 +124,31 @@ def best_first_search(ff: np.ndarray, fc: np.ndarray,
     abs_ff = np.abs(ff)
     best_idx: tuple = ()
     best_merit = 0.0
-    open_heap = [(-0.0, (), 0.0, 0.0)]  # (-merit, subset, s_cf, s_ff)
-    seen = {()}
+    # per run: parent, its bitmask, new features in pop order, and the
+    # children's merit, s_cf and s_ff indexed by feature
+    runs = []
+    heads = []  # (-merit, child, run, position in the run)
+    expanded = {}  # bitmask of a subset -> features f whose subset + f was expanded
+    current, mask, s_cf, s_ff = (), 0, 0.0, 0.0
+    everything = np.ones(d, dtype=bool)
     stall = 0
-    while open_heap:
-        _, current, s_cf, s_ff = heapq.heappop(open_heap)
-        child_cf = s_cf + abs_fc
-        child_ff = s_ff + 2.0 * abs_ff[list(current)].sum(axis=0)
-        merits = (child_cf / np.sqrt(len(current) + 1 + child_ff)).tolist()
-        child_cf, child_ff = child_cf.tolist(), child_ff.tolist()
+    while True:
+        made = list(current)
+        for g in current:
+            siblings = expanded.setdefault(mask ^ (1 << g), [])
+            made += siblings
+            siblings.append(g)
+        new = everything.copy()
+        new[made] = False
+        feats = new.nonzero()[0]
         improved = False
-        for f in range(d):
-            if f in current:
-                continue
-            child = tuple(sorted(current + (f,)))
-            if child in seen:
-                continue
-            seen.add(child)
-            merit = merits[f]
-            heapq.heappush(open_heap, (-merit, child, child_cf[f], child_ff[f]))
+        if feats.size:
+            child_cf = s_cf + abs_fc
+            child_ff = s_ff + 2.0 * abs_ff[list(current)].sum(axis=0)
+            merits = child_cf / np.sqrt(len(current) + 1 + child_ff)
+            feats = feats[(-merits[feats]).argsort(kind="stable")]
+            runs.append((current, mask, feats, merits, child_cf, child_ff))
+            merit, child = _push_head(heads, runs, len(runs) - 1, 0)
             if merit > best_merit or (merit == best_merit and child < best_idx):
                 best_idx = child
                 best_merit = merit
@@ -142,10 +159,41 @@ def best_first_search(ff: np.ndarray, fc: np.ndarray,
             stall += 1
             if stall_limit is not None and stall >= stall_limit:
                 break
+        if not heads:
+            break
+        _, current, r, pos = heapq.heappop(heads)
+        _, parent_mask, feats, _, run_cf, run_ff = runs[r]
+        f = int(feats[pos])
+        mask, s_cf, s_ff = parent_mask | (1 << f), float(run_cf[f]), float(run_ff[f])
+        if pos + 1 < feats.size:
+            _push_head(heads, runs, r, pos + 1)
 
     if not best_idx:
         best_idx = (int(np.argmax(abs_fc)),)
     return best_idx
+
+
+def _push_head(heads, runs, r, pos) -> tuple:
+    """Push child pos of run r onto the heap of run heads; returns its merit
+    and index tuple."""
+    parent, _, feats, merits = runs[r][:4]
+    f = int(feats[pos])
+    merit = float(merits[f])
+    child = tuple(sorted(parent + (f,)))
+    heapq.heappush(heads, (-merit, child, r, pos))
+    return merit, child
+
+
+def _bands(columns: np.ndarray) -> tuple:
+    """Band (lo, hi) of each column of a 2-d array, as two arrays: centered
+    at (max+min)/2 with half-width (max+min)/4, swapped where the half-width
+    is negative."""
+    total = columns.max(axis=0) + columns.min(axis=0)
+    center = total / 2.0
+    half = total / 4.0
+    lo, hi = center - half, center + half
+    swap = lo > hi
+    return np.where(swap, hi, lo), np.where(swap, lo, hi)
 
 
 def range_bounds(values) -> tuple:
@@ -154,12 +202,8 @@ def range_bounds(values) -> tuple:
     arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         raise DataError("range_bounds of an empty sequence")
-    center = (arr.max() + arr.min()) / 2.0
-    half = (arr.max() + arr.min()) / 4.0
-    lo, hi = center - half, center + half
-    if lo > hi:
-        lo, hi = hi, lo
-    return float(lo), float(hi)
+    lo, hi = _bands(arr.reshape(-1, 1))
+    return float(lo[0]), float(hi[0])
 
 
 @dataclass(frozen=True)
@@ -209,20 +253,13 @@ def range_filter(fm: FeatureMatrix, subset, corr: tuple,
     ff, fc = corr
     index = {n: fm.names.index(n) for n in subset}
 
-    bounds = {}
-    fractions = {}
-    kept = []
-    eliminated = []
-    for name in subset:
-        col = fm.column(name)
-        lo, hi = range_bounds(col)
-        bounds[name] = (lo, hi)
-        frac = float(np.mean((col >= lo) & (col <= hi)))
-        fractions[name] = frac
-        if frac < 1.0 - threshold:
-            eliminated.append(name)
-        else:
-            kept.append(name)
+    columns = fm.values[:, [index[n] for n in subset]]
+    lo, hi = _bands(columns)
+    inside = np.mean((columns >= lo) & (columns <= hi), axis=0)
+    bounds = dict(zip(subset, zip(lo.tolist(), hi.tolist())))
+    fractions = dict(zip(subset, inside.tolist()))
+    eliminated = [n for n in subset if fractions[n] < 1.0 - threshold]
+    kept = [n for n in subset if n not in eliminated]
 
     if not kept:
         # nothing survived; keep the most class-correlated candidate

@@ -3,7 +3,8 @@
 Everything here is written from the textbook definition with plain loops,
 no code shared with the package, except former package bodies kept as
 references for their faster forms: best_first_search_reference, the search
-with from-scratch merit, load_channel_reference, the per-line channel
+with from-scratch merit, best_first_search_heap, the running-sum search
+that pushes every child onto one heap, load_channel_reference, the per-line channel
 parse, sample_entropy_reference, the all-pairs sample entropy loop,
 stratum_features_reference and the *_reference feature bodies it calls,
 one signal at a time where the package takes a block of channels,
@@ -91,13 +92,25 @@ def sample_entropy_slow(x, m=2, r_factor=0.2):
     return -math.log(a / b)
 
 
+def _std_at_rescale(arr, ddof=0):
+    """arr.std(ddof=ddof), or where that is not finite, the std of arr scaled
+    by a power of two into (-1, 1), scaled back."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        std = arr.std(ddof=ddof)
+        if not np.isfinite(std):
+            _, exponent = np.frexp(np.abs(arr).max())
+            std = np.ldexp(np.ldexp(arr, -exponent).std(ddof=ddof), exponent)
+    return std
+
+
 def sample_entropy_reference(x, m=2, r_factor=0.2):
     """The package's sample entropy before its sort-window kernel: every
     template pair i < j over [0, n-m), compared with the same float
-    expressions, so both must give the same counts and value."""
+    expressions, so both must give the same counts and value; with one later
+    rule: a std that overflows is taken at a power-of-two rescale."""
     arr = np.asarray(x, dtype=np.float64)
     n = arr.size
-    r = r_factor * arr.std()
+    r = r_factor * _std_at_rescale(arr)
     n_m = n - m
     a = 0
     b = 0
@@ -120,10 +133,11 @@ def sample_entropy_reference(x, m=2, r_factor=0.2):
 
 def basic_stats_reference(x):
     """The package's basic_stats on one signal before its array kernels,
-    with two later rules: a constant signal (max equal to min) has std,
-    skewness and kurtosis 0 even where its mean rounds, and where a varying
+    with three later rules: a constant signal (max equal to min) has std,
+    skewness and kurtosis 0 even where its mean rounds, where a varying
     signal's m2 is 0 or the ratios come out inf or NaN they are taken again
-    on the signal scaled by a power of two into (-1, 1)."""
+    on the signal scaled by a power of two into (-1, 1), and a std that
+    overflows is taken at such a rescale too."""
     arr = np.asarray(x, dtype=np.float64)
     centered = arr - arr.mean()
     m2 = np.mean(centered ** 2)
@@ -147,7 +161,7 @@ def basic_stats_reference(x):
         "mean": float(arr.mean()),
         "median": float(np.median(arr)),
         "mode": float(uniq[np.argmax(counts)]),
-        "std": float(arr.std(ddof=1)) if np.ptp(arr) > 0.0 else 0.0,
+        "std": float(_std_at_rescale(arr, ddof=1)) if np.ptp(arr) > 0.0 else 0.0,
         "skewness": float(skewness),
         "kurtosis": float(kurtosis),
     }
@@ -171,8 +185,10 @@ def shannon_entropy_reference(x, bins=64):
 
 def hurst_reference(x):
     """The package's hurst_exponent on one signal before its array kernel,
-    with one later rule: a constant window (max equal to min) is skipped
-    even where its mean rounds and its std comes out above 0."""
+    with two later rules: a constant window (max equal to min) is skipped
+    even where its mean rounds and its std comes out above 0, and a signal
+    with a window whose std overflows is taken again scaled by a power of
+    two into (-1, 1)."""
     arr = np.asarray(x, dtype=np.float64)
     n = arr.size
     log_sizes = []
@@ -184,6 +200,9 @@ def hurst_reference(x):
         z = np.cumsum(chunks - means, axis=1)
         ranges = z.max(axis=1) - z.min(axis=1)
         stds = chunks.std(axis=1)
+        if not np.isfinite(stds).all():
+            _, exponent = np.frexp(np.abs(arr).max())
+            return hurst_reference(np.ldexp(arr, -exponent))
         valid = (np.ptp(chunks, axis=1) > 0.0) & (stds > 0.0)
         if np.any(valid):
             log_sizes.append(np.log(w))
@@ -305,6 +324,51 @@ def best_first_search_reference(ff, fc, stall_limit=5):
 
     if not best_idx:
         best_idx = (int(np.argmax(np.abs(fc))),)
+    return best_idx
+
+
+def best_first_search_heap(ff, fc, stall_limit=5):
+    """Best-first search with running-sum merit that pushes every new child
+    onto one heap, as a sorted tuple kept in a set of seen subsets: the
+    reference for selection.best_first_search, which must return the same
+    subset, with no argument checks; returns the chosen column indices."""
+    d = len(fc)
+    abs_fc = np.abs(fc)
+    abs_ff = np.abs(ff)
+    best_idx = ()
+    best_merit = 0.0
+    open_heap = [(-0.0, (), 0.0, 0.0)]  # (-merit, subset, s_cf, s_ff)
+    seen = {()}
+    stall = 0
+    while open_heap:
+        _, current, s_cf, s_ff = heapq.heappop(open_heap)
+        child_cf = s_cf + abs_fc
+        child_ff = s_ff + 2.0 * abs_ff[list(current)].sum(axis=0)
+        merits = (child_cf / np.sqrt(len(current) + 1 + child_ff)).tolist()
+        child_cf, child_ff = child_cf.tolist(), child_ff.tolist()
+        improved = False
+        for f in range(d):
+            if f in current:
+                continue
+            child = tuple(sorted(current + (f,)))
+            if child in seen:
+                continue
+            seen.add(child)
+            merit = merits[f]
+            heapq.heappush(open_heap, (-merit, child, child_cf[f], child_ff[f]))
+            if merit > best_merit or (merit == best_merit and child < best_idx):
+                best_idx = child
+                best_merit = merit
+                improved = True
+        if improved:
+            stall = 0
+        else:
+            stall += 1
+            if stall_limit is not None and stall >= stall_limit:
+                break
+
+    if not best_idx:
+        best_idx = (int(np.argmax(abs_fc)),)
     return best_idx
 
 

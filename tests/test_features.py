@@ -48,6 +48,21 @@ def test_moments_that_overflow_are_taken_at_an_exact_rescale(exponent):
     assert np.isfinite(row).all()
 
 
+@pytest.mark.parametrize("exponent", [300, 520, 1000])
+def test_large_finite_input_keeps_every_feature_quietly(exponent):
+    # at 2**300 the direct moments overflow, and from 2**520 the std's sum of
+    # squares, Hurst's window stds and sample entropy's r = 0.2 * std too;
+    # each is taken at an exact power-of-two rescale, and without a warning
+    x = np.random.default_rng(18).standard_normal(1024)
+    base = stratum_features(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = stratum_features(np.ldexp(x, exponent))
+    assert got["std"] == base["std"] * 2.0 ** exponent
+    for key in ("skewness", "kurtosis", "hurst", "sample_entropy"):
+        assert got[key] == pytest.approx(base[key], rel=1e-12), key
+
+
 def test_a_nan_hurst_fit_is_named_on_its_own_channel():
     # one sample in eight is 1 + 2**-52 and the rest 1.0: every window's
     # mean rounds to 1.0, so R is 0 while S is not, log(R/S) is -inf and

@@ -28,7 +28,7 @@ def _strata(draw):
     kind = draw(st.sampled_from(["normal", "integers", "near-max", "exact-r"]))
     n = draw(st.integers(4, 800))
     if kind == "near-max":
-        # the std overflows to inf or, when signs mix, often to NaN
+        # the direct std overflows to inf or, when signs mix, often to NaN
         signs = draw(st.sampled_from([1.0, -1.0, None]))
         signs = rng.choice([-1.0, 1.0], n) if signs is None else signs
         return rng.uniform(1.6e308, 1.7976e308, n) * signs, 0.2
@@ -66,14 +66,15 @@ def test_sample_entropy_equals_reference_loop(stratum):
             oracles.sample_entropy_reference(x, r_factor=r_factor)
 
 
-SCALES = (1.0, -1.0, 2.0**-40, 1e-3, 1e150, -1e150)
+SCALES = (1.0, -1.0, 2.0**-40, 1e-3, 1e150, -1e150, 2.0**520, -2.0**1000)
 
 
 def _signal(rng, n, scales=SCALES):
     """Gaussian, small-integer, rounded Gaussian or constant samples, with
     up to three constant runs long enough to cover whole dyadic windows,
     at one of the scales: 2**-40 rounds every value to -0.0 or 0.0 for the
-    mode, and 1e150 overflows the third and fourth moments."""
+    mode, 1e150 overflows the third and fourth moments, and 2**520 and
+    2**1000 the std, Hurst's window stds and sample entropy's r too."""
     kind = rng.integers(4)
     if kind == 0:
         x = rng.standard_normal(n)

@@ -2,7 +2,9 @@
 seed 0 reproduces the digests in bench/golden.json, so a change to any
 output it pins shows here, not only when bench/run.py runs. The iteration
 runs traced, and the kernel timers the workload exercises must read above
-0: a timer whose target the program no longer calls would read 0."""
+0: a timer whose target the program no longer calls would read 0. The leaf
+spans that wall_s is cut at keep their recorded counts, so a change to the
+program cannot move a traced call without this test saying so."""
 
 import sys
 from pathlib import Path
@@ -23,6 +25,13 @@ KERNEL_TIMERS = {
     "reduce-sweep": ("sampler.reduce_channel.s",),
 }
 
+# counts of a traced seed-0 iteration that the bench's span cuts rest on
+SPAN_COUNTS = {
+    "pipeline-rf": {"selection.select_features.calls": 11, "trace.spans": 225},
+    "classify-sweep": {"selection.select_features.calls": 40, "trace.spans": 210},
+    "reduce-sweep": {"selection.select_features.calls": 0, "trace.spans": 461},
+}
+
 
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_workload_reproduces_its_recorded_digests(name, tmp_path, monkeypatch):
@@ -39,3 +48,4 @@ def test_workload_reproduces_its_recorded_digests(name, tmp_path, monkeypatch):
     assert workloads.check(name, cfg, results) == []
     metrics = tracer.metrics(wall_s=1.0)  # the timers do not depend on wall_s
     assert {t: metrics[t] for t in KERNEL_TIMERS[name] if not metrics[t] > 0} == {}
+    assert {c: metrics[c] for c in SPAN_COUNTS[name]} == SPAN_COUNTS[name]

@@ -745,12 +745,13 @@ def test_cli_feature_that_is_not_finite_names_case_channel_and_feature(tmp_path)
     conf = _small_conf(tmp_path / "run.conf")
     for stage in ("ingest", "sample"):
         assert main([stage, "--config", str(conf)]) == 0
-    # a reduced channel whose squared deviations overflow float64, so its std is inf
+    # a reduced channel whose values times 10**6 overflow float64, so the
+    # values the mode rounds to 6 decimals are -inf and inf
     path = sorted((tmp_path / "out" / "confidence_95" / "reduced" / "Case1" / "E").glob("*.txt"))[0]
     n = len(path.read_text().splitlines())
-    path.write_text("".join(f"{v!r}\n" for v in np.resize([1e300, -1e300], n).tolist()))
+    path.write_text("".join(f"{v!r}\n" for v in np.resize([1e303, -1e303], n).tolist()))
     assert _assert_child_error(["extract", "--config", str(conf)], "") == (
-        f"error: extract: Case1: channel 'E/{path.stem}': feature s1_std is inf; "
+        f"error: extract: Case1: channel 'E/{path.stem}': feature s1_mode is -inf; "
         "feature values must be finite\n")
 
 

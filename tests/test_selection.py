@@ -266,6 +266,60 @@ def test_best_first_matches_reference_search(tmp_path):
             assert got == ref or _tie_between_duplicates(got, ref, ff, fc), (stall_limit, got, ref)
 
 
+# a later run's head ties the best so far in merit with a smaller index
+# tuple: only the tie rule makes the stall-limit-2 search return (0, 2, 3, 5)
+_LATE_TIE = _toy_cm(
+    [-1.0, 0.0, 1.0, -1.0, 1.0, -1.0],
+    [[1.0, 1.0, -1.0, 1.0, -1.0, 0.0], [1.0, 1.0, -1.0, 1.0, 0.0, 1.0],
+     [-1.0, -1.0, 1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 1.0, 1.0, 0.0],
+     [-1.0, 0.0, 0.0, 1.0, 1.0, 1.0], [0.0, 1.0, 0.0, 0.0, 1.0, 1.0]])
+
+
+def test_best_first_equals_the_heap_search():
+    """Merging one sorted run per expansion pops the subsets that one heap of
+    every child pops, so the search returns the heap search's subset: with
+    merit ties from rounded correlations, duplicated and constant columns,
+    each stall limit, and the whole lattice for up to 12 features."""
+    assert best_first_search(*_LATE_TIE, stall_limit=2) == (0, 2, 3, 5)
+    assert oracles.best_first_search_heap(*_LATE_TIE, stall_limit=2) == (0, 2, 3, 5)
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(data=st.data())
+    @hypothesis.example(data=None)  # an exhaustive search of 12 features
+    def check(data):
+        if data is None:
+            rng = np.random.default_rng(0)
+            ff, fc = correlation_matrix(_matrix(rng.standard_normal((40, 12)), np.tile([0, 1], 20)))
+            stall_limit = None
+        else:
+            d = data.draw(st.integers(1, 24), label="d")
+            # a coarse grid makes merits tie; None draws unrounded correlations
+            grid = data.draw(st.sampled_from([1, 2, 4, 10, None]), label="grid")
+            r = (st.floats(-1.0, 1.0) if grid is None
+                 else st.integers(-grid, grid).map(lambda v: v / grid))
+            fc = np.array(data.draw(st.lists(r, min_size=d, max_size=d), label="fc"))
+            ff = np.eye(d)
+            upper = np.triu_indices(d, 1)
+            ff[upper] = data.draw(st.lists(r, min_size=len(upper[0]), max_size=len(upper[0])),
+                                  label="ff")
+            ff.T[upper] = ff[upper]
+            column = st.integers(0, d - 1)
+            for i, j in data.draw(st.lists(st.tuples(column, column), max_size=3), label="dups"):
+                ff[j], fc[j] = ff[i], fc[i]
+                ff[:, j] = ff[:, i]
+            for j in data.draw(st.lists(column, max_size=2), label="constants"):
+                ff[j], ff[:, j], fc[j] = 0.0, 0.0, 0.0
+                ff[j, j] = 1.0
+            stall_limit = data.draw(st.integers(1, 6) | st.none() if d <= 10
+                                    else st.integers(1, 6), label="stall_limit")
+        got = best_first_search(ff, fc, stall_limit=stall_limit)
+        assert got == oracles.best_first_search_heap(ff, fc, stall_limit=stall_limit)
+
+    check()
+
+
 def test_range_bounds_reference_points():
     assert range_bounds([2.0, 4.0, 6.0]) == (2.0, 6.0)
     assert range_bounds([0.0, 5.0, 10.0]) == (2.5, 7.5)

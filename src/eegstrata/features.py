@@ -44,23 +44,48 @@ SAMPEN_BLOCK = 8192
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def _per_row(min_len: int):
+# features that do not change when a row is scaled
+SCALE_FREE = frozenset({"skewness", "kurtosis", "shannon_entropy", "hurst", "sample_entropy"})
+
+
+def _per_row(min_len: int, name: str = "", rescale: bool = True):
     """Turn a kernel over the rows of a (rows, samples) block x into the
     feature function of a signal or a block, with at least min_len samples
     a row: for a block it returns the kernel's float64 values, one per row,
-    and for a signal those of its one-row block as Python floats."""
+    and for a signal those of its one-row block as Python floats. The kernel
+    returns a dict of features by name or the values of the one feature
+    name, and numpy does not warn while it runs.
+
+    With rescale, a value that comes out inf or NaN, as a direct form that
+    overflows does, is taken again on its row scaled by a power of two into
+    (-1, 1) and scaled back, unless its feature is in SCALE_FREE. Scaling by
+    a power of two is exact, so the value is the row's own, and every value
+    that came out finite stays as it is. A value whose true size exceeds
+    float64 stays inf."""
     def wrap(kernel):
+        def run(block, *args, **kwargs):
+            out = kernel(block, *args, **kwargs)
+            return out if isinstance(out, dict) else {name: out}
+
         @functools.wraps(kernel)
         def feature(x, *args, **kwargs):
             arr = np.asarray(x, dtype=np.float64)
             if arr.ndim not in (1, 2) or arr.shape[-1] < min_len or not arr.size:
                 raise DataError(f"{kernel.__name__} needs a signal of at least {min_len} samples "
                                 f"or a (rows, samples) block of such rows, got shape {arr.shape}")
-            out = kernel(np.atleast_2d(arr), *args, **kwargs)
+            block = np.atleast_2d(arr)
+            with np.errstate(all="ignore"):
+                out = run(block, *args, **kwargs)
+                bad = np.flatnonzero(~np.isfinite(list(out.values())).all(axis=0))
+                if rescale and bad.size:
+                    scaled, exponent = _unit_scale(block[bad])
+                    for key, again in run(scaled, *args, **kwargs).items():
+                        redo = ~np.isfinite(out[key][bad])
+                        out[key][bad[redo]] = (again[redo] if key in SCALE_FREE
+                                               else np.ldexp(again[redo], exponent[redo]))
             if arr.ndim == 1:
-                out = ({name: float(v[0]) for name, v in out.items()} if isinstance(out, dict)
-                       else float(out[0]))
-            return out
+                out = {key: float(v[0]) for key, v in out.items()}
+            return out[name] if name else out
         return feature
     return wrap
 
@@ -88,51 +113,6 @@ def _unit_scale(rows) -> tuple:
     return np.ldexp(rows, -exponent[:, None]), exponent
 
 
-def _std(block, ddof: int) -> np.ndarray:
-    """np.std of each row of a block. A row whose squares overflow is taken
-    on its unit-scaled copy and scaled back, which is exact, so every other
-    row keeps its direct value."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        std = block.std(axis=1, ddof=ddof)
-        bad = np.flatnonzero(~np.isfinite(std))
-        if bad.size:
-            scaled, exponent = _unit_scale(block[bad])
-            std[bad] = np.ldexp(scaled.std(axis=1, ddof=ddof), exponent)
-    return std
-
-
-def _direct_shape_moments(block) -> tuple:
-    skewness = np.zeros(len(block))
-    kurtosis = np.zeros(len(block))
-    # _shape_moments takes a row whose powers overflow again at a rescale
-    with np.errstate(over="ignore", invalid="ignore"):
-        centered = block - block.mean(axis=1, keepdims=True)
-        m2 = np.mean(centered ** 2, axis=1)
-        m3 = np.mean(centered ** 3, axis=1)
-        m4 = np.mean(centered ** 4, axis=1)
-        for i in np.flatnonzero(m2 > 0.0):
-            # scalar powers: the array ** rounds some m2 ** 1.5 differently
-            skewness[i] = m3[i] / m2[i] ** 1.5
-            kurtosis[i] = m4[i] / m2[i] ** 2
-    return m2, skewness, kurtosis
-
-
-def _shape_moments(block, varies) -> tuple:
-    """Skewness and kurtosis of each row, 0 for a constant row (varies
-    False) even where its mean rounds. A row that varies but whose m2
-    underflows to 0, or whose ratios come out inf or NaN, is first scaled by
-    a power of two into (-1, 1): that is exact and the ratios do not depend
-    on scale, so they are the row's own, and every other row keeps its
-    direct values."""
-    m2, skewness, kurtosis = _direct_shape_moments(block)
-    skewness[~varies] = 0.0
-    kurtosis[~varies] = 0.0
-    bad = np.flatnonzero(varies & ~((m2 > 0.0) & np.isfinite(skewness + kurtosis)))
-    if bad.size:
-        _, skewness[bad], kurtosis[bad] = _direct_shape_moments(_unit_scale(block[bad])[0])
-    return skewness, kurtosis
-
-
 def _mode(block) -> np.ndarray:
     """Most frequent value of each row after rounding, ties to the smallest:
     the first longest run of the sorted row, as np.unique counts it."""
@@ -153,22 +133,34 @@ def basic_stats(x) -> dict:
     Skewness is g1 = m3 / m2^1.5 and kurtosis is m4 / m2^2 (Pearson, so a
     normal distribution sits near 3), both from population moments. The std
     and both ratios are 0 for a constant input, even where its mean rounds.
-    The std and the moments of a row whose direct form overflows (or, for
-    the moments, underflows) are taken on a copy rescaled by a power of two
-    instead.
+    Where either ratio of a varying input comes out inf or NaN, as where
+    its moments overflow or its m2 underflows to 0, both are NaN, so both
+    are taken at a rescale (see _per_row).
     The mode is the most frequent value after rounding to 6 decimals,
     ties broken toward the smallest value.
     """
     # a constant row whose mean rounds has a std and m2 above 0: judge it by its span
     varies = np.ptp(x, axis=1) > 0.0
-    skewness, kurtosis = _shape_moments(x, varies)
+    mean = x.mean(axis=1)
+    centered = x - mean[:, None]
+    m2 = np.mean(centered ** 2, axis=1)
+    m3 = np.mean(centered ** 3, axis=1)
+    m4 = np.mean(centered ** 4, axis=1)
+    skewness = np.zeros(len(x))
+    kurtosis = np.zeros(len(x))
+    for i in np.flatnonzero(varies):
+        # scalar powers: the array ** rounds some m2 ** 1.5 differently
+        skewness[i] = m3[i] / m2[i] ** 1.5
+        kurtosis[i] = m4[i] / m2[i] ** 2
+    lost = ~np.isfinite(skewness + kurtosis)
+    skewness[lost] = kurtosis[lost] = np.nan
     return {
         "min": x.min(axis=1),
         "max": x.max(axis=1),
-        "mean": x.mean(axis=1),
+        "mean": mean,
         "median": np.median(x, axis=1),
         "mode": _mode(x),
-        "std": np.where(varies, _std(x, 1), 0.0),
+        "std": np.where(varies, x.std(axis=1, ddof=1), 0.0),
         "skewness": skewness,
         "kurtosis": kurtosis,
     }
@@ -182,15 +174,15 @@ def quartiles(x) -> dict:
     return {"q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-@_per_row(2)
+@_per_row(2, "shannon_entropy")
 def shannon_entropy(x, bins: int = ENTROPY_BINS) -> float | np.ndarray:
     """Entropy in bits of the equal-width histogram over [min, max].
 
     Bounded by log2(bins); a constant signal has no spread and returns 0,
-    and one whose span overflows NaN. Samples are binned by np.histogram's
-    rule for uniform bins: the index from the span, the top bin taking the
-    maximum, then one bin down or up where the index disagrees with the
-    np.linspace edges.
+    and one whose span overflows NaN, which is then taken at a rescale (see
+    _per_row). Samples are binned by np.histogram's rule for uniform bins:
+    the index from the span, the top bin taking the maximum, then one bin
+    down or up where the index disagrees with the np.linspace edges.
     """
     lo, hi = x.min(axis=1), x.max(axis=1)
     span = hi - lo
@@ -218,9 +210,10 @@ def sample_entropy(x, m: int = 2, r_factor: float = 0.2) -> float:
 
     Both template sets are indexed over [0, n-m) so A and B draw from the
     same pairs. Caps keep the value finite: A = 0 maps to ln(B*(n-m-1)),
-    and B = 0 maps to ln((n-m)*(n-m-1)). The std behind r is taken at an
-    exact rescale where its squares overflow, so r is finite and every pair
-    is tested against the signal's own tolerance.
+    and B = 0 maps to ln((n-m)*(n-m-1)). The std behind r is taken on the
+    signal scaled by a power of two where its squares overflow, which is
+    exact, so r is finite and every pair is tested against the signal's own
+    tolerance.
 
     Only pairs whose first coordinates lie within r can match, so templates
     are sorted by their first coordinate and each is tested against the
@@ -233,7 +226,12 @@ def sample_entropy(x, m: int = 2, r_factor: float = 0.2) -> float:
         raise DataError(f"sample_entropy needs a signal of at least {m + 2} samples, "
                         f"got shape {arr.shape}")
     n = arr.size
-    r = r_factor * _std(arr[None], 0)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        std = arr.std()
+    if not np.isfinite(std):
+        scaled, exponent = _unit_scale(arr[None])
+        std = np.ldexp(scaled.std(), exponent[0])
+    r = r_factor * std
     n_m = n - m
     order = np.argsort(arr[:n_m], kind="stable")
     keys = arr[order]
@@ -282,7 +280,7 @@ def sample_entropy(x, m: int = 2, r_factor: float = 0.2) -> float:
     return float(-np.log(a / b) + 0.0)
 
 
-@_per_row(MIN_STRATUM_LENGTH)
+@_per_row(MIN_STRATUM_LENGTH, "hurst")
 def hurst_exponent(x) -> float | np.ndarray:
     """Rescaled-range estimate of the Hurst exponent.
 
@@ -292,24 +290,11 @@ def hurst_exponent(x) -> float | np.ndarray:
     (constant windows, whose max equals their min, are skipped). The slope
     of log(R/S) against log(size) is clamped to [0, 1]; if no window size
     yields a valid average the neutral 0.5 is returned, and a fit through an
-    inf or NaN log(R/S) is NaN. A block's rows have their windows of one
-    size taken at once, then one least-squares fit for all rows with the
-    same usable sizes. R/S does not depend on scale, so a row that comes out
-    NaN, as one whose window stds overflow does, is taken again on a copy
-    rescaled by a power of two, which is exact; every other row keeps its
-    direct value.
+    inf or NaN log(R/S) is NaN, as is a row with a window whose std
+    overflows, which is then taken at a rescale (see _per_row). A block's
+    rows have their windows of one size taken at once, then one
+    least-squares fit for all rows with the same usable sizes.
     """
-    with np.errstate(all="ignore"):
-        out = _rescaled_range_slopes(x)
-        bad = np.flatnonzero(np.isnan(out))
-        if bad.size:
-            out[bad] = _rescaled_range_slopes(_unit_scale(x[bad])[0])
-    return out
-
-
-def _rescaled_range_slopes(x) -> np.ndarray:
-    """hurst_exponent of each row of a block, NaN where a window's std
-    overflows."""
     rows, n = x.shape
     log_sizes, log_rs, usable = [], [], []
     overflow = np.zeros(rows, dtype=bool)
@@ -348,17 +333,18 @@ def _rescaled_range_slopes(x) -> np.ndarray:
     return out
 
 
-@_per_row(2)
+@_per_row(2, "fluctuation_index")
 def fluctuation_index(x) -> float | np.ndarray:
     """Mean absolute first difference."""
     return np.mean(np.abs(np.diff(x, axis=1)), axis=1)
 
 
-@_per_row(MIN_STRATUM_LENGTH)
+@_per_row(MIN_STRATUM_LENGTH, rescale=False)
 def stratum_features(x) -> dict:
     """All 15 features of a stratum keyed by feature name. Each feature's
     function takes the whole block, but sample_entropy one row at a time;
-    each is looked up on the module at every call."""
+    each is looked up on the module at every call, and each takes its own
+    values that overflow at a rescale."""
     out = basic_stats(x)
     out.update(quartiles(x))
     out["shannon_entropy"] = shannon_entropy(x)
@@ -475,10 +461,7 @@ def extract_vector(channels, sizes) -> np.ndarray:
             )
         step = max(1, _BLOCK_ELEMENTS // block.shape[1])
         for lo in range(0, len(channels), step):
-            # finite samples can still overflow the moments; the check below
-            # names the feature that came out inf or NaN, so numpy need not warn
-            with np.errstate(all="ignore"):
-                feats = stratum_features(block[lo:lo + step])
+            feats = stratum_features(block[lo:lo + step])
             rows[lo:lo + step, i * width:(i + 1) * width] = np.column_stack(
                 [feats[feature] for feature in FEATURE_ORDER])
     bad = np.argwhere(~np.isfinite(rows))

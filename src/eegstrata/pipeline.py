@@ -107,11 +107,10 @@ class PipelineConfig:
                     )
         if not self.out_dir:
             raise ConfigError("an output directory is required")
-        if self.synthetic and self.synthetic_n0 < 2:
-            raise ConfigError("synthetic n0 must be at least 2, one channel each for sets A and B, "
-                              f"got {self.synthetic_n0}")
-        if self.synthetic and self.synthetic_n1 < 1:
-            raise ConfigError(f"synthetic n1 must be at least 1, got {self.synthetic_n1}")
+        if self.synthetic and (self.synthetic_n0 < 2 or self.synthetic_n1 < 1):
+            raise ConfigError("synthetic.n0 must be at least 2, one channel each for sets A and B, "
+                              "and synthetic.n1 at least 1, "
+                              f"got {self.synthetic_n0} and {self.synthetic_n1}")
         # build what sample (for the shortest channel strata allow) and classify
         # build, and check what classify reads, so a bad setting fails before
         # any stage writes

@@ -92,14 +92,14 @@ def sample_entropy_slow(x, m=2, r_factor=0.2):
     return -math.log(a / b)
 
 
-def _std_at_rescale(arr, ddof=0):
-    """arr.std(ddof=ddof), or where that is not finite, the std of arr scaled
-    by a power of two into (-1, 1), scaled back."""
+def _std_at_rescale(arr):
+    """arr.std(), or where that is not finite, the std of arr scaled by a
+    power of two into (-1, 1), scaled back."""
     with np.errstate(over="ignore", invalid="ignore"):
-        std = arr.std(ddof=ddof)
+        std = arr.std()
         if not np.isfinite(std):
             _, exponent = np.frexp(np.abs(arr).max())
-            std = np.ldexp(np.ldexp(arr, -exponent).std(ddof=ddof), exponent)
+            std = np.ldexp(np.ldexp(arr, -exponent).std(), exponent)
     return std
 
 
@@ -133,26 +133,20 @@ def sample_entropy_reference(x, m=2, r_factor=0.2):
 
 def basic_stats_reference(x):
     """The package's basic_stats on one signal before its array kernels,
-    with three later rules: a constant signal (max equal to min) has std,
-    skewness and kurtosis 0 even where its mean rounds, where a varying
-    signal's m2 is 0 or the ratios come out inf or NaN they are taken again
-    on the signal scaled by a power of two into (-1, 1), and a std that
-    overflows is taken at such a rescale too."""
+    with two later rules: a constant signal (max equal to min) has std,
+    skewness and kurtosis 0 even where its mean rounds, and where either
+    ratio of a varying signal comes out inf or NaN, as where its m2 is 0,
+    both are NaN."""
     arr = np.asarray(x, dtype=np.float64)
     centered = arr - arr.mean()
     m2 = np.mean(centered ** 2)
-    if m2 > 0.0:
-        skewness = np.mean(centered ** 3) / m2 ** 1.5
-        kurtosis = np.mean(centered ** 4) / m2 ** 2
-    else:
-        skewness = 0.0
-        kurtosis = 0.0
     if np.ptp(arr) == 0.0:
         skewness = kurtosis = 0.0
-    elif not (m2 > 0.0 and np.isfinite(skewness + kurtosis)):
-        _, exponent = np.frexp(np.abs(arr).max())
-        scaled = basic_stats_reference(np.ldexp(arr, -exponent))
-        skewness, kurtosis = scaled["skewness"], scaled["kurtosis"]
+    else:
+        skewness = np.mean(centered ** 3) / m2 ** 1.5
+        kurtosis = np.mean(centered ** 4) / m2 ** 2
+        if not np.isfinite(skewness + kurtosis):
+            skewness = kurtosis = np.nan
     rounded = np.round(arr, 6)
     uniq, counts = np.unique(rounded, return_counts=True)
     return {
@@ -161,7 +155,7 @@ def basic_stats_reference(x):
         "mean": float(arr.mean()),
         "median": float(np.median(arr)),
         "mode": float(uniq[np.argmax(counts)]),
-        "std": float(_std_at_rescale(arr, ddof=1)) if np.ptp(arr) > 0.0 else 0.0,
+        "std": float(arr.std(ddof=1)) if np.ptp(arr) > 0.0 else 0.0,
         "skewness": float(skewness),
         "kurtosis": float(kurtosis),
     }
@@ -187,8 +181,7 @@ def hurst_reference(x):
     """The package's hurst_exponent on one signal before its array kernel,
     with two later rules: a constant window (max equal to min) is skipped
     even where its mean rounds and its std comes out above 0, and a signal
-    with a window whose std overflows is taken again scaled by a power of
-    two into (-1, 1)."""
+    with a window whose std overflows is NaN."""
     arr = np.asarray(x, dtype=np.float64)
     n = arr.size
     log_sizes = []
@@ -201,8 +194,7 @@ def hurst_reference(x):
         ranges = z.max(axis=1) - z.min(axis=1)
         stds = chunks.std(axis=1)
         if not np.isfinite(stds).all():
-            _, exponent = np.frexp(np.abs(arr).max())
-            return hurst_reference(np.ldexp(arr, -exponent))
+            return np.nan
         valid = (np.ptp(chunks, axis=1) > 0.0) & (stds > 0.0)
         if np.any(valid):
             log_sizes.append(np.log(w))
@@ -219,14 +211,34 @@ def fluctuation_index_reference(x):
     return float(np.mean(np.abs(np.diff(arr))))
 
 
+# the features that do not change when a signal is scaled
+SCALE_FREE = {"skewness", "kurtosis", "shannon_entropy", "hurst"}
+
+
+def _reference_features(arr):
+    out = basic_stats_reference(arr)
+    out.update(quartiles_reference(arr))
+    out["shannon_entropy"] = shannon_entropy_reference(arr)
+    out["hurst"] = hurst_reference(arr)
+    out["fluctuation_index"] = fluctuation_index_reference(arr)
+    return out
+
+
 def stratum_features_reference(x, sample_entropy):
     """All 15 features of one stratum from the per-signal references, with
-    the given sample entropy, which has its own reference above."""
-    out = basic_stats_reference(x)
-    out.update(quartiles_reference(x))
-    out["shannon_entropy"] = shannon_entropy_reference(x)
-    out["hurst"] = hurst_reference(x)
-    out["fluctuation_index"] = fluctuation_index_reference(x)
+    the given sample entropy, which has its own reference above; with one
+    later rule: a reference feature that comes out inf or NaN is taken again
+    on the stratum scaled by a power of two into (-1, 1) and, unless it is
+    in SCALE_FREE, scaled back."""
+    arr = np.asarray(x, dtype=np.float64)
+    out = _reference_features(arr)
+    if not np.isfinite(list(out.values())).all():
+        _, exponent = np.frexp(np.abs(arr).max())
+        again = _reference_features(np.ldexp(arr, -exponent))
+        for key, value in out.items():
+            if not np.isfinite(value):
+                out[key] = (again[key] if key in SCALE_FREE
+                            else float(np.ldexp(again[key], exponent)))
     out["sample_entropy"] = sample_entropy(x)
     return out
 

@@ -63,6 +63,32 @@ def test_large_finite_input_keeps_every_feature_quietly(exponent):
         assert got[key] == pytest.approx(base[key], rel=1e-12), key
 
 
+def test_every_feature_is_finite_at_the_top_of_the_range():
+    # largest magnitude in [2**1023, 2**1024): the sums behind the mean and
+    # fluctuation index overflow, and the mode's values times 10**6 do from
+    # a scale of 1e302; each value that is not finite is taken again on the
+    # row scaled by a power of two, which is exact
+    x = np.random.default_rng(19).standard_normal(1024)
+    shift = 1024 - np.frexp(np.abs(x).max())[1]
+    big = np.ldexp(x, shift)
+    with np.errstate(all="ignore"):
+        assert not np.isfinite([big.mean(), np.abs(np.diff(big)).mean(), big.std()]).any()
+        assert np.isinf(np.round(x * 1e302, 6)).any()
+    base = stratum_features(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = stratum_features(big)
+        near = stratum_features(x * 1e302)
+    for feats, signal in ((got, big), (near, x * 1e302)):
+        assert np.isfinite(list(feats.values())).all()
+        scaled, exponent = features._unit_scale(signal[None])
+        assert feats["mode"] == np.ldexp(basic_stats(scaled[0])["mode"], exponent[0])
+    for key in ("std", "mean", "min", "max", "median", "q1", "q3", "iqr", "fluctuation_index"):
+        assert got[key] == np.ldexp(base[key], shift), key
+    for key in ("skewness", "kurtosis", "hurst", "sample_entropy"):
+        assert got[key] == pytest.approx(base[key], rel=1e-12), key
+
+
 def test_a_nan_hurst_fit_is_named_on_its_own_channel():
     # one sample in eight is 1 + 2**-52 and the rest 1.0: every window's
     # mean rounds to 1.0, so R is 0 while S is not, log(R/S) is -inf and

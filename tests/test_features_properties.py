@@ -66,15 +66,18 @@ def test_sample_entropy_equals_reference_loop(stratum):
             oracles.sample_entropy_reference(x, r_factor=r_factor)
 
 
-SCALES = (1.0, -1.0, 2.0**-40, 1e-3, 1e150, -1e150, 2.0**520, -2.0**1000)
+SCALES = (1.0, -1.0, 2.0**-40, 2.0**-351, 1e-3, 1e150, -1e150, 2.0**520, -2.0**1000, 2.0**1021,
+          -2.0**1021)
 
 
 def _signal(rng, n, scales=SCALES):
     """Gaussian, small-integer, rounded Gaussian or constant samples, with
     up to three constant runs long enough to cover whole dyadic windows,
     at one of the scales: 2**-40 rounds every value to -0.0 or 0.0 for the
-    mode, 1e150 overflows the third and fourth moments, and 2**520 and
-    2**1000 the std, Hurst's window stds and sample entropy's r too."""
+    mode, 2**-351 makes m3 subnormal and m4 underflow, 1e150 overflows the
+    third and fourth moments, 2**520 and 2**1000 the std, Hurst's window
+    stds and sample entropy's r too, and 2**1021 the mode's values times
+    10**6 and the sums behind the mean and the fluctuation index."""
     kind = rng.integers(4)
     if kind == 0:
         x = rng.standard_normal(n)
@@ -150,13 +153,16 @@ def _strata_64_800(draw, scales=SCALES):
 @given(x=_strata_64_800())
 @example(x=np.full(64, -0.0))
 def test_one_signal_functions_equal_their_references(x):
+    # each function takes what overflows at a rescale, as the stratum reference does
     with np.errstate(all="ignore"):
-        assert basic_stats(x) == oracles.basic_stats_reference(x)
-        assert quartiles(x) == oracles.quartiles_reference(x)
-        assert shannon_entropy(x) == oracles.shannon_entropy_reference(x)
-        assert hurst_exponent(x) == oracles.hurst_reference(x)
-        assert fluctuation_index(x) == oracles.fluctuation_index_reference(x)
-        assert stratum_features(x) == oracles.stratum_features_reference(x, sample_entropy)
+        ref = oracles.stratum_features_reference(x, sample_entropy)
+        assert stratum_features(x) == ref
+        got = basic_stats(x)
+        assert got == {key: ref[key] for key in got}
+        assert quartiles(x) == {key: ref[key] for key in ("q1", "q3", "iqr")}
+        assert shannon_entropy(x) == ref["shannon_entropy"]
+        assert hurst_exponent(x) == ref["hurst"]
+        assert fluctuation_index(x) == ref["fluctuation_index"]
 
 
 @settings(max_examples=100, deadline=None, database=None)

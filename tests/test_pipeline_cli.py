@@ -629,8 +629,10 @@ def test_cli_feature_file_is_checked_against_its_names_and_labels(tmp_path, edit
     (("cases", "Case1, Case1"), "case Case1 is listed twice"),
     (("confidence", "95, 95"), "confidence level 95 is listed twice"),
     # one class-0 channel would leave set B empty
-    (("synthetic.n0", "1"), "synthetic n0 must be at least 2, one channel each for sets A and B"),
-    (("synthetic.n1", "0"), "synthetic n1 must be at least 1, got 0"),
+    (("synthetic.n0", "1"), "synthetic.n0 must be at least 2, one channel each for sets A and B, "
+                            "and synthetic.n1 at least 1, got 1 and 3"),
+    (("synthetic.n1", "0"), "synthetic.n0 must be at least 2, one channel each for sets A and B, "
+                            "and synthetic.n1 at least 1, got 4 and 0"),
     # 4 + 3 channels: classify's fold check runs before ingest
     (("cv.folds", "4"), "classify: class 1 has 3 rows, fewer than 4 folds"),
 ], ids=["classifier", "cv-folds", "cv-repeats", "stall-limit", "range-threshold",
@@ -745,13 +747,13 @@ def test_cli_feature_that_is_not_finite_names_case_channel_and_feature(tmp_path)
     conf = _small_conf(tmp_path / "run.conf")
     for stage in ("ingest", "sample"):
         assert main([stage, "--config", str(conf)]) == 0
-    # a reduced channel whose values times 10**6 overflow float64, so the
-    # values the mode rounds to 6 decimals are -inf and inf
+    # a reduced channel alternating 1.5e308 and -1.5e308, whose IQR of 3e308
+    # exceeds float64 even when taken at a rescale
     path = sorted((tmp_path / "out" / "confidence_95" / "reduced" / "Case1" / "E").glob("*.txt"))[0]
     n = len(path.read_text().splitlines())
-    path.write_text("".join(f"{v!r}\n" for v in np.resize([1e303, -1e303], n).tolist()))
+    path.write_text("".join(f"{v!r}\n" for v in np.resize([1.5e308, -1.5e308], n).tolist()))
     assert _assert_child_error(["extract", "--config", str(conf)], "") == (
-        f"error: extract: Case1: channel 'E/{path.stem}': feature s1_mode is -inf; "
+        f"error: extract: Case1: channel 'E/{path.stem}': feature s1_iqr is inf; "
         "feature values must be finite\n")
 
 

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, DegenerateDataError
 from .features import FeatureMatrix
 
 NB_VAR_FLOOR = 1e-9
@@ -28,6 +28,18 @@ def _check_matrix(train: FeatureMatrix) -> None:
         raise DataError(f"labels must be 0/1, got {sorted(present)}")
     if len(present) < 2:
         raise DataError("training data must contain both classes")
+
+
+def _moments(rows: np.ndarray, names: tuple) -> tuple:
+    """Column means and variances of rows; a feature column whose spread
+    overflows float64 is refused rather than scored at chance."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, var = rows.mean(axis=0), rows.var(axis=0)
+    bad = ~np.isfinite(var)  # a mean that overflows makes the variance inf or NaN too
+    if bad.any():
+        raise DegenerateDataError(f"feature {names[int(np.argmax(bad))]}: its variance "
+                                  "overflows float64; rescale the data")
+    return mean, var
 
 
 def _check_rows(rows, n_features: int) -> np.ndarray:
@@ -63,8 +75,8 @@ class KNNClassifier:
         if self.k > train.n_rows:
             raise ConfigError(f"k={self.k} exceeds the {train.n_rows} training rows")
         self.feature_names = train.names
-        self._mean = train.values.mean(axis=0)
-        std = train.values.std(axis=0)
+        self._mean, var = _moments(train.values, train.names)
+        std = np.sqrt(var)
         self._std = np.where(std == 0.0, 1.0, std)
         self._train = self._transform(train.values)
         self._labels = train.labels.copy()
@@ -105,8 +117,8 @@ class NaiveBayesClassifier:
         self._log_priors = np.empty(2)
         for c in (0, 1):
             rows = train.values[train.labels == c]
-            self._means[c] = rows.mean(axis=0)
-            self._vars[c] = np.maximum(rows.var(axis=0), self.var_floor)
+            self._means[c], var = _moments(rows, train.names)
+            self._vars[c] = np.maximum(var, self.var_floor)
             self._log_priors[c] = math.log(rows.shape[0] / train.n_rows)
         return self
 
@@ -248,13 +260,13 @@ class RandomForestClassifier:
     tree, which is how the implementation is cross-checked.
     """
 
-    def __init__(self, n_trees: int = RF_TREES, seed: int = 0,
+    def __init__(self, trees: int = RF_TREES, seed: int = 0,
                  max_features: str = "sqrt", bootstrap: bool = True):
-        if n_trees < 1:
-            raise ConfigError(f"n_trees must be at least 1, got {n_trees}")
+        if trees < 1:
+            raise ConfigError(f"trees must be at least 1, got {trees}")
         if max_features not in ("sqrt", "all"):
             raise ConfigError(f"max_features must be 'sqrt' or 'all', got {max_features!r}")
-        self.n_trees = n_trees
+        self.n_trees = trees  # the name bench/tracing.py reads for classifiers.rf.trees
         self.seed = seed
         self.max_features = max_features
         self.bootstrap = bootstrap

@@ -124,25 +124,17 @@ def parse_config_file(path) -> dict:
     return kwargs
 
 
-# flag -> the PipelineConfig field it overrides, applied in this order;
-# --confidence also clears the config file's z, so it comes before --z
-_OVERRIDES = (("data", "data_dir"), ("synthetic", "synthetic"), ("policy", "policy"),
-              ("seed", "seed"), ("confidence", "confidence_levels"), ("z", "z"),
-              ("case", "cases"), ("classifier", "classifier"), ("out", "out_dir"))
-
-
 def build_config(args) -> PipelineConfig:
     kwargs = parse_config_file(args.config) if args.config else {}
-    for flag, name in _OVERRIDES:
-        value = getattr(args, flag, None)  # a stage without the flag has no attribute
-        if value is None:  # not falsiness: --seed 0 and --z 0 still override
-            continue
-        if flag == "confidence":
-            value = _convert(name, "--confidence", value)
-            kwargs["z"] = None
-        kwargs[name] = value
+    # a flag's dest is the field it overrides; None, not falsiness, is unset: --seed 0 overrides
+    flags = {name: value for name, value in vars(args).items()
+             if name in _TYPES and value is not None}
+    if "confidence_levels" in flags:  # clears the file's z; a --z flag still sets one
+        flags["confidence_levels"] = _convert("confidence_levels", "--confidence",
+                                              flags["confidence_levels"])
+        kwargs["z"] = None
     try:
-        return PipelineConfig(**kwargs)
+        return PipelineConfig(**{**kwargs, **flags})
     except TypeError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -187,17 +179,19 @@ def _pipeline(cfg, args):
     print(f"report written to {artifact_path(cfg, 'report')}")
 
 
-_DATA = (("--data", {"help": "directory of per-set channel files"}),
+_DATA = (("--data", {"dest": "data_dir", "help": "directory of per-set channel files"}),
          ("--synthetic", {"action": "store_true", "default": None,
                           "help": "generate synthetic channels"}))
 _POLICY = (("--policy", {"choices": SELECTION_POLICIES, "help": "within-stratum selection policy"}),)
 _COMMON = (
     ("--config", {"help": "path to a key=value config file"}),
-    ("--out", {"help": "output directory (overrides config)"}),
+    ("--out", {"dest": "out_dir", "help": "output directory (overrides config)"}),
     ("--seed", {"type": int, "help": "base seed (overrides config)"}),
-    ("--confidence", {"help": "comma-separated confidence presets, e.g. 95 or 70,85,95,99"}),
+    ("--confidence", {"dest": "confidence_levels",
+                      "help": "comma-separated confidence presets, e.g. 95 or 70,85,95,99"}),
     ("--z", {"type": float, "help": "explicit standard normal variate instead of a preset"}),
-    ("--case", {"action": "append", "help": "case to run (repeatable): Case1, Case2, Case3"}),
+    ("--case", {"dest": "cases", "action": "append",
+                "help": "case to run (repeatable): Case1, Case2, Case3"}),
     ("--classifier", {"choices": tuple(CLASSIFIER_KINDS), "help": "classifier to evaluate"}),
 )
 

@@ -72,8 +72,8 @@ def run_cv(fm: FeatureMatrix, cfg: PipelineConfig) -> CVResult:
     selection_mode "per-fold" reruns feature selection on each fold's
     training rows only, so the test fold never influences the chosen
     features; "global" selects once on the full matrix first; "off" keeps
-    all features. Forest seeds are derived per (repeat, fold) from the
-    classifier's seed so folds decorrelate but stay reproducible.
+    all features. A seed parameter is derived per (repeat, fold) from the
+    configured one, so folds decorrelate but stay reproducible.
     """
     kind, params = cfg.classifier_spec()
     select_kwargs = {"stall_limit": cfg.stall_limit, "threshold": cfg.range_threshold}
@@ -93,7 +93,7 @@ def run_cv(fm: FeatureMatrix, cfg: PipelineConfig) -> CVResult:
                 train = train.select(chosen)
                 test_values = test_values[:, cols]
             fold_params = dict(params)
-            if kind == "rf":
+            if "seed" in params:
                 fold_params["seed"] = derive_seed(params["seed"], "rf", r, fold_i)
             model = make_classifier(kind, **fold_params).fit(train)
             predicted = model.predict(test_values)

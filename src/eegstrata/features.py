@@ -263,12 +263,14 @@ def sample_entropy(x, m: int = 2, r_factor: float = 0.2) -> float:
                          np.minimum(stops[p0:p1], hi) - np.maximum(firsts[p0:p1], lo))
         i = order[rows]
         j = order[np.arange(lo, hi) - firsts[rows] + after[rows]]
-        # |arr[i] - arr[j]| is the loop's value whichever index is smaller
-        d = np.abs(arr[i] - arr[j])
-        for k in range(1, m):
-            np.maximum(d, np.abs(arr[i + k] - arr[j + k]), out=d)
-        b += int(np.count_nonzero(d <= r))
-        np.maximum(d, np.abs(arr[i + m] - arr[j + m]), out=d)
+        # |arr[i] - arr[j]| is the loop's value whichever index is smaller; a
+        # difference that overflows to inf exceeds r either way
+        with np.errstate(over="ignore"):
+            d = np.abs(arr[i] - arr[j])
+            for k in range(1, m):
+                np.maximum(d, np.abs(arr[i + k] - arr[j + k]), out=d)
+            b += int(np.count_nonzero(d <= r))
+            np.maximum(d, np.abs(arr[i + m] - arr[j + m]), out=d)
         a += int(np.count_nonzero(d <= r))
     # counts above cover each unordered pair once; ordered pairs double both
     a *= 2

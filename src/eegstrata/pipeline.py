@@ -119,26 +119,25 @@ class PipelineConfig:
         kind, params = self.classifier_spec()
         make_classifier(kind, **params)
         if self.cv_folds < 2:
-            raise ConfigError(f"n_folds must be at least 2, got {self.cv_folds}")
+            raise ConfigError(f"cv.folds must be at least 2, got {self.cv_folds}")
         if self.cv_repeats < 1:
-            raise ConfigError(f"n_repeats must be at least 1, got {self.cv_repeats}")
+            raise ConfigError(f"cv.repeats must be at least 1, got {self.cv_repeats}")
         if self.stall_limit is not None and self.stall_limit < 1:
-            raise ConfigError(f"stall_limit must be positive or None, got {self.stall_limit}")
+            raise ConfigError("selection.stall_limit must be positive or None, "
+                              f"got {self.stall_limit}")
         if not 0.0 <= self.range_threshold <= 1.0:
-            raise ConfigError(f"range_threshold must be in [0, 1], got {self.range_threshold}")
+            raise ConfigError("selection.range_threshold must be in [0, 1], "
+                              f"got {self.range_threshold}")
 
     def classifier_spec(self) -> tuple:
-        """The classifier's name and constructor parameters; a forest's seed is
-        rf_seed, or the run's seed where rf_seed is None."""
-        if self.classifier == "knn":
-            return "knn", {"k": self.knn_k, "standardize": self.knn_standardize}
-        if self.classifier == "nb":
-            return "nb", {"var_floor": self.nb_var_floor}
-        if self.classifier == "rf":
-            return "rf", {"n_trees": self.rf_trees, "max_features": self.rf_max_features,
-                          "bootstrap": self.rf_bootstrap,
-                          "seed": self.seed if self.rf_seed is None else self.rf_seed}
-        raise ConfigError(f"unknown classifier {self.classifier!r}")
+        """The classifier's name and constructor parameters: its fields
+        <classifier>_<param>, keyed by param; a seed of None is the run's seed."""
+        prefix = f"{self.classifier}_"
+        params = {name[len(prefix):]: value for name, value in vars(self).items()
+                  if name.startswith(prefix)}
+        if "seed" in params and params["seed"] is None:
+            params["seed"] = self.seed
+        return self.classifier, params
 
     def classify_settings(self) -> dict:
         """The fields classify reads: its classifier's, the CV's, the selection's and the seed."""

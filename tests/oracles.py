@@ -172,6 +172,9 @@ def shannon_entropy_reference(x, bins=64):
     lo, hi = arr.min(), arr.max()
     if lo == hi:
         return 0.0
+    with np.errstate(over="ignore"):
+        if np.isinf(hi - lo):  # np.histogram refuses a span that overflows; it is NaN
+            return np.nan
     counts, _ = np.histogram(arr, bins=bins, range=(lo, hi))
     p = counts[counts > 0] / arr.size
     return float(-(p * np.log2(p)).sum())

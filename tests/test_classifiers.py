@@ -1,12 +1,15 @@
+import dataclasses
+import inspect
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
-from eegstrata import (ConfigError, DataError, FeatureMatrix, KNNClassifier,
-                       NaiveBayesClassifier, RandomForestClassifier,
-                       make_classifier)
+from eegstrata import (ConfigError, DataError, DegenerateDataError, FeatureMatrix,
+                       KNNClassifier, NaiveBayesClassifier, PipelineConfig,
+                       RandomForestClassifier, make_classifier)
+from eegstrata.classifiers import CLASSIFIER_KINDS
 
 
 def _fm(values, labels):
@@ -127,7 +130,7 @@ def test_single_tree_matches_reference_tree():
     if labels.min() == labels.max():  # pragma: no cover - seed is fixed
         pytest.fail("fixture must contain both classes")
     fm = _fm(values, labels)
-    model = RandomForestClassifier(n_trees=1, seed=0, max_features="all",
+    model = RandomForestClassifier(trees=1, seed=0, max_features="all",
                                    bootstrap=False).fit(fm)
     ref = oracles.reference_tree(values, labels)
     queries = np.vstack([values, rng.normal(size=(40, 3))])
@@ -145,8 +148,8 @@ def test_rf_fits_separable_training_data():
 def test_rf_same_seed_same_predictions():
     fm = _blobs(9, separation=1.0)
     queries = np.random.default_rng(9).normal(0.5, 1.0, size=(30, 3))
-    a = RandomForestClassifier(n_trees=15, seed=4).fit(fm).predict(queries)
-    b = RandomForestClassifier(n_trees=15, seed=4).fit(fm).predict(queries)
+    a = RandomForestClassifier(trees=15, seed=4).fit(fm).predict(queries)
+    b = RandomForestClassifier(trees=15, seed=4).fit(fm).predict(queries)
     assert np.array_equal(a, b)
 
 
@@ -154,8 +157,8 @@ def test_rf_label_flip_equivariance():
     fm = _blobs(10, n_per_class=15)
     flipped = FeatureMatrix(names=fm.names, values=fm.values, labels=1 - fm.labels)
     queries = np.random.default_rng(10).normal(3.0, 2.0, size=(20, 3))
-    pred = RandomForestClassifier(n_trees=5, seed=2).fit(fm).predict(queries)
-    pred_flipped = RandomForestClassifier(n_trees=5, seed=2).fit(flipped).predict(queries)
+    pred = RandomForestClassifier(trees=5, seed=2).fit(fm).predict(queries)
+    pred_flipped = RandomForestClassifier(trees=5, seed=2).fit(flipped).predict(queries)
     assert np.array_equal(pred_flipped, 1 - pred)
 
 
@@ -166,16 +169,16 @@ def test_tree_invariant_to_monotone_feature_transforms():
     values = rng.normal(size=(30, 2))
     labels = (values.sum(axis=1) > 0).astype(int)
     cubed = values ** 3
-    a = RandomForestClassifier(n_trees=1, seed=0, max_features="all",
+    a = RandomForestClassifier(trees=1, seed=0, max_features="all",
                                bootstrap=False).fit(_fm(values, labels)).predict(values)
-    b = RandomForestClassifier(n_trees=1, seed=0, max_features="all",
+    b = RandomForestClassifier(trees=1, seed=0, max_features="all",
                                bootstrap=False).fit(_fm(cubed, labels)).predict(cubed)
     assert np.array_equal(a, b)
 
 
 def test_rf_validation():
     with pytest.raises(ConfigError):
-        RandomForestClassifier(n_trees=0)
+        RandomForestClassifier(trees=0)
     with pytest.raises(ConfigError):
         RandomForestClassifier(max_features="log2")
     with pytest.raises(DataError):
@@ -192,7 +195,7 @@ def test_rf_step_memory_is_bounded():
     train = _fm(values, labels)
     tracemalloc.start()
     try:
-        RandomForestClassifier(n_trees=100, max_features="all").fit(train)
+        RandomForestClassifier(trees=100, max_features="all").fit(train)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -203,13 +206,13 @@ def test_rf_step_memory_is_bounded():
                                   (1.6e308, 1.7e308)])  # midpoint overflows to inf
 def test_rf_midpoint_that_separates_nothing_makes_a_leaf(a, b):
     # the recursive grower recursed without end here: every row went left
-    model = RandomForestClassifier(n_trees=1, max_features="all",
+    model = RandomForestClassifier(trees=1, max_features="all",
                                    bootstrap=False).fit(_fm([[a], [b]], [0, 1]))
     assert model._nodes[0].tolist() == [-1]
     assert model.predict([[a], [b]]).tolist() == [0, 0]
 
 
-@pytest.mark.parametrize("model", [RandomForestClassifier(n_trees=3), KNNClassifier(k=1),
+@pytest.mark.parametrize("model", [RandomForestClassifier(trees=3), KNNClassifier(k=1),
                                    NaiveBayesClassifier()], ids=["rf", "knn", "nb"])
 def test_non_finite_query_rows_are_refused(model):
     model.fit(_fm([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]], [0, 1, 1]))
@@ -222,15 +225,43 @@ def test_non_finite_query_rows_are_refused(model):
 def test_functional_wrappers():
     fm = _blobs(12)
     for model in (KNNClassifier(k=1), NaiveBayesClassifier(),
-                  RandomForestClassifier(n_trees=5, seed=0)):
+                  RandomForestClassifier(trees=5, seed=0)):
         assert np.array_equal(model.fit(fm).predict(fm.values), fm.labels)
 
 
 def test_make_classifier():
     assert make_classifier("knn", k=5).k == 5
     assert isinstance(make_classifier("nb"), NaiveBayesClassifier)
-    assert make_classifier("rf", n_trees=7).n_trees == 7
+    assert make_classifier("rf", trees=7).n_trees == 7
     with pytest.raises(ConfigError):
         make_classifier("svm")
     with pytest.raises(ConfigError):
         make_classifier("knn", trees=5)
+
+
+@pytest.mark.parametrize("kind", sorted(CLASSIFIER_KINDS))
+def test_config_fields_are_the_constructor_parameters(kind):
+    # PipelineConfig.classifier_spec passes the fields <kind>_<param> as the
+    # parameters, so a setting without a parameter, or one with another name,
+    # would be dropped or refused
+    prefix = kind + "_"
+    fields = {f.name[len(prefix):] for f in dataclasses.fields(PipelineConfig)
+              if f.name.startswith(prefix)}
+    assert fields == set(inspect.signature(CLASSIFIER_KINDS[kind]).parameters)
+
+
+@pytest.mark.parametrize("columns, name", [(slice(None), "f0"), (slice(1, 2), "f1")],
+                         ids=["every-column", "one-column"])
+@pytest.mark.parametrize("model", [KNNClassifier(), NaiveBayesClassifier()], ids=["knn", "nb"])
+def test_a_column_whose_spread_overflows_is_refused(model, columns, name):
+    # at 1e160 the squares overflow: both fits used to score chance (0.50)
+    rng = np.random.default_rng(0)
+    labels = np.repeat([0, 1], 20)
+    values = rng.standard_normal((40, 3)) + 2.0 * labels[:, None]
+    assert (model.fit(_fm(values, labels)).predict(values) == labels).mean() > 0.9
+    values[:, columns] *= 1e160
+    with pytest.raises(DegenerateDataError,
+                       match=f"^feature {name}: its variance overflows float64; rescale the data$"):
+        model.fit(_fm(values, labels))
+    forest = RandomForestClassifier().fit(_fm(values, labels))
+    assert np.array_equal(forest.predict(values), labels)

@@ -83,7 +83,7 @@ def test_forest_grows_the_reference_trees(data, n_trees, seed, max_features, boo
     values, labels = data
     d = values.shape[1]
     train = FeatureMatrix(names=tuple(f"f{i}" for i in range(d)), values=values, labels=labels)
-    model = RandomForestClassifier(n_trees=n_trees, seed=seed, max_features=max_features,
+    model = RandomForestClassifier(trees=n_trees, seed=seed, max_features=max_features,
                                    bootstrap=bootstrap).fit(train)
     reference = _reference_forest(values, labels, n_trees, seed, max_features, bootstrap)
     for t, tree in enumerate(reference):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import oracles
-from eegstrata import (ConfigError, FeatureMatrix, PipelineConfig, kfold_split,
-                       run_cv, weighted_accuracy)
+from eegstrata import (ConfigError, FeatureMatrix, PipelineConfig, evaluation, kfold_split,
+                       make_classifier, run_cv, weighted_accuracy)
+from eegstrata.seeding import derive_seed
 
 
 def _fm(values, labels):
@@ -25,9 +26,9 @@ def _separable(seed, n_per_class=30, d=4):
 
 
 def test_cv_config_validation():
-    with pytest.raises(ConfigError, match="^n_folds must be at least 2, got 1$"):
+    with pytest.raises(ConfigError, match="^cv.folds must be at least 2, got 1$"):
         PipelineConfig(cv_folds=1)
-    with pytest.raises(ConfigError, match="^n_repeats must be at least 1, got 0$"):
+    with pytest.raises(ConfigError, match="^cv.repeats must be at least 1, got 0$"):
         PipelineConfig(cv_repeats=0)
     with pytest.raises(ConfigError, match="unknown selection mode 'leave-one-out'"):
         PipelineConfig(selection_mode="leave-one-out")
@@ -125,16 +126,27 @@ _OTHER_VALUES = {
 
 
 @pytest.mark.parametrize("kind", ["rf", "nb", "knn"])
-def test_run_cv_reads_only_the_classify_settings(kind):
+def test_run_cv_reads_only_the_classify_settings(kind, monkeypatch):
     """run_cv's result depends on the config only through the classifier and
-    the fields classify_settings() names, which evaluation_<case>.json records."""
+    the fields classify_settings() names, which evaluation_<case>.json records;
+    a forest's seed for fold f of repeat r is derive_seed(seed, "rf", r, f)."""
     rng = np.random.default_rng(13)
     labels = np.repeat([0, 1], 15)
     fm = _fm(rng.standard_normal((30, 5)) + 0.8 * labels[:, None], labels)
     cfg = PipelineConfig(classifier=kind, rf_trees=10, cv_folds=3, cv_repeats=2, seed=3)
     unread = set(dataclasses.asdict(cfg)) - set(cfg.classify_settings()) - {"classifier"}
     assert unread <= set(_OTHER_VALUES), unread - set(_OTHER_VALUES)
+    made = []
+
+    def recording(kind, **params):
+        made.append(params)
+        return make_classifier(kind, **params)
+
+    monkeypatch.setattr(evaluation, "make_classifier", recording)
     want = run_cv(fm, cfg)
+    seeds = [params.get("seed") for params in made]
+    assert seeds == ([derive_seed(3, "rf", r, f) for r in range(2) for f in range(3)]
+                     if kind == "rf" else [None] * 6)
     # the classes overlap, so the folds, which the seed sets, move the result
     assert run_cv(fm, dataclasses.replace(cfg, seed=4)) != want
     for name in sorted(unread):

@@ -228,6 +228,17 @@ def test_hurst_trend_and_bounds():
         hurst_exponent(np.arange(32.0))
 
 
+def test_sample_entropy_is_quiet_at_the_top_of_the_range():
+    # template differences of samples near the float64 maximum overflow to
+    # inf, which is above r either way, so the counts are those of the
+    # unscaled signal; a library call used to warn "overflow in subtract"
+    x = np.random.default_rng(0).standard_normal(1024)
+    top = np.ldexp(x, 1024 - np.frexp(np.abs(x).max())[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sample_entropy(top) == sample_entropy(x)
+
+
 @pytest.mark.parametrize("value", [0.0, 0.1, 0.7])
 def test_hurst_of_a_constant_signal_is_neutral_and_quiet(value):
     # windows of copies of 0.1 or 0.7 whose mean rounds have a std above 0,

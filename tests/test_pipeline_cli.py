@@ -393,9 +393,10 @@ def test_cli_overrides_beat_config_file(tmp_path):
     args = build_parser().parse_args([
         "pipeline", "--config", str(path), "--seed", "3",
         "--confidence", "70,99", "--classifier", "nb",
-        "--case", "Case1", "--case", "Case2", "--out", str(tmp_path / "o"),
+        "--case", "Case1", "--case", "Case2", "--out", str(tmp_path / "o"), "--data", "corpus",
     ])
     cfg = build_config(args)
+    assert cfg.data_dir == "corpus"
     assert cfg.seed == 3
     assert cfg.z is None  # --confidence clears the file's explicit z
     assert cfg.confidence_levels == (70, 99)
@@ -405,6 +406,9 @@ def test_cli_overrides_beat_config_file(tmp_path):
     # a falsy flag value still overrides the file
     assert build_config(build_parser().parse_args(
         ["sample", "--config", str(path), "--seed", "0"])).seed == 0
+    # --confidence clears only the file's z: a --z flag still sets one
+    assert build_config(build_parser().parse_args(
+        ["sample", "--config", str(path), "--confidence", "95", "--z", "1.5"])).z == 1.5
 
 
 def test_cli_pipeline_runs_end_to_end(tmp_path, capsys):
@@ -615,11 +619,13 @@ def test_cli_feature_file_is_checked_against_its_names_and_labels(tmp_path, edit
 
 @pytest.mark.parametrize("change, fragment", [
     (("classifier", "svm"), "unknown classifier 'svm'"),
-    (("cv.folds", "1"), "n_folds must be at least 2, got 1"),
-    (("cv.repeats", "0"), "n_repeats must be at least 1, got 0"),
-    (("selection.stall_limit", "0"), "stall_limit must be positive or None, got 0"),
-    (("selection.range_threshold", "1.5"), "range_threshold must be in [0, 1], got 1.5"),
-    (("selection.range_threshold", "nan"), "range_threshold must be in [0, 1], got nan"),
+    (("cv.folds", "1"), "cv.folds must be at least 2, got 1"),
+    (("cv.repeats", "0"), "cv.repeats must be at least 1, got 0"),
+    (("selection.stall_limit", "0"), "selection.stall_limit must be positive or None, got 0"),
+    (("selection.range_threshold", "1.5"),
+     "selection.range_threshold must be in [0, 1], got 1.5"),
+    (("selection.range_threshold", "nan"),
+     "selection.range_threshold must be in [0, 1], got nan"),
     (("nb.var_floor", "nan"), "var_floor must be positive and finite, got nan"),
     (("synthetic.burst_amplitude", "inf"), "ingest: burst_amplitude must be finite, got inf"),
     (("synthetic.burst_amplitude", "1e308"),
@@ -797,6 +803,22 @@ def _assert_child_error(args, fragment, code=3):
     assert str(fragment) in proc.stderr
     assert "Traceback" not in proc.stderr
     return proc.stderr
+
+
+@pytest.mark.parametrize("kind", ["nb", "knn"])
+def test_cli_feature_column_whose_spread_overflows_is_refused(tmp_path, kind):
+    # nb and knn used to score this at chance with exit 0
+    conf = _small_conf(tmp_path / "run.conf", [("selection.mode", "off"), ("classifier", kind)])
+    for stage in ("ingest", "sample", "extract"):
+        assert main([stage, "--config", str(conf)]) == 0
+    path = tmp_path / "out" / "confidence_95" / "features_Case1.csv"
+    fm = FeatureMatrix.from_csv(path)
+    col = fm.names.index("s2_max")
+    fm.values[:, col] *= 1e160
+    fm.to_csv(path)
+    proc = _run_child(["classify", "--config", str(conf)])
+    assert (proc.returncode, proc.stderr) == (
+        4, "error: classify: feature s2_max: its variance overflows float64; rescale the data\n")
 
 
 def _scaled_bonn_corpus(root):

@@ -16,7 +16,7 @@ from typing import get_args, get_origin, get_type_hints
 from .classifiers import CLASSIFIER_KINDS
 from .errors import ConfigError, DataError, DegenerateDataError
 from .pipeline import (REPORT_FORMATS, PipelineConfig, artifact_path,
-                       assemble_report, emit_report, load_corpus, resolve_levels,
+                       assemble_report, emit_report, resolve_levels,
                        run_pipeline, stage_classify, stage_extract, stage_ingest,
                        stage_sample, stage_select, _stage)
 from .sampler import SELECTION_POLICIES
@@ -169,7 +169,7 @@ def _ingest(cfg, args):
 
 
 def _sample(cfg, args):
-    corpus = load_corpus(cfg)  # parsed once for every level
+    corpus = {}  # the first level parses it for every level
     _per_level(lambda cfg, label, z: stage_sample(cfg, label, z, corpus),
                _show_sampling)(cfg, args)
 

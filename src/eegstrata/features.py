@@ -48,7 +48,7 @@ _BLOCK_ELEMENTS = 1 << 16
 SCALE_FREE = frozenset({"skewness", "kurtosis", "shannon_entropy", "hurst", "sample_entropy"})
 
 
-def _per_row(min_len: int, name: str = "", rescale: bool = True):
+def _per_row(min_len: int, name: str = ""):
     """Turn a kernel over the rows of a (rows, samples) block x into the
     feature function of a signal or a block, with at least min_len samples
     a row: for a block it returns the kernel's float64 values, one per row,
@@ -56,12 +56,12 @@ def _per_row(min_len: int, name: str = "", rescale: bool = True):
     returns a dict of features by name or the values of the one feature
     name, and numpy does not warn while it runs.
 
-    With rescale, a value that comes out inf or NaN, as a direct form that
-    overflows does, is taken again on its row scaled by a power of two into
-    (-1, 1) and scaled back, unless its feature is in SCALE_FREE. Scaling by
-    a power of two is exact, so the value is the row's own, and every value
-    that came out finite stays as it is. A value whose true size exceeds
-    float64 stays inf."""
+    A value that comes out inf or NaN, as a direct form that overflows does,
+    is taken again on its row scaled by a power of two into (-1, 1) and
+    scaled back, unless its feature is in SCALE_FREE. Scaling by a power of
+    two is exact, so the value is the row's own, and every value that came
+    out finite stays as it is. A value whose true size exceeds float64
+    stays inf."""
     def wrap(kernel):
         def run(block, *args, **kwargs):
             out = kernel(block, *args, **kwargs)
@@ -77,7 +77,7 @@ def _per_row(min_len: int, name: str = "", rescale: bool = True):
             with np.errstate(all="ignore"):
                 out = run(block, *args, **kwargs)
                 bad = np.flatnonzero(~np.isfinite(list(out.values())).all(axis=0))
-                if rescale and bad.size:
+                if bad.size:
                     scaled, exponent = _unit_scale(block[bad])
                     for key, again in run(scaled, *args, **kwargs).items():
                         redo = ~np.isfinite(out[key][bad])
@@ -246,7 +246,8 @@ def sample_entropy(x, m: int = 2, r_factor: float = 0.2) -> float:
     # sum that overflows to inf, or an r that is inf or NaN, only widens the
     # window, and a window too wide costs time, never a count.
     after = np.arange(1, n_m + 1)
-    ends = np.searchsorted(keys, keys + r * (1 + 1e-12), side="right")
+    with np.errstate(over="ignore"):
+        ends = np.searchsorted(keys, keys + r * (1 + 1e-12), side="right")
     counts = np.maximum(ends - after, 0)
     # candidate pairs numbered in sorted-row order; row p holds pair numbers
     # [stops[p] - counts[p], stops[p]), its k-th pair being (p, p + 1 + k)
@@ -341,18 +342,18 @@ def fluctuation_index(x) -> float | np.ndarray:
     return np.mean(np.abs(np.diff(x, axis=1)), axis=1)
 
 
-@_per_row(MIN_STRATUM_LENGTH, rescale=False)
 def stratum_features(x) -> dict:
-    """All 15 features of a stratum keyed by feature name. Each feature's
-    function takes the whole block, but sample_entropy one row at a time;
-    each is looked up on the module at every call, and each takes its own
-    values that overflow at a rescale."""
+    """All 15 features of a signal or block keyed by feature name. Each
+    feature's function takes the whole input, but sample_entropy one row at
+    a time; each is looked up on the module at every call, checks the input
+    and takes its own values that overflow at a rescale."""
     out = basic_stats(x)
     out.update(quartiles(x))
     out["shannon_entropy"] = shannon_entropy(x)
     out["hurst"] = hurst_exponent(x)
     out["fluctuation_index"] = fluctuation_index(x)
-    out["sample_entropy"] = np.array([sample_entropy(row) for row in x])
+    out["sample_entropy"] = (sample_entropy(x) if np.ndim(x) == 1
+                             else np.array([sample_entropy(row) for row in x]))
     return out
 
 

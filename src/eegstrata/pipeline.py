@@ -336,33 +336,28 @@ def stage_ingest(cfg: PipelineConfig, corpus: dict | None = None) -> dict:
     return manifest
 
 
-def load_corpus(cfg: PipelineConfig) -> dict:
-    """Each set cfg's cases draw on, parsed once from the directory the
-    manifest names, as a list of channels in load_set's order."""
-    set_dirs = _read(cfg, "manifest")["set_dirs"]
-    corpus = {}
-    for case_id in cfg.cases:
-        for set_label in (s for sets in CASE_SETS[case_id] for s in sets):
-            if set_label in corpus:
-                continue
-            if set_label not in set_dirs:
-                raise DataError(f"{case_id}: set {set_label} is not in the manifest; "
-                                "run 'ingest' again")
-            corpus[set_label] = load_set(set_dirs[set_label], set_label)
-    return corpus
-
-
 def stage_sample(cfg: PipelineConfig, label: str, z: float, corpus: dict | None = None,
                  reduced: dict | None = None) -> dict:
     """Reduce every channel of every case at one confidence level.
 
-    corpus is each set's channels as stage_ingest or load_corpus gives them;
-    load_corpus parses them when it is None. reduced, if a dict, receives
-    each case's reduced (channel, label) pairs, in the order extract reads
-    their files. Returns each case's sampling.
+    corpus is a dict of each set's channels in load_set's order, as
+    stage_ingest or an earlier call filled it (None: a new dict); first each
+    set the cases need that it lacks is parsed into it from the manifest's
+    directory, so a dict kept across levels parses each file once. reduced,
+    if a dict, receives each case's reduced (channel, label) pairs, in the
+    order extract reads their files. Returns each case's sampling.
     """
-    if corpus is None:
-        corpus = load_corpus(cfg)
+    corpus = {} if corpus is None else corpus
+    set_dirs = None
+    for case_id in cfg.cases:
+        for set_label in (s for sets in CASE_SETS[case_id] for s in sets):
+            if set_label in corpus:
+                continue
+            set_dirs = set_dirs or _read(cfg, "manifest")["set_dirs"]
+            if set_label not in set_dirs:
+                raise DataError(f"{case_id}: set {set_label} is not in the manifest; "
+                                "run 'ingest' again")
+            corpus[set_label] = load_set(set_dirs[set_label], set_label)
     samplings = {}
     for case_id in cfg.cases:
         channels = case_channels(case_id, corpus.__getitem__)
@@ -558,8 +553,6 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     if cfg.synthetic:  # class sizes are known now, so classify's check need not wait for it
         _stage("classify", kfold_split, [0] * cfg.synthetic_n0 + [1] * cfg.synthetic_n1, cfg)
     _stage("ingest", stage_ingest, cfg, corpus)
-    if not corpus:  # a data directory: ingest parsed nothing
-        corpus = _stage("sample", load_corpus, cfg)
     levels = resolve_levels(cfg)
     for i, (label, z) in enumerate(levels, 1):
         _stage("sample", stage_sample, cfg, label, z, corpus, reduced)

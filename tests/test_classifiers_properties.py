@@ -72,7 +72,7 @@ _SYMMETRIC = (np.array([[0.0, 3.0], [1.0, 2.0], [2.0, 1.0], [3.0, 0.0]]), np.arr
 _TWO_ROWS = (np.array([[0.0], [1.0]]), np.array([1, 0]))
 
 
-@settings(max_examples=150, deadline=None, database=None)
+@settings(max_examples=150)
 @given(data=_training_sets(), n_trees=st.integers(1, 20), seed=st.integers(0, 2**32 - 1),
        max_features=st.sampled_from(["sqrt", "all"]), bootstrap=st.booleans())
 @example(data=_DUPLICATED, n_trees=5, seed=0, max_features="all", bootstrap=False)

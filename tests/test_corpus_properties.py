@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import example, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
@@ -25,7 +25,6 @@ _PADDING = st.sampled_from(["", " ", "\t", "  ", " \t"])
 _LINE = st.builds(lambda pre, token, post: pre + token + post, _PADDING, _TOKENS, _PADDING)
 
 
-@settings(deadline=None, database=None)
 @given(lines=st.lists(_LINE, max_size=12), trailing=st.sampled_from(["", "\n", "\n\n", "\n \n"]))
 @example(lines=["1", "", "3"], trailing="\n")
 @example(lines=["1", "1 2"], trailing="\n")
@@ -45,7 +44,6 @@ def test_load_matches_reference_parse(lines, trailing):
             np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
-@settings(deadline=None, database=None)
 @given(arrays(np.float64, st.integers(1, 64),
               elements=st.floats(allow_nan=False, allow_infinity=False)))
 @example(np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7e308, -1.7e308,

@@ -21,7 +21,7 @@ def _labels(draw):
     return np.array(draw(st.permutations(labels))), n_folds
 
 
-@settings(max_examples=200, deadline=None, database=None)
+@settings(max_examples=200)
 @given(data=_labels(), stratified=st.booleans(), seed=st.integers(0, 2**32 - 1),
        repeat=st.integers(0, 50))
 @example(data=(np.tile([0, 1], 150), 10), stratified=True, seed=3, repeat=0)  # 30 rows a fold

@@ -239,6 +239,17 @@ def test_sample_entropy_is_quiet_at_the_top_of_the_range():
         assert sample_entropy(top) == sample_entropy(x)
 
 
+def test_sample_entropy_window_end_is_quiet_near_the_float64_maximum():
+    # a window's end, key + r, overflows for keys near the maximum; an
+    # overflowing end only widens the window, so the counts are those of the
+    # signal scaled down exactly by 16
+    y = np.random.default_rng(0).standard_normal(256)
+    x = y * (1.79e308 / np.abs(y).max())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sample_entropy(x) == sample_entropy(np.ldexp(x, -4))
+
+
 @pytest.mark.parametrize("value", [0.0, 0.1, 0.7])
 def test_hurst_of_a_constant_signal_is_neutral_and_quiet(value):
     # windows of copies of 0.1 or 0.7 whose mean rounds have a std above 0,

@@ -55,7 +55,7 @@ def _strata(draw):
     return x * draw(st.sampled_from([1.0, -1.0, 2.0**-40, 1e150, 1e300, -1e300])), 0.2
 
 
-@settings(max_examples=200, deadline=None, database=None)
+@settings(max_examples=200)
 @given(stratum=_strata())
 @example(stratum=(np.full(5, 3.0), 0.2))
 @example(stratum=(np.arange(800.0) % 7, 0.2))  # 7 values, so about 45k candidate pairs
@@ -120,7 +120,7 @@ def _by_name(values):
     return values if isinstance(values, dict) else {"value": values}
 
 
-@settings(max_examples=40, deadline=None, database=None)
+@settings(max_examples=40)
 @given(group=_groups())
 # small integers at 2**1021: the span, 2**1024, overflows, which np.histogram refuses
 @example(group=([Channel(id="A/c0", set_label="A",
@@ -152,7 +152,7 @@ def _strata_64_800(draw, scales=SCALES):
     return _signal(rng, draw(st.integers(64, 800)), scales)
 
 
-@settings(max_examples=100, deadline=None, database=None)
+@settings(max_examples=100)
 @given(x=_strata_64_800())
 @example(x=np.full(64, -0.0))
 def test_one_signal_functions_equal_their_references(x):
@@ -168,7 +168,7 @@ def test_one_signal_functions_equal_their_references(x):
         assert fluctuation_index(x) == ref["fluctuation_index"]
 
 
-@settings(max_examples=100, deadline=None, database=None)
+@settings(max_examples=100)
 @given(x=_strata_64_800(scales=(1.0, -1.0, 1e-3, 1e3)))
 def test_moments_and_iqr_agree_with_scipy(x):
     stats = pytest.importorskip("scipy.stats")
@@ -182,3 +182,17 @@ def test_moments_and_iqr_agree_with_scipy(x):
     # a skewness near 0 is a difference of nearly equal sums, so the absolute
     # term covers what its relative error cannot
     assert got["skewness"] == pytest.approx(stats.skew(x), rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(64, 512), log_a=st.floats(-3.0, 3.0),
+       u=st.floats(-10.0, 10.0))
+def test_scale_free_features_are_affine_invariant(seed, n, log_a, u):
+    # a > 0 keeps the order of the samples, so each scale-free feature of
+    # a * x + b is that of x, up to rounding
+    x = np.random.default_rng(seed).standard_normal(n)
+    a = 10.0 ** log_a
+    base = stratum_features(x)
+    moved = stratum_features(a * x + a * u)
+    for key in features.SCALE_FREE:
+        assert abs(moved[key] - base[key]) <= 1e-9, key

@@ -717,6 +717,22 @@ def test_sample_parses_each_set_once(tmp_path, monkeypatch):
     assert sorted(loaded) == sorted(paths)
 
 
+def test_sample_completes_a_partly_filled_corpus(tmp_path, monkeypatch):
+    """A corpus dict that holds sets A and B has only C, D and E parsed into
+    it, and keeps the lists it was given."""
+    paths = corpus_gen.write_corpus(tmp_path / "corpus", seed=0, n_per_set=3, length=512)
+    cfg = PipelineConfig(data_dir=str(tmp_path / "corpus"), cases=("Case1", "Case2", "Case3"),
+                         out_dir=str(tmp_path / "out"))
+    set_dirs = stage_ingest(cfg)["set_dirs"]
+    given = {s: corpus.load_set(set_dirs[s], s) for s in ("A", "B")}
+    set_a = given["A"]
+    loaded = _count_loads(monkeypatch)
+    stage_sample(cfg, "95", 1.96, given)
+    assert sorted(loaded) == sorted(p for p in paths
+                                    if corpus.BONN_PREFIX_TO_SET[p.parent.name] in "CDE")
+    assert given["A"] is set_a and sorted(given) == ["A", "B", "C", "D", "E"]
+
+
 def test_cli_sample_of_a_case_ingest_left_out(tmp_path):
     corpus_gen.write_corpus(tmp_path / "corpus", seed=0, n_per_set=2, length=512)
     args = ["--out", str(tmp_path / "out")]

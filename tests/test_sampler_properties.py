@@ -14,7 +14,7 @@ from eegstrata.sampler import SELECTION_POLICIES  # noqa: E402
 _SIZES = st.lists(st.integers(1, 300), min_size=1, max_size=8)
 
 
-@settings(max_examples=200, deadline=None, database=None)
+@settings(max_examples=200)
 @given(sizes=_SIZES, n_channels=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
        data=st.data())
 @example(sizes=[1, 1, 1], n_channels=2, seed=0, data=None)  # every stratum has no variance
@@ -47,7 +47,7 @@ def test_allocation_and_reduction_over_any_sizes(sizes, n_channels, seed, data):
         assert per_stratum.tolist() == list(counts)
 
 
-@settings(max_examples=100, deadline=None, database=None)
+@settings(max_examples=100)
 @given(sizes=_SIZES, values=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=3),
        data=st.data())
 # the mean of eleven copies of this value rounds, leaving a variance of 2.3e-22
@@ -62,7 +62,7 @@ def test_constant_channels_are_degenerate(sizes, values, data):
         allocate(flat, sizes, n_bar)
 
 
-@settings(max_examples=300, deadline=None, database=None)
+@settings(max_examples=300)
 @given(sizes=_SIZES, data=st.data())
 # after the first round the two quiet strata's raw - count both round to -1.0,
 # -2.0, ...; the loop gives the sample left in the last round to the lower index

@@ -47,7 +47,7 @@ def test_correlation_matrix_properties():
     st = hypothesis.strategies
     finite = st.floats(-1e100, 1e100)  # squared deviations summed over 30 rows stay finite
 
-    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.settings(max_examples=300)
     @hypothesis.given(data=st.data())
     # a constant 0.1 over 3 rows has a mean that rounds away from 0.1
     @hypothesis.example(data=None)
@@ -285,7 +285,7 @@ def test_best_first_equals_the_heap_search():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
-    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.settings(max_examples=200)
     @hypothesis.given(data=st.data())
     @hypothesis.example(data=None)  # an exhaustive search of 12 features
     def check(data):

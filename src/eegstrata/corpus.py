@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -40,22 +41,48 @@ CASE_SETS = {
 @dataclass(frozen=True)
 class Channel:
     """One recorded signal: samples are stored as float64 regardless of the
-    on-disk representation so all downstream math shares one numeric type."""
+    on-disk representation so all downstream math shares one numeric type.
+    They are a read-only view, so the channel's text, once made, matches them
+    as long as the array passed in is not written to."""
 
     id: str
     set_label: str
     samples: np.ndarray
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
+        samples = np.asarray(self.samples, dtype=np.float64).view()
         if samples.ndim != 1 or samples.size == 0:
             raise ConfigError(f"channel {self.id!r}: samples must be a non-empty 1-D sequence")
         if self.set_label not in SET_LABELS:
             raise ConfigError(f"channel {self.id!r}: unknown set label {self.set_label!r}")
+        samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
 
     def __len__(self) -> int:
         return self.samples.size
+
+    @cached_property
+    def text(self) -> bytes:
+        """The channel file's bytes: one repr line per sample, made once."""
+        return ("\n".join(map(repr, self.samples.tolist())) + "\n").encode("ascii")
+
+    def drop_text(self) -> None:
+        """Release the text, if made; it is made again when next asked for."""
+        vars(self).pop("text", None)
+
+    def take(self, positions) -> Channel:
+        """The channel of the samples at the given strictly increasing
+        positions. If this channel's text has been made, the result's text is
+        the lines at those positions, cut from it without a repr."""
+        out = Channel(id=self.id, set_label=self.set_label, samples=self.samples[positions])
+        text = vars(self).get("text")
+        if text is not None:
+            buf = np.frombuffer(text, dtype=np.uint8)
+            line_lengths = np.diff(np.flatnonzero(buf == ord("\n")), prepend=-1)
+            keep = np.zeros(len(self), dtype=bool)
+            keep[positions] = True
+            vars(out)["text"] = buf[np.repeat(keep, line_lengths)].tobytes()
+        return out
 
 
 def load_channel(path, set_label: str = "A") -> Channel:
@@ -97,11 +124,14 @@ def _raise_first_bad_line(path: Path, lines: list) -> None:
 
 
 def save_channel(channel: Channel, path) -> None:
-    """Write a channel in the same one-value-per-line format. Values are
-    written with repr precision so a load/save round trip is numerically exact."""
+    """Write a channel's text, one value per line in the format load_channel
+    reads. Values are written with repr precision so a load/save round trip
+    is numerically exact, and the bytes do not depend on the locale. The text
+    is made by repr on the channel's first write and kept on it; a channel
+    that Channel.take cuts from one whose text is made needs no repr."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(map(repr, channel.samples.tolist())) + "\n")
+    path.write_bytes(channel.text)
 
 
 def _set_channel_files(directory: Path) -> list[Path]:

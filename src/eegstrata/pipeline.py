@@ -8,8 +8,12 @@ writes every directory of channel files and hands on its channels in the
 order `load_set` reads them back. The files are checkpoints: after its input
 is resolved a stage runs the same code either way, and `repr` round-trips
 float64, so a single `run_pipeline` call and the equivalent sequence of stage
-calls produce byte-identical artifacts. Nothing here depends on wall-clock
-time; a (config, seed) pair fully determines every output byte.
+calls produce byte-identical artifacts. A synthetic channel keeps the text
+ingest wrote until its last level is sampled, so in a single call each
+reduced file is cut from its raw channel's text rather than made by `repr`
+again; a reduced channel's text is released once written. Nothing here
+depends on wall-clock time; a (config, seed) pair fully determines every
+output byte.
 """
 
 from __future__ import annotations
@@ -393,6 +397,8 @@ def stage_sample(cfg: PipelineConfig, label: str, z: float, corpus: dict | None 
                                seed=derive_seed(cfg.seed, "reduce", ch.id), policy=cfg.policy)
                 for ch, lab in channels if ch.set_label == set_label))
             if reduced is not None:  # else released once its set is written
+                for ch in kept:
+                    ch.drop_text()  # extract reads only the samples
                 written[set_label] = kept
         if reduced is not None:
             reduced[case_id] = case_channels(case_id, written.__getitem__)

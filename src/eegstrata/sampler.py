@@ -58,17 +58,29 @@ def stratify(length: int, n_strata: int) -> tuple:
     return (base,) * (n_strata - extra) + (base + 1,) * extra
 
 
-def _strata(channels, sizes) -> list:
-    """The channels' samples, one row each, cut along the last axis into
-    consecutive strata of the given sizes, which must be positive integers
-    that sum to every channel's length."""
+def _check_plan(channels, sizes) -> None:
+    """Refuse stratum sizes that are not positive integers summing to every
+    channel's length."""
     if not sizes or not all(isinstance(n, (int, np.integer)) and n > 0 for n in sizes):
         raise ConfigError(f"stratum sizes must be positive integers, got {list(sizes)}")
     length = sum(sizes)
     for ch in channels:
         if len(ch) != length:
             raise DataError(f"channel {ch.id!r} has length {len(ch)}, but its strata cover {length}")
+
+
+def _strata(channels, sizes) -> list:
+    """The channels' samples, one row each, cut along the last axis into
+    consecutive strata of the given sizes, checked by _check_plan."""
+    _check_plan(channels, sizes)
     return np.split(np.stack([ch.samples for ch in channels]), np.cumsum(sizes[:-1]), axis=-1)
+
+
+def _weight(rows) -> float:
+    """N_i * sqrt(sum of the rows' sample variances) for a stratum's rows; the
+    mean of a constant row can round, so its variance is set to 0, not computed."""
+    var = np.where(np.ptp(rows, axis=1) > 0, rows.var(axis=1, ddof=1), 0.0)
+    return rows.shape[1] * np.sqrt(var.sum())
 
 
 def allocate(class_channels, sizes, n_bar: int) -> tuple:
@@ -93,22 +105,28 @@ def allocate(class_channels, sizes, n_bar: int) -> tuple:
     weights = np.zeros(len(sizes))
     for i, rows in enumerate(strata):
         if sizes[i] > 1:
-            # the mean of a constant row can round, so its variance is set to 0, not
-            # computed; a variance that overflows (to inf, or to nan where sums of
-            # opposite sign overflow) is refused below rather than warned about
+            # a weight whose variances overflow (to inf, or to nan where sums of
+            # opposite sign overflow) is taken again on the stratum scaled by a
+            # power of two into (-1, 1), which is exact, and scaled back; one
+            # still not finite is refused below rather than warned about
             with np.errstate(over="ignore", invalid="ignore"):
-                var = np.where(np.ptp(rows, axis=1) > 0, rows.var(axis=1, ddof=1), 0.0)
-            weights[i] = sizes[i] * np.sqrt(var.sum())
+                weights[i] = _weight(rows)
+                if not np.isfinite(weights[i]):
+                    _, exponent = np.frexp(np.abs(rows).max())
+                    weights[i] = np.ldexp(_weight(np.ldexp(rows, -exponent)), exponent)
     if not np.isfinite(weights).all():
         i = int(np.argmin(np.isfinite(weights)))
-        raise DegenerateDataError(f"stratum {i} weight is not finite: its variance overflows "
-                                  "float64; rescale the data")
-    total_weight = weights.sum()
+        raise DegenerateDataError(f"stratum {i} weight overflows float64; rescale the data")
+    # shares are taken from the weights scaled by a power of two to at most 1,
+    # which is exact unless two weights differ by more than 2**1022, so that
+    # neither their sum nor n_bar times one overflows
+    weights_unit = np.ldexp(weights, -np.frexp(weights.max())[1])
+    total_weight = weights_unit.sum()
     if total_weight <= 0.0:
         raise DegenerateDataError("all strata are constant in every channel; allocation undefined")
 
     caps = np.array(sizes, dtype=np.int64)
-    raw = n_bar * weights / total_weight
+    raw = n_bar * weights_unit / total_weight
     counts = np.minimum(np.floor(raw).astype(np.int64), caps)
     leftover = n_bar - int(counts.sum())
     if leftover > 0:
@@ -131,7 +149,8 @@ def reduce_channel(channel: Channel, sizes, counts, seed: int,
     """Draw counts[i] points from stratum i of the given sizes and concatenate.
 
     Within a stratum the selected positions are kept in temporal order, so
-    the reduced signal is an order-preserving subsequence of the input.
+    the reduced signal is an order-preserving subsequence of the input, and
+    its text is the input's text lines at those positions (Channel.take).
     ``random`` draws without replacement from the seeded generator;
     ``systematic`` takes evenly spaced points and ignores the seed.
     """
@@ -140,20 +159,21 @@ def reduce_channel(channel: Channel, sizes, counts, seed: int,
     if len(counts) != len(sizes):
         raise ConfigError(f"{len(counts)} counts for {len(sizes)} strata")
 
+    _check_plan([channel], sizes)
     rng = np.random.default_rng(seed)
-    pieces = []
-    for (stratum,), n_i in zip(_strata([channel], sizes), counts):
-        size = stratum.size
+    positions = []
+    start = 0
+    for size, n_i in zip(sizes, counts):
         if not 0 <= n_i <= size:
             raise ConfigError(f"allocated {n_i} samples to a stratum of size {size}")
-        if n_i == 0:
-            continue
-        if policy == "random":
-            idx = np.sort(rng.choice(size, size=n_i, replace=False))
-        else:
-            idx = (np.arange(n_i, dtype=np.int64) * size) // n_i
-        pieces.append(stratum[idx])
+        if n_i > 0:
+            if policy == "random":
+                idx = np.sort(rng.choice(size, size=n_i, replace=False))
+            else:
+                idx = (np.arange(n_i, dtype=np.int64) * size) // n_i
+            positions.append(start + idx)
+        start += size
 
-    if not pieces:
+    if not positions:
         raise ConfigError("allocation selects zero samples overall")
-    return Channel(id=channel.id, set_label=channel.set_label, samples=np.concatenate(pieces))
+    return channel.take(np.concatenate(positions))

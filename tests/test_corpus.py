@@ -20,6 +20,15 @@ def test_load_save_round_trip(tmp_path):
     assert back.set_label == "A"
 
 
+def test_samples_are_read_only_and_the_callers_array_stays_writable():
+    values = np.arange(4.0)
+    ch = Channel(id="A/x", set_label="A", samples=values)
+    with pytest.raises(ValueError, match="read-only"):
+        ch.samples[0] = 9.0
+    values[0] = 9.0
+    assert values.flags.writeable
+
+
 def test_save_writes_one_repr_line_per_value(tmp_path):
     """The joined write has the bytes of one f"{v!r}\\n" per value."""
     rng = np.random.default_rng(14)

@@ -19,17 +19,22 @@ from run import WORKLOADS  # noqa: E402
 
 # per-layer timers of bench/tracing.py that each workload's iteration runs
 KERNEL_TIMERS = {
-    "pipeline-rf": ("features.hurst_exponent.s", "features.sample_entropy.s",
-                    "selection.best_first_search.s", "classifiers.fit.s"),
+    "pipeline-rf": ("corpus.save_channel.s", "features.hurst_exponent.s",
+                    "features.sample_entropy.s", "selection.best_first_search.s",
+                    "classifiers.fit.s"),
     "classify-sweep": ("selection.best_first_search.s",),
-    "reduce-sweep": ("sampler.reduce_channel.s",),
+    "reduce-sweep": ("corpus.save_channel.s", "sampler.reduce_channel.s"),
 }
 
-# counts of a traced seed-0 iteration that the bench's span cuts rest on
+# counts of a traced seed-0 iteration that the bench's span cuts rest on, and
+# the writer's calls and bytes, which stay the same however its text is made
 SPAN_COUNTS = {
-    "pipeline-rf": {"selection.select_features.calls": 11, "trace.spans": 225},
-    "classify-sweep": {"selection.select_features.calls": 40, "trace.spans": 210},
-    "reduce-sweep": {"selection.select_features.calls": 0, "trace.spans": 461},
+    "pipeline-rf": {"selection.select_features.calls": 11, "trace.spans": 225,
+                    "corpus.save_channel.calls": 42, "corpus.bytes_written": 2_861_170},
+    "classify-sweep": {"selection.select_features.calls": 40, "trace.spans": 210,
+                       "corpus.save_channel.calls": 0, "corpus.bytes_written": 0},
+    "reduce-sweep": {"selection.select_features.calls": 0, "trace.spans": 461,
+                     "corpus.save_channel.calls": 176, "corpus.bytes_written": 2_518_517},
 }
 
 

@@ -754,8 +754,8 @@ def test_cli_non_utf8_channel_is_a_data_error(tmp_path):
     # sets A and B flat over stratum 0, so class 0 is allocated no samples there
     (lambda prefix, x: np.where((prefix in "ZO") & (np.arange(x.size) < 1024), 0, x),
      2, "Case1 class 0: stratum 0 is allocated 0 samples"),
-    # set E so large that its stratum variances overflow float64
-    (lambda prefix, x: x * 1e160 if prefix == "S" else x, 4, "Case1 class 1: stratum 0"),
+    # set E so large that its stratum weights overflow float64
+    (lambda prefix, x: x * 1e305 if prefix == "S" else x, 4, "Case1 class 1: stratum 0"),
 ], ids=["zero-count", "overflow"])
 def test_cli_unusable_allocation_is_refused(tmp_path, edit, code, fragment):
     _write_bonn_corpus(tmp_path / "corpus", 4097, edit)
@@ -779,9 +779,11 @@ def test_cli_feature_that_is_not_finite_names_case_channel_and_feature(tmp_path)
         "feature values must be finite\n")
 
 
-@pytest.mark.parametrize("scale", [2.0 ** 266, 2.0 ** 500], ids=["2^266", "2^500"])
+@pytest.mark.parametrize("scale", [2.0 ** 266, 2.0 ** 500, 2.0 ** 540],
+                         ids=["2^266", "2^500", "2^540"])
 def test_cli_extracts_data_whose_moments_overflow(tmp_path, scale):
-    # set E so large that the third or fourth moment of its strata overflows
+    # set E so large that the third or fourth moment of its strata overflows,
+    # and at 2^540 their variance too, which sample takes at a rescale
     _write_bonn_corpus(tmp_path / "corpus", 1024, lambda prefix, x: x * scale if prefix == "S" else x)
     args = ["--out", str(tmp_path / "out"), "--case", "Case1"]
     assert main(["ingest", "--data", str(tmp_path / "corpus"), *args]) == 0
@@ -839,21 +841,21 @@ def test_cli_feature_column_whose_spread_overflows_is_refused(tmp_path, kind):
 
 def _scaled_bonn_corpus(root):
     """A 3-file-per-set Bonn corpus whose set E (directory S) is scaled by
-    1e160, so its stratum variances overflow float64."""
+    1e305, so its stratum weights overflow float64."""
     corpus_gen.write_corpus(root, seed=0, n_per_set=3, length=1024)
     for path in (root / "S").glob("*.txt"):
-        path.write_text("".join(f"{float(v) * 1e160!r}\n" for v in path.read_text().split()))
+        path.write_text("".join(f"{float(v) * 1e305!r}\n" for v in path.read_text().split()))
     return ["--data", str(root), "--case", "Case1"]
 
 
 @pytest.mark.parametrize("setup, code, stderr", [
-    (_scaled_bonn_corpus, 4, "error: sample: Case1 class 1: stratum 0 weight is not finite: "
-                             "its variance overflows float64; rescale the data\n"),
+    (_scaled_bonn_corpus, 4, "error: sample: Case1 class 1: stratum 0 weight overflows float64; "
+                             "rescale the data\n"),
     (lambda root: ["--config", str(_small_conf(root / "run.conf",
                                                [("synthetic.burst_amplitude", "1e308")]))],
      2, "error: ingest: burst_amplitude must be at most 2.24712e+307 in magnitude, got 1e+308\n"),
     (lambda root: ["--config", str(_small_conf(root / "run.conf"))], 0, ""),
-], ids=["variance-overflow", "burst-amplitude-1e308", "success"])
+], ids=["weight-overflow", "burst-amplitude-1e308", "success"])
 def test_cli_stderr_is_one_error_line_or_empty(tmp_path, setup, code, stderr):
     """numpy's own warnings are attributed to numpy, not eegstrata, so only a
     separate interpreter's stderr shows them: a refused run prints exactly

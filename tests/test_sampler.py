@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,21 @@ def test_sizes_must_be_positive_integers():
             allocate([ch], sizes, 5)
         with pytest.raises(ConfigError, match="stratum sizes must be positive integers"):
             reduce_channel(ch, sizes, (1,) * len(sizes), seed=0)
+
+
+@pytest.mark.parametrize("scale", [1e160, 2.0 ** 1010], ids=["1e160", "2^1010"])
+def test_allocation_of_data_whose_variances_overflow(scale):
+    # stratum variances overflow from about 1e154; at 2^1010, n_bar times a weight does too
+    rng = np.random.default_rng(5)
+    large = _channels(rng, 4, 4097, scale)
+    small = [Channel(id=ch.id, set_label="A", samples=np.ldexp(ch.samples, -600)) for ch in large]
+    plan = stratify(4097, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts, weights = allocate(large, plan, 2872)
+    small_counts, small_weights = allocate(small, plan, 2872)
+    assert counts == small_counts
+    assert weights == tuple(np.ldexp(small_weights, 600).tolist())
 
 
 def test_allocation_weights_match_direct_formula():

@@ -11,7 +11,7 @@ inside a band derived from their own min and max.
 import numpy as np
 
 from eegstrata import (FeatureMatrix, cfs_merit, correlation_matrix,
-                       range_bounds, select_features)
+                       range_filter, select_features)
 
 # 60 channels described by 8 features: two informative, six noise
 rng = np.random.default_rng(3)
@@ -44,7 +44,8 @@ print("after range pass:", subset.names, f"(merit {subset.merit:.4f})")
 if subset.eliminated_by_range:
     print("eliminated:      ", subset.eliminated_by_range)
 
-# the band the filter applies to one column
-lo, hi = range_bounds(fm.column("amplitude"))
-inside = np.mean((fm.column("amplitude") >= lo) & (fm.column("amplitude") <= hi))
+# the band the filter applies to one column, and the share of its values inside
+amplitude = range_filter(fm, ["amplitude"], (ff, fc))
+lo, hi = amplitude.range_bounds["amplitude"]
+inside = amplitude.in_range_fraction["amplitude"]
 print(f"amplitude band [{lo:.3f}, {hi:.3f}] holds {100 * inside:.0f}% of the values")

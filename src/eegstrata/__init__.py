@@ -19,8 +19,7 @@ from .pipeline import (PipelineConfig, assemble_report, emit_report,
 from .sampler import (CONFIDENCE_Z, allocate, reduce_channel,
                       required_sample_size, stratify)
 from .selection import (FeatureSubset, best_first_search, cfs_merit,
-                        correlation_matrix, range_bounds, range_filter,
-                        select_features)
+                        correlation_matrix, range_filter, select_features)
 from .classifiers import (KNNClassifier, NaiveBayesClassifier,
                           RandomForestClassifier, make_classifier)
 
@@ -35,7 +34,7 @@ __all__ = [
     "emit_report", "extract_vector", "feature_names",
     "fluctuation_index", "generate_synthetic_case", "hurst_exponent",
     "kfold_split", "load_channel", "load_set", "make_classifier",
-    "range_bounds", "range_filter", "reduce_channel", "required_sample_size",
+    "range_filter", "reduce_channel", "required_sample_size",
     "run_cv", "run_pipeline", "sample_entropy", "save_channel",
     "select_features", "shannon_entropy", "stratify", "stratum_features",
     "weighted_accuracy",

@@ -85,11 +85,9 @@ class Channel:
         return out
 
 
-def load_channel(path, set_label: str = "A") -> Channel:
+def load_channel(path, set_label: str) -> Channel:
     """Read one channel file (UTF-8 text, one finite value per line, trailing
-    blank lines ignored). The caller supplies the set label; standalone loads
-    default to A.
-    """
+    blank lines ignored) as a channel of the caller's set label."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"channel file not found: {path}")
@@ -189,13 +187,10 @@ def generate_synthetic_case(n_per_class, length: int, seed: int,
     Class 0 channels are i.i.d. standard Gaussian noise (sets A/B); class 1
     channels add amplitude-``burst_amplitude`` sinusoidal bursts on random
     windows (set E), so variance/amplitude features separate the classes.
-    ``n_per_class`` is either one count for both classes or a (n0, n1) pair.
-    Lowering ``burst_amplitude`` grades the class overlap.
+    ``n_per_class`` is the (n0, n1) pair of class sizes. Lowering
+    ``burst_amplitude`` grades the class overlap.
     """
-    if isinstance(n_per_class, (int, np.integer)):
-        n0 = n1 = int(n_per_class)
-    else:
-        n0, n1 = (int(v) for v in n_per_class)
+    n0, n1 = (int(v) for v in n_per_class)
     if n0 < 1 or n1 < 1:
         raise ConfigError("n_per_class must be at least 1 for each class")
     if length < 64:

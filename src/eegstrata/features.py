@@ -63,23 +63,23 @@ def _per_row(min_len: int, name: str = ""):
     out finite stays as it is. A value whose true size exceeds float64
     stays inf."""
     def wrap(kernel):
-        def run(block, *args, **kwargs):
-            out = kernel(block, *args, **kwargs)
+        def run(block):
+            out = kernel(block)
             return out if isinstance(out, dict) else {name: out}
 
         @functools.wraps(kernel)
-        def feature(x, *args, **kwargs):
+        def feature(x):
             arr = np.asarray(x, dtype=np.float64)
             if arr.ndim not in (1, 2) or arr.shape[-1] < min_len or not arr.size:
                 raise DataError(f"{kernel.__name__} needs a signal of at least {min_len} samples "
                                 f"or a (rows, samples) block of such rows, got shape {arr.shape}")
             block = np.atleast_2d(arr)
             with np.errstate(all="ignore"):
-                out = run(block, *args, **kwargs)
+                out = run(block)
                 bad = np.flatnonzero(~np.isfinite(list(out.values())).all(axis=0))
                 if bad.size:
                     scaled, exponent = _unit_scale(block[bad])
-                    for key, again in run(scaled, *args, **kwargs).items():
+                    for key, again in run(scaled).items():
                         redo = ~np.isfinite(out[key][bad])
                         out[key][bad[redo]] = (again[redo] if key in SCALE_FREE
                                                else np.ldexp(again[redo], exponent[redo]))
@@ -175,15 +175,16 @@ def quartiles(x) -> dict:
 
 
 @_per_row(2, "shannon_entropy")
-def shannon_entropy(x, bins: int = ENTROPY_BINS) -> float | np.ndarray:
-    """Entropy in bits of the equal-width histogram over [min, max].
+def shannon_entropy(x) -> float | np.ndarray:
+    """Entropy in bits of the equal-width ENTROPY_BINS-bin histogram over [min, max].
 
-    Bounded by log2(bins); a constant signal has no spread and returns 0,
-    and one whose span overflows NaN, which is then taken at a rescale (see
+    Bounded by log2(ENTROPY_BINS); a constant signal returns 0, and one
+    whose span overflows NaN, which is then taken at a rescale (see
     _per_row). Samples are binned by np.histogram's rule for uniform bins:
     the index from the span, the top bin taking the maximum, then one bin
     down or up where the index disagrees with the np.linspace edges.
     """
+    bins = ENTROPY_BINS
     lo, hi = x.min(axis=1), x.max(axis=1)
     span = hi - lo
     out = np.where(lo == hi, 0.0, np.nan)
@@ -203,14 +204,14 @@ def shannon_entropy(x, bins: int = ENTROPY_BINS) -> float | np.ndarray:
     return out
 
 
-def sample_entropy(x, m: int = 2, r_factor: float = 0.2) -> float:
+def sample_entropy(x, *, r_factor: float = 0.2) -> float:
     """Sample entropy: -ln(A/B) where B counts ordered template pairs of
-    length m within Chebyshev distance r = r_factor * std(x) (self-matches
-    excluded) and A counts the same pairs extended to length m+1.
+    length 2 within Chebyshev distance r = r_factor * std(x) (self-matches
+    excluded) and A counts the same pairs extended to length 3.
 
-    Both template sets are indexed over [0, n-m) so A and B draw from the
-    same pairs. Caps keep the value finite: A = 0 maps to ln(B*(n-m-1)),
-    and B = 0 maps to ln((n-m)*(n-m-1)). The std behind r is taken on the
+    Both template sets are indexed over [0, n-2) so A and B draw from the
+    same pairs. Caps keep the value finite: A = 0 maps to ln(B*(n-3)),
+    and B = 0 maps to ln((n-2)*(n-3)). The std behind r is taken on the
     signal scaled by a power of two where its squares overflow, which is
     exact, so r is finite and every pair is tested against the signal's own
     tolerance.
@@ -222,9 +223,8 @@ def sample_entropy(x, m: int = 2, r_factor: float = 0.2) -> float:
     so A and B are the same integers.
     """
     arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < m + 2:
-        raise DataError(f"sample_entropy needs a signal of at least {m + 2} samples, "
-                        f"got shape {arr.shape}")
+    if arr.ndim != 1 or arr.size < 4:
+        raise DataError(f"sample_entropy needs a signal of at least 4 samples, got shape {arr.shape}")
     n = arr.size
     with np.errstate(over="ignore", invalid="ignore"):
         std = arr.std()
@@ -232,7 +232,7 @@ def sample_entropy(x, m: int = 2, r_factor: float = 0.2) -> float:
         scaled, exponent = _unit_scale(arr[None])
         std = np.ldexp(scaled.std(), exponent[0])
     r = r_factor * std
-    n_m = n - m
+    n_m = n - 2
     order = np.argsort(arr[:n_m], kind="stable")
     keys = arr[order]
     # The window of sorted position p ends at the first key above
@@ -268,10 +268,9 @@ def sample_entropy(x, m: int = 2, r_factor: float = 0.2) -> float:
         # difference that overflows to inf exceeds r either way
         with np.errstate(over="ignore"):
             d = np.abs(arr[i] - arr[j])
-            for k in range(1, m):
-                np.maximum(d, np.abs(arr[i + k] - arr[j + k]), out=d)
+            np.maximum(d, np.abs(arr[i + 1] - arr[j + 1]), out=d)
             b += int(np.count_nonzero(d <= r))
-            np.maximum(d, np.abs(arr[i + m] - arr[j + m]), out=d)
+            np.maximum(d, np.abs(arr[i + 2] - arr[j + 2]), out=d)
         a += int(np.count_nonzero(d <= r))
     # counts above cover each unordered pair once; ordered pairs double both
     a *= 2
@@ -389,9 +388,6 @@ class FeatureMatrix:
     @property
     def n_features(self) -> int:
         return self.values.shape[1]
-
-    def column(self, name: str) -> np.ndarray:
-        return self.values[:, self.names.index(name)]
 
     def select(self, names) -> "FeatureMatrix":
         idx = [self.names.index(n) for n in names]

@@ -558,7 +558,10 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     corpus, reduced = {}, {}
     if cfg.synthetic:  # class sizes are known now, so classify's check need not wait for it
         _stage("classify", kfold_split, [0] * cfg.synthetic_n0 + [1] * cfg.synthetic_n1, cfg)
-    _stage("ingest", stage_ingest, cfg, corpus)
+    manifest = _stage("ingest", stage_ingest, cfg, corpus)
+    for case_id in cfg.cases:  # a data directory's are known once ingest has counted them
+        sizes = [sum(manifest["channels_per_set"][s] for s in sets) for sets in CASE_SETS[case_id]]
+        _stage("classify", kfold_split, np.repeat([0, 1], sizes), cfg)
     levels = resolve_levels(cfg)
     for i, (label, z) in enumerate(levels, 1):
         _stage("sample", stage_sample, cfg, label, z, corpus, reduced)

@@ -196,16 +196,6 @@ def _bands(columns: np.ndarray) -> tuple:
     return np.where(swap, hi, lo), np.where(swap, lo, hi)
 
 
-def range_bounds(values) -> tuple:
-    """Band (lo, hi) centered at (max+min)/2 with half-width (max+min)/4,
-    swapped when the half-width is negative."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        raise DataError("range_bounds of an empty sequence")
-    lo, hi = _bands(arr.reshape(-1, 1))
-    return float(lo[0]), float(hi[0])
-
-
 @dataclass(frozen=True)
 class FeatureSubset:
     """Outcome of selection: the kept features plus everything needed to

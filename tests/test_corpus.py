@@ -51,7 +51,7 @@ def test_load_tolerates_trailing_blank_lines(tmp_path):
 def test_load_accepts_whitespace_around_values(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text(" 1.5\n\t-2 \n  3e1\t\t\n")
-    np.testing.assert_array_equal(load_channel(path).samples, [1.5, -2.0, 30.0])
+    np.testing.assert_array_equal(load_channel(path, "A").samples, [1.5, -2.0, 30.0])
 
 
 @pytest.mark.parametrize("text, line", [
@@ -63,7 +63,7 @@ def test_load_reports_bad_line_number(tmp_path, text, line):
     path = tmp_path / "c.txt"
     path.write_text(text)
     with pytest.raises(DataError, match=f"non-numeric value at line {line}:"):
-        load_channel(path)
+        load_channel(path, "A")
 
 
 @pytest.mark.parametrize("text, line", [
@@ -75,24 +75,24 @@ def test_load_rejects_non_finite(tmp_path, text, line):
     path = tmp_path / "c.txt"
     path.write_text(text)
     with pytest.raises(DataError, match=f"non-finite value at line {line}:"):
-        load_channel(path)
+        load_channel(path, "A")
 
 
 def test_load_rejects_non_utf8(tmp_path):
     path = tmp_path / "c.txt"
     path.write_bytes(b"1\n\xff\n3\n")
     with pytest.raises(DataError, match="not UTF-8") as exc:
-        load_channel(path)
+        load_channel(path, "A")
     assert str(path) in str(exc.value)
 
 
 def test_load_missing_and_empty(tmp_path):
     with pytest.raises(DataError, match="not found"):
-        load_channel(tmp_path / "missing.txt")
+        load_channel(tmp_path / "missing.txt", "A")
     empty = tmp_path / "empty.txt"
     empty.write_text("\n\n")
     with pytest.raises(DataError, match="empty"):
-        load_channel(empty)
+        load_channel(empty, "A")
 
 
 def _write_set(root, label, stems, length=32, seed=0):
@@ -140,7 +140,7 @@ def test_synthetic_case_shape_and_determinism():
 
 
 def test_synthetic_classes_differ_in_power():
-    channels = generate_synthetic_case(8, 512, seed=1, burst_amplitude=5.0)
+    channels = generate_synthetic_case((8, 8), 512, seed=1, burst_amplitude=5.0)
     var0 = np.mean([ch.samples.var() for ch, lab in channels if lab == 0])
     var1 = np.mean([ch.samples.var() for ch, lab in channels if lab == 1])
     assert var1 > 2 * var0
@@ -148,9 +148,9 @@ def test_synthetic_classes_differ_in_power():
 
 def test_synthetic_validation():
     with pytest.raises(ConfigError):
-        generate_synthetic_case(0, 128, seed=0)
+        generate_synthetic_case((0, 0), 128, seed=0)
     with pytest.raises(ConfigError):
-        generate_synthetic_case(4, 16, seed=0)
+        generate_synthetic_case((4, 4), 16, seed=0)
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])

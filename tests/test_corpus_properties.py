@@ -37,10 +37,10 @@ def test_load_matches_reference_parse(lines, trailing):
             expected = oracles.load_channel_reference(path)
         except ValueError as exc:
             with pytest.raises(DataError) as raised:
-                load_channel(path)
+                load_channel(path, "A")
             assert str(raised.value) == str(exc)
         else:
-            got = load_channel(path).samples
+            got = load_channel(path, "A").samples
             np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 

@@ -67,6 +67,18 @@ def test_all_lists_the_public_names():
     assert sorted(eegstrata.__all__) == sorted(public)
 
 
+def test_each_public_name_is_used_by_program_code():
+    """Every name in __all__ is loaded by name somewhere in the package's
+    modules other than __init__.py, or in the benchmark's, so a public name
+    that only tests or demos use fails here."""
+    root = Path(__file__).resolve().parents[1]
+    paths = [path for path in sorted(Path(eegstrata.__file__).parent.glob("*.py"))
+             if path.name != "__init__.py"] + sorted((root / "bench").glob("*.py"))
+    loaded = {node.id for path in paths for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert sorted(set(eegstrata.__all__) - loaded) == []
+
+
 def test_classifier_methods_stay_on_their_classes():
     """bench/tracing.py times fit and predict by wrapping them on each class in
     classifiers, so moving one elsewhere must fail here, not in the benchmark."""

@@ -371,10 +371,10 @@ def test_feature_matrix_select_and_column():
     fm = FeatureMatrix(names=("a", "b", "c"),
                        values=np.arange(12, dtype=float).reshape(4, 3),
                        labels=np.array([0, 0, 1, 1]))
-    np.testing.assert_array_equal(fm.column("b"), [1, 4, 7, 10])
+    np.testing.assert_array_equal(fm.values[:, fm.names.index("b")], [1, 4, 7, 10])
     sub = fm.select(("c", "a"))
     assert sub.names == ("c", "a")
-    np.testing.assert_array_equal(sub.values[:, 0], fm.column("c"))
+    np.testing.assert_array_equal(sub.values[:, 0], fm.values[:, fm.names.index("c")])
 
 
 @pytest.mark.parametrize("text, message", [

@@ -651,6 +651,22 @@ def test_cli_bad_classifier_or_cv_fails_before_any_stage(tmp_path, capsys, chang
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("conf, message", [
+    ("", "cannot split 9 rows into 10 folds"),
+    ("cv.folds = 4\n", "class 1 has 3 rows, fewer than 4 folds"),
+], ids=["rows-below-folds", "class-below-folds"])
+def test_cli_data_directory_below_the_folds_fails_before_sample(tmp_path, capsys, conf, message):
+    """A data directory's class sizes are known once ingest has counted its
+    files, so classify's fold check runs before sample writes anything."""
+    _write_bonn_corpus(tmp_path / "corpus", 512)
+    (tmp_path / "run.conf").write_text(conf)
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", str(tmp_path / "run.conf"), "--data",
+                 str(tmp_path / "corpus"), "--case", "Case1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: classify: {message}\n"
+    assert [p.name for p in out.rglob("*")] == ["manifest.json"]
+
+
 @pytest.mark.parametrize("command, before, change, code, message", [
     ("ingest", [], ("cases", "Case2"), 2,
      "synthetic data covers sets A/B/E, so only Case1 is supported"),
@@ -790,7 +806,7 @@ def test_cli_extracts_data_whose_moments_overflow(tmp_path, scale):
     for stage in ("sample", "extract"):
         assert main([stage, *args]) == 0
     fm = FeatureMatrix.from_csv(tmp_path / "out" / "confidence_95" / "features_Case1.csv")
-    assert fm.column("s1_kurtosis").min() > 1.0
+    assert fm.values[:, fm.names.index("s1_kurtosis")].min() > 1.0
 
 
 @pytest.mark.parametrize("command, code", [
@@ -841,11 +857,13 @@ def test_cli_feature_column_whose_spread_overflows_is_refused(tmp_path, kind):
 
 def _scaled_bonn_corpus(root):
     """A 3-file-per-set Bonn corpus whose set E (directory S) is scaled by
-    1e305, so its stratum weights overflow float64."""
+    1e305, so its stratum weights overflow float64, run at 3 folds, which
+    its 3 set-E channels allow."""
     corpus_gen.write_corpus(root, seed=0, n_per_set=3, length=1024)
     for path in (root / "S").glob("*.txt"):
         path.write_text("".join(f"{float(v) * 1e305!r}\n" for v in path.read_text().split()))
-    return ["--data", str(root), "--case", "Case1"]
+    (root / "run.conf").write_text("cv.folds = 3\n")
+    return ["--config", str(root / "run.conf"), "--data", str(root), "--case", "Case1"]
 
 
 @pytest.mark.parametrize("setup, code, stderr", [

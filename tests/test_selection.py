@@ -4,9 +4,10 @@ import pytest
 import oracles
 from eegstrata import (ConfigError, DataError, FeatureMatrix, PipelineConfig,
                        best_first_search, cfs_merit, correlation_matrix,
-                       range_bounds, range_filter, select_features)
+                       range_filter, select_features)
 from eegstrata.evaluation import kfold_split
 from eegstrata.pipeline import stage_extract, stage_ingest, stage_sample
+from eegstrata.selection import _bands
 
 
 def _matrix(values, labels, names=None):
@@ -321,12 +322,19 @@ def test_best_first_equals_the_heap_search():
 
 
 def test_range_bounds_reference_points():
-    assert range_bounds([2.0, 4.0, 6.0]) == (2.0, 6.0)
-    assert range_bounds([0.0, 5.0, 10.0]) == (2.5, 7.5)
-    assert range_bounds([0.0]) == (0.0, 0.0)
+    def band(values):
+        lo, hi = _bands(np.array(values)[:, None])
+        return float(lo[0]), float(hi[0])
+
+    assert band([2.0, 4.0, 6.0]) == (2.0, 6.0)
+    assert band([0.0, 5.0, 10.0]) == (2.5, 7.5)
+    assert band([0.0]) == (0.0, 0.0)
     # negative sum flips the half-width; bounds must still be ordered
-    lo, hi = range_bounds([-10.0, 2.0])
+    lo, hi = band([-10.0, 2.0])
     assert lo == -6.0 and hi == -2.0
+    # each column of a block gets its own band
+    lo, hi = _bands(np.array([[2.0, 0.0, -10.0], [4.0, 5.0, 2.0], [6.0, 10.0, 2.0]]))
+    assert lo.tolist() == [2.0, 2.5, -6.0] and hi.tolist() == [6.0, 7.5, -2.0]
 
 
 def test_range_filter_keeps_and_drops():

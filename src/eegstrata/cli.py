@@ -163,7 +163,10 @@ def _show_subset(cfg, z, subset) -> str:
 
 def _ingest(cfg, args):
     manifest = stage_ingest(cfg)
-    print(f"data root: {manifest['root']}")
+    if "synthetic" in manifest:
+        print("synthetic corpus:", ", ".join(f"{k}={v}" for k, v in manifest["synthetic"].items()))
+    else:
+        print(f"data root: {manifest['root']}")
     for s, count in manifest["channels_per_set"].items():
         print(f"  set {s}: {count} channels")
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -42,8 +41,7 @@ CASE_SETS = {
 class Channel:
     """One recorded signal: samples are stored as float64 regardless of the
     on-disk representation so all downstream math shares one numeric type.
-    They are a read-only view, so the channel's text, once made, matches them
-    as long as the array passed in is not written to."""
+    They are a read-only view, so no holder of the channel can change them."""
 
     id: str
     set_label: str
@@ -60,29 +58,6 @@ class Channel:
 
     def __len__(self) -> int:
         return self.samples.size
-
-    @cached_property
-    def text(self) -> bytes:
-        """The channel file's bytes: one repr line per sample, made once."""
-        return ("\n".join(map(repr, self.samples.tolist())) + "\n").encode("ascii")
-
-    def drop_text(self) -> None:
-        """Release the text, if made; it is made again when next asked for."""
-        vars(self).pop("text", None)
-
-    def take(self, positions) -> Channel:
-        """The channel of the samples at the given strictly increasing
-        positions. If this channel's text has been made, the result's text is
-        the lines at those positions, cut from it without a repr."""
-        out = Channel(id=self.id, set_label=self.set_label, samples=self.samples[positions])
-        text = vars(self).get("text")
-        if text is not None:
-            buf = np.frombuffer(text, dtype=np.uint8)
-            line_lengths = np.diff(np.flatnonzero(buf == ord("\n")), prepend=-1)
-            keep = np.zeros(len(self), dtype=bool)
-            keep[positions] = True
-            vars(out)["text"] = buf[np.repeat(keep, line_lengths)].tobytes()
-        return out
 
 
 def load_channel(path, set_label: str) -> Channel:
@@ -124,12 +99,10 @@ def _raise_first_bad_line(path: Path, lines: list) -> None:
 def save_channel(channel: Channel, path) -> None:
     """Write a channel's text, one value per line in the format load_channel
     reads. Values are written with repr precision so a load/save round trip
-    is numerically exact, and the bytes do not depend on the locale. The text
-    is made by repr on the channel's first write and kept on it; a channel
-    that Channel.take cuts from one whose text is made needs no repr."""
+    is numerically exact, and the bytes do not depend on the locale."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(channel.text)
+    path.write_bytes(("\n".join(map(repr, channel.samples.tolist())) + "\n").encode("ascii"))
 
 
 def _set_channel_files(directory: Path) -> list[Path]:

@@ -403,32 +403,34 @@ class FeatureMatrix:
     @classmethod
     def from_csv(cls, path) -> "FeatureMatrix":
         """Read what to_csv wrote; faults name the file and line. Labels are 0 or 1, both occur."""
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            if not header or header[-1] != "label":
-                raise DataError(f"{path}: the first line must be a header ending in 'label'")
-            names = tuple(header[:-1])
-            if len(set(names)) != len(names):
-                raise DataError(f"{path}: feature names must be unique")
-            values = []
-            labels = []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise DataError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
-                try:
-                    values.append([float(v) for v in row[:-1]])
-                    labels.append(int(row[-1]))
-                except ValueError as exc:
-                    raise DataError(f"{path}:{lineno}: {exc}") from None
-                if labels[-1] not in (0, 1):
-                    raise DataError(f"{path}:{lineno}: label {labels[-1]} is not 0 or 1")
-                if not all(map(math.isfinite, values[-1])):
-                    col = next(i for i, v in enumerate(values[-1]) if not math.isfinite(v))
-                    raise DataError(f"{path}:{lineno}: {names[col]} is {values[-1][col]}; "
-                                    "feature values must be finite")
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise DataError(f"{path}: not a UTF-8 CSV file ({exc})") from None
+        header = rows[0] if rows else []
+        if not header or header[-1] != "label":
+            raise DataError(f"{path}: the first line must be a header ending in 'label'")
+        names = tuple(header[:-1])
+        if len(set(names)) != len(names):
+            raise DataError(f"{path}: feature names must be unique")
+        values, labels = [], []
+        for lineno, row in enumerate(rows[1:], start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DataError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
+            try:
+                values.append([float(v) for v in row[:-1]])
+                labels.append(int(row[-1]))
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
+            if labels[-1] not in (0, 1):
+                raise DataError(f"{path}:{lineno}: label {labels[-1]} is not 0 or 1")
+            if not all(map(math.isfinite, values[-1])):
+                col = next(i for i, v in enumerate(values[-1]) if not math.isfinite(v))
+                raise DataError(f"{path}:{lineno}: {names[col]} is {values[-1][col]}; "
+                                "feature values must be finite")
         if set(labels) != {0, 1}:
             raise DataError(f"{path}: rows of label 0 and of label 1 are needed, "
                             f"got labels {sorted(set(labels))}")

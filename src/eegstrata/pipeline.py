@@ -3,17 +3,15 @@
 Every stage writes its outputs to the output directory. Called on its own,
 a stage reads its inputs from there; `run_pipeline` instead hands each
 stage's output to the next in memory, so it generates or parses its input
-corpus once and never parses a channel file it wrote itself. `_write_set`
-writes every directory of channel files and hands on its channels in the
-order `load_set` reads them back. The files are checkpoints: after its input
-is resolved a stage runs the same code either way, and `repr` round-trips
+corpus once and never parses a channel file it wrote itself. A synthetic
+corpus is not written: the manifest records its generator settings, and a
+stage that needs it generates it again from them. `_write_set` writes every
+directory of reduced channel files and hands on its channels in the order
+`load_set` reads them back. The files are checkpoints: after its input is
+resolved a stage runs the same code either way, and `repr` round-trips
 float64, so a single `run_pipeline` call and the equivalent sequence of stage
-calls produce byte-identical artifacts. A synthetic channel keeps the text
-ingest wrote until its last level is sampled, so in a single call each
-reduced file is cut from its raw channel's text rather than made by `repr`
-again; a reduced channel's text is released once written. Nothing here
-depends on wall-clock time; a (config, seed) pair fully determines every
-output byte.
+calls produce byte-identical artifacts. Nothing here depends on wall-clock
+time; a (config, seed) pair fully determines every output byte.
 """
 
 from __future__ import annotations
@@ -27,8 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .classifiers import KNN_K, NB_VAR_FLOOR, RF_TREES, make_classifier
-from .corpus import (BONN_PREFIX_TO_SET, CASE_SETS, case_channels, generate_synthetic_case,
-                     load_set, save_channel, _set_channel_files)
+from .corpus import (BONN_PREFIX_TO_SET, CASE_SETS, MAX_BURST_AMPLITUDE, case_channels,
+                     generate_synthetic_case, load_set, save_channel, _set_channel_files)
 from .errors import ConfigError, DataError, DegenerateDataError, EegStrataError
 from .evaluation import SELECTION_MODES, kfold_split, run_cv, weighted_accuracy
 from .features import MIN_STRATUM_LENGTH, FeatureMatrix, extract_vector, feature_names
@@ -165,6 +163,10 @@ def _is_count(value, least: int) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
+def _count(least: int) -> tuple:
+    return lambda v: _is_count(v, least), f"an integer >= {least}"
+
+
 def _counts(least: int) -> tuple:
     return (lambda v: isinstance(v, list) and all(_is_count(c, least) for c in v),
             f"a list of integers >= {least}")
@@ -198,23 +200,33 @@ def _feature_columns(cfg: PipelineConfig, fm: FeatureMatrix) -> list:
     return [("n_features", fm.n_features, len(names))]
 
 
+def _manifest_keys(manifest) -> dict:
+    """The checks of a manifest: a synthetic corpus's generator settings, or
+    a data directory's set directories."""
+    if isinstance(manifest, dict) and "synthetic" in manifest:
+        return {"synthetic.n0": _count(2), "synthetic.n1": _count(1),
+                "synthetic.length": _count(64), "synthetic.burst_amplitude": (
+                    lambda v: _is_number(v) and abs(v) <= MAX_BURST_AMPLITUDE,
+                    f"a number of magnitude at most {MAX_BURST_AMPLITUDE:g}"),
+                "synthetic.seed": (lambda v: _is_number(v) and isinstance(v, int), "an integer")}
+    return {"set_dirs": (
+        lambda v: isinstance(v, dict) and all(isinstance(d, str) for d in v.values()),
+        "an object of strings")}
+
+
 # Every file of a run, one row per kind: its path under out_dir ({0} is the
 # level label, {1} the case); the stage that writes it; the checks every
 # reader applies, mapping a key ("a.b" is key b inside a) to None or to a
-# (test, description) pair its value must pass; and, where the config fixes
-# the contents, cfg, artifact -> (key, value, the config's value) triples.
+# (test, description) pair its value must pass, or a function of the
+# artifact giving that mapping; and, where the config fixes the contents,
+# cfg, artifact -> (key, value, the config's value) triples.
 _LEVEL = "confidence_{0}"
 _ARTIFACTS = {
-    "data": ("data", "ingest", {}, None),
-    "manifest": ("manifest.json", "ingest", {"set_dirs": (
-        lambda v: isinstance(v, dict) and all(isinstance(d, str) for d in v.values()),
-        "an object of strings")}, None),
+    "manifest": ("manifest.json", "ingest", _manifest_keys, None),
     "reduced": (_LEVEL + "/reduced/{1}", "sample", {}, None),
     "sampling": (_LEVEL + "/sampling_{1}.json", "sample", {
-        "length": (lambda v: _is_count(v, 1), "an integer >= 1"),
-        "z": (lambda v: _is_number(v) and v > 0, "a positive number"),
-        "n_bar": (lambda v: _is_count(v, 1), "an integer >= 1"),
-        "policy": None, "plan": _counts(1),
+        "length": _count(1), "z": (lambda v: _is_number(v) and v > 0, "a positive number"),
+        "n_bar": _count(1), "policy": None, "plan": _counts(1),
         "classes.0.per_stratum": _counts(MIN_STRATUM_LENGTH),
         "classes.1.per_stratum": _counts(MIN_STRATUM_LENGTH),
     }, _sampling_fields),
@@ -262,7 +274,7 @@ def _read(cfg: PipelineConfig, kind: str, *where):
             data = json.loads(path.read_text())
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataError(f"{path}: malformed JSON ({exc}); run '{writer}' again") from None
-    for key, check in keys.items():
+    for key, check in (keys(data) if callable(keys) else keys).items():
         node = data
         for part in key.split("."):
             if not isinstance(node, dict) or part not in node:
@@ -281,6 +293,11 @@ def _read(cfg: PipelineConfig, kind: str, *where):
     return data
 
 
+def _file_name(channel) -> str:
+    """The name of a channel's file; load_set reads a set in the order of these names."""
+    return f"{channel.id.rsplit('/', 1)[-1]}.txt"
+
+
 def _write_set(directory: Path, channels) -> list:
     """Replace directory's channel files with one <stem>.txt per channel; return
     the channels in load_set's order, by file name (syn1000.txt before syn101.txt)."""
@@ -288,32 +305,35 @@ def _write_set(directory: Path, channels) -> list:
         path.unlink()
     by_name = {}
     for ch in channels:
-        name = f"{ch.id.rsplit('/', 1)[-1]}.txt"
-        save_channel(ch, directory / name)
-        by_name[name] = ch
+        by_name[_file_name(ch)] = ch
+        save_channel(ch, directory / _file_name(ch))
     return [by_name[name] for name in sorted(by_name)]
 
 
-def stage_ingest(cfg: PipelineConfig, corpus: dict | None = None) -> dict:
-    """Resolve (or synthesize) the channel corpus and write the manifest.
+def _synthetic_sets(settings: dict) -> dict:
+    """The synthetic corpus of the manifest's generator settings: each set's
+    channels in file name order, as a data directory's load_set would read them."""
+    channels = generate_synthetic_case((settings["n0"], settings["n1"]), settings["length"],
+                                       settings["seed"], settings["burst_amplitude"])
+    return {s: sorted((ch for ch, _ in channels if ch.set_label == s), key=_file_name)
+            for s in sorted({ch.set_label for ch, _ in channels})}
 
-    A synthetic corpus is written to the data directory; corpus, if a dict,
-    receives each set's channels as _write_set returns them. From a data
-    directory ingest parses nothing and corpus stays as it is.
-    """
-    needed = sorted({s for case in cfg.cases for sets in CASE_SETS[case] for s in sets})
+
+def stage_ingest(cfg: PipelineConfig, corpus: dict | None = None) -> dict:
+    """Resolve (or synthesize) the channel corpus and write the manifest. A
+    synthetic corpus is not written, the manifest records its settings, and
+    corpus, if a dict, receives its sets as _synthetic_sets gives them. From
+    a data directory ingest parses nothing and corpus stays as it is."""
     if cfg.synthetic:
         if cfg.cases != ("Case1",):
             raise ConfigError("synthetic data covers sets A/B/E, so only Case1 is supported")
-        channels = generate_synthetic_case((cfg.synthetic_n0, cfg.synthetic_n1),
-                                           cfg.synthetic_length, cfg.seed,
-                                           burst_amplitude=cfg.synthetic_burst_amplitude)
-        root = artifact_path(cfg, "data")
-        set_dirs = {s: root / s for s in needed}
-        written = {s: _write_set(d, [ch for ch, _ in channels if ch.set_label == s])
-                   for s, d in set_dirs.items()}
+        settings = {"n0": cfg.synthetic_n0, "n1": cfg.synthetic_n1, "length": cfg.synthetic_length,
+                    "burst_amplitude": cfg.synthetic_burst_amplitude, "seed": cfg.seed}
+        generated = _synthetic_sets(settings)
         if corpus is not None:
-            corpus.update(written)
+            corpus.update(generated)
+        manifest = {"synthetic": settings, "cases": list(cfg.cases),
+                    "channels_per_set": {s: len(chans) for s, chans in generated.items()}}
     else:
         if not cfg.data_dir:
             raise ConfigError("either a data directory or synthetic data is required")
@@ -321,7 +341,7 @@ def stage_ingest(cfg: PipelineConfig, corpus: dict | None = None) -> dict:
         if not root.is_dir():
             raise DataError(f"data directory not found: {root}")
         set_dirs = {}
-        for s in needed:
+        for s in sorted({s for case in cfg.cases for sets in CASE_SETS[case] for s in sets}):
             candidates = [root / s, root / _SET_TO_PREFIX[s]]
             found = next((c for c in candidates if c.is_dir()), None)
             if found is None:
@@ -329,13 +349,10 @@ def stage_ingest(cfg: PipelineConfig, corpus: dict | None = None) -> dict:
                     f"no directory for set {s}: tried " + ", ".join(str(c) for c in candidates)
                 )
             set_dirs[s] = found
-
-    manifest = {
-        "root": str(root),
-        "set_dirs": {s: str(d) for s, d in sorted(set_dirs.items())},
-        "cases": list(cfg.cases),
-        "channels_per_set": {s: len(_set_channel_files(d)) for s, d in sorted(set_dirs.items())},
-    }
+        manifest = {"root": str(root), "set_dirs": {s: str(d) for s, d in set_dirs.items()},
+                    "cases": list(cfg.cases),
+                    "channels_per_set": {s: len(_set_channel_files(d))
+                                         for s, d in set_dirs.items()}}
     _write_json(artifact_path(cfg, "manifest"), manifest)
     return manifest
 
@@ -346,22 +363,27 @@ def stage_sample(cfg: PipelineConfig, label: str, z: float, corpus: dict | None 
 
     corpus is a dict of each set's channels in load_set's order, as
     stage_ingest or an earlier call filled it (None: a new dict); first each
-    set the cases need that it lacks is parsed into it from the manifest's
-    directory, so a dict kept across levels parses each file once. reduced,
-    if a dict, receives each case's reduced (channel, label) pairs, in the
-    order extract reads their files. Returns each case's sampling.
+    set the cases need that it lacks is put into it, generated from the
+    synthetic settings the manifest records or parsed from the directory it
+    names, so a dict kept across levels makes each set once. reduced, if a
+    dict, receives each case's reduced (channel, label) pairs, in the order
+    extract reads their files. Returns each case's sampling.
     """
     corpus = {} if corpus is None else corpus
-    set_dirs = None
+    manifest = None
     for case_id in cfg.cases:
-        for set_label in (s for sets in CASE_SETS[case_id] for s in sets):
-            if set_label in corpus:
-                continue
-            set_dirs = set_dirs or _read(cfg, "manifest")["set_dirs"]
-            if set_label not in set_dirs:
+        for set_label in (s for sets in CASE_SETS[case_id] for s in sets if s not in corpus):
+            if manifest is None:
+                manifest = _read(cfg, "manifest")
+                generated = (_synthetic_sets(manifest["synthetic"]) if "synthetic" in manifest
+                             else {})
+            if set_label in generated:
+                corpus[set_label] = generated[set_label]
+            elif "synthetic" not in manifest and set_label in manifest["set_dirs"]:
+                corpus[set_label] = load_set(manifest["set_dirs"][set_label], set_label)
+            else:
                 raise DataError(f"{case_id}: set {set_label} is not in the manifest; "
                                 "run 'ingest' again")
-            corpus[set_label] = load_set(set_dirs[set_label], set_label)
     samplings = {}
     for case_id in cfg.cases:
         channels = case_channels(case_id, corpus.__getitem__)
@@ -397,8 +419,6 @@ def stage_sample(cfg: PipelineConfig, label: str, z: float, corpus: dict | None 
                                seed=derive_seed(cfg.seed, "reduce", ch.id), policy=cfg.policy)
                 for ch, lab in channels if ch.set_label == set_label))
             if reduced is not None:  # else released once its set is written
-                for ch in kept:
-                    ch.drop_text()  # extract reads only the samples
                 written[set_label] = kept
         if reduced is not None:
             reduced[case_id] = case_channels(case_id, written.__getitem__)

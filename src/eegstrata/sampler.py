@@ -149,8 +149,7 @@ def reduce_channel(channel: Channel, sizes, counts, seed: int,
     """Draw counts[i] points from stratum i of the given sizes and concatenate.
 
     Within a stratum the selected positions are kept in temporal order, so
-    the reduced signal is an order-preserving subsequence of the input, and
-    its text is the input's text lines at those positions (Channel.take).
+    the reduced signal is an order-preserving subsequence of the input.
     ``random`` draws without replacement from the seeded generator;
     ``systematic`` takes evenly spaced points and ignores the seed.
     """
@@ -176,4 +175,5 @@ def reduce_channel(channel: Channel, sizes, counts, seed: int,
 
     if not positions:
         raise ConfigError("allocation selects zero samples overall")
-    return channel.take(np.concatenate(positions))
+    return Channel(id=channel.id, set_label=channel.set_label,
+                   samples=channel.samples[np.concatenate(positions)])

@@ -27,10 +27,11 @@ KERNEL_TIMERS = {
 }
 
 # counts of a traced seed-0 iteration that the bench's span cuts rest on, and
-# the writer's calls and bytes, which stay the same however its text is made
+# the writer's calls and bytes: a synthetic run writes its reduced channels
+# and not the corpus, which its manifest's settings generate again
 SPAN_COUNTS = {
-    "pipeline-rf": {"selection.select_features.calls": 11, "trace.spans": 225,
-                    "corpus.save_channel.calls": 42, "corpus.bytes_written": 2_861_170},
+    "pipeline-rf": {"selection.select_features.calls": 11, "trace.spans": 204,
+                    "corpus.save_channel.calls": 21, "corpus.bytes_written": 1_179_201},
     "classify-sweep": {"selection.select_features.calls": 40, "trace.spans": 210,
                        "corpus.save_channel.calls": 0, "corpus.bytes_written": 0},
     "reduce-sweep": {"selection.select_features.calls": 0, "trace.spans": 461,

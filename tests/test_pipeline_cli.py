@@ -15,12 +15,13 @@ import eegstrata
 import oracles
 from eegstrata import (ConfigError, FeatureMatrix, PipelineConfig,
                        assemble_report, corpus, emit_report, pipeline,
-                       required_sample_size, run_pipeline)
+                       reduce_channel, required_sample_size, run_pipeline)
 from eegstrata.cli import (CONFIG_TEMPLATE, build_config, build_parser, main,
                            parse_config_file)
-from eegstrata.pipeline import (REPORT_CSV_HEADER, resolve_levels,
+from eegstrata.pipeline import (_ARTIFACTS, REPORT_CSV_HEADER, resolve_levels,
                                 stage_classify, stage_extract, stage_ingest,
                                 stage_sample, stage_select)
+from eegstrata.seeding import derive_seed
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
 import corpus_gen  # noqa: E402  the benchmark's seeded Bonn-layout corpus
@@ -60,17 +61,16 @@ def test_artifacts_on_disk(tiny_run):
     cfg, report = tiny_run
     out = Path(cfg.out_dir)
     level = out / "confidence_95"
-    # the run writes these files and nothing else
-    channels = {p.relative_to(out / "data").as_posix() for p in (out / "data").rglob("*")
-                if p.is_file()}
+    # the run writes these files and nothing else: the synthetic corpus is not written
+    channels = {p.relative_to(level / "reduced" / "Case1").as_posix()
+                for p in (level / "reduced" / "Case1").rglob("*") if p.is_file()}
     assert len(channels) == 22 and {c.split("/")[0] for c in channels} == {"A", "B", "E"}
     assert {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()} == {
         "manifest.json", "report.json", "confidence_95/sampling_Case1.json",
         "confidence_95/features_Case1.csv", "confidence_95/selection_Case1.json",
         "confidence_95/evaluation_Case1.json",
-        *(f"data/{c}" for c in channels), *(f"confidence_95/reduced/Case1/{c}" for c in channels)}
+        *(f"confidence_95/reduced/Case1/{c}" for c in channels)}
     for set_label in ("A", "B", "E"):
-        assert (out / "data" / set_label).is_dir()
         reduced = sorted((level / "reduced" / "Case1" / set_label).glob("*.txt"))
         assert reduced
         # every reduced channel holds exactly the allocated sample count
@@ -183,11 +183,10 @@ def test_channels_in_memory_are_in_file_name_order(tmp_path):
     stage_sample(cfg, "95", 1.96, generated, reduced)
     ids = [ch.id for ch in generated["E"]]
     assert ids.index("E/syn1000") == ids.index("E/syn101") - 1
-    for set_label, channels in generated.items():
-        loaded = corpus.load_set(tmp_path / "data" / set_label, set_label)
-        assert [ch.id for ch in channels] == [ch.id for ch in loaded]
-        assert all(np.array_equal(a.samples, b.samples) for a, b in zip(channels, loaded))
     reduced_dir = tmp_path / "confidence_95" / "reduced" / "Case1"
+    for set_label, channels in generated.items():
+        loaded = corpus.load_set(reduced_dir / set_label, set_label)
+        assert [ch.id for ch in channels] == [ch.id for ch in loaded]
     assert [(ch.id, lab) for ch, lab in reduced["Case1"]] == [
         (ch.id, lab) for ch, lab in corpus.case_channels(
             "Case1", lambda s: corpus.load_set(reduced_dir / s, s))]
@@ -218,8 +217,8 @@ def test_one_shot_and_staged_runs_write_channels_alike(bonn_corpus, tmp_path, mo
 
 
 def test_rerun_with_fewer_channels_leaves_no_stale_channel_files(tmp_path):
-    """ingest rewrites data/<SET>/ and sample confidence_<x>/reduced/<case>/
-    whole, so a staged rerun reads only its own corpus."""
+    """sample rewrites confidence_<x>/reduced/<case>/ whole, so a staged rerun
+    reads only its own corpus."""
     cfg = PipelineConfig(synthetic=True, synthetic_n0=14, synthetic_n1=7, synthetic_length=512,
                          classifier="nb", cv_folds=3, cv_repeats=1, out_dir=str(tmp_path))
     run_pipeline(cfg)
@@ -227,7 +226,6 @@ def test_rerun_with_fewer_channels_leaves_no_stale_channel_files(tmp_path):
     _run_staged(smaller)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["channels_per_set"] == {"A": 5, "B": 5, "E": 7}
-    assert len(list((tmp_path / "data").rglob("*.txt"))) == 17
     assert len(list((tmp_path / "confidence_95" / "reduced").rglob("*.txt"))) == 17
     staged = _files(tmp_path)
     report = run_pipeline(smaller)
@@ -353,6 +351,28 @@ def test_readme_config_block_parses_to_defaults(tmp_path):
     path.write_text(blocks[0])
     # parse_config_file rejects unknown keys, so this also pins the key names
     assert PipelineConfig(**parse_config_file(path)) == PipelineConfig()
+
+
+def test_readme_output_layout_lists_every_artifact():
+    """The README's Output layout block and the artifact table name the same
+    files: each kind's path, at level 95 and Case1, is a path of the block or
+    holds one, and each file of the block is one kind's path or lies in it."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Output layout\n\n```\nout/\n(.*?)```", readme, flags=re.S).group(1)
+    files, parents = [], []
+    for line in block.splitlines():
+        depth = (len(line) - len(line.lstrip())) // 2 - 1
+        name = line.split()[0]
+        parents[depth:] = [name.rstrip("/")]
+        if not name.endswith("/"):
+            files.append("/".join(parents))
+    kinds = {kind: row[0].format("95", "Case1") for kind, row in _ARTIFACTS.items()}
+
+    def within(file, kind_path):
+        return file == kind_path or file.startswith(kind_path + "/")
+
+    assert [k for k, path in kinds.items() if not any(within(f, path) for f in files)] == []
+    assert [f for f in files if not any(within(f, path) for path in kinds.values())] == []
 
 
 def test_config_parse_errors(tmp_path):
@@ -499,6 +519,14 @@ def _sampling_json(per_stratum_0, **bad):
     })
 
 
+def _manifest_json(**bad):
+    """A manifest.json of the run below, with the generator settings in bad
+    replaced, or left out where bad gives None."""
+    settings = {"n0": 4, "n1": 3, "length": 512, "burst_amplitude": 5.0, "seed": 0, **bad}
+    return json.dumps({"synthetic": {k: v for k, v in settings.items() if v is not None},
+                       "cases": ["Case1"], "channels_per_set": {"A": 2, "B": 2, "E": 3}})
+
+
 def _evaluation_json(**bad):
     """An evaluation_Case1.json of the run below, with the values in bad replaced."""
     return json.dumps({"case": "Case1", "classifier": "nb", "n_rows": 7, "mean": 57.0,
@@ -519,6 +547,14 @@ def _evaluation_json(**bad):
     ("confidence_95/evaluation_Case1.json", "{}", "report"),
     # a value of the wrong type
     ("manifest.json", '{"set_dirs": []}', "sample"),
+    # a generator setting missing, of the wrong type, or out of range
+    ("manifest.json", _manifest_json(n0=None), "sample"),
+    ("manifest.json", _manifest_json(n0="x"), "sample"),
+    ("manifest.json", _manifest_json(length=10), "sample"),
+    # text that is not UTF-8, or not CSV that the csv module reads
+    ("confidence_95/features_Case1.csv", b"\xff\xfe,label\n", "select"),
+    pytest.param("confidence_95/features_Case1.csv", "x" * 200_000 + ",label\n", "select",
+                 id="csv-field-over-the-csv-module-limit"),
     ("confidence_95/sampling_Case1.json", _sampling_json("abc"), "extract"),
     ("confidence_95/sampling_Case1.json", _sampling_json([-1, 1000, 1000, 1000]), "extract"),
     # counts extract cannot use: a stratum under 64 samples
@@ -541,16 +577,20 @@ def _evaluation_json(**bad):
     ("confidence_95/sampling_Case1.json", _sampling_json([162, 162, 162]), "report"),
 ])
 def test_cli_malformed_artifact_is_a_data_error(tmp_path, artifact, damage, command):
-    """damage is the share of the artifact's text to keep, or text to replace it with."""
+    """damage is the share of the artifact's text to keep, or text or bytes
+    to replace it with."""
     conf = _small_conf(tmp_path / "run.conf")
-    stages = ["ingest", "sample"] + (["extract", "select", "classify"]
-                                     if command == "report" else [])
-    for stage in stages:
+    stages = ["ingest", "sample", "extract", "select", "classify", "report"]
+    for stage in stages[:stages.index(command)]:
         assert main([stage, "--config", str(conf)]) == 0
     path = tmp_path / "out" / artifact
-    text = path.read_text()
-    path.write_text(damage if isinstance(damage, str) else text[: int(len(text) * damage)])
-    _assert_child_error([command, "--config", str(conf)], path)
+    if isinstance(damage, float):
+        text = path.read_text()
+        damage = text[: int(len(text) * damage)]
+    path.write_bytes(damage if isinstance(damage, bytes) else damage.encode())
+    stderr = _assert_child_error([command, "--config", str(conf)], path)
+    if '"synthetic"' in str(damage):  # the message names the setting
+        assert re.search(r"'synthetic\.(n0|length)'", stderr), stderr
 
 
 def test_cli_allocation_other_than_the_reduced_channels_names_case_and_channel(tmp_path):
@@ -755,6 +795,33 @@ def test_cli_sample_of_a_case_ingest_left_out(tmp_path):
     assert main(["ingest", "--data", str(tmp_path / "corpus"), "--case", "Case1", *args]) == 0
     _assert_child_error(["sample", "--case", "Case2", *args],
                         "Case2: set C is not in the manifest; run 'ingest' again")
+
+
+def test_cli_sample_of_a_case_a_synthetic_ingest_left_out(tmp_path):
+    """A synthetic corpus has sets A, B and E only, so Case2 is refused as
+    for a data directory, though sample generates the corpus again."""
+    args = ["--out", str(tmp_path / "out")]
+    assert main(["ingest", "--synthetic", *args]) == 0
+    _assert_child_error(["sample", "--case", "Case2", *args],
+                        "error: sample: Case2: set C is not in the manifest; run 'ingest' again")
+
+
+def test_cli_sample_reduces_the_corpus_of_the_seed_ingest_recorded(tmp_path):
+    """The manifest records the seed ingest ran with, and sample generates
+    the synthetic corpus from it: sample --seed 9 after ingest --seed 0
+    reduces the seed-0 corpus, drawing each channel's samples with seed 9."""
+    conf = _small_conf(tmp_path / "run.conf")
+    assert main(["ingest", "--config", str(conf), "--seed", "0"]) == 0
+    assert main(["sample", "--config", str(conf), "--seed", "9"]) == 0
+    level = tmp_path / "out" / "confidence_95"
+    sampling = json.loads((level / "sampling_Case1.json").read_text())
+    sources = {ch.id: ch for ch, _ in corpus.generate_synthetic_case((4, 3), 512, seed=0)}
+    for set_label in ("A", "B", "E"):
+        counts = sampling["classes"]["1" if set_label == "E" else "0"]["per_stratum"]
+        for ch in corpus.load_set(level / "reduced" / "Case1" / set_label, set_label):
+            expected = reduce_channel(sources[ch.id], sampling["plan"], counts,
+                                      seed=derive_seed(9, "reduce", ch.id))
+            np.testing.assert_array_equal(ch.samples, expected.samples)
 
 
 def test_cli_non_utf8_channel_is_a_data_error(tmp_path):

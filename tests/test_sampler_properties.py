@@ -1,19 +1,14 @@
 """Property tests for allocation and reduction over arbitrary stratum sizes."""
 
-import tempfile
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, example, given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-from hypothesis.extra.numpy import arrays  # noqa: E402
 
 import oracles  # noqa: E402
-from eegstrata import (Channel, DegenerateDataError, allocate, reduce_channel,  # noqa: E402
-                       save_channel)
+from eegstrata import Channel, DegenerateDataError, allocate, reduce_channel  # noqa: E402
 from eegstrata.sampler import SELECTION_POLICIES  # noqa: E402
 
 _SIZES = st.lists(st.integers(1, 300), min_size=1, max_size=8)
@@ -93,39 +88,3 @@ def test_allocation_hands_out_the_leftover_as_the_one_by_one_loop(sizes, data):
     if data is None:
         assert counts == (100, 76, 75)
 
-
-_FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
-                    st.integers(-10**6, 10**6).map(float))
-_EDGES = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, -3.0, 2872.0,
-                   np.finfo(np.float64).max, -np.finfo(np.float64).max])
-
-
-@settings(max_examples=100)
-@given(samples=arrays(np.float64, st.integers(1, 64), elements=_FINITE),
-       seed=st.integers(0, 2**32 - 1), policy=st.sampled_from(SELECTION_POLICIES),
-       data=st.data())
-@example(samples=_EDGES, seed=0, policy="random", data=None)
-@example(samples=_EDGES, seed=0, policy="systematic", data=None)
-def test_reduced_text_is_the_text_save_channel_writes(samples, seed, policy, data):
-    """A reduced channel's text, whether cut from its source's text or made
-    from its samples, is what save_channel writes for a fresh channel of them."""
-    length = samples.size
-    if data is None:
-        sizes, counts = [3, 3, 4], [1, 0, 4]
-    else:
-        cuts = data.draw(st.sets(st.integers(1, length - 1), max_size=7) if length > 1
-                         else st.just(set()), label="cuts")
-        sizes = np.diff([0, *sorted(cuts), length]).tolist()
-        counts = [data.draw(st.integers(0, size), label="count") for size in sizes]
-        assume(sum(counts) > 0)
-    made = reduce_channel(Channel(id="A/c", set_label="A", samples=samples),
-                          sizes, counts, seed, policy)
-    assert "text" not in vars(made)  # made by repr when asked for below
-    source = Channel(id="A/c", set_label="A", samples=samples)
-    source.text  # noqa: B018 -- made before the reduction, so the reduced text is cut from it
-    cut = reduce_channel(source, sizes, counts, seed, policy)
-    assert "text" in vars(cut)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "c.txt"
-        save_channel(Channel(id="A/c", set_label="A", samples=made.samples), path)
-        assert cut.text == made.text == path.read_bytes()

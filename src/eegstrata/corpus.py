@@ -105,19 +105,25 @@ def save_channel(channel: Channel, path) -> None:
     path.write_bytes(("\n".join(map(repr, channel.samples.tolist())) + "\n").encode("ascii"))
 
 
+def _file_name(channel) -> str:
+    """The name of a channel's file, <stem>.txt; a set is read in the order of these names."""
+    return f"{channel.id.rsplit('/', 1)[-1]}.txt"
+
+
 def _set_channel_files(directory: Path) -> list[Path]:
+    """directory's channel files, sorted by the <stem>.txt names they are written back as."""
     files = {p.name: p for p in directory.glob("*.txt")}
     for p in directory.glob("*.TXT"):
         # both would be channel <set>/<stem>, written back to one <stem>.txt
         if p.stem + ".txt" in files:
             raise DataError(f"{directory}: {p.name} and {p.stem}.txt are the same channel")
-        files[p.name] = p
+        files[p.stem + ".txt"] = p
     return [files[name] for name in sorted(files)]
 
 
 def load_set(directory, set_label: str) -> list:
-    """A set's channels, one per channel file of directory, in lexicographic
-    file name order so channel order is deterministic."""
+    """A set's channels, one per channel file of directory, in the order of
+    their _file_name names, the order a set is written back in."""
     directory = Path(directory)
     if not directory.is_dir():
         raise DataError(f"set {set_label} directory not found: {directory}")

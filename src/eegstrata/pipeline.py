@@ -5,13 +5,13 @@ a stage reads its inputs from there; `run_pipeline` instead hands each
 stage's output to the next in memory, so it generates or parses its input
 corpus once and never parses a channel file it wrote itself. A synthetic
 corpus is not written: the manifest records its generator settings, and a
-stage that needs it generates it again from them. `_write_set` writes every
-directory of reduced channel files and hands on its channels in the order
-`load_set` reads them back. The files are checkpoints: after its input is
-resolved a stage runs the same code either way, and `repr` round-trips
-float64, so a single `run_pipeline` call and the equivalent sequence of stage
-calls produce byte-identical artifacts. Nothing here depends on wall-clock
-time; a (config, seed) pair fully determines every output byte.
+stage that needs it generates it again from them. A set is handed on in
+the order `load_set` reads it in, that of the names `corpus._file_name` gives
+its files. The files are checkpoints: after its input is resolved a stage
+runs the same code either way, and `repr` round-trips float64, so a single
+`run_pipeline` call and the equivalent sequence of stage calls produce
+byte-identical artifacts. Nothing here depends on wall-clock time; a
+(config, seed) pair fully determines every output byte.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ import numpy as np
 
 from .classifiers import KNN_K, NB_VAR_FLOOR, RF_TREES, make_classifier
 from .corpus import (BONN_PREFIX_TO_SET, CASE_SETS, MAX_BURST_AMPLITUDE, case_channels,
-                     generate_synthetic_case, load_set, save_channel, _set_channel_files)
+                     generate_synthetic_case, load_set, save_channel, _file_name,
+                     _set_channel_files)
 from .errors import ConfigError, DataError, DegenerateDataError, EegStrataError
 from .evaluation import SELECTION_MODES, kfold_split, run_cv, weighted_accuracy
 from .features import MIN_STRATUM_LENGTH, FeatureMatrix, extract_vector, feature_names
@@ -40,6 +41,7 @@ REPORT_CSV_HEADER = ("confidence", "z", "case", "n_channels", "n_bar",
                      "accuracy_mean", "accuracy_std", "weighted_ac")
 
 _SET_TO_PREFIX = {v: k for k, v in BONN_PREFIX_TO_SET.items()}
+_SELECT_SETTINGS = ("stall_limit", "range_threshold")  # the fields select reads
 
 
 @dataclass(frozen=True)
@@ -145,7 +147,7 @@ class PipelineConfig:
         """The fields classify reads: its classifier's, the CV's, the selection's and the seed."""
         return {name: value for name, value in asdict(self).items()
                 if name.startswith((self.classifier + "_", "cv_")) or name in (
-                    "selection_mode", "stall_limit", "range_threshold", "seed")}
+                    "selection_mode", "seed", *_SELECT_SETTINGS)}
 
 
 def resolve_levels(cfg: PipelineConfig) -> tuple:
@@ -233,7 +235,9 @@ _ARTIFACTS = {
     "features": (_LEVEL + "/features_{1}.csv", "extract", {}, _feature_columns),
     "selection": (_LEVEL + "/selection_{1}.json", "select", {"selected": (
         lambda v: isinstance(v, list) and len(v) > 0 and all(isinstance(n, str) for n in v),
-        "a non-empty list of strings")}, None),
+        "a non-empty list of strings"), "settings": (lambda v: isinstance(v, dict), "an object")},
+        lambda cfg, sel: [(f"settings.{name}", sel["settings"].get(name), getattr(cfg, name))
+                          for name in _SELECT_SETTINGS]),
     "evaluation": (_LEVEL + "/evaluation_{1}.json", "classify", {
         "mean": (lambda v: _is_number(v) and 0 <= v <= 100, "a number in [0, 100]"),
         "std": (lambda v: _is_number(v) and v >= 0, "a number >= 0"),
@@ -293,21 +297,12 @@ def _read(cfg: PipelineConfig, kind: str, *where):
     return data
 
 
-def _file_name(channel) -> str:
-    """The name of a channel's file; load_set reads a set in the order of these names."""
-    return f"{channel.id.rsplit('/', 1)[-1]}.txt"
-
-
-def _write_set(directory: Path, channels) -> list:
-    """Replace directory's channel files with one <stem>.txt per channel; return
-    the channels in load_set's order, by file name (syn1000.txt before syn101.txt)."""
+def _write_set(directory: Path, channels) -> None:
+    """Replace directory's channel files with one file per channel, named by _file_name."""
     for path in _set_channel_files(directory):
         path.unlink()
-    by_name = {}
     for ch in channels:
-        by_name[_file_name(ch)] = ch
         save_channel(ch, directory / _file_name(ch))
-    return [by_name[name] for name in sorted(by_name)]
 
 
 def _synthetic_sets(settings: dict) -> dict:
@@ -366,8 +361,9 @@ def stage_sample(cfg: PipelineConfig, label: str, z: float, corpus: dict | None 
     set the cases need that it lacks is put into it, generated from the
     synthetic settings the manifest records or parsed from the directory it
     names, so a dict kept across levels makes each set once. reduced, if a
-    dict, receives each case's reduced (channel, label) pairs, in the order
-    extract reads their files. Returns each case's sampling.
+    dict, receives each case's reduced (channel, label) pairs, in corpus's
+    order, which is the order extract reads their files in. Returns each
+    case's sampling.
     """
     corpus = {} if corpus is None else corpus
     manifest = None
@@ -410,18 +406,14 @@ def stage_sample(cfg: PipelineConfig, label: str, z: float, corpus: dict | None 
                         f"samples, fewer than {MIN_STRATUM_LENGTH}; "
                         "lower n_strata or raise the confidence level")
 
+        kept = [(reduce_channel(ch, design["plan"], counts[lab], policy=cfg.policy,
+                                seed=derive_seed(cfg.seed, "reduce", ch.id)), lab)
+                for ch, lab in channels]
         reduced_dir = artifact_path(cfg, "reduced", label, case_id)
-        written = {}
         for set_label in (s for sets in CASE_SETS[case_id] for s in sets):
-            # reduced one at a time, each just before it is written
-            kept = _write_set(reduced_dir / set_label, (
-                reduce_channel(ch, design["plan"], counts[lab],
-                               seed=derive_seed(cfg.seed, "reduce", ch.id), policy=cfg.policy)
-                for ch, lab in channels if ch.set_label == set_label))
-            if reduced is not None:  # else released once its set is written
-                written[set_label] = kept
+            _write_set(reduced_dir / set_label, [ch for ch, _ in kept if ch.set_label == set_label])
         if reduced is not None:
-            reduced[case_id] = case_channels(case_id, written.__getitem__)
+            reduced[case_id] = kept
 
         sampling = {
             "case": case_id, "length": length, "z": z, **design,
@@ -466,7 +458,8 @@ def stage_select(cfg: PipelineConfig, label: str) -> dict:
         fm = _read(cfg, "features", label, case_id)
         subset = select_features(fm, stall_limit=cfg.stall_limit,
                                  threshold=cfg.range_threshold)
-        _write_json(artifact_path(cfg, "selection", label, case_id), subset.to_dict())
+        _write_json(artifact_path(cfg, "selection", label, case_id), {**subset.to_dict(),
+                    "settings": {name: getattr(cfg, name) for name in _SELECT_SETTINGS}})
         out[case_id] = subset
     return out
 
@@ -509,7 +502,7 @@ def assemble_report(cfg: PipelineConfig) -> dict:
                 "accuracy_mean": evaluation["mean"],
                 "accuracy_std": evaluation["std"],
                 "per_repeat": evaluation["per_repeat"],
-                "selection": selection,
+                "selection": {k: v for k, v in selection.items() if k != "settings"},
             }
         average = weighted_accuracy([e["accuracy_mean"] for e in cases.values()],
                                     [e["n_channels"] for e in cases.values()])

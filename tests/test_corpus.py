@@ -114,6 +114,13 @@ def test_case_channels_orders_and_labels(tmp_path):
     assert [label for _, label in channels] == [0, 0, 0, 1, 1]
 
 
+def test_load_set_reads_in_the_order_of_the_written_names(tmp_path):
+    """Z001.TXT is written back as Z001.txt, which sorts after Z001.U.txt."""
+    _write_set(tmp_path, "A", ["Z001.U", "Z001"])
+    (tmp_path / "A" / "Z001.txt").rename(tmp_path / "A" / "Z001.TXT")
+    assert [ch.id for ch in load_set(tmp_path / "A", "A")] == ["A/Z001.U", "A/Z001"]
+
+
 def test_load_set_missing_or_empty_dir(tmp_path):
     with pytest.raises(DataError, match="set E directory not found"):
         load_set(tmp_path / "E", "E")

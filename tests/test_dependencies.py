@@ -59,6 +59,21 @@ def test_feature_names_are_built_in_one_place():
     assert func.lineno <= found[0][1] <= func.end_lineno, found
 
 
+def test_channel_file_names_are_formed_in_one_place():
+    """Only corpus.py holds a string naming a .txt file, so no other module
+    forms a channel's file name, and _file_name, whose names a set is written
+    and read in the order of, is defined once, there."""
+    package = Path(eegstrata.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    literals = [(name, node.lineno) for name, tree in trees.items() for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and ".txt" in node.value.lower() and name != "corpus.py"]
+    defined = [name for name, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "_file_name"]
+    assert literals == [], literals
+    assert defined == ["corpus.py"], defined
+
+
 def test_all_lists_the_public_names():
     """__all__ holds exactly the package's public names that are not its submodules,
     so a deleted name cannot linger there and a new export cannot be left out."""

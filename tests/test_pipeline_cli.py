@@ -79,8 +79,10 @@ def test_artifacts_on_disk(tiny_run):
     fm = FeatureMatrix.from_csv(level / "features_Case1.csv")
     assert fm.n_rows == 22
     assert fm.n_features == 60
+    # the report embeds the selection without the settings select ran under
     selection = json.loads((level / "selection_Case1.json").read_text())
-    assert selection["selected"] == report["levels"][0]["cases"]["Case1"]["selection"]["selected"]
+    assert selection == {**report["levels"][0]["cases"]["Case1"]["selection"], "settings": {
+        "stall_limit": cfg.stall_limit, "range_threshold": cfg.range_threshold}}
 
 
 def test_rerun_is_byte_identical(tiny_run):
@@ -173,23 +175,39 @@ def test_cli_sample_parses_each_channel_file_once_for_every_level(bonn_corpus, t
     assert len(list(tmp_path.glob("confidence_*/sampling_Case*.json"))) == 12
 
 
-def test_channels_in_memory_are_in_file_name_order(tmp_path):
-    """Past 1000 channels of a set, syn1000.txt sorts before syn101.txt: the
-    channels ingest and sample hand on come in the order load_set reads them."""
-    cfg = PipelineConfig(synthetic=True, synthetic_n0=2, synthetic_n1=1001, synthetic_length=256,
-                         n_strata=2, out_dir=str(tmp_path))
-    generated, reduced = {}, {}
-    stage_ingest(cfg, generated)
-    stage_sample(cfg, "95", 1.96, generated, reduced)
-    ids = [ch.id for ch in generated["E"]]
-    assert ids.index("E/syn1000") == ids.index("E/syn101") - 1
-    reduced_dir = tmp_path / "confidence_95" / "reduced" / "Case1"
-    for set_label, channels in generated.items():
+@pytest.mark.parametrize("source", ["synthetic", "data-directory"])
+def test_channels_in_memory_are_in_file_name_order(tmp_path, source):
+    """The channels ingest and sample hand on come in the order load_set reads
+    them, that of the <stem>.txt names they are written as: past 1000 channels
+    of a set, syn1000.txt sorts before syn101.txt, and in a data directory
+    Z001.U.txt sorts before Z001.TXT, which is written back as Z001.txt."""
+    out = tmp_path / "out"
+    if source == "synthetic":
+        cfg = PipelineConfig(synthetic=True, synthetic_n0=2, synthetic_n1=1001,
+                             synthetic_length=256, n_strata=2, out_dir=str(out))
+        first, second = "E/syn1000", "E/syn101"
+    else:
+        root = tmp_path / "corpus"
+        _write_bonn_corpus(root, 256)
+        (root / "Z" / "Z001.txt").rename(root / "Z" / "Z001.TXT")
+        shutil.copy(root / "Z" / "Z002.txt", root / "Z" / "Z001.U.txt")
+        cfg = PipelineConfig(data_dir=str(root), n_strata=2, classifier="nb", cv_folds=2,
+                             cv_repeats=1, out_dir=str(out))
+        first, second = "A/Z001.U", "A/Z001"
+    sets, reduced = {}, {}
+    stage_ingest(cfg, sets)
+    stage_sample(cfg, "95", 1.96, sets, reduced)
+    ids = [ch.id for ch in sets[first[0]]]
+    assert ids.index(first) == ids.index(second) - 1
+    reduced_dir = out / "confidence_95" / "reduced" / "Case1"
+    for set_label, channels in sets.items():
         loaded = corpus.load_set(reduced_dir / set_label, set_label)
         assert [ch.id for ch in channels] == [ch.id for ch in loaded]
     assert [(ch.id, lab) for ch, lab in reduced["Case1"]] == [
         (ch.id, lab) for ch, lab in corpus.case_channels(
             "Case1", lambda s: corpus.load_set(reduced_dir / s, s))]
+    if source == "data-directory":  # features and report are cheap here, not at 1003 channels
+        _assert_staged_run_matches_one_shot(cfg)
 
 
 @pytest.mark.parametrize("source", ["synthetic", "data-directory"])
@@ -562,6 +580,7 @@ def _evaluation_json(**bad):
     ("confidence_95/sampling_Case1.json", _sampling_json([124, 119, 119, 124], n_bar="abc"),
      "report"),
     ("confidence_95/selection_Case1.json", "{}", "report"),
+    ("confidence_95/selection_Case1.json", '{"selected": ["s1_max"]}', "report"),
     # values that give the config no design: z overflows the formula, length < strata
     ("confidence_95/sampling_Case1.json", _sampling_json([124, 119, 119, 124], z=1e200),
      "extract"),
@@ -623,6 +642,22 @@ def test_cli_artifact_of_another_config_is_refused(tmp_path, change, command, ar
     other = _small_conf(tmp_path / "other.conf", [change])
     path = tmp_path / "out" / "confidence_95" / artifact
     _assert_child_error([command, "--config", str(other)], f"{path}: {key} is", code=2)
+
+
+def test_cli_report_refuses_a_selection_made_under_other_settings(tmp_path):
+    """select run alone under other selection settings than the rest: report
+    refuses its subset rather than embed it beside this config's settings."""
+    size = [("synthetic.n0", "8"), ("synthetic.n1", "6")]
+    conf = _small_conf(tmp_path / "run.conf", size)
+    other = _small_conf(tmp_path / "other.conf", size + [("selection.stall_limit", "1"),
+                                                          ("selection.range_threshold", "0.1")])
+    for stage in ("ingest", "sample", "extract"):
+        assert main([stage, "--config", str(conf)]) == 0
+    assert main(["select", "--config", str(other)]) == 0
+    assert main(["classify", "--config", str(conf)]) == 0
+    path = tmp_path / "out" / "confidence_95" / "selection_Case1.json"
+    _assert_child_error(["report", "--config", str(conf)],
+                        f"{path}: 'settings.stall_limit' is 1, but this config gives 5", code=2)
 
 
 def _swap_first_names(text):

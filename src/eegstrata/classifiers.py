@@ -30,12 +30,13 @@ def _check_matrix(train: FeatureMatrix) -> None:
         raise DataError("training data must contain both classes")
 
 
-def _moments(rows: np.ndarray, names: tuple) -> tuple:
-    """Column means and variances of rows; a feature column whose spread
-    overflows float64 is refused rather than scored at chance."""
+def _moments(rows: np.ndarray, names: tuple, scale: float = 1.0) -> tuple:
+    """Column means and variances of rows; a feature column whose spread, or
+    its variance times scale, overflows float64 is refused rather than
+    scored at chance."""
     with np.errstate(over="ignore", invalid="ignore"):
         mean, var = rows.mean(axis=0), rows.var(axis=0)
-    bad = ~np.isfinite(var)  # a mean that overflows makes the variance inf or NaN too
+        bad = ~np.isfinite(scale * var)  # an overflowing mean makes the variance inf or NaN too
     if bad.any():
         raise DegenerateDataError(f"feature {names[int(np.argmax(bad))]}: its variance "
                                   "overflows float64; rescale the data")
@@ -104,8 +105,10 @@ class NaiveBayesClassifier:
     features."""
 
     def __init__(self, var_floor: float = NB_VAR_FLOOR):
-        if not 0.0 < var_floor < math.inf:
-            raise ConfigError(f"var_floor must be positive and finite, got {var_floor}")
+        # each class density takes log(2 pi var), so 2 pi var must stay finite
+        if not (var_floor > 0.0 and math.isfinite(2.0 * math.pi * var_floor)):
+            raise ConfigError("var_floor must be positive and finite, at most "
+                              f"{np.finfo(np.float64).max / (2.0 * np.pi):g}, got {var_floor}")
         self.var_floor = var_floor
         self.feature_names: tuple = ()
 
@@ -117,7 +120,8 @@ class NaiveBayesClassifier:
         self._log_priors = np.empty(2)
         for c in (0, 1):
             rows = train.values[train.labels == c]
-            self._means[c], var = _moments(rows, train.names)
+            # 2 pi var_floor is finite, so 2 pi times the floored variance is when 2 pi var is
+            self._means[c], var = _moments(rows, train.names, scale=2.0 * np.pi)
             self._vars[c] = np.maximum(var, self.var_floor)
             self._log_priors[c] = math.log(rows.shape[0] / train.n_rows)
         return self

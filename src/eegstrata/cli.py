@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 from .classifiers import CLASSIFIER_KINDS
-from .errors import ConfigError, DataError, DegenerateDataError
+from .errors import ConfigError, DegenerateDataError, EegStrataError
 from .pipeline import (REPORT_FORMATS, PipelineConfig, artifact_path,
                        assemble_report, emit_report, resolve_levels,
                        run_pipeline, stage_classify, stage_extract, stage_ingest,
@@ -165,8 +165,8 @@ def _ingest(cfg, args):
     manifest = stage_ingest(cfg)
     if "synthetic" in manifest:
         print("synthetic corpus:", ", ".join(f"{k}={v}" for k, v in manifest["synthetic"].items()))
-    else:
-        print(f"data root: {manifest['root']}")
+        return
+    print(f"data root: {manifest['root']}")
     for s, count in manifest["channels_per_set"].items():
         print(f"  set {s}: {count} channels")
 
@@ -249,15 +249,9 @@ def main(argv=None) -> int:
             args.run(build_config(args), args)
         else:
             _stage(args.command, args.run, build_config(args), args)
-    except ConfigError as exc:
+    except (EegStrataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DegenerateDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (DataError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return {ConfigError: 2, DegenerateDataError: 4}.get(type(exc), 3)
     return 0
 
 

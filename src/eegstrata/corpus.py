@@ -3,8 +3,8 @@
 A channel is one recorded signal: an ordered sequence of samples plus a set
 label (A..E, Bonn convention: A/B healthy, C/D interictal, E seizure).
 A classification case is a list of (channel, label) pairs drawn from its
-sets; only set E carries label 1. Synthetic cases with the same shape are
-generated for tests and demos.
+sets; only set E carries label 1. A synthetic corpus of sets A, B and E,
+each in the order load_set reads a set in, is generated for tests and demos.
 
 Channel files are plain text, one numeric value per line. Set label comes
 from configuration, never from the filename: the Bonn distribution uses
@@ -142,6 +142,33 @@ def case_channels(case_id: str, load) -> list:
             for set_label in sets for ch in load(set_label)]
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_count(value, least: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+# The synthetic generator's one set of rules: each setting's (test, what it
+# must be). n0 >= 2 gives sets A and B a channel each; 64 samples leave
+# downstream strata room.
+SYNTHETIC_RULES = {
+    "n0": (lambda v: _is_count(v, 2), "an integer >= 2"),
+    "n1": (lambda v: _is_count(v, 1), "an integer >= 1"),
+    "length": (lambda v: _is_count(v, 64), "an integer >= 64"),
+    "burst_amplitude": (lambda v: _is_number(v) and abs(v) <= MAX_BURST_AMPLITUDE,
+                        f"a number of magnitude at most {MAX_BURST_AMPLITUDE:g}"),
+}
+
+
+def _check_synthetic(settings: dict, prefix: str = "") -> None:
+    """Refuse settings that break a SYNTHETIC_RULES rule, naming the setting prefix + key."""
+    for key, (test, what) in SYNTHETIC_RULES.items():
+        if not test(settings[key]):
+            raise ConfigError(f"{prefix}{key} must be {what}, got {settings[key]}")
+
+
 def _burst_signal(rng: np.random.Generator, length: int, amplitude: float) -> np.ndarray:
     """Gaussian noise plus sinusoidal bursts on random windows."""
     x = rng.standard_normal(length)
@@ -159,37 +186,25 @@ def _burst_signal(rng: np.random.Generator, length: int, amplitude: float) -> np
 
 
 def generate_synthetic_case(n_per_class, length: int, seed: int,
-                            burst_amplitude: float = 5.0) -> list:
-    """Deterministic synthetic stand-in for a Case-1 style corpus, as
-    (Channel, label) pairs.
+                            burst_amplitude: float = 5.0) -> dict:
+    """Deterministic synthetic stand-in for a Case-1 style corpus, as each
+    set's channels in _file_name order, the shape load_set gives.
 
     Class 0 channels are i.i.d. standard Gaussian noise (sets A/B); class 1
     channels add amplitude-``burst_amplitude`` sinusoidal bursts on random
     windows (set E), so variance/amplitude features separate the classes.
-    ``n_per_class`` is the (n0, n1) pair of class sizes. Lowering
-    ``burst_amplitude`` grades the class overlap.
+    ``n_per_class`` is the (n0, n1) pair of class sizes; every setting must
+    pass SYNTHETIC_RULES. Lowering ``burst_amplitude`` grades the class overlap.
     """
-    n0, n1 = (int(v) for v in n_per_class)
-    if n0 < 1 or n1 < 1:
-        raise ConfigError("n_per_class must be at least 1 for each class")
-    if length < 64:
-        raise ConfigError(f"length {length} is too small for downstream strata (need >= 64)")
-    if not math.isfinite(burst_amplitude):
-        raise ConfigError(f"burst_amplitude must be finite, got {burst_amplitude}")
-    if abs(burst_amplitude) > MAX_BURST_AMPLITUDE:
-        raise ConfigError(f"burst_amplitude must be at most {MAX_BURST_AMPLITUDE:g} in "
-                          f"magnitude, got {burst_amplitude:g}")
-
-    channels = []
+    n0, n1 = n_per_class
+    _check_synthetic({"n0": n0, "n1": n1, "length": length, "burst_amplitude": burst_amplitude})
     n_set_a = math.ceil(n0 / 2)
-    for i in range(n0):
-        set_label = "A" if i < n_set_a else "B"
+    sets = {"A": [], "B": [], "E": []}
+    for set_label, i in [("A" if i < n_set_a else "B", i) for i in range(n0)] + [
+            ("E", i) for i in range(n1)]:
         cid = f"{set_label}/syn{i:03d}"
         rng = np.random.default_rng(derive_seed(seed, cid))
-        channels.append((Channel(id=cid, set_label=set_label, samples=rng.standard_normal(length)), 0))
-    for i in range(n1):
-        cid = f"E/syn{i:03d}"
-        rng = np.random.default_rng(derive_seed(seed, cid))
-        channels.append((Channel(id=cid, set_label="E",
-                                 samples=_burst_signal(rng, length, burst_amplitude)), 1))
-    return channels
+        samples = (_burst_signal(rng, length, burst_amplitude) if set_label == "E"
+                   else rng.standard_normal(length))
+        sets[set_label].append(Channel(id=cid, set_label=set_label, samples=samples))
+    return {s: sorted(channels, key=_file_name) for s, channels in sets.items()}

@@ -3,15 +3,17 @@
 Every stage writes its outputs to the output directory. Called on its own,
 a stage reads its inputs from there; `run_pipeline` instead hands each
 stage's output to the next in memory, so it generates or parses its input
-corpus once and never parses a channel file it wrote itself. A synthetic
-corpus is not written: the manifest records its generator settings, and a
-stage that needs it generates it again from them. A set is handed on in
-the order `load_set` reads it in, that of the names `corpus._file_name` gives
-its files. The files are checkpoints: after its input is resolved a stage
-runs the same code either way, and `repr` round-trips float64, so a single
-`run_pipeline` call and the equivalent sequence of stage calls produce
-byte-identical artifacts. Nothing here depends on wall-clock time; a
-(config, seed) pair fully determines every output byte.
+corpus once and never parses a channel file it wrote itself. Only sample
+makes channels: ingest records where the corpus comes from in the manifest,
+a data directory's set directories or a synthetic corpus's generator
+settings, and sample parses or generates the corpus from that record. Either
+way a set comes in the order `load_set` reads it in, that of the names
+`corpus._file_name` gives its files. The files are checkpoints: after its
+input is resolved a stage runs the same code either way, and `repr`
+round-trips float64, so a single `run_pipeline` call and the equivalent
+sequence of stage calls produce byte-identical artifacts. Nothing here
+depends on wall-clock time; a (config, seed) pair fully determines every
+output byte.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from .classifiers import KNN_K, NB_VAR_FLOOR, RF_TREES, make_classifier
-from .corpus import (BONN_PREFIX_TO_SET, CASE_SETS, MAX_BURST_AMPLITUDE, case_channels,
-                     generate_synthetic_case, load_set, save_channel, _file_name,
-                     _set_channel_files)
+from .corpus import (BONN_PREFIX_TO_SET, CASE_SETS, SYNTHETIC_RULES, case_channels,
+                     generate_synthetic_case, load_set, save_channel, _check_synthetic,
+                     _file_name, _is_count, _is_number, _set_channel_files)
 from .errors import ConfigError, DataError, DegenerateDataError, EegStrataError
 from .evaluation import SELECTION_MODES, kfold_split, run_cv, weighted_accuracy
 from .features import MIN_STRATUM_LENGTH, FeatureMatrix, extract_vector, feature_names
@@ -111,10 +113,9 @@ class PipelineConfig:
                     )
         if not self.out_dir:
             raise ConfigError("an output directory is required")
-        if self.synthetic and (self.synthetic_n0 < 2 or self.synthetic_n1 < 1):
-            raise ConfigError("synthetic.n0 must be at least 2, one channel each for sets A and B, "
-                              "and synthetic.n1 at least 1, "
-                              f"got {self.synthetic_n0} and {self.synthetic_n1}")
+        if self.synthetic:
+            _check_synthetic({key: getattr(self, f"synthetic_{key}") for key in SYNTHETIC_RULES},
+                             "synthetic.")
         # build what sample (for the shortest channel strata allow) and classify
         # build, and check what classify reads, so a bad setting fails before
         # any stage writes
@@ -155,14 +156,6 @@ def resolve_levels(cfg: PipelineConfig) -> tuple:
     if cfg.z is not None:
         return ((f"z{cfg.z:g}", float(cfg.z)),)
     return tuple((str(level), CONFIDENCE_Z[level]) for level in cfg.confidence_levels)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_count(value, least: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
 def _count(least: int) -> tuple:
@@ -206,10 +199,7 @@ def _manifest_keys(manifest) -> dict:
     """The checks of a manifest: a synthetic corpus's generator settings, or
     a data directory's set directories."""
     if isinstance(manifest, dict) and "synthetic" in manifest:
-        return {"synthetic.n0": _count(2), "synthetic.n1": _count(1),
-                "synthetic.length": _count(64), "synthetic.burst_amplitude": (
-                    lambda v: _is_number(v) and abs(v) <= MAX_BURST_AMPLITUDE,
-                    f"a number of magnitude at most {MAX_BURST_AMPLITUDE:g}"),
+        return {**{f"synthetic.{key}": rule for key, rule in SYNTHETIC_RULES.items()},
                 "synthetic.seed": (lambda v: _is_number(v) and isinstance(v, int), "an integer")}
     return {"set_dirs": (
         lambda v: isinstance(v, dict) and all(isinstance(d, str) for d in v.values()),
@@ -305,30 +295,17 @@ def _write_set(directory: Path, channels) -> None:
         save_channel(ch, directory / _file_name(ch))
 
 
-def _synthetic_sets(settings: dict) -> dict:
-    """The synthetic corpus of the manifest's generator settings: each set's
-    channels in file name order, as a data directory's load_set would read them."""
-    channels = generate_synthetic_case((settings["n0"], settings["n1"]), settings["length"],
-                                       settings["seed"], settings["burst_amplitude"])
-    return {s: sorted((ch for ch, _ in channels if ch.set_label == s), key=_file_name)
-            for s in sorted({ch.set_label for ch, _ in channels})}
-
-
-def stage_ingest(cfg: PipelineConfig, corpus: dict | None = None) -> dict:
-    """Resolve (or synthesize) the channel corpus and write the manifest. A
-    synthetic corpus is not written, the manifest records its settings, and
-    corpus, if a dict, receives its sets as _synthetic_sets gives them. From
-    a data directory ingest parses nothing and corpus stays as it is."""
+def stage_ingest(cfg: PipelineConfig) -> dict:
+    """Record where the corpus comes from in the manifest, and write it: a
+    synthetic corpus's generator settings with the seed, or a data
+    directory's set directories with their channel file counts. Ingest makes
+    and parses no channel; stage_sample does."""
     if cfg.synthetic:
         if cfg.cases != ("Case1",):
             raise ConfigError("synthetic data covers sets A/B/E, so only Case1 is supported")
-        settings = {"n0": cfg.synthetic_n0, "n1": cfg.synthetic_n1, "length": cfg.synthetic_length,
-                    "burst_amplitude": cfg.synthetic_burst_amplitude, "seed": cfg.seed}
-        generated = _synthetic_sets(settings)
-        if corpus is not None:
-            corpus.update(generated)
-        manifest = {"synthetic": settings, "cases": list(cfg.cases),
-                    "channels_per_set": {s: len(chans) for s, chans in generated.items()}}
+        manifest = {"synthetic": {**{key: getattr(cfg, f"synthetic_{key}")
+                                     for key in SYNTHETIC_RULES}, "seed": cfg.seed},
+                    "cases": list(cfg.cases)}
     else:
         if not cfg.data_dir:
             raise ConfigError("either a data directory or synthetic data is required")
@@ -356,11 +333,11 @@ def stage_sample(cfg: PipelineConfig, label: str, z: float, corpus: dict | None 
                  reduced: dict | None = None) -> dict:
     """Reduce every channel of every case at one confidence level.
 
-    corpus is a dict of each set's channels in load_set's order, as
-    stage_ingest or an earlier call filled it (None: a new dict); first each
-    set the cases need that it lacks is put into it, generated from the
-    synthetic settings the manifest records or parsed from the directory it
-    names, so a dict kept across levels makes each set once. reduced, if a
+    corpus is a dict of each set's channels in load_set's order, as an
+    earlier call filled it (None: a new dict); first each set the cases
+    need that it lacks is put into it, generated from the synthetic
+    settings the manifest records or parsed from the directory it names, so
+    a dict kept across levels makes each set once. reduced, if a
     dict, receives each case's reduced (channel, label) pairs, in corpus's
     order, which is the order extract reads their files in. Returns each
     case's sampling.
@@ -371,11 +348,12 @@ def stage_sample(cfg: PipelineConfig, label: str, z: float, corpus: dict | None 
         for set_label in (s for sets in CASE_SETS[case_id] for s in sets if s not in corpus):
             if manifest is None:
                 manifest = _read(cfg, "manifest")
-                generated = (_synthetic_sets(manifest["synthetic"]) if "synthetic" in manifest
-                             else {})
+                syn = manifest.get("synthetic")
+                generated = {} if syn is None else generate_synthetic_case(
+                    (syn["n0"], syn["n1"]), syn["length"], syn["seed"], syn["burst_amplitude"])
             if set_label in generated:
                 corpus[set_label] = generated[set_label]
-            elif "synthetic" not in manifest and set_label in manifest["set_dirs"]:
+            elif syn is None and set_label in manifest["set_dirs"]:
                 corpus[set_label] = load_set(manifest["set_dirs"][set_label], set_label)
             else:
                 raise DataError(f"{case_id}: set {set_label} is not in the manifest; "
@@ -571,8 +549,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     corpus, reduced = {}, {}
     if cfg.synthetic:  # class sizes are known now, so classify's check need not wait for it
         _stage("classify", kfold_split, [0] * cfg.synthetic_n0 + [1] * cfg.synthetic_n1, cfg)
-    manifest = _stage("ingest", stage_ingest, cfg, corpus)
-    for case_id in cfg.cases:  # a data directory's are known once ingest has counted them
+    manifest = _stage("ingest", stage_ingest, cfg)
+    for case_id in () if cfg.synthetic else cfg.cases:  # a data directory's, once ingest counted
         sizes = [sum(manifest["channels_per_set"][s] for s in sets) for sets in CASE_SETS[case_id]]
         _stage("classify", kfold_split, np.repeat([0, 1], sizes), cfg)
     levels = resolve_levels(cfg)

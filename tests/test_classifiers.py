@@ -121,6 +121,28 @@ def test_nb_validation():
             NaiveBayesClassifier(var_floor=bad)
     with pytest.raises(DataError):
         NaiveBayesClassifier().fit(_fm([[1.0], [2.0]], [1, 1]))
+    # each class density takes log(2 pi var_floor), which overflows above float64 max / 2 pi
+    for bad in (3e307, 1e308):
+        with pytest.raises(ConfigError, match="^var_floor must be positive and finite, "
+                                              r"at most 2\.86112e\+307, got "):
+            NaiveBayesClassifier(var_floor=bad)
+    assert NaiveBayesClassifier(var_floor=2.8e307).var_floor == 2.8e307
+
+
+def test_nb_refuses_a_class_variance_whose_density_overflows():
+    """A column of +-6.5e153 has a class variance of 4.2e307, finite, but
+    2 pi times it is not: nb used to warn and predict class 0 for every row."""
+    values = np.column_stack([np.tile([6.5e153, -6.5e153], 4), np.arange(8.0)])
+    labels = np.repeat([0, 1], 4)
+    assert np.isfinite(values[:4, 0].var()) and values[:4, 0].var() > 4e307
+    with np.errstate(all="raise"):
+        with pytest.raises(DegenerateDataError,
+                           match="^feature f0: its variance overflows float64; rescale the data$"):
+            NaiveBayesClassifier().fit(_fm(values, labels))
+        # halved, the column's 2 pi multiple stays finite: the second feature decides
+        values[:, 0] /= 2.0
+        model = NaiveBayesClassifier().fit(_fm(values, labels))
+        assert np.array_equal(model.predict(values), labels)
 
 
 def test_single_tree_matches_reference_tree():

@@ -135,29 +135,40 @@ def test_case_channels_unknown_case():
 
 
 def test_synthetic_case_shape_and_determinism():
-    channels = generate_synthetic_case((6, 4), 128, seed=9)
-    assert len(channels) == 10
-    assert sum(label for _, label in channels) == 4
-    lengths = {len(ch) for ch, _ in channels}
-    assert lengths == {128}
-    again = generate_synthetic_case((6, 4), 128, seed=9)
-    for (a, _), (b, _) in zip(channels, again):
-        assert a.id == b.id
-        np.testing.assert_array_equal(a.samples, b.samples)
+    """Sets A, B and E, A holding the odd class-0 channel, each in the order
+    of its file names, as load_set reads a set: syn1000 before syn101."""
+    sets = generate_synthetic_case((7, 1001), 64, seed=9)
+    assert {s: len(chans) for s, chans in sets.items()} == {"A": 4, "B": 3, "E": 1001}
+    assert all(ch.set_label == s and len(ch) == 64 for s, chans in sets.items() for ch in chans)
+    ids = [ch.id for ch in sets["E"]]
+    assert ids == sorted(ids)
+    assert ids.index("E/syn1000") == ids.index("E/syn101") - 1
+    assert [ch.id for ch in sets["B"]] == ["B/syn004", "B/syn005", "B/syn006"]
+    again = generate_synthetic_case((7, 1001), 64, seed=9)
+    for s, chans in sets.items():
+        for a, b in zip(chans, again[s], strict=True):
+            assert a.id == b.id
+            np.testing.assert_array_equal(a.samples, b.samples)
 
 
 def test_synthetic_classes_differ_in_power():
-    channels = generate_synthetic_case((8, 8), 512, seed=1, burst_amplitude=5.0)
-    var0 = np.mean([ch.samples.var() for ch, lab in channels if lab == 0])
-    var1 = np.mean([ch.samples.var() for ch, lab in channels if lab == 1])
+    sets = generate_synthetic_case((8, 8), 512, seed=1, burst_amplitude=5.0)
+    var0 = np.mean([ch.samples.var() for ch in sets["A"] + sets["B"]])
+    var1 = np.mean([ch.samples.var() for ch in sets["E"]])
     assert var1 > 2 * var0
 
 
 def test_synthetic_validation():
-    with pytest.raises(ConfigError):
-        generate_synthetic_case((0, 0), 128, seed=0)
-    with pytest.raises(ConfigError):
-        generate_synthetic_case((4, 4), 16, seed=0)
+    for args, message in [
+        (((1, 4), 128, 0), "n0 must be an integer >= 2, got 1"),  # set B would be empty
+        (((4, 0), 128, 0), "n1 must be an integer >= 1, got 0"),
+        (((4, 4), 16, 0), "length must be an integer >= 64, got 16"),
+        (((4, 4), 128, 0, float("nan")),
+         "burst_amplitude must be a number of magnitude at most 2.24712e+307, got nan"),
+    ]:
+        with pytest.raises(ConfigError) as info:
+            generate_synthetic_case(*args)
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -166,8 +177,9 @@ def test_synthetic_burst_amplitude_is_bounded_so_samples_stay_finite(sign):
     before any arithmetic; the largest one allowed gives finite samples."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ConfigError, match="burst_amplitude must be at most 2.24712e"):
+        with pytest.raises(ConfigError, match="burst_amplitude must be a number of magnitude "
+                                              "at most 2.24712e"):
             generate_synthetic_case((2, 20), 4097, 0, burst_amplitude=sign * 1e308)
-        channels = generate_synthetic_case((2, 20), 4097, 0,
-                                           burst_amplitude=sign * MAX_BURST_AMPLITUDE)
-    assert all(np.isfinite(ch.samples).all() for ch, _ in channels)
+        sets = generate_synthetic_case((2, 20), 4097, 0,
+                                       burst_amplitude=sign * MAX_BURST_AMPLITUDE)
+    assert all(np.isfinite(ch.samples).all() for chans in sets.values() for ch in chans)

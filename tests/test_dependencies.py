@@ -74,6 +74,24 @@ def test_channel_file_names_are_formed_in_one_place():
     assert defined == ["corpus.py"], defined
 
 
+def test_only_sample_makes_channels():
+    """Inside the package, generate_synthetic_case is called only in
+    stage_sample, and load_set only in stage_sample and in stage_extract,
+    which reads the reduced channels sample wrote."""
+    package = Path(eegstrata.__file__).parent
+    callers = {"generate_synthetic_case": set(), "load_set": set()}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+            for node in ast.walk(func):
+                name = (getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                        if isinstance(node, ast.Call) else None)
+                if name in callers:
+                    callers[name].add(f"{path.name}:{func.name}")
+    assert callers == {"generate_synthetic_case": {"pipeline.py:stage_sample"},
+                       "load_set": {"pipeline.py:stage_sample", "pipeline.py:stage_extract"}}
+
+
 def test_all_lists_the_public_names():
     """__all__ holds exactly the package's public names that are not its submodules,
     so a deleted name cannot linger there and a new export cannot be left out."""

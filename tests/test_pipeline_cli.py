@@ -156,6 +156,23 @@ def test_synthetic_run_parses_no_channel_file(tiny_run, tmp_path, monkeypatch):
     assert loaded == []
 
 
+@pytest.mark.parametrize("steps, calls", [
+    (["ingest"], 0), (["ingest", "sample"], 1), (["pipeline"], 1),
+], ids=["ingest", "ingest-then-sample", "run-pipeline"])
+def test_only_sample_generates_a_synthetic_corpus(tmp_path, monkeypatch, steps, calls):
+    """ingest records the generator's settings and makes no channel; sample
+    generates the corpus once, for a staged run and a one-shot run alike."""
+    cfg = PipelineConfig(synthetic=True, synthetic_n0=4, synthetic_n1=3, synthetic_length=512,
+                         classifier="nb", cv_folds=2, cv_repeats=1, out_dir=str(tmp_path))
+    made, generate = [], pipeline.generate_synthetic_case
+    monkeypatch.setattr(pipeline, "generate_synthetic_case",
+                        lambda *args: made.append(args) or generate(*args))
+    for step in steps:
+        {"ingest": stage_ingest, "sample": lambda c: stage_sample(c, "95", 1.96),
+         "pipeline": run_pipeline}[step](cfg)
+    assert len(made) == calls
+
+
 def test_data_directory_run_parses_each_channel_file_once(bonn_corpus, tmp_path, monkeypatch):
     root, paths = bonn_corpus
     loaded = _count_loads(monkeypatch)
@@ -177,10 +194,11 @@ def test_cli_sample_parses_each_channel_file_once_for_every_level(bonn_corpus, t
 
 @pytest.mark.parametrize("source", ["synthetic", "data-directory"])
 def test_channels_in_memory_are_in_file_name_order(tmp_path, source):
-    """The channels ingest and sample hand on come in the order load_set reads
-    them, that of the <stem>.txt names they are written as: past 1000 channels
-    of a set, syn1000.txt sorts before syn101.txt, and in a data directory
-    Z001.U.txt sorts before Z001.TXT, which is written back as Z001.txt."""
+    """The channels sample puts into its corpus dict and hands on come in the
+    order load_set reads them, that of the <stem>.txt names they are written
+    as: past 1000 channels of a set, syn1000.txt sorts before syn101.txt, and
+    in a data directory Z001.U.txt sorts before Z001.TXT, which is written
+    back as Z001.txt."""
     out = tmp_path / "out"
     if source == "synthetic":
         cfg = PipelineConfig(synthetic=True, synthetic_n0=2, synthetic_n1=1001,
@@ -195,7 +213,7 @@ def test_channels_in_memory_are_in_file_name_order(tmp_path, source):
                              cv_repeats=1, out_dir=str(out))
         first, second = "A/Z001.U", "A/Z001"
     sets, reduced = {}, {}
-    stage_ingest(cfg, sets)
+    stage_ingest(cfg)
     stage_sample(cfg, "95", 1.96, sets, reduced)
     ids = [ch.id for ch in sets[first[0]]]
     assert ids.index(first) == ids.index(second) - 1
@@ -243,8 +261,9 @@ def test_rerun_with_fewer_channels_leaves_no_stale_channel_files(tmp_path):
     smaller = dataclasses.replace(cfg, synthetic_n0=10)
     _run_staged(smaller)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["channels_per_set"] == {"A": 5, "B": 5, "E": 7}
-    assert len(list((tmp_path / "confidence_95" / "reduced").rglob("*.txt"))) == 17
+    assert manifest["synthetic"]["n0"] == 10
+    reduced = tmp_path / "confidence_95" / "reduced" / "Case1"
+    assert {s: len(list((reduced / s).glob("*.txt"))) for s in "ABE"} == {"A": 5, "B": 5, "E": 7}
     staged = _files(tmp_path)
     report = run_pipeline(smaller)
     assert report["levels"][0]["cases"]["Case1"]["n_channels"] == 17
@@ -542,7 +561,7 @@ def _manifest_json(**bad):
     replaced, or left out where bad gives None."""
     settings = {"n0": 4, "n1": 3, "length": 512, "burst_amplitude": 5.0, "seed": 0, **bad}
     return json.dumps({"synthetic": {k: v for k, v in settings.items() if v is not None},
-                       "cases": ["Case1"], "channels_per_set": {"A": 2, "B": 2, "E": 3}})
+                       "cases": ["Case1"]})
 
 
 def _evaluation_json(**bad):
@@ -701,24 +720,26 @@ def test_cli_feature_file_is_checked_against_its_names_and_labels(tmp_path, edit
      "selection.range_threshold must be in [0, 1], got 1.5"),
     (("selection.range_threshold", "nan"),
      "selection.range_threshold must be in [0, 1], got nan"),
-    (("nb.var_floor", "nan"), "var_floor must be positive and finite, got nan"),
-    (("synthetic.burst_amplitude", "inf"), "ingest: burst_amplitude must be finite, got inf"),
+    (("nb.var_floor", "nan"), "var_floor must be positive and finite, at most 2.86112e+307, "
+                              "got nan"),
+    (("synthetic.burst_amplitude", "inf"),
+     "synthetic.burst_amplitude must be a number of magnitude at most 2.24712e+307, got inf"),
     (("synthetic.burst_amplitude", "1e308"),
-     "ingest: burst_amplitude must be at most 2.24712e+307 in magnitude, got 1e+308"),
+     "synthetic.burst_amplitude must be a number of magnitude at most 2.24712e+307, "
+     "got 1e+308"),
+    (("synthetic.length", "10"), "synthetic.length must be an integer >= 64, got 10"),
     (("e", "2"), "e must be in (0, 1), got 2.0"),
     (("strata", "0"), "n_strata must be at least 1, got 0"),
     (("cases", "Case1, Case1"), "case Case1 is listed twice"),
     (("confidence", "95, 95"), "confidence level 95 is listed twice"),
     # one class-0 channel would leave set B empty
-    (("synthetic.n0", "1"), "synthetic.n0 must be at least 2, one channel each for sets A and B, "
-                            "and synthetic.n1 at least 1, got 1 and 3"),
-    (("synthetic.n1", "0"), "synthetic.n0 must be at least 2, one channel each for sets A and B, "
-                            "and synthetic.n1 at least 1, got 4 and 0"),
+    (("synthetic.n0", "1"), "synthetic.n0 must be an integer >= 2, got 1"),
+    (("synthetic.n1", "0"), "synthetic.n1 must be an integer >= 1, got 0"),
     # 4 + 3 channels: classify's fold check runs before ingest
     (("cv.folds", "4"), "classify: class 1 has 3 rows, fewer than 4 folds"),
 ], ids=["classifier", "cv-folds", "cv-repeats", "stall-limit", "range-threshold",
         "range-threshold-nan", "nb-var-floor-nan", "burst-amplitude-inf",
-        "burst-amplitude-1e308", "e", "strata",
+        "burst-amplitude-1e308", "synthetic-length", "e", "strata",
         "case-twice", "confidence-twice", "synthetic-n0", "synthetic-n1", "class-below-folds"])
 def test_cli_bad_classifier_or_cv_fails_before_any_stage(tmp_path, capsys, change, fragment):
     assert main(["pipeline", "--config", str(_small_conf(tmp_path / "run.conf", [change]))]) == 2
@@ -850,7 +871,8 @@ def test_cli_sample_reduces_the_corpus_of_the_seed_ingest_recorded(tmp_path):
     assert main(["sample", "--config", str(conf), "--seed", "9"]) == 0
     level = tmp_path / "out" / "confidence_95"
     sampling = json.loads((level / "sampling_Case1.json").read_text())
-    sources = {ch.id: ch for ch, _ in corpus.generate_synthetic_case((4, 3), 512, seed=0)}
+    sources = {ch.id: ch for chans in corpus.generate_synthetic_case((4, 3), 512, seed=0).values()
+               for ch in chans}
     for set_label in ("A", "B", "E"):
         counts = sampling["classes"]["1" if set_label == "E" else "0"]["per_stratum"]
         for ch in corpus.load_set(level / "reduced" / "Case1" / set_label, set_label):
@@ -973,9 +995,18 @@ def _scaled_bonn_corpus(root):
                              "rescale the data\n"),
     (lambda root: ["--config", str(_small_conf(root / "run.conf",
                                                [("synthetic.burst_amplitude", "1e308")]))],
-     2, "error: ingest: burst_amplitude must be at most 2.24712e+307 in magnitude, got 1e+308\n"),
+     2, "error: synthetic.burst_amplitude must be a number of magnitude at most 2.24712e+307, "
+        "got 1e+308\n"),
+    # nb's log(2 pi var) overflowed: a warning, then chance accuracy with exit 0
+    (lambda root: ["--config", str(_small_conf(root / "run.conf", [("nb.var_floor", "1e308")]))],
+     2, "error: var_floor must be positive and finite, at most 2.86112e+307, got 1e+308\n"),
     (lambda root: ["--config", str(_small_conf(root / "run.conf"))], 0, ""),
-], ids=["weight-overflow", "burst-amplitude-1e308", "success"])
+    (lambda root: ["--config", str(_small_conf(root / "run.conf", [("classifier", "knn")]))],
+     0, ""),
+    (lambda root: ["--config", str(_small_conf(root / "run.conf", [("classifier", "rf")]))],
+     0, ""),
+], ids=["weight-overflow", "burst-amplitude-1e308", "nb-var-floor-1e308", "success",
+        "success-knn", "success-rf"])
 def test_cli_stderr_is_one_error_line_or_empty(tmp_path, setup, code, stderr):
     """numpy's own warnings are attributed to numpy, not eegstrata, so only a
     separate interpreter's stderr shows them: a refused run prints exactly

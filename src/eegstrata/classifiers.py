@@ -90,7 +90,15 @@ class KNNClassifier:
 
     def predict(self, rows) -> np.ndarray:
         x = self._transform(_check_rows(rows, len(self.feature_names)))
-        d2 = ((x[:, None, :] - self._train[None, :, :]) ** 2).sum(axis=2)
+        with np.errstate(over="ignore"):
+            d2 = ((x[:, None, :] - self._train[None, :, :]) ** 2).sum(axis=2)
+        far = np.flatnonzero(~np.isfinite(d2).all(axis=1))
+        if far.size:
+            # rank by |t|^2 - 2 q.t, the squared distance less |q|^2, on q and t scaled by one
+            # power of two into (-1, 1): it keeps their order, and no t is lost in q - t
+            _, k = np.frexp(np.maximum(np.abs(x[far]).max(axis=1), np.abs(self._train).max()))
+            t = np.ldexp(self._train, -k[:, None, None])
+            d2[far] = (t * (t - 2.0 * np.ldexp(x[far], -k[:, None])[:, None, :])).sum(axis=2)
         # stable sort: equal distances resolve to the lower training index
         nearest = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
         votes = self._labels[nearest]
@@ -131,13 +139,22 @@ class NaiveBayesClassifier:
         x = _check_rows(rows, len(self.feature_names))
         out = np.empty((x.shape[0], 2))
         for c in (0, 1):
-            ll = -0.5 * (np.log(2.0 * np.pi * self._vars[c])
-                         + (x - self._means[c]) ** 2 / self._vars[c])
+            with np.errstate(over="ignore"):
+                ll = -0.5 * (np.log(2.0 * np.pi * self._vars[c])
+                             + (x - self._means[c]) ** 2 / self._vars[c])
             out[:, c] = self._log_priors[c] + ll.sum(axis=1)
         return out
 
     def predict(self, rows) -> np.ndarray:
-        scores = self.log_posterior(rows)
+        x = _check_rows(rows, len(self.feature_names))
+        scores = self.log_posterior(x)
+        # where a class's quadratic sum overflows, the classes are ranked by
+        # those sums on x and the means scaled by one power of two into (-1, 1)
+        far = np.flatnonzero(np.isinf(scores).any(axis=1))
+        if far.size:
+            _, k = np.frexp(np.maximum(np.abs(x[far]).max(axis=1), np.abs(self._means).max()))
+            diff = np.ldexp(x[far][:, None], -k[:, None, None]) - np.ldexp(self._means, -k[:, None, None])
+            scores[far] = -(diff ** 2 / self._vars).sum(axis=2)
         # argmax ties resolve to the smaller label
         return (scores[:, 1] > scores[:, 0]).astype(np.int64)
 

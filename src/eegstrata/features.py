@@ -38,6 +38,8 @@ MIN_STRATUM_LENGTH = 64
 # candidate template pairs sample_entropy tests at once: 64 KB per int64 or
 # float64 temporary, whatever the stratum (a constant one admits every pair)
 SAMPEN_BLOCK = 8192
+# most cells on a side of sample_entropy's grid, whatever the span over r
+SAMPEN_CELLS = 1 << 20
 # extract_vector hands stratum_features at most this many samples of a stratum
 # at once, (channels, samples), so each of their temporaries stays near
 # 512 KB whatever the number of channels
@@ -216,61 +218,72 @@ def sample_entropy(x, *, r_factor: float = 0.2) -> float:
     exact, so r is finite and every pair is tested against the signal's own
     tolerance.
 
-    Only pairs whose first coordinates lie within r can match, so templates
-    are sorted by their first coordinate and each is tested against the
-    later-sorted templates of its window (Manis et al. 2018). Every such
-    pair is tested with the same float comparisons as an all-pairs loop,
-    so A and B are the same integers.
+    Only templates in neighbouring cells of a grid of side w >= r over
+    their two values can match (Bentley, Stanat & Williams 1977): each is
+    tested against the later-sorted ones of its cell and the four cells
+    after it, with the same float comparisons as an all-pairs loop, so A
+    and B are the same integers.
     """
     arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 4:
-        raise DataError(f"sample_entropy needs a signal of at least 4 samples, got shape {arr.shape}")
-    n = arr.size
+    if arr.ndim != 1 or arr.size < 4 or not np.isfinite(arr).all():
+        raise DataError(f"sample_entropy needs 4 or more finite samples, got shape {arr.shape}")
+    n_m = arr.size - 2
+    (scaled,), (exponent,) = _unit_scale(arr[None])
     with np.errstate(over="ignore", invalid="ignore"):
         std = arr.std()
     if not np.isfinite(std):
-        scaled, exponent = _unit_scale(arr[None])
-        std = np.ldexp(scaled.std(), exponent[0])
+        std = np.ldexp(scaled.std(), exponent)
     r = r_factor * std
-    n_m = n - 2
-    order = np.argsort(arr[:n_m], kind="stable")
-    keys = arr[order]
-    # The window of sorted position p ends at the first key above
-    # keys[p] + fl(r * c), c = fl(1 + 1e-12); it must hold every later key
-    # keys[q] with fl(keys[q] - keys[p]) <= r. The exact difference is
-    # d = keys[q] - keys[p]. If fl(d) is normal, d <= r / (1 - 2**-53)
-    # < r * c * (1 - 2**-53) <= fl(r * c). If fl(d) is subnormal or zero, d
-    # is exact (gradual underflow), so d <= r <= fl(r * c). Either way
-    # keys[p] + fl(r * c) >= keys[p] + d = keys[q], and rounding is
-    # monotonic and keys[q] a float, so the rounded sum is >= keys[q] too. A
-    # sum that overflows to inf, or an r that is inf or NaN, only widens the
-    # window, and a window too wide costs time, never a count.
-    after = np.arange(1, n_m + 1)
+    low = scaled.min()
+    span = scaled.max() - low
+    # A pair with fl(|d|) <= r, d = x[i] - x[j], has cells at most 1 apart on
+    # each axis. Let u = 2**-53, s = x * 2**-e scaled, r' = r * 2**-e,
+    # t = fl(s - low) and K = SAMPEN_CELLS.
+    # - |d| <= r / (1 - u), as a normal fl(d) is within u|d| of d and a
+    #   subnormal d is exact. Scaling is exact, but a value or r' that
+    #   underflows moves by 2**-1075 at most: |s[i] - s[j]| <= r' / (1 - u)
+    #   + 2**-1073. That is below (1 - 2**-31) w, by w's factor 1 + 1e-6
+    #   where r' >= 2**-1040, else by w >= span / K >= 2**-74, as a span
+    #   above 0 is at least the gap 2**-54 next to the largest |s| >= 1/2.
+    # - t is within u * span of s - low, and fl(t / w) within u * K of t / w
+    #   as t <= span <= K * w, so two quotients differ by at most
+    #   |s[i] - s[j]| / w + 2**-31 <= 1, and floor(a) - floor(b) < a - b + 1 <= 2.
+    # One cell where r' overflows (w = inf) or the signal is constant; max() skips a NaN r'.
     with np.errstate(over="ignore"):
-        ends = np.searchsorted(keys, keys + r * (1 + 1e-12), side="right")
-    counts = np.maximum(ends - after, 0)
-    # candidate pairs numbered in sorted-row order; row p holds pair numbers
-    # [stops[p] - counts[p], stops[p]), its k-th pair being (p, p + 1 + k)
+        w = max(span / SAMPEN_CELLS, np.ldexp(r, -exponent) * (1 + 1e-6)) or 1.0
+    cells = np.floor((scaled[:-1] - low) / w).astype(np.int64)
+    # column cells.max() + 1 stays empty, so the neighbours (c1, c2 + 1) and (c1 + 1,
+    # c2 - 1..c2 + 1) of key c1 * width + c2 are keys key + 1 and key + width - 1..key + width + 1
+    width = int(cells.max()) + 2
+    keys = cells[:-1] * width + cells[1:]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    c0, c1, c2 = arr[order], arr[order + 1], arr[order + 2]
+    # sorted position p is tested against the runs of sorted positions
+    # [starts[g], ends[g]) for g = p and g = p + n_m; run g holds candidate
+    # pair numbers [firsts[g], stops[g]), pair number k being (g % n_m, k + shifts[g])
+    starts = np.concatenate([np.arange(1, n_m + 1), np.searchsorted(keys, keys + (width - 1))])
+    ends = np.searchsorted(keys, np.concatenate([keys + 1, keys + (width + 1)]), side="right")
+    counts = ends - starts
     stops = np.cumsum(counts)
     firsts = stops - counts
+    shifts = starts - firsts
     total = int(stops[-1])
-    a = 0
-    b = 0
+    a = b = 0
     for lo in range(0, total, SAMPEN_BLOCK):
         hi = min(lo + SAMPEN_BLOCK, total)
-        p0 = int(np.searchsorted(stops, lo, side="right"))
-        p1 = int(np.searchsorted(stops, hi - 1, side="right")) + 1
-        rows = np.repeat(np.arange(p0, p1),
-                         np.minimum(stops[p0:p1], hi) - np.maximum(firsts[p0:p1], lo))
-        i = order[rows]
-        j = order[np.arange(lo, hi) - firsts[rows] + after[rows]]
-        # |arr[i] - arr[j]| is the loop's value whichever index is smaller; a
+        g0 = int(np.searchsorted(stops, lo, side="right"))
+        g1 = int(np.searchsorted(stops, hi - 1, side="right")) + 1
+        lens = np.minimum(stops[g0:g1], hi) - np.maximum(firsts[g0:g1], lo)
+        p = np.repeat(np.arange(g0, g1) % n_m, lens)
+        q = np.arange(lo, hi) + np.repeat(shifts[g0:g1], lens)
+        # |x[i] - x[j]| is the loop's value whichever index is smaller; a
         # difference that overflows to inf exceeds r either way
         with np.errstate(over="ignore"):
-            d = np.abs(arr[i] - arr[j])
-            np.maximum(d, np.abs(arr[i + 1] - arr[j + 1]), out=d)
+            d = np.abs(c0[p] - c0[q])
+            np.maximum(d, np.abs(c1[p] - c1[q]), out=d)
             b += int(np.count_nonzero(d <= r))
-            np.maximum(d, np.abs(arr[i + 2] - arr[j + 2]), out=d)
+            np.maximum(d, np.abs(c2[p] - c2[q]), out=d)
         a += int(np.count_nonzero(d <= r))
     # counts above cover each unordered pair once; ordered pairs double both
     a *= 2

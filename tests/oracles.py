@@ -104,10 +104,11 @@ def _std_at_rescale(arr):
 
 
 def sample_entropy_reference(x, m=2, r_factor=0.2):
-    """The package's sample entropy before its sort-window kernel: every
-    template pair i < j over [0, n-m), compared with the same float
-    expressions, so both must give the same counts and value; with one later
-    rule: a std that overflows is taken at a power-of-two rescale."""
+    """The package's sample entropy before its candidate-pair kernels (a
+    sort window, then a grid of cells): every template pair i < j over
+    [0, n-m), compared with the same float expressions, so both must give
+    the same counts and value; with one later rule: a std that overflows is
+    taken at a power-of-two rescale."""
     arr = np.asarray(x, dtype=np.float64)
     n = arr.size
     r = r_factor * _std_at_rescale(arr)

@@ -212,6 +212,12 @@ def test_sample_entropy_too_short():
         sample_entropy([1.0, 2.0, 3.0])
 
 
+def test_sample_entropy_refuses_a_signal_that_is_not_finite():
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(DataError, match="finite"):
+            sample_entropy([1.0, bad, 2.0, 3.0, 4.0])
+
+
 def test_hurst_white_noise_band():
     vals = [hurst_exponent(np.random.default_rng(s).standard_normal(4096))
             for s in range(20)]
@@ -240,8 +246,8 @@ def test_sample_entropy_is_quiet_at_the_top_of_the_range():
 
 
 def test_sample_entropy_window_end_is_quiet_near_the_float64_maximum():
-    # a window's end, key + r, overflows for keys near the maximum; an
-    # overflowing end only widens the window, so the counts are those of the
+    # templates near the maximum get their grid cells on the signal scaled
+    # into (-1, 1), where nothing overflows, so the counts are those of the
     # signal scaled down exactly by 16
     y = np.random.default_rng(0).standard_normal(256)
     x = y * (1.79e308 / np.abs(y).max())

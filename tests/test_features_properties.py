@@ -19,14 +19,49 @@ from eegstrata import (FEATURE_ORDER, Channel, DataError, extract_vector,  # noq
 from eegstrata.features import basic_stats, quartiles  # noqa: E402
 
 
+def _on_cell_edges(halves, scale):
+    """Half-integers below 8 and one sample at 2**20, times a power of two
+    scale: r is about 0.75 * scale, so the span sets sample entropy's cell
+    width to exactly scale, half the samples lie on cell edges, and pairs
+    0.5 * scale apart match across them."""
+    x = np.append(halves / 2.0, 2.0**20) * scale
+    return x, 0.75 * scale / x.std()
+
+
+def _with_outlier(noise, at, outlier):
+    """noise with one sample set to outlier, and the r_factor that makes r
+    0.2 times the noise's std: the span is so many r that sample entropy's
+    grid reaches its cell cap."""
+    r_factor = 0.2 * noise.std()
+    x = noise.copy()
+    x[at] = outlier
+    return x, r_factor / x.std()
+
+
 @st.composite
 def _strata(draw):
     """(samples, r_factor): Gaussian or small-integer samples, optionally
     rounded, scaled and overwritten by constant runs; samples near the
-    float64 limit; or samples whose r is a distance many pairs have."""
+    float64 limit; samples whose r is a distance many pairs have; samples on
+    the edges of sample entropy's cells; unit noise at a large offset; noise
+    with one far outlier; or samples with an r_factor of 0 or 1e-9."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["normal", "integers", "near-max", "exact-r"]))
+    kind = draw(st.sampled_from(["normal", "integers", "near-max", "exact-r", "cell-edges",
+                                 "offset", "outlier", "tiny-r"]))
     n = draw(st.integers(4, 800))
+    if kind == "cell-edges":
+        return _on_cell_edges(rng.integers(0, 16, n - 1), 2.0 ** draw(st.integers(-400, 400)))
+    if kind == "offset":
+        return draw(st.sampled_from([1e12, -1e12])) + rng.standard_normal(n), 0.2
+    if kind == "outlier":
+        x, r_factor = _with_outlier(rng.standard_normal(n), int(rng.integers(0, n)),
+                                    draw(st.sampled_from([1e9, -1e9, 1e150])))
+        assert np.ptp(x) > features.SAMPEN_CELLS * 2.0 * r_factor * x.std()
+        return x, r_factor
+    if kind == "tiny-r":
+        x = rng.integers(-3, 4, n) * draw(st.sampled_from([1.0, 1.0 + 1e-10]))
+        return x + draw(st.sampled_from([0.0, 1e-9])) * rng.standard_normal(n), \
+            draw(st.sampled_from([0.0, 1e-9]))
     if kind == "near-max":
         # the direct std overflows to inf or, when signs mix, often to NaN
         signs = draw(st.sampled_from([1.0, -1.0, None]))
@@ -59,6 +94,11 @@ def _strata(draw):
 @given(stratum=_strata())
 @example(stratum=(np.full(5, 3.0), 0.2))
 @example(stratum=(np.arange(800.0) % 7, 0.2))  # 7 values, so about 45k candidate pairs
+@example(stratum=_on_cell_edges(np.arange(799) % 16, 2.0**-3))
+@example(stratum=(1e12 + np.sin(np.arange(500.0)), 0.2))
+@example(stratum=_with_outlier(np.sin(np.arange(600.0)), 300, 1e9))
+@example(stratum=(np.arange(700.0) % 5, 0.0))
+@example(stratum=(np.round(np.sin(np.arange(700.0)), 2), 1e-9))
 def test_sample_entropy_equals_reference_loop(stratum):
     x, r_factor = stratum
     with np.errstate(all="ignore"):

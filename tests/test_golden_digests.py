@@ -6,10 +6,14 @@ runs traced, and the kernel timers the workload exercises must read above
 spans that wall_s is cut at keep their recorded counts, so a change to the
 program cannot move a traced call without this test saying so."""
 
+import dataclasses
+import hashlib
 import sys
 from pathlib import Path
 
 import pytest
+
+from eegstrata import pipeline
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.append(str(ROOT / "bench"))
@@ -55,3 +59,21 @@ def test_workload_reproduces_its_recorded_digests(name, tmp_path, monkeypatch):
     metrics = tracer.metrics(wall_s=1.0)  # the timers do not depend on wall_s
     assert {t: metrics[t] for t in KERNEL_TIMERS[name] if not metrics[t] > 0} == {}
     assert {c: metrics[c] for c in SPAN_COUNTS[name]} == SPAN_COUNTS[name]
+
+
+# sha256 of features_Case1.csv from the pipeline-rf config's ingest, sample
+# and extract at seed 0: every feature value to 12 significant digits, so a
+# sample entropy count off by one shows here even where the selection and
+# report.json do not move
+FEATURES_CASE1_SHA256 = "cf2d46ae3abf45070381d70c8b5484e83e3c1d1d16e95d66ede815f2e9a9777a"
+
+
+def test_pipeline_rf_features_keep_their_digest(tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    cfg = dataclasses.replace(workloads.config("pipeline-rf", seed=0), out_dir=str(tmp_path))
+    pipeline.stage_ingest(cfg)
+    (label, z), = pipeline.resolve_levels(cfg)
+    pipeline.stage_sample(cfg, label, z)
+    pipeline.stage_extract(cfg, label)
+    digest = hashlib.sha256(pipeline.artifact_path(cfg, "features", label, "Case1").read_bytes())
+    assert digest.hexdigest() == FEATURES_CASE1_SHA256

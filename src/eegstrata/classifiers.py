@@ -61,7 +61,7 @@ class KNNClassifier:
 
     Standardization uses training mean and std (std 0 maps to 1 so constant
     features contribute nothing); it can be switched off to measure raw
-    distances.
+    distances, which standardizes by mean 0 and std 1.
     """
 
     def __init__(self, k: int = KNN_K, standardize: bool = True):
@@ -76,29 +76,35 @@ class KNNClassifier:
         if self.k > train.n_rows:
             raise ConfigError(f"k={self.k} exceeds the {train.n_rows} training rows")
         self.feature_names = train.names
-        self._mean, var = _moments(train.values, train.names)
+        mean, var = _moments(train.values, train.names)
         std = np.sqrt(var)
-        self._std = np.where(std == 0.0, 1.0, std)
+        self._mean, self._std = ((mean, np.where(std == 0.0, 1.0, std)) if self.standardize
+                                 else (0.0, 1.0))
         self._train = self._transform(train.values)
         self._labels = train.labels.copy()
         return self
 
-    def _transform(self, rows: np.ndarray) -> np.ndarray:
-        if not self.standardize:
-            return rows
-        return (rows - self._mean) / self._std
+    def _transform(self, rows: np.ndarray, exponent=0) -> np.ndarray:
+        """rows standardized and scaled by 2^-exponent."""
+        return (np.ldexp(rows, -exponent) - np.ldexp(self._mean, -exponent)) / self._std
 
     def predict(self, rows) -> np.ndarray:
-        x = self._transform(_check_rows(rows, len(self.feature_names)))
+        q = _check_rows(rows, len(self.feature_names))
         with np.errstate(over="ignore"):
+            x = self._transform(q)
             d2 = ((x[:, None, :] - self._train[None, :, :]) ** 2).sum(axis=2)
         far = np.flatnonzero(~np.isfinite(d2).all(axis=1))
         if far.size:
-            # rank by |t|^2 - 2 q.t, the squared distance less |q|^2, on q and t scaled by one
-            # power of two into (-1, 1): it keeps their order, and no t is lost in q - t
-            _, k = np.frexp(np.maximum(np.abs(x[far]).max(axis=1), np.abs(self._train).max()))
+            # rank by |t|^2 - 2 x.t, the squared distance less |x|^2, on x and t scaled by one
+            # power of two into (-1, 1): it keeps their order, and no t is lost in x - t. x is
+            # standardized at that scale, as it may pass float64: for a, b and s of frexp
+            # exponents e_a, e_b and e_s, |a - b| / s < 2^(max(e_a, e_b) - e_s + 2)
+            _, e_far = np.frexp(np.maximum(np.abs(q[far]), np.abs(self._mean)))
+            _, e_std = np.frexp(self._std)
+            _, e_train = np.frexp(np.abs(self._train).max())
+            k = np.maximum((e_far - e_std + 2).max(axis=1), e_train)
             t = np.ldexp(self._train, -k[:, None, None])
-            d2[far] = (t * (t - 2.0 * np.ldexp(x[far], -k[:, None])[:, None, :])).sum(axis=2)
+            d2[far] = (t * (t - 2.0 * self._transform(q[far], k[:, None])[:, None, :])).sum(axis=2)
         # stable sort: equal distances resolve to the lower training index
         nearest = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
         votes = self._labels[nearest]

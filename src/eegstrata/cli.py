@@ -173,7 +173,7 @@ def _ingest(cfg, args):
 
 def _sample(cfg, args):
     corpus = {}  # the first level parses it for every level
-    _per_level(lambda cfg, label, z: stage_sample(cfg, label, z, corpus),
+    _per_level(lambda cfg, label, z: stage_sample(cfg, label, z, corpus)[0],
                _show_sampling)(cfg, args)
 
 

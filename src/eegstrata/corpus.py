@@ -2,9 +2,10 @@
 
 A channel is one recorded signal: an ordered sequence of samples plus a set
 label (A..E, Bonn convention: A/B healthy, C/D interictal, E seizure).
-A classification case is a list of (channel, label) pairs drawn from its
-sets; only set E carries label 1. A synthetic corpus of sets A, B and E,
-each in the order load_set reads a set in, is generated for tests and demos.
+A classification case is its two classes, two lists of channels drawn
+from its sets: class 1 is set E, class 0 the case's other sets. A
+synthetic corpus of sets A, B and E, each in the order load_set reads a
+set in, is generated for tests and demos.
 
 Channel files are plain text, one numeric value per line. Set label comes
 from configuration, never from the filename: the Bonn distribution uses
@@ -133,13 +134,13 @@ def load_set(directory, set_label: str) -> list:
     return [load_channel(path, set_label) for path in files]
 
 
-def case_channels(case_id: str, load) -> list:
-    """A case's (Channel, label) pairs: its category-1 sets' channels labeled
-    0, then its category-2 sets' labeled 1, each set's from load(set_label)."""
+def case_channels(case_id: str, load) -> tuple:
+    """A case's classes (class_0, class_1): its category-1 sets' channels,
+    then its category-2 sets', each set's from load(set_label)."""
     if case_id not in CASE_SETS:
         raise ConfigError(f"unknown case id {case_id!r}")
-    return [(ch, label) for label, sets in enumerate(CASE_SETS[case_id])
-            for set_label in sets for ch in load(set_label)]
+    return tuple([ch for set_label in sets for ch in load(set_label)]
+                 for sets in CASE_SETS[case_id])
 
 
 def _is_number(value) -> bool:

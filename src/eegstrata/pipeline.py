@@ -3,7 +3,8 @@
 Every stage writes its outputs to the output directory. Called on its own,
 a stage reads its inputs from there; `run_pipeline` instead hands each
 stage's output to the next in memory, so it generates or parses its input
-corpus once and never parses a channel file it wrote itself. Only sample
+corpus once and never parses a channel file it wrote itself: sample returns
+each case's two reduced classes, and extract takes them. Only sample
 makes channels: ingest records where the corpus comes from in the manifest,
 a data directory's set directories or a synthetic corpus's generator
 settings, and sample parses or generates the corpus from that record. Either
@@ -329,18 +330,16 @@ def stage_ingest(cfg: PipelineConfig) -> dict:
     return manifest
 
 
-def stage_sample(cfg: PipelineConfig, label: str, z: float, corpus: dict | None = None,
-                 reduced: dict | None = None) -> dict:
+def stage_sample(cfg: PipelineConfig, label: str, z: float, corpus: dict | None = None) -> tuple:
     """Reduce every channel of every case at one confidence level.
 
     corpus is a dict of each set's channels in load_set's order, as an
     earlier call filled it (None: a new dict); first each set the cases
     need that it lacks is put into it, generated from the synthetic
     settings the manifest records or parsed from the directory it names, so
-    a dict kept across levels makes each set once. reduced, if a
-    dict, receives each case's reduced (channel, label) pairs, in corpus's
-    order, which is the order extract reads their files in. Returns each
-    case's sampling.
+    a dict kept across levels makes each set once. Returns (samplings,
+    reduced): each case's sampling, and each case's reduced classes in
+    corpus's order, which is the order extract reads their files in.
     """
     corpus = {} if corpus is None else corpus
     manifest = None
@@ -358,49 +357,48 @@ def stage_sample(cfg: PipelineConfig, label: str, z: float, corpus: dict | None 
             else:
                 raise DataError(f"{case_id}: set {set_label} is not in the manifest; "
                                 "run 'ingest' again")
-    samplings = {}
+    samplings, reduced = {}, {}
     for case_id in cfg.cases:
-        channels = case_channels(case_id, corpus.__getitem__)
-        lengths = {len(ch) for ch, _ in channels}
+        classes = case_channels(case_id, corpus.__getitem__)
+        lengths = {len(ch) for chans in classes for ch in chans}
         if len(lengths) != 1:
             raise DataError(f"{case_id}: channels have mixed lengths {sorted(lengths)}")
         length = lengths.pop()
         design = _design(cfg, z, length)
 
-        counts, weights = {}, {}
-        for class_label in (0, 1):
-            chans = [ch for ch, lab in channels if lab == class_label]
+        allocations = []
+        for class_label, chans in enumerate(classes):
             try:
-                counts[class_label], weights[class_label] = allocate(chans, design["plan"],
-                                                                     design["n_bar"])
+                counts, weights = allocate(chans, design["plan"], design["n_bar"])
             except DegenerateDataError as exc:
                 raise DegenerateDataError(f"{case_id} class {class_label}: {exc}") from None
             # extract needs MIN_STRATUM_LENGTH points per stratum: refuse here,
             # before writing, rather than leave artifacts extract cannot use
-            for i, count in enumerate(counts[class_label]):
+            for i, count in enumerate(counts):
                 if count < MIN_STRATUM_LENGTH:
                     raise ConfigError(
                         f"{case_id} class {class_label}: stratum {i} is allocated {count} "
                         f"samples, fewer than {MIN_STRATUM_LENGTH}; "
                         "lower n_strata or raise the confidence level")
+            allocations.append((counts, weights))
 
-        kept = [(reduce_channel(ch, design["plan"], counts[lab], policy=cfg.policy,
-                                seed=derive_seed(cfg.seed, "reduce", ch.id)), lab)
-                for ch, lab in channels]
+        kept = tuple([reduce_channel(ch, design["plan"], counts, policy=cfg.policy,
+                                     seed=derive_seed(cfg.seed, "reduce", ch.id)) for ch in chans]
+                     for chans, (counts, _) in zip(classes, allocations))
         reduced_dir = artifact_path(cfg, "reduced", label, case_id)
-        for set_label in (s for sets in CASE_SETS[case_id] for s in sets):
-            _write_set(reduced_dir / set_label, [ch for ch, _ in kept if ch.set_label == set_label])
-        if reduced is not None:
-            reduced[case_id] = kept
+        for sets, chans in zip(CASE_SETS[case_id], kept):
+            for set_label in sets:
+                _write_set(reduced_dir / set_label, [ch for ch in chans if ch.set_label == set_label])
+        reduced[case_id] = kept
 
         sampling = {
             "case": case_id, "length": length, "z": z, **design,
-            "classes": {str(lab): {"per_stratum": list(counts[lab]), "weights": list(weights[lab])}
-                        for lab in (0, 1)},
+            "classes": {str(lab): {"per_stratum": list(counts), "weights": list(weights)}
+                        for lab, (counts, weights) in enumerate(allocations)},
         }
         _write_json(artifact_path(cfg, "sampling", label, case_id), sampling)
         samplings[case_id] = sampling
-    return samplings
+    return samplings, reduced
 
 
 def stage_extract(cfg: PipelineConfig, label: str, reduced: dict | None = None) -> dict:
@@ -409,21 +407,20 @@ def stage_extract(cfg: PipelineConfig, label: str, reduced: dict | None = None) 
     is None."""
     out = {}
     for case_id in cfg.cases:
-        classes = _read(cfg, "sampling", label, case_id)["classes"]
+        allocation = _read(cfg, "sampling", label, case_id)["classes"]
         if reduced is None:
             reduced_dir = artifact_path(cfg, "reduced", label, case_id)
-            channels = case_channels(case_id, lambda s: load_set(reduced_dir / s, s))
+            classes = case_channels(case_id, lambda s: load_set(reduced_dir / s, s))
         else:
-            channels = reduced[case_id]
+            classes = reduced[case_id]
         try:
-            # one call per class, whose channels share a plan; case_channels
-            # lists class 0 first, so the rows stay in case order
-            rows = [extract_vector([ch for ch, lab in channels if lab == label],
-                                   classes[str(label)]["per_stratum"]) for label in (0, 1)]
+            # one call per class, whose channels share a plan
+            rows = [extract_vector(chans, allocation[str(lab)]["per_stratum"])
+                    for lab, chans in enumerate(classes)]
         except DataError as exc:
             raise DataError(f"{case_id}: {exc}") from None
         fm = FeatureMatrix(feature_names(cfg.n_strata), np.vstack(rows),
-                           [lab for _, lab in channels])
+                           np.repeat([0, 1], [len(chans) for chans in classes]))
         fm.to_csv(artifact_path(cfg, "features", label, case_id))
         out[case_id] = fm
     return out
@@ -546,7 +543,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     """All stages in order for every configured confidence level, each
     handing its channels to the next in memory: the corpus is generated or
     parsed once for every level, and sample's reduced channels go to extract."""
-    corpus, reduced = {}, {}
+    corpus = {}
     if cfg.synthetic:  # class sizes are known now, so classify's check need not wait for it
         _stage("classify", kfold_split, [0] * cfg.synthetic_n0 + [1] * cfg.synthetic_n1, cfg)
     manifest = _stage("ingest", stage_ingest, cfg)
@@ -555,11 +552,11 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         _stage("classify", kfold_split, np.repeat([0, 1], sizes), cfg)
     levels = resolve_levels(cfg)
     for i, (label, z) in enumerate(levels, 1):
-        _stage("sample", stage_sample, cfg, label, z, corpus, reduced)
+        _, reduced = _stage("sample", stage_sample, cfg, label, z, corpus)
         if i == len(levels):
             corpus.clear()  # released after its last reader, as reduced is below
         _stage("extract", stage_extract, cfg, label, reduced)
-        reduced.clear()
+        del reduced
         _stage("select", stage_select, cfg, label)
         _stage("classify", stage_classify, cfg, label)
     return _stage("report", assemble_report, cfg)

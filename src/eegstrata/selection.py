@@ -24,6 +24,17 @@ RANGE_THRESHOLD = 0.8
 STALL_LIMIT = 5
 
 
+# squares below 2^-1022 lose bits; from a norm of 2^-460 on, what they lose
+# is below 2^-53 of its square for up to 2^40 rows
+_MIN_NORM = 2.0 ** -460
+
+
+def _centered(x: np.ndarray) -> tuple:
+    """x's columns less their means, with their spreads (max - min) and norms."""
+    centered = x - x.mean(axis=0)
+    return centered, np.ptp(x, axis=0), np.sqrt((centered ** 2).sum(axis=0))
+
+
 def correlation_matrix(fm: FeatureMatrix) -> tuple:
     """Feature-feature and feature-class Pearson correlations, as the float64
     pair (ff, fc) of shapes (d, d) and (d,) in fm's column order.
@@ -39,17 +50,20 @@ def correlation_matrix(fm: FeatureMatrix) -> tuple:
         raise DataError("correlation against a single-class label is undefined")
 
     x = fm.values
-    centered = x - x.mean(axis=0)
-    with np.errstate(over="ignore"):
-        norms = np.sqrt((centered ** 2).sum(axis=0))
-    # a spread beyond about 1e154 overflows its square: scale such a column
-    # by its largest magnitude first, leaving every other norm as it was
-    big = np.isinf(norms)
-    if big.any():
-        scale = np.abs(centered[:, big]).max(axis=0)
-        norms[big] = scale * np.sqrt(((centered[:, big] / scale) ** 2).sum(axis=0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered, spread, norms = _centered(x)
+    # A column's sum, spread or squares can pass float64 on finite values,
+    # and squares below 2^-1022 lose bits: each column whose spread or norm
+    # is not finite, or whose norm is below _MIN_NORM, is taken again scaled
+    # by the power of two that brings its largest magnitude into [0.5, 1),
+    # as features._per_row takes a row. z = centered / norm does not change
+    # under such a scale, and every other column keeps its bits.
+    redo = ~(np.isfinite(spread) & np.isfinite(norms) & (norms >= _MIN_NORM))
+    if redo.any():
+        _, exponent = np.frexp(np.abs(x[:, redo]).max(axis=0))
+        centered[:, redo], spread[redo], norms[redo] = _centered(np.ldexp(x[:, redo], -exponent))
     # the mean of a constant column can round, leaving it a tiny nonzero norm
-    constant = (np.ptp(x, axis=0) == 0.0) | (norms == 0.0)
+    constant = spread == 0.0
     safe = np.where(constant, 1.0, norms)
     z = centered / safe
     ff = z.T @ z
@@ -187,13 +201,24 @@ def _push_head(heads, runs, r, pos) -> tuple:
 def _bands(columns: np.ndarray) -> tuple:
     """Band (lo, hi) of each column of a 2-d array, as two arrays: centered
     at (max+min)/2 with half-width (max+min)/4, swapped where the half-width
-    is negative."""
-    total = columns.max(axis=0) + columns.min(axis=0)
+    is negative.
+
+    Where max + min passes float64, the band is taken on max and min scaled
+    by the power of two that brings the larger magnitude into [0.5, 1), and
+    scaled back: exactly the band, or inf where its bound passes float64.
+    Every other band keeps its bits."""
+    top, bottom = columns.max(axis=0), columns.min(axis=0)
+    with np.errstate(over="ignore"):
+        fits = np.isfinite(top + bottom)
+    _, exponent = np.frexp(np.where(fits, 0.5, np.maximum(top, -bottom)))
+    total = np.ldexp(top, -exponent) + np.ldexp(bottom, -exponent)
     center = total / 2.0
     half = total / 4.0
     lo, hi = center - half, center + half
     swap = lo > hi
-    return np.where(swap, hi, lo), np.where(swap, lo, hi)
+    with np.errstate(over="ignore"):
+        return (np.ldexp(np.where(swap, hi, lo), exponent),
+                np.ldexp(np.where(swap, lo, hi), exponent))
 
 
 @dataclass(frozen=True)

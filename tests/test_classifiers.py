@@ -146,14 +146,16 @@ def test_nb_refuses_a_class_variance_whose_density_overflows():
         assert np.array_equal(model.predict(values), labels)
 
 
+@pytest.mark.parametrize("scale, query", [(1.0, 1e200), (0.1, 1.7e308)])
 @pytest.mark.parametrize("seed", range(5))
-def test_nb_and_knn_rank_a_query_far_outside_the_training_data(seed):
-    """Squares of a query row at +-1e200 overflow: nb and kNN used to warn
-    and predict class 0. nb picks the class of the wider fitted density,
-    class 1 but at seed 3; kNN's nearest rows are the largest training
-    values for +1e200 and the smallest for -1e200."""
+def test_nb_and_knn_rank_a_query_far_outside_the_training_data(seed, scale, query):
+    """Squares of a query row at +-1e200 overflow, and at +-1.7e308 so does
+    its standardized value: nb and kNN used to warn and predict class 0. nb
+    picks the class of the wider fitted density, class 1 but at seed 3;
+    kNN's nearest rows are the largest training values for +query and the
+    smallest for -query."""
     rng = np.random.default_rng(seed)
-    values = np.concatenate([rng.normal(0.0, 1.0, 10), rng.normal(3.0, 2.0, 10)])
+    values = scale * np.concatenate([rng.normal(0.0, 1.0, 10), rng.normal(3.0, 2.0, 10)])
     labels = np.repeat([0, 1], 10)
     fm = _fm(values[:, None], labels)
     ranked = labels[np.argsort(values)]
@@ -162,10 +164,10 @@ def test_nb_and_knn_rank_a_query_far_outside_the_training_data(seed):
         warnings.simplefilter("error")
         wider = int(values[10:].var() > values[:10].var())
         assert wider == (seed != 3)
-        assert NaiveBayesClassifier().fit(fm).predict([[1e200], [-1e200]]).tolist() == [wider] * 2
+        assert NaiveBayesClassifier().fit(fm).predict([[query], [-query]]).tolist() == [wider] * 2
         for standardize in (True, False):
             model = KNNClassifier(standardize=standardize).fit(fm)
-            assert model.predict([[1e200], [-1e200]]).tolist() == expected
+            assert model.predict([[query], [-query]]).tolist() == expected
 
 
 def test_single_tree_matches_reference_tree():

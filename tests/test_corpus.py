@@ -107,11 +107,10 @@ def test_case_channels_orders_and_labels(tmp_path):
     _write_set(tmp_path, "A", ["b", "a"])
     _write_set(tmp_path, "B", ["z"])
     _write_set(tmp_path, "E", ["s2", "s1"])
-    channels = case_channels("Case1", lambda s: load_set(tmp_path / s, s))
-    ids = [ch.id for ch, _ in channels]
-    # lexicographic within each set, category-1 sets before category-2
-    assert ids == ["A/a", "A/b", "B/z", "E/s1", "E/s2"]
-    assert [label for _, label in channels] == [0, 0, 0, 1, 1]
+    classes = case_channels("Case1", lambda s: load_set(tmp_path / s, s))
+    # class 0 is the category-1 sets, class 1 set E; lexicographic within each set
+    assert [[ch.id for ch in chans] for chans in classes] == [
+        ["A/a", "A/b", "B/z"], ["E/s1", "E/s2"]]
 
 
 def test_load_set_reads_in_the_order_of_the_written_names(tmp_path):

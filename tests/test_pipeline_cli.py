@@ -212,17 +212,17 @@ def test_channels_in_memory_are_in_file_name_order(tmp_path, source):
         cfg = PipelineConfig(data_dir=str(root), n_strata=2, classifier="nb", cv_folds=2,
                              cv_repeats=1, out_dir=str(out))
         first, second = "A/Z001.U", "A/Z001"
-    sets, reduced = {}, {}
+    sets = {}
     stage_ingest(cfg)
-    stage_sample(cfg, "95", 1.96, sets, reduced)
+    _, reduced = stage_sample(cfg, "95", 1.96, sets)
     ids = [ch.id for ch in sets[first[0]]]
     assert ids.index(first) == ids.index(second) - 1
     reduced_dir = out / "confidence_95" / "reduced" / "Case1"
     for set_label, channels in sets.items():
         loaded = corpus.load_set(reduced_dir / set_label, set_label)
         assert [ch.id for ch in channels] == [ch.id for ch in loaded]
-    assert [(ch.id, lab) for ch, lab in reduced["Case1"]] == [
-        (ch.id, lab) for ch, lab in corpus.case_channels(
+    assert [[ch.id for ch in chans] for chans in reduced["Case1"]] == [
+        [ch.id for ch in chans] for chans in corpus.case_channels(
             "Case1", lambda s: corpus.load_set(reduced_dir / s, s))]
     if source == "data-directory":  # features and report are cheap here, not at 1003 channels
         _assert_staged_run_matches_one_shot(cfg)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -84,20 +86,78 @@ def test_correlation_matrix_properties():
     check()
 
 
-def test_correlation_matrix_of_a_column_whose_square_overflows(recwarn):
-    """A spread of 1e160 overflows the direct sum of squares; the column is
-    scaled first, so it still tracks the label, the one an unscaled copy
-    (spread 1) tracks, and no warning is raised."""
-    rng = np.random.default_rng(0)
-    labels = np.repeat([0, 1], 20)
-    tracks = rng.standard_normal(40) + labels
-    values = np.column_stack([rng.standard_normal(40), 1e160 * tracks, rng.standard_normal(40)])
-    ff, fc = correlation_matrix(_matrix(values, labels, ("a", "b", "c")))
-    unscaled = correlation_matrix(_matrix(values[:, :2] / [1.0, 1e160], labels))
-    assert fc[1] == pytest.approx(unscaled[1][1], rel=1e-12)
-    assert ff[0, 1] == pytest.approx(unscaled[0][0, 1], rel=1e-12)
-    assert select_features(_matrix(values, labels, ("a", "b", "c"))).names == ("b",)
+_LABELS = np.repeat([0, 1], 20)
+
+
+@pytest.mark.parametrize("column, scale", [
+    # a spread of 1e160 overflows the direct sum of squares
+    (1e160 * (np.random.default_rng(0).standard_normal(40) + _LABELS), 1e160),
+    # the sum, the mean and max + min overflow; the column separates the classes
+    (np.where(_LABELS == 0, 0.9e308, 1e308), 1e308),
+    # the spread and the norm pass float64
+    (np.tile([1.5e308, -1.5e308], 20), 1e308),
+], ids=["square", "sum", "spread"])
+def test_correlation_matrix_of_a_column_whose_square_overflows(recwarn, column, scale):
+    """A column whose sum, spread or squares pass float64 is taken on a
+    scaled copy, so it gets the correlations, the selection and the bounds
+    an unscaled copy gets, and no warning is raised."""
+    rng = np.random.default_rng(1)
+    names = ("a", "b", "c")
+    values = np.column_stack([rng.standard_normal(40), column, rng.standard_normal(40)])
+    unscaled = values / [1.0, scale, 1.0]
+    ff, fc = correlation_matrix(_matrix(values, _LABELS, names))
+    want_ff, want_fc = correlation_matrix(_matrix(unscaled, _LABELS, names))
+    assert fc == pytest.approx(want_fc, rel=1e-12, abs=1e-15)
+    assert ff == pytest.approx(want_ff, rel=1e-12, abs=1e-15)
+    got, want = (select_features(_matrix(v, _LABELS, names)) for v in (values, unscaled))
+    assert got.names == want.names and got.merit == pytest.approx(want.merit, rel=1e-12)
+    assert np.isfinite(list(got.range_bounds.values())).all()
+    if "b" in got.range_bounds:
+        assert np.divide(got.range_bounds["b"], scale) == pytest.approx(want.range_bounds["b"],
+                                                                         rel=1e-12)
     assert len(recwarn) == 0
+
+
+def test_selection_is_invariant_to_a_power_of_two_column_scale():
+    """Scaling one column by 2^k, for any k that keeps its values finite and
+    normal and its bounds normal, leaves the selection as it was but for
+    that column's bounds, which are scaled by 2^k, and warns nothing."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    labels = np.tile([0, 1], 12)
+    names = tuple(f"f{i}" for i in range(5))
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(seed=st.integers(0, 2 ** 16), position=st.floats(0.0, 1.0))
+    @hypothesis.example(seed=0, position=1.0)
+    @hypothesis.example(seed=0, position=0.0)
+    def check(seed, position):
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal((24, 5)) + labels[:, None] * rng.uniform(0.0, 2.0, 5)
+        j = seed % 5
+        _, e_values = np.frexp(np.abs(values[:, j][values[:, j] != 0.0]))
+        _, e_bounds = np.frexp(np.abs(np.ravel(_bands(values[:, [j]]))))
+        # 2^(e - 1) <= m < 2^e for m of exponent e: m 2^k is normal from
+        # k = -1021 - e on, and finite up to k = 1024 - e
+        k = int(np.round(np.interp(position, [0.0, 1.0], [
+            -1021 - min(e_values.min(), e_bounds.min()), 1024 - e_values.max()])))
+        scaled = values.copy()
+        scaled[:, j] = np.ldexp(values[:, j], k)
+        want = select_features(_matrix(values, labels, names))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = select_features(_matrix(scaled, labels, names))
+        assert got.names == want.names
+        assert got.eliminated_by_range == want.eliminated_by_range
+        assert got.in_range_fraction == want.in_range_fraction
+        assert got.merit == pytest.approx(want.merit, rel=1e-12)
+        assert got.prefilter_merit == pytest.approx(want.prefilter_merit, rel=1e-12)
+        for name, bounds in want.range_bounds.items():
+            with np.errstate(over="ignore"):  # a bound may pass float64 where no value does
+                expected = np.ldexp(bounds, k) if name == names[j] else bounds
+            assert got.range_bounds[name] == tuple(expected)
+
+    check()
 
 
 def test_correlation_matrix_single_class_raises():

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateDataError
 from .features import FeatureMatrix
+from .sampler import _unit_scale
 
 NB_VAR_FLOOR = 1e-9
 KNN_K = 3
@@ -59,9 +60,11 @@ def _check_rows(rows, n_features: int) -> np.ndarray:
 class KNNClassifier:
     """k nearest neighbours by Euclidean distance on z-scored features.
 
-    Standardization uses training mean and std (std 0 maps to 1 so constant
-    features contribute nothing); it can be switched off to measure raw
-    distances, which standardizes by mean 0 and std 1.
+    Standardization uses training mean and std, and leaves out a constant
+    feature, which has no spread to measure a query by; it can be switched
+    off to measure raw distances. Either way the features are first put
+    under _unit_scale, each column alone when standardizing and the matrix
+    as a whole when not, so no distance depends on the data's units.
     """
 
     def __init__(self, k: int = KNN_K, standardize: bool = True):
@@ -76,17 +79,22 @@ class KNNClassifier:
         if self.k > train.n_rows:
             raise ConfigError(f"k={self.k} exceeds the {train.n_rows} training rows")
         self.feature_names = train.names
-        mean, var = _moments(train.values, train.names)
-        std = np.sqrt(var)
-        self._mean, self._std = ((mean, np.where(std == 0.0, 1.0, std)) if self.standardize
-                                 else (0.0, 1.0))
+        _moments(train.values, train.names)  # refuses a column whose variance overflows
+        scaled, self._exponent = _unit_scale(train.values, axis=0 if self.standardize else None)
+        if self.standardize:
+            self._columns = np.ptp(scaled, axis=0) > 0.0
+            scaled, self._exponent = scaled[:, self._columns], self._exponent[:, self._columns]
+            self._mean, self._std = scaled.mean(axis=0), scaled.std(axis=0)
+        else:
+            self._columns, self._mean, self._std = slice(None), 0.0, 1.0
         self._train = self._transform(train.values)
         self._labels = train.labels.copy()
         return self
 
-    def _transform(self, rows: np.ndarray, exponent=0) -> np.ndarray:
-        """rows standardized and scaled by 2^-exponent."""
-        return (np.ldexp(rows, -exponent) - np.ldexp(self._mean, -exponent)) / self._std
+    def _transform(self, rows: np.ndarray, k=0) -> np.ndarray:
+        """rows scaled as the training rows were, standardized, and scaled by 2^-k."""
+        rows = rows[:, self._columns]
+        return (np.ldexp(rows, -(self._exponent + k)) - np.ldexp(self._mean, -k)) / self._std
 
     def predict(self, rows) -> np.ndarray:
         q = _check_rows(rows, len(self.feature_names))
@@ -95,16 +103,16 @@ class KNNClassifier:
             d2 = ((x[:, None, :] - self._train[None, :, :]) ** 2).sum(axis=2)
         far = np.flatnonzero(~np.isfinite(d2).all(axis=1))
         if far.size:
-            # rank by |t|^2 - 2 x.t, the squared distance less |x|^2, on x and t scaled by one
-            # power of two into (-1, 1): it keeps their order, and no t is lost in x - t. x is
-            # standardized at that scale, as it may pass float64: for a, b and s of frexp
-            # exponents e_a, e_b and e_s, |a - b| / s < 2^(max(e_a, e_b) - e_s + 2)
-            _, e_far = np.frexp(np.maximum(np.abs(q[far]), np.abs(self._mean)))
-            _, e_std = np.frexp(self._std)
-            _, e_train = np.frexp(np.abs(self._train).max())
-            k = np.maximum((e_far - e_std + 2).max(axis=1), e_train)
-            t = np.ldexp(self._train, -k[:, None, None])
-            d2[far] = (t * (t - 2.0 * self._transform(q[far], k[:, None])[:, None, :])).sum(axis=2)
+            # rank by |t|^2 2^-k - 2 x.t, the squared distance less |x|^2, times 2^-k, where
+            # k bounds x's power of two: for a, b and s of binary exponents e_a, e_b and e_s,
+            # |a - b| / s < 2^(max(e_a, e_b) - e_s + 2). x is standardized at that scale, as it
+            # may pass float64; t is not scaled, so no t is lost beside x
+            _, e_q = _unit_scale(q[far][:, self._columns], axis=())
+            _, e_mean = _unit_scale(self._mean, axis=())
+            _, e_std = _unit_scale(self._std, axis=())
+            k = (np.maximum(e_q - self._exponent, e_mean) - e_std + 2).max(axis=1, keepdims=True)
+            t, x = self._train, self._transform(q[far], k)
+            d2[far] = (t * (np.ldexp(t, -k[..., None]) - 2.0 * x[:, None, :])).sum(axis=2)
         # stable sort: equal distances resolve to the lower training index
         nearest = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
         votes = self._labels[nearest]
@@ -155,12 +163,12 @@ class NaiveBayesClassifier:
         x = _check_rows(rows, len(self.feature_names))
         scores = self.log_posterior(x)
         # where a class's quadratic sum overflows, the classes are ranked by
-        # those sums on x and the means scaled by one power of two into (-1, 1)
+        # those sums on x and the means under one _unit_scale
         far = np.flatnonzero(np.isinf(scores).any(axis=1))
         if far.size:
-            _, k = np.frexp(np.maximum(np.abs(x[far]).max(axis=1), np.abs(self._means).max()))
-            diff = np.ldexp(x[far][:, None], -k[:, None, None]) - np.ldexp(self._means, -k[:, None, None])
-            scores[far] = -(diff ** 2 / self._vars).sum(axis=2)
+            means = np.broadcast_to(self._means, (far.size, 2, x.shape[1]))
+            scaled, _ = _unit_scale(np.concatenate([x[far][:, None], means], axis=1), axis=(1, 2))
+            scores[far] = -((scaled[:, :1] - scaled[:, 1:]) ** 2 / self._vars).sum(axis=2)
         # argmax ties resolve to the smaller label
         return (scores[:, 1] > scores[:, 0]).astype(np.int64)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .sampler import _strata
+from .sampler import UNIT_FLOOR, _strata, _unit_scale
 
 FEATURE_ORDER = (
     "min", "max", "skewness", "mean", "std", "mode", "iqr", "q1", "q3",
@@ -59,11 +59,9 @@ def _per_row(min_len: int, name: str = ""):
     name, and numpy does not warn while it runs.
 
     A value that comes out inf or NaN, as a direct form that overflows does,
-    is taken again on its row scaled by a power of two into (-1, 1) and
-    scaled back, unless its feature is in SCALE_FREE. Scaling by a power of
-    two is exact, so the value is the row's own, and every value that came
-    out finite stays as it is. A value whose true size exceeds float64
-    stays inf."""
+    is taken again on its row under sampler._unit_scale and scaled back,
+    unless its feature is in SCALE_FREE; every value that came out finite
+    stays as it is. A value whose true size exceeds float64 stays inf."""
     def wrap(kernel):
         def run(block):
             out = kernel(block)
@@ -80,11 +78,11 @@ def _per_row(min_len: int, name: str = ""):
                 out = run(block)
                 bad = np.flatnonzero(~np.isfinite(list(out.values())).all(axis=0))
                 if bad.size:
-                    scaled, exponent = _unit_scale(block[bad])
+                    scaled, exponent = _unit_scale(block[bad], axis=1)
                     for key, again in run(scaled).items():
                         redo = ~np.isfinite(out[key][bad])
                         out[key][bad[redo]] = (again[redo] if key in SCALE_FREE
-                                               else np.ldexp(again[redo], exponent[redo]))
+                                               else np.ldexp(again[redo], exponent[redo, 0]))
             if arr.ndim == 1:
                 out = {key: float(v[0]) for key, v in out.items()}
             return out[name] if name else out
@@ -105,14 +103,6 @@ def _row_sums(values, keep) -> np.ndarray:
         rows = kept == k
         sums[rows] = values[rows][keep[rows]].reshape(-1, k).sum(axis=1)
     return sums
-
-
-def _unit_scale(rows) -> tuple:
-    """Each row of a block scaled by the power of two that brings its largest
-    magnitude into [0.5, 1), with the exponents that scale it back. Scaling
-    by a power of two is exact, barring underflow of the smallest values."""
-    _, exponent = np.frexp(np.abs(rows).max(axis=1))
-    return np.ldexp(rows, -exponent[:, None]), exponent
 
 
 def _mode(block) -> np.ndarray:
@@ -213,10 +203,9 @@ def sample_entropy(x, *, r_factor: float = 0.2) -> float:
 
     Both template sets are indexed over [0, n-2) so A and B draw from the
     same pairs. Caps keep the value finite: A = 0 maps to ln(B*(n-3)),
-    and B = 0 maps to ln((n-2)*(n-3)). The std behind r is taken on the
-    signal scaled by a power of two where its squares overflow, which is
-    exact, so r is finite and every pair is tested against the signal's own
-    tolerance.
+    and B = 0 maps to ln((n-2)*(n-3)). The std behind r is taken again
+    under sampler._unit_scale where its squares overflow or it is below
+    UNIT_FLOOR, so every pair is tested against the signal's own tolerance.
 
     Only templates in neighbouring cells of a grid of side w >= r over
     their two values can match (Bentley, Stanat & Williams 1977): each is
@@ -228,10 +217,10 @@ def sample_entropy(x, *, r_factor: float = 0.2) -> float:
     if arr.ndim != 1 or arr.size < 4 or not np.isfinite(arr).all():
         raise DataError(f"sample_entropy needs 4 or more finite samples, got shape {arr.shape}")
     n_m = arr.size - 2
-    (scaled,), (exponent,) = _unit_scale(arr[None])
+    scaled, exponent = _unit_scale(arr)
     with np.errstate(over="ignore", invalid="ignore"):
         std = arr.std()
-    if not np.isfinite(std):
+    if not UNIT_FLOOR <= std < np.inf:
         std = np.ldexp(scaled.std(), exponent)
     r = r_factor * std
     low = scaled.min()

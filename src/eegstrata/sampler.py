@@ -76,9 +76,27 @@ def _strata(channels, sizes) -> list:
     return np.split(np.stack([ch.samples for ch in channels]), np.cumsum(sizes[:-1]), axis=-1)
 
 
+# squares below 2^-1022 lose bits; from a norm of 2^-460 on, what they lose is
+# below 2^-53 of its square for up to 2^40 terms
+UNIT_FLOOR = 2.0 ** -460
+
+
+def _unit_scale(x, axis=None) -> tuple:
+    """The one scale rule: x scaled by the power of two that brings its largest
+    magnitude along axis (all of x by default, each value alone for ()) into
+    [0.5, 1), and the exponent, 0 for a zero slice, that scales it back, shaped
+    to broadcast against x. Scaling by a power of two is exact barring
+    underflow, so a value taken again on the scaled x and scaled back is x's own."""
+    _, exponent = np.frexp(np.abs(x).max(axis=axis, keepdims=axis is not None))
+    return np.ldexp(x, -exponent), exponent
+
+
 def _weight(rows) -> float:
-    """N_i * sqrt(sum of the rows' sample variances) for a stratum's rows; the
-    mean of a constant row can round, so its variance is set to 0, not computed."""
+    """N_i * sqrt(sum of the rows' sample variances) for a stratum's rows, 0 for
+    a stratum of one sample; the mean of a constant row can round, so its
+    variance is set to 0, not computed."""
+    if rows.shape[1] < 2:
+        return 0.0
     var = np.where(np.ptp(rows, axis=1) > 0, rows.var(axis=1, ddof=1), 0.0)
     return rows.shape[1] * np.sqrt(var.sum())
 
@@ -102,30 +120,29 @@ def allocate(class_channels, sizes, n_bar: int) -> tuple:
     if not 0 <= n_bar <= sum(sizes):
         raise ConfigError(f"n_bar {n_bar} must lie in [0, {sum(sizes)}]")
 
-    weights = np.zeros(len(sizes))
-    for i, rows in enumerate(strata):
-        if sizes[i] > 1:
-            # a weight whose variances overflow (to inf, or to nan where sums of
-            # opposite sign overflow) is taken again on the stratum scaled by a
-            # power of two into (-1, 1), which is exact, and scaled back; one
-            # still not finite is refused below rather than warned about
-            with np.errstate(over="ignore", invalid="ignore"):
-                weights[i] = _weight(rows)
-                if not np.isfinite(weights[i]):
-                    _, exponent = np.frexp(np.abs(rows).max())
-                    weights[i] = np.ldexp(_weight(np.ldexp(rows, -exponent)), exponent)
+    caps = np.array(sizes, dtype=np.int64)
+    # a weight that passes float64 (inf, or nan where sums of opposite sign
+    # overflow), or that is below UNIT_FLOOR, where its squares may have lost
+    # bits, is taken again with every stratum on the class under one
+    # _unit_scale, so the shares do not depend on the data's units; one whose
+    # true size passes float64 is refused below rather than warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        w, exponent = np.array([_weight(rows) for rows in strata]), 0
+        if not ((UNIT_FLOOR <= w) & (w < np.inf) | (caps == 1)).all():
+            scaled, exponent = _unit_scale(np.concatenate(strata, axis=1))
+            w = np.array([_weight(rows) for rows in np.split(scaled, np.cumsum(sizes[:-1]), axis=1)])
+        weights = np.ldexp(w, exponent)
     if not np.isfinite(weights).all():
         i = int(np.argmin(np.isfinite(weights)))
         raise DegenerateDataError(f"stratum {i} weight overflows float64; rescale the data")
     # shares are taken from the weights scaled by a power of two to at most 1,
     # which is exact unless two weights differ by more than 2**1022, so that
     # neither their sum nor n_bar times one overflows
-    weights_unit = np.ldexp(weights, -np.frexp(weights.max())[1])
+    weights_unit, _ = _unit_scale(w)
     total_weight = weights_unit.sum()
     if total_weight <= 0.0:
         raise DegenerateDataError("all strata are constant in every channel; allocation undefined")
 
-    caps = np.array(sizes, dtype=np.int64)
     raw = n_bar * weights_unit / total_weight
     counts = np.minimum(np.floor(raw).astype(np.int64), caps)
     leftover = n_bar - int(counts.sum())
@@ -141,7 +158,7 @@ def allocate(class_channels, sizes, n_bar: int) -> tuple:
         order = np.lexsort((stratum, -(raw[stratum] - count)))
         counts += np.bincount(stratum[order[:leftover]], minlength=caps.size)
 
-    return tuple(int(c) for c in counts), tuple(float(w) for w in weights)
+    return tuple(int(c) for c in counts), tuple(float(v) for v in weights)
 
 
 def reduce_channel(channel: Channel, sizes, counts, seed: int,

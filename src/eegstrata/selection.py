@@ -19,14 +19,10 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .features import FeatureMatrix
+from .sampler import UNIT_FLOOR, _unit_scale
 
 RANGE_THRESHOLD = 0.8
 STALL_LIMIT = 5
-
-
-# squares below 2^-1022 lose bits; from a norm of 2^-460 on, what they lose
-# is below 2^-53 of its square for up to 2^40 rows
-_MIN_NORM = 2.0 ** -460
 
 
 def _centered(x: np.ndarray) -> tuple:
@@ -54,14 +50,12 @@ def correlation_matrix(fm: FeatureMatrix) -> tuple:
         centered, spread, norms = _centered(x)
     # A column's sum, spread or squares can pass float64 on finite values,
     # and squares below 2^-1022 lose bits: each column whose spread or norm
-    # is not finite, or whose norm is below _MIN_NORM, is taken again scaled
-    # by the power of two that brings its largest magnitude into [0.5, 1),
-    # as features._per_row takes a row. z = centered / norm does not change
-    # under such a scale, and every other column keeps its bits.
-    redo = ~(np.isfinite(spread) & np.isfinite(norms) & (norms >= _MIN_NORM))
+    # is not finite, or whose norm is below UNIT_FLOOR, is taken again under
+    # _unit_scale. z = centered / norm does not change under such a scale,
+    # and every other column keeps its bits.
+    redo = ~(np.isfinite(spread) & np.isfinite(norms) & (norms >= UNIT_FLOOR))
     if redo.any():
-        _, exponent = np.frexp(np.abs(x[:, redo]).max(axis=0))
-        centered[:, redo], spread[redo], norms[redo] = _centered(np.ldexp(x[:, redo], -exponent))
+        centered[:, redo], spread[redo], norms[redo] = _centered(_unit_scale(x[:, redo], axis=0)[0])
     # the mean of a constant column can round, leaving it a tiny nonzero norm
     constant = spread == 0.0
     safe = np.where(constant, 1.0, norms)
@@ -203,22 +197,21 @@ def _bands(columns: np.ndarray) -> tuple:
     at (max+min)/2 with half-width (max+min)/4, swapped where the half-width
     is negative.
 
-    Where max + min passes float64, the band is taken on max and min scaled
-    by the power of two that brings the larger magnitude into [0.5, 1), and
-    scaled back: exactly the band, or inf where its bound passes float64.
-    Every other band keeps its bits."""
+    Where max + min passes float64, the band is taken again on max and min
+    under _unit_scale and scaled back: exactly the band, or inf where its
+    bound passes float64. Every other band keeps its bits."""
     top, bottom = columns.max(axis=0), columns.min(axis=0)
-    with np.errstate(over="ignore"):
-        fits = np.isfinite(top + bottom)
-    _, exponent = np.frexp(np.where(fits, 0.5, np.maximum(top, -bottom)))
-    total = np.ldexp(top, -exponent) + np.ldexp(bottom, -exponent)
-    center = total / 2.0
-    half = total / 4.0
-    lo, hi = center - half, center + half
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = top + bottom
+        lo, hi = total / 2.0 - total / 4.0, total / 2.0 + total / 4.0
     swap = lo > hi
-    with np.errstate(over="ignore"):
-        return (np.ldexp(np.where(swap, hi, lo), exponent),
-                np.ldexp(np.where(swap, lo, hi), exponent))
+    lo, hi = np.where(swap, hi, lo), np.where(swap, lo, hi)
+    far = ~np.isfinite(total)
+    if far.any():
+        scaled, exponent = _unit_scale(np.stack([top[far], bottom[far]]), axis=0)
+        with np.errstate(over="ignore"):
+            lo[far], hi[far] = np.ldexp(_bands(scaled), exponent)
+    return lo, hi
 
 
 @dataclass(frozen=True)

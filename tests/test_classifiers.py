@@ -170,6 +170,39 @@ def test_nb_and_knn_rank_a_query_far_outside_the_training_data(seed, scale, quer
             assert model.predict([[query], [-query]]).tolist() == expected
 
 
+@pytest.mark.parametrize("exponent", [-540, -1000])
+@pytest.mark.parametrize("standardize", [True, False])
+def test_knn_predictions_do_not_depend_on_small_units(standardize, exponent):
+    # variances and squared distances of such values underflow, which used to
+    # change most predictions
+    rng = np.random.default_rng(1)
+    train = _fm(rng.standard_normal((30, 4)), np.arange(30) % 2)
+    queries = rng.standard_normal((25, 4))
+    small = _fm(np.ldexp(train.values, exponent), train.labels)
+    expected = KNNClassifier(standardize=standardize).fit(train).predict(queries)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = KNNClassifier(standardize=standardize).fit(small)
+        assert model.predict(np.ldexp(queries, exponent)).tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_knn_ranks_a_query_far_beyond_tiny_training_values(seed):
+    """The far-query test's values times 1e-310, queried at +-1e300: the
+    training rows, scaled by the query's power of two, used to underflow to
+    0 and tie, so the lowest-index rows voted."""
+    rng = np.random.default_rng(seed)
+    values = 1e-310 * np.concatenate([rng.normal(0.0, 1.0, 10), rng.normal(3.0, 2.0, 10)])
+    labels = np.repeat([0, 1], 10)
+    ranked = labels[np.argsort(values)]
+    expected = [int(ranked[-3:].sum() >= 2), int(ranked[:3].sum() >= 2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for standardize in (True, False):
+            model = KNNClassifier(standardize=standardize).fit(_fm(values[:, None], labels))
+            assert model.predict([[1e300], [-1e300]]).tolist() == expected
+
+
 def test_single_tree_matches_reference_tree():
     rng = np.random.default_rng(7)
     values = rng.normal(size=(20, 3))

@@ -74,6 +74,23 @@ def test_channel_file_names_are_formed_in_one_place():
     assert defined == ["corpus.py"], defined
 
 
+def test_scale_rule_is_stated_once():
+    """np.frexp, which gives the power of two of a value, is named only in
+    sampler._unit_scale, so every rescale by a power of two goes through that
+    one function, and _unit_scale is defined once, there."""
+    package = Path(eegstrata.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    named = [(name, node.lineno) for name, tree in trees.items() for node in ast.walk(tree)
+             if "frexp" in (getattr(node, "attr", None), getattr(node, "id", None),
+                            getattr(node, "name", None))]
+    defined = [(name, node) for name, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "_unit_scale"]
+    assert [name for name, _ in defined] == ["sampler.py"], defined
+    func = defined[0][1]
+    assert len(named) == 1 and named[0][0] == "sampler.py", named
+    assert func.lineno <= named[0][1] <= func.end_lineno, named
+
+
 def test_only_sample_makes_channels():
     """Inside the package, generate_synthetic_case is called only in
     stage_sample, and load_set only in stage_sample and in stage_extract,

@@ -11,6 +11,7 @@ from eegstrata import (FEATURE_ORDER, Channel, ConfigError, DataError,
                        shannon_entropy, stratify)
 from eegstrata import features
 from eegstrata.features import basic_stats, quartiles, stratum_features
+from eegstrata.sampler import _unit_scale
 
 
 def test_basic_stats_trivial():
@@ -81,8 +82,8 @@ def test_every_feature_is_finite_at_the_top_of_the_range():
         near = stratum_features(x * 1e302)
     for feats, signal in ((got, big), (near, x * 1e302)):
         assert np.isfinite(list(feats.values())).all()
-        scaled, exponent = features._unit_scale(signal[None])
-        assert feats["mode"] == np.ldexp(basic_stats(scaled[0])["mode"], exponent[0])
+        scaled, exponent = _unit_scale(signal)
+        assert feats["mode"] == np.ldexp(basic_stats(scaled)["mode"], exponent)
     for key in ("std", "mean", "min", "max", "median", "q1", "q3", "iqr", "fluctuation_index"):
         assert got[key] == np.ldexp(base[key], shift), key
     for key in ("skewness", "kurtosis", "hurst", "sample_entropy"):
@@ -254,6 +255,15 @@ def test_sample_entropy_window_end_is_quiet_near_the_float64_maximum():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert sample_entropy(x) == sample_entropy(np.ldexp(x, -4))
+
+
+@pytest.mark.parametrize("exponent", [-600, -1000])
+def test_sample_entropy_does_not_depend_on_small_units(exponent):
+    # the squares behind r underflow: r read 0, so only exact matches counted
+    x = np.random.default_rng(0).standard_normal(512)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sample_entropy(np.ldexp(x, exponent)) == sample_entropy(x)
 
 
 @pytest.mark.parametrize("value", [0.0, 0.1, 0.7])

@@ -88,6 +88,37 @@ def test_allocation_of_data_whose_variances_overflow(scale):
     assert weights == tuple(np.ldexp(small_weights, 600).tolist())
 
 
+@pytest.mark.parametrize("exponent", [-540, -1000])
+def test_allocation_of_data_whose_variances_underflow(exponent):
+    # from 2^-540 the weights underflow to 0, which read as all strata constant
+    rng = np.random.default_rng(5)
+    channels = [Channel(id=f"A/c{i}", set_label="A", samples=rng.normal(0.0, 1.0 + i, 4097))
+                for i in range(4)]
+    small = [Channel(id=ch.id, set_label="A", samples=np.ldexp(ch.samples, exponent))
+             for ch in channels]
+    plan = stratify(4097, 4)
+    counts, weights = allocate(channels, plan, 2872)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        small_counts, small_weights = allocate(small, plan, 2872)
+    assert small_counts == counts
+    assert small_weights == tuple(np.ldexp(weights, exponent).tolist())
+
+
+def test_allocation_of_a_nearly_constant_class_does_not_depend_on_units():
+    # values one or two ulps above 2^-20: scaled by 2^-1000 the weights are
+    # subnormal, so shares taken from them scaled back would lose bits and
+    # move counts; the class is weighed on one scale instead
+    up = np.nextafter(2.0 ** -20, 1.0)
+    samples = np.full(80, 2.0 ** -20)
+    samples[[3, 50, 51]] = up
+    samples[[5, 60]] = np.nextafter(up, 1.0)
+    for n_bar in range(81):
+        counts, _ = allocate([Channel(id="A/c", set_label="A", samples=samples)], (40, 40), n_bar)
+        small = Channel(id="A/c", set_label="A", samples=np.ldexp(samples, -1000))
+        assert allocate([small], (40, 40), n_bar)[0] == counts, n_bar
+
+
 def test_allocation_weights_match_direct_formula():
     rng = np.random.default_rng(2)
     chans = _channels(rng, 3, 100)

@@ -176,25 +176,102 @@ class NaiveBayesClassifier:
 # a step's (tree, candidate feature, row) arrays hold at most this many
 # elements; the trees of a step are grown in chunks below it
 _STEP_ELEMENTS = 1 << 15
+_LOW = 0xFFFFFFFF
 
 
-def _best_splits(x, y, members, feats):
+class _Streams:
+    """Each tree's PCG64 stream, read as numpy's Generator reads it in
+    integers and choice: the 32-bit halves of its raw 64-bit words, low
+    half first, each bounded integer from one half by Lemire's
+    multiply-shift, drawing again while the product's low half falls below
+    2^32 mod bound.
+
+    Tree t's words are buffered in row t of _words, and _pos[t] is its
+    first unread half. A row that a draw would run past is refilled from
+    the tree's bit generator, so every stream may run on without end.
+    """
+
+    def __init__(self, bit_generators, words):
+        self._gens = bit_generators
+        self._words = np.array([gen.random_raw(words) for gen in bit_generators], dtype="<u8")
+        self._halves = self._words.view("<u4")
+        self._pos = np.zeros(len(bit_generators), dtype=np.int64)
+
+    def _refill(self, t):
+        """Move tree t's unread words to the front of its row and fill the
+        rest from its bit generator."""
+        row, read = self._words[t], int(self._pos[t]) // 2
+        row[:row.size - read] = row[read:]
+        row[row.size - read:] = self._gens[t].random_raw(read)
+        self._pos[t] -= 2 * read
+
+    def _bounded(self, t, bound):
+        """Tree t's next integer in [0, bound), one half at a time."""
+        threshold = (1 << 32) % bound
+        while True:
+            if self._pos[t] == self._halves.shape[1]:
+                self._refill(t)
+            product = int(self._halves[t, self._pos[t]]) * bound
+            self._pos[t] += 1
+            if product & _LOW >= threshold:
+                return product >> 32
+
+    def draw(self, trees, bounds):
+        """The next integers of each tree in trees, column i in [0,
+        bounds[i]), for bounds from 2 to 2^32. The draws of all trees are
+        taken from one block of halves; a tree with a draw that rejects
+        takes its row again on the scalar path."""
+        # after a refill at least 2 * words - 1 halves are unread
+        assert bounds.size < self._halves.shape[1]
+        for t in trees[self._pos[trees] + bounds.size > self._halves.shape[1]].tolist():
+            self._refill(t)
+        pos = self._pos[trees]
+        bound = bounds.astype(np.uint64)
+        product = self._halves[trees[:, None], pos[:, None] + np.arange(bounds.size)] * bound
+        out = (product >> 32).astype(np.int64)
+        self._pos[trees] = pos + bounds.size
+        for i in np.flatnonzero(((product & _LOW) < (1 << 32) % bound).any(axis=1)).tolist():
+            self._pos[trees[i]] = pos[i]
+            out[i] = [self._bounded(trees[i], b) for b in bounds.tolist()]
+        return out
+
+
+def _sample_features(streams, trees, d, k):
+    """Each tree's next Generator.choice(d, k, replace=False): Floyd's
+    sample, in which the draw for j in [d - k, d) takes a value in [0, j]
+    or, if that value is taken, j itself, then a Fisher-Yates shuffle of
+    the k picks from the last position down. numpy takes this path for
+    every k = ceil(sqrt(d)); its tail shuffle serves only d > 10000 with
+    k > d // 50."""
+    # j = 0, where d = k, draws from [0, 0] and reads nothing: its pick is 0
+    floyd, shuffle = np.arange(max(d - k, 1), d), np.arange(k - 1, 0, -1)
+    draws = streams.draw(trees, np.concatenate([floyd, shuffle]) + 1)
+    picks = np.zeros((trees.size, k), dtype=np.int64)
+    skip = k - floyd.size
+    for c, j in enumerate(floyd.tolist()):
+        taken = (picks[:, :skip + c] == draws[:, c, None]).any(axis=1)
+        picks[:, skip + c] = np.where(taken, j, draws[:, c])
+    rows = np.arange(trees.size)
+    for c, i in enumerate(shuffle.tolist(), start=floyd.size):
+        swap = picks[rows, draws[:, c]]
+        picks[rows, draws[:, c]] = picks[:, i]
+        picks[:, i] = swap
+    return picks
+
+
+def _best_splits(x, y, rows, sizes, feats):
     """Best (feature, threshold) by Gini decrease for one node of each tree.
 
-    members[i] holds node i's training rows (x and y end in a padding row
-    of +inf and label 0) and feats[i] its candidate features in draw order.
-    Candidate thresholds are midpoints of consecutive distinct sorted
-    values. Ties keep the first candidate in feature order, then in
-    ascending threshold order. Returns per node the feature (-1 where no
-    split separates the rows), the threshold, the rows sorted by that
-    feature, and how many of them, and of their ones, go left; all but the
-    sorted rows as lists.
+    Row i of rows holds node i's sizes[i] training rows, then padding rows
+    (x and y end in a padding row of +inf and label 0); feats[i] holds its
+    candidate features in draw order. Candidate thresholds are midpoints
+    of consecutive distinct sorted values. Ties keep the first candidate
+    in feature order, then in ascending threshold order. Returns per node
+    the feature (-1 where no split separates the rows), the threshold, the
+    rows sorted by that feature (the padding last), and how many of them,
+    and of their ones, go left.
     """
-    sizes = np.array([m.size for m in members])
-    width = int(sizes.max())
-    real = np.arange(width) < sizes[:, None]
-    rows = np.full(real.shape, x.shape[0] - 1)
-    rows[real] = np.concatenate(members)
+    width = rows.shape[1]
     vals = x[rows[:, None, :], feats[:, :, None]]
     order = np.argsort(vals, axis=-1, kind="stable")
     vals = np.take_along_axis(vals, order, axis=-1)
@@ -216,9 +293,9 @@ def _best_splits(x, y, members, feats):
         gini_r = 1.0 - ((right_zeros / right_n) ** 2 + (right_ones / right_n) ** 2)
         gain = parent[:, None, None] - (left_n * gini_l + right_n * gini_r) / n
     cuts = (left_n < n) & (vals[..., 1:] != vals[..., :-1])
-    gain = np.where(cuts, gain, -np.inf).reshape(len(members), -1)
+    gain = np.where(cuts, gain, -np.inf).reshape(len(sizes), -1)
     best = np.argmax(gain, axis=1)
-    node = np.arange(len(members))
+    node = np.arange(len(sizes))
     slot, cut = np.divmod(best, width - 1)
     with np.errstate(over="ignore"):
         threshold = (vals[node, slot, cut] + vals[node, slot, cut + 1]) / 2.0
@@ -226,64 +303,89 @@ def _best_splits(x, y, members, feats):
     # a midpoint that rounds onto a value, or overflows, can leave one side empty
     found = (gain[node, best] > -1.0) & (go_left > 0) & (go_left < sizes)
     ones_left = ones[node, slot, np.maximum(go_left - 1, 0)]
-    return (np.where(found, feats[node, slot], -1).tolist(), threshold.tolist(), rows[node, slot],
-            go_left.tolist(), ones_left.tolist())
+    return (np.where(found, feats[node, slot], -1), threshold, rows[node, slot], go_left,
+            ones_left)
 
 
-def _grow_forest(values, labels, samples, rngs, per_node):
-    """Grow one tree per row of samples (its training rows) and rng, all
-    side by side.
+def _grow_forest(values, labels, samples, streams, per_node):
+    """Grow one tree per row of samples (its training rows), all side by
+    side.
 
-    Each tree keeps a stack of its nodes still to split, in preorder. A
-    step pops the next one of every tree, draws its candidate features from
-    that tree's rng and splits all of them with one batched search. Nodes
-    that hold one class only are leaves when made and draw nothing; nodes
-    where no candidate split separates the rows become leaves after their
-    draw. Returns flat node arrays feature (-1 at leaves), threshold, left,
-    right and vote; node t is the root of tree t.
+    Tree t's rows sit in pool[t*n:(t+1)*n], and every node's rows are a
+    run of them, from start for size rows: a node that splits writes its
+    run back sorted on the split feature, so its left child holds the
+    run's head and its right child the rest. Each tree keeps a stack of
+    its nodes still to split, in preorder. A step pops the next one of
+    every tree, draws its candidate features from the tree's stream in
+    streams (all d in order when per_node is None), splits all of them
+    with one batched search and pushes the children of every split, right
+    first, with whole-array operations. Nodes that hold one class only are
+    leaves when made and draw nothing; nodes where no candidate split
+    separates the rows become leaves after their draw. So each tree reads
+    its stream in its own preorder, as one tree grown alone would. Returns
+    flat node arrays feature (-1 at leaves), threshold, left, right and
+    vote; node t is the root of tree t, and a step's splits number their
+    children right then left, in tree order.
     """
+    n_trees, n = samples.shape
     d = values.shape[1]
     x = np.vstack([values, np.full(d, np.inf)])
     y = np.append(labels, 0)
-    feature, threshold, left, right, vote = [], [], [], [], []
-    stacks = [[] for _ in rngs]
-
-    def make(t, rows, ones):
-        """Add a leaf of tree t voting for the majority of these rows; push it
-        onto the tree's stack to be split if both classes are there."""
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        vote.append(int(2 * ones > rows.size))
-        if 0 < ones < rows.size:
-            stacks[t].append((len(vote) - 1, rows.copy(), ones))
-        return len(vote) - 1
-
-    for t, (rows, ones) in enumerate(zip(samples, labels[samples].sum(axis=1).tolist())):
-        make(t, rows, ones)
-    all_features = np.arange(d)
+    pool = samples.ravel().copy()
+    trees = np.arange(n_trees)
+    # per node: its feature (-1 at a leaf), its left and right child, and its
+    # run's start, size and ones; the columns double when a step's children
+    # would not fit
+    nodes = np.full((6, 4 * n_trees), -1)
+    threshold = np.zeros(4 * n_trees)
+    feature, left, right, start, size, ones = nodes
+    start[:n_trees], size[:n_trees], ones[:n_trees] = trees * n, n, labels[samples].sum(axis=1)
+    stack = np.zeros((n_trees, 8), dtype=np.int64)
+    stack[:, 0] = trees
+    top = ((0 < ones[:n_trees]) & (ones[:n_trees] < n)).astype(np.int64)
+    n_nodes = n_trees
     while True:
-        step = [(t, stack.pop()) for t, stack in enumerate(stacks) if stack]
-        if not step:
+        active = np.flatnonzero(top)
+        if not active.size:
             break
-        feats = np.array([all_features if per_node is None
-                          else rngs[t].choice(d, size=min(per_node, d), replace=False)
-                          for t, _ in step])
-        width = max(rows.size for _, (_, rows, _) in step)
-        chunk = max(1, _STEP_ELEMENTS // (feats.shape[1] * width))
-        for lo in range(0, len(step), chunk):
-            part = step[lo:lo + chunk]
-            splits = _best_splits(x, y, [rows for _, (_, rows, _) in part], feats[lo:lo + chunk])
-            for (t, (node, rows, ones)), f, thr, ordered, k, k_ones in zip(part, *splits):
-                if f < 0:
-                    continue
-                feature[node], threshold[node] = f, thr
-                # the right child is pushed first, so the left subtree is grown first
-                right[node] = make(t, ordered[k:rows.size], ones - k_ones)
-                left[node] = make(t, ordered[:k], k_ones)
-    return (np.array(feature), np.array(threshold), np.array(left), np.array(right),
-            np.array(vote))
+        top[active] -= 1
+        node = stack[active, top[active]]
+        feats = (np.broadcast_to(np.arange(d), (active.size, d)) if per_node is None
+                 else _sample_features(streams, active, d, per_node))
+        offset = np.arange(size[node].max())
+        real = offset < size[node, None]
+        at = np.where(real, start[node, None] + offset, 0)
+        rows = np.where(real, pool[at], n)  # row n of x is the padding row
+        chunk = max(1, _STEP_ELEMENTS // (feats.shape[1] * offset.size))
+        f, thr, ordered, k, k_ones = (np.concatenate(part) for part in zip(*(
+            _best_splits(x, y, rows[lo:lo + chunk], size[node[lo:lo + chunk]],
+                         feats[lo:lo + chunk])
+            for lo in range(0, active.size, chunk))))
+        s = np.flatnonzero(f >= 0)
+        if not s.size:
+            continue
+        pool[at[s][real[s]]] = ordered[s][real[s]]
+        split = node[s]
+        if n_nodes + 2 * s.size > threshold.size:
+            nodes = np.concatenate([nodes, np.full_like(nodes, -1)], axis=1)
+            threshold = np.concatenate([threshold, np.zeros_like(threshold)])
+            feature, left, right, start, size, ones = nodes
+        feature[split], threshold[split] = f[s], thr[s]
+        right[split] = n_nodes + 2 * np.arange(s.size)
+        left[split] = right[split] + 1
+        n_nodes += 2 * s.size
+        start[right[split]], start[left[split]] = start[split] + k[s], start[split]
+        size[right[split]], size[left[split]] = size[split] - k[s], k[s]
+        ones[right[split]], ones[left[split]] = ones[split] - k_ones[s], k_ones[s]
+        t = active[s]
+        if top[t].max() + 2 > stack.shape[1]:
+            stack = np.concatenate([stack, np.zeros_like(stack)], axis=1)
+        for child in (right[split], left[split]):
+            stack[t, top[t]] = child
+            top[t] += (0 < ones[child]) & (ones[child] < size[child])
+    vote = (2 * ones[:n_nodes] > size[:n_nodes]).astype(np.int64)
+    return (feature[:n_nodes].copy(), threshold[:n_nodes].copy(), left[:n_nodes].copy(),
+            right[:n_nodes].copy(), vote)
 
 
 class RandomForestClassifier:
@@ -293,6 +395,12 @@ class RandomForestClassifier:
     bootstrap resampling, unlimited depth. Turning bootstrap off and
     max_features to "all" reduces a 1-tree forest to a plain decision
     tree, which is how the implementation is cross-checked.
+
+    Tree t draws from PCG64 seeded by child t of SeedSequence(seed): its
+    bootstrap rows as Generator.integers(0, n, size=n) would, then each
+    node's candidate features as Generator.choice(d, k, replace=False)
+    would, in the tree's preorder. The draws are read from the bit
+    generators' raw words, every tree's at once.
     """
 
     def __init__(self, trees: int = RF_TREES, seed: int = 0,
@@ -310,14 +418,14 @@ class RandomForestClassifier:
     def fit(self, train: FeatureMatrix) -> "RandomForestClassifier":
         _check_matrix(train)
         self.feature_names = train.names
-        d = train.n_features
+        n, d = train.values.shape
         per_node = math.ceil(math.sqrt(d)) if self.max_features == "sqrt" else None
-        n = train.n_rows
-        rngs = [np.random.default_rng(ss)
-                for ss in np.random.SeedSequence(self.seed).spawn(self.n_trees)]
-        samples = np.array([rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
-                            for rng in rngs])
-        self._nodes = _grow_forest(train.values, train.labels, samples, rngs, per_node)
+        streams = _Streams([np.random.PCG64(ss) for ss in
+                            np.random.SeedSequence(self.seed).spawn(self.n_trees)],
+                           max(n, per_node or n))
+        samples = (streams.draw(np.arange(self.n_trees), np.full(n, n)) if self.bootstrap
+                   else np.broadcast_to(np.arange(n), (self.n_trees, n)))
+        self._nodes = _grow_forest(train.values, train.labels, samples, streams, per_node)
         return self
 
     def predict(self, rows) -> np.ndarray:

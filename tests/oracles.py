@@ -10,7 +10,9 @@ stratum_features_reference and the *_reference feature bodies it calls,
 one signal at a time where the package takes a block of channels,
 grow_reference and tree_predict_reference, the recursive one-tree-at-a-time
 forest grower and its predictor, and allocate_reference, the leftover of an
-allocation handed out one sample per pass.
+allocation handed out one sample per pass. raw_halves, bounded_reference and
+choice_reference read a bit generator's words as numpy's Generator does for
+integers and choice, one 32-bit half at a time.
 Slow on purpose; only tests import this.
 """
 
@@ -484,6 +486,44 @@ def grow_reference(values, labels, rng, max_features):
     return TreeNode(feature=f, threshold=t,
                     left=grow_reference(values[mask], labels[mask], rng, max_features),
                     right=grow_reference(values[~mask], labels[~mask], rng, max_features))
+
+
+def raw_halves(bit_generator):
+    """The 32-bit halves of a bit generator's raw 64-bit words, low half
+    first, one word fetched at a time."""
+    while True:
+        word = int(bit_generator.random_raw())
+        yield word % 2**32
+        yield word // 2**32
+
+
+def bounded_reference(halves, bound):
+    """One integer in [0, bound) from the iterator of 32-bit halves, by
+    Lemire's multiply-shift: take the high half of half * bound, and draw
+    again while its low half falls below 2^32 mod bound. A bound of 1
+    reads nothing."""
+    if bound == 1:
+        return 0
+    while True:
+        product = next(halves) * bound
+        if product % 2**32 >= 2**32 % bound:
+            return product // 2**32
+
+
+def choice_reference(halves, d, k):
+    """k of range(d) without replacement, as Generator.choice(d, k,
+    replace=False) picks them for small k: Floyd's sample, where the draw
+    for j = d - k, ..., d - 1 picks a value in [0, j], or j itself if that
+    value is already picked, then a Fisher-Yates shuffle from the last
+    position down."""
+    picks = []
+    for j in range(d - k, d):
+        value = bounded_reference(halves, j + 1)
+        picks.append(j if value in picks else value)
+    for i in range(k - 1, 0, -1):
+        j = bounded_reference(halves, i + 1)
+        picks[i], picks[j] = picks[j], picks[i]
+    return picks
 
 
 def tree_predict_reference(node, rows):

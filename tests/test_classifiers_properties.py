@@ -1,4 +1,5 @@
-"""Property tests for the batched forest grower against the recursive one."""
+"""Property tests for the batched forest grower against the recursive one,
+and for its draws against numpy's Generator and the plain-loop draws."""
 
 import math
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 import oracles  # noqa: E402
 from eegstrata import FeatureMatrix, RandomForestClassifier  # noqa: E402
+from eegstrata.classifiers import _sample_features, _Streams  # noqa: E402
 
 
 def _reference_forest(values, labels, n_trees, seed, max_features, bootstrap):
@@ -92,3 +94,108 @@ def test_forest_grows_the_reference_trees(data, n_trees, seed, max_features, boo
     queries = np.vstack([values, np.random.default_rng(seed).normal(1.0, 2.0, size=(10, d))])
     votes = sum(oracles.tree_predict_reference(tree, queries) for tree in reference)
     assert model.predict(queries).tolist() == (2 * votes > n_trees).astype(np.int64).tolist()
+
+
+def _forest_draws(streams, trees, rows, bound, ds, active):
+    """Each tree's bounded draws, then its feature draws for each d in ds
+    by the trees active at that draw, as lists per tree."""
+    got = [[row] for row in streams.draw(trees, np.full(rows, bound)).tolist()]
+    for d, on in zip(ds, active):
+        for t, picks in zip(trees[on], _sample_features(streams, trees[on], d,
+                                                        math.ceil(math.sqrt(d))).tolist()):
+            got[t].append(picks)
+    return got
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**64 - 1), n_trees=st.integers(1, 4),
+       bound=st.one_of(st.integers(2, 300), st.integers(3 * 2**30 - 2**20, 3 * 2**30 + 2**20)),
+       rows=st.integers(0, 40), spare=st.integers(0, 3), ds=st.permutations(range(1, 61)),
+       data=st.data())
+def test_draws_equal_generator_integers_then_choice(seed, n_trees, bound, rows, spare, ds, data):
+    # a bound near 3 * 2^30 rejects about a quarter of its draws; spare
+    # sets how soon each stream runs past its buffer
+    active = [np.array(data.draw(st.lists(st.booleans(), min_size=n_trees, max_size=n_trees)))
+              for _ in ds]
+    children = np.random.SeedSequence(seed).spawn(n_trees)
+    streams = _Streams([np.random.PCG64(c) for c in children], rows // 2 + 8 + spare)
+    got = _forest_draws(streams, np.arange(n_trees), rows, bound, ds, active)
+    for t, child in enumerate(children):
+        rng = np.random.default_rng(child)
+        want = [rng.integers(0, bound, size=rows).tolist()]
+        want += [rng.choice(d, size=math.ceil(math.sqrt(d)), replace=False).tolist()
+                 for d, on in zip(ds, active) if on[t]]
+        assert got[t] == want, t
+
+
+class _Words:
+    """A bit generator whose raw words start with the given 32-bit halves,
+    low half first, and go on as PCG64 from seed."""
+
+    def __init__(self, halves, seed):
+        halves = np.array(halves + [0] * (len(halves) % 2), dtype=np.uint64)
+        self._head = list(halves[0::2] | halves[1::2] << np.uint64(32))
+        self._tail = np.random.PCG64(seed)
+
+    def random_raw(self, size=None):
+        if size is None:
+            return self.random_raw(1)[0]
+        head, self._head = self._head[:size], self._head[size:]
+        return np.concatenate([np.array(head, dtype=np.uint64),
+                               self._tail.random_raw(size - len(head))])
+
+
+# halves that make small bounds reject: 0 does for every bound that is not a
+# power of two (for 17, 2^32 mod 17 is 1), and a half whose product with a
+# bound wraps to just past 2^32 leaves a small low half too
+_REJECTING = st.one_of(st.just(0), st.integers(0, 2**32 - 1),
+                       st.integers(2, 60).map(lambda b: -(-2**32 // b)))
+
+
+@settings(max_examples=150)
+@given(heads=st.lists(st.lists(_REJECTING, max_size=40), min_size=1, max_size=3),
+       rows=st.integers(0, 30), bound=st.integers(2, 40), d=st.integers(1, 60),
+       calls=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+@example(heads=[[0] * 5], rows=3, bound=17, d=17, calls=2, seed=0)
+@example(heads=[[0] * 12, [7, 0, 0]], rows=1, bound=3, d=60, calls=3, seed=1)
+def test_rejecting_halves_are_drawn_again_as_the_reference_does(heads, rows, bound, d, calls,
+                                                                seed):
+    trees = np.arange(len(heads))
+    streams = _Streams([_Words(h, seed + t) for t, h in enumerate(heads)], rows // 2 + 8)
+    got = _forest_draws(streams, trees, rows, bound, [d] * calls, [trees >= 0] * calls)
+    for t, head in enumerate(heads):
+        halves = oracles.raw_halves(_Words(head, seed + t))
+        want = [[oracles.bounded_reference(halves, bound) for _ in range(rows)]]
+        want += [oracles.choice_reference(halves, d, math.ceil(math.sqrt(d)))
+                 for _ in range(calls)]
+        assert got[t] == want, t
+
+
+def test_deep_forests_read_past_each_streams_first_block():
+    # noisy labels grow trees of many splits, each drawing 2 * 8 - 1 halves
+    # after the bootstrap's 301, so every stream refills its 301-word buffer,
+    # with the last word's high half still unread
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=(301, 60))
+    labels = (values[:, 0] + 2.0 * rng.normal(size=301) > 0).astype(np.int64)
+    train = FeatureMatrix(names=tuple(f"f{i}" for i in range(60)), values=values, labels=labels)
+    model = RandomForestClassifier(trees=5, seed=11).fit(train)
+    reference = _reference_forest(values, labels, 5, 11, "sqrt", True)
+    for t, tree in enumerate(reference):
+        preorder = _preorder(model, t)
+        assert sum(f >= 0 for f, _, _ in preorder) > 301 // 15, t
+        assert preorder == _reference_preorder(tree), t
+
+
+def test_a_fit_leaves_no_state_for_the_next():
+    rng = np.random.default_rng(6)
+    values = rng.normal(size=(50, 9))
+    labels = (values[:, 0] + rng.normal(size=50) > 0).astype(np.int64)
+    train = FeatureMatrix(names=tuple(f"f{i}" for i in range(9)), values=values, labels=labels)
+    model = RandomForestClassifier(trees=7, seed=1)
+    first = [a.copy() for a in model.fit(train)._nodes]
+    other = RandomForestClassifier(trees=7, seed=2).fit(train)._nodes
+    again = model.fit(train)._nodes
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+    assert not all(np.array_equal(a, b) for a, b in zip(first, other))
+

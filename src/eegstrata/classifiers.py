@@ -177,6 +177,132 @@ class NaiveBayesClassifier:
 # elements; the trees of a step are grown in chunks below it
 _STEP_ELEMENTS = 1 << 15
 _LOW = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+
+# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_consts(const, mult):
+    """SeedSequence's hash constant before and after each of its updates."""
+    while True:
+        old, const = const, const * mult & _LOW
+        yield old, const
+
+
+def _hashmix(value, consts):
+    """SeedSequence's hash of 32-bit values, a Python int or a uint64 array,
+    under the next pair of consts."""
+    xor, mult = next(consts)
+    value = (value ^ xor) * mult & _LOW
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _LOW
+    return value ^ value >> 16
+
+
+def _mul128(a, b):
+    """a * b mod 2^128 for (high, low) pairs of uint64 arrays or Python ints
+    below 2^64; the low words' full product is taken in 32-bit halves."""
+    (a_hi, a_lo), (b_hi, b_lo) = a, b
+    a0, a1, b0, b1 = a_lo & _LOW, a_lo >> 32, b_lo & _LOW, b_lo >> 32
+    cross_a, cross_b = a0 * b1, a1 * b0
+    carry = ((a0 * b0 >> 32) + (cross_a & _LOW) + (cross_b & _LOW)) >> 32
+    high = a1 * b1 + (cross_a >> 32) + (cross_b >> 32) + carry + a_hi * b_lo + a_lo * b_hi
+    return high, a_lo * b_lo
+
+
+def _add128(a, b):
+    low = a[1] + b[1]
+    return a[0] + b[0] + (low < b[1]), low
+
+
+def _lcg_jump(steps):
+    """(M^steps, sum of M^i for i < steps) mod 2^128 for PCG64's multiplier
+    M, as Python ints: steps LCG steps take state s with increment c to
+    M^steps s + (sum) c (Brown, 1994)."""
+    mult, plus, power, power_sum = 1, 0, _PCG64_MULT, 1
+    while steps:
+        if steps & 1:
+            mult, plus = mult * power & _MASK128, (plus * power + power_sum) & _MASK128
+        power, power_sum = power * power & _MASK128, power_sum * (power + 1) & _MASK128
+        steps >>= 1
+    return mult, plus
+
+
+def _split128(values):
+    """(high, low) uint64 arrays of the 128-bit Python ints in values."""
+    return (np.array([v >> 64 for v in values], dtype=np.uint64),
+            np.array([v % (1 << 64) for v in values], dtype=np.uint64))
+
+
+class _PCG64Words:
+    """The raw 64-bit words of PCG64(child) for each child of
+    SeedSequence(seed).spawn(trees), computed for all trees at once as
+    numpy computes them for one.
+
+    Each child's entropy is the seed's 32-bit words, low word first and
+    padded with zeros to four, then its spawn key t. All but the key are
+    the same for every child, so they are mixed into the pool once, in
+    Python ints; the key, then generate_state(4, uint64), run as arrays
+    over the trees. PCG64 takes the first two of those words as its
+    initial state and the last two as its stream, and seeds as PCG's
+    srandom_r does. Word j of a stream is the XSL-RR output of its state
+    after j + 1 steps, M^(j+1) s + (sum of M^i, i <= j) c for seeded state
+    s and increment c, so a block of words is one multiply-add per word
+    with constants built in Python ints; a block that starts later jumps
+    the states first.
+    """
+
+    def __init__(self, seed, trees):
+        if seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {seed}")
+        words = [seed >> shift & _LOW for shift in range(0, max(seed.bit_length(), 1), 32)]
+        words += [0] * (4 - len(words))
+        consts = _hash_consts(_INIT_A, _MULT_A)
+        pool = [_hashmix(word, consts) for word in words[:4]]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
+        for word in words[4:]:
+            pool = [_mix(p, _hashmix(word, consts)) for p in pool]
+        key = np.arange(trees, dtype=np.uint64)
+        self.pool = [_mix(p, _hashmix(key, consts)) for p in pool]
+        consts = _hash_consts(_INIT_B, _MULT_B)
+        halves = [_hashmix(self.pool[i % 4], consts) for i in range(8)]
+        state_words = [halves[i] | halves[i + 1] << 32 for i in range(0, 8, 2)]
+        init_state, init_seq = state_words[:2], state_words[2:]
+        self.inc = (init_seq[0] << 1 | init_seq[1] >> 63, init_seq[1] << 1 | 1)
+        self.state = _add128(_mul128(_add128(self.inc, init_state), divmod(_PCG64_MULT, 1 << 64)),
+                             self.inc)
+        self._steps = _split128([]), _split128([])
+
+    def __call__(self, trees, start, count):
+        """Words start to start + count of each stream in trees, as a (trees,
+        count) array."""
+        if count > self._steps[0][0].size:
+            mults, pluses = [_PCG64_MULT], [1]
+            while len(mults) < count:
+                mults.append(mults[-1] * _PCG64_MULT & _MASK128)
+                pluses.append((pluses[-1] * _PCG64_MULT + 1) & _MASK128)
+            self._steps = _split128(mults), _split128(pluses)
+        state = tuple(part[trees] for part in self.state)
+        inc = tuple(part[trees] for part in self.inc)
+        if start:
+            mult, plus = _lcg_jump(start)
+            state = _add128(_mul128(state, divmod(mult, 1 << 64)),
+                            _mul128(inc, divmod(plus, 1 << 64)))
+        mults, pluses = (tuple(part[:count] for part in steps) for steps in self._steps)
+        high, low = _add128(_mul128([part[:, None] for part in state], mults),
+                            _mul128([part[:, None] for part in inc], pluses))
+        value, rotate = high ^ low, high >> 58
+        return value >> rotate | value << (64 - rotate & 63)
 
 
 class _Streams:
@@ -186,23 +312,27 @@ class _Streams:
     multiply-shift, drawing again while the product's low half falls below
     2^32 mod bound.
 
-    Tree t's words are buffered in row t of _words, and _pos[t] is its
-    first unread half. A row that a draw would run past is refilled from
-    the tree's bit generator, so every stream may run on without end.
+    The words come from source(trees, start, count), which gives words
+    start to start + count of each stream in trees. Tree t's words are
+    buffered in row t of _words, and _pos[t] is its first unread half. A
+    row that a draw would run past is refilled with the stream's next
+    words, so every stream may run on without end.
     """
 
-    def __init__(self, bit_generators, words):
-        self._gens = bit_generators
-        self._words = np.array([gen.random_raw(words) for gen in bit_generators], dtype="<u8")
+    def __init__(self, source, trees, words):
+        self._source = source
+        self._words = np.asarray(source(np.arange(trees), 0, words), dtype="<u8")
         self._halves = self._words.view("<u4")
-        self._pos = np.zeros(len(bit_generators), dtype=np.int64)
+        self._pos = np.zeros(trees, dtype=np.int64)
+        self._taken = [words] * trees
 
     def _refill(self, t):
         """Move tree t's unread words to the front of its row and fill the
-        rest from its bit generator."""
+        rest from its stream."""
         row, read = self._words[t], int(self._pos[t]) // 2
         row[:row.size - read] = row[read:]
-        row[row.size - read:] = self._gens[t].random_raw(read)
+        row[row.size - read:] = self._source(np.array([t]), self._taken[t], read)[0]
+        self._taken[t] += read
         self._pos[t] -= 2 * read
 
     def _bounded(self, t, bound):
@@ -388,6 +518,10 @@ def _grow_forest(values, labels, samples, streams, per_node):
             right[:n_nodes].copy(), vote)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class RandomForestClassifier:
     """Bagged Gini decision trees with per-node feature subsampling.
 
@@ -399,18 +533,26 @@ class RandomForestClassifier:
     Tree t draws from PCG64 seeded by child t of SeedSequence(seed): its
     bootstrap rows as Generator.integers(0, n, size=n) would, then each
     node's candidate features as Generator.choice(d, k, replace=False)
-    would, in the tree's preorder. The draws are read from the bit
-    generators' raw words, every tree's at once.
+    would, in the tree's preorder. No bit generator is made: _PCG64Words
+    computes every tree's raw words at once, equal to numpy's, and the
+    draws are read from them. seed is any int >= 0 and trees at most
+    2^32 - 1.
     """
 
     def __init__(self, trees: int = RF_TREES, seed: int = 0,
                  max_features: str = "sqrt", bootstrap: bool = True):
-        if trees < 1:
-            raise ConfigError(f"trees must be at least 1, got {trees}")
+        # a tree's spawn key is one 32-bit word; a negative seed is refused at fit, so a
+        # pipeline whose run seed is negative still builds its forests from derived seeds
+        if not (_is_int(trees) and 1 <= trees < 1 << 32):
+            raise ConfigError(f"trees must be an int from 1 to 2^32 - 1, got {trees!r}")
+        if not _is_int(seed):
+            raise ConfigError(f"seed must be an int, got {seed!r}")
         if max_features not in ("sqrt", "all"):
             raise ConfigError(f"max_features must be 'sqrt' or 'all', got {max_features!r}")
-        self.n_trees = trees  # the name bench/tracing.py reads for classifiers.rf.trees
-        self.seed = seed
+        if not isinstance(bootstrap, bool):
+            raise ConfigError(f"bootstrap must be True or False, got {bootstrap!r}")
+        self.n_trees = int(trees)  # the name bench/tracing.py reads for classifiers.rf.trees
+        self.seed = int(seed)
         self.max_features = max_features
         self.bootstrap = bootstrap
         self.feature_names: tuple = ()
@@ -420,8 +562,7 @@ class RandomForestClassifier:
         self.feature_names = train.names
         n, d = train.values.shape
         per_node = math.ceil(math.sqrt(d)) if self.max_features == "sqrt" else None
-        streams = _Streams([np.random.PCG64(ss) for ss in
-                            np.random.SeedSequence(self.seed).spawn(self.n_trees)],
+        streams = _Streams(_PCG64Words(self.seed, self.n_trees), self.n_trees,
                            max(n, per_node or n))
         samples = (streams.draw(np.arange(self.n_trees), np.full(n, n)) if self.bootstrap
                    else np.broadcast_to(np.arange(n), (self.n_trees, n)))

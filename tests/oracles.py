@@ -12,7 +12,9 @@ grow_reference and tree_predict_reference, the recursive one-tree-at-a-time
 forest grower and its predictor, and allocate_reference, the leftover of an
 allocation handed out one sample per pass. raw_halves, bounded_reference and
 choice_reference read a bit generator's words as numpy's Generator does for
-integers and choice, one 32-bit half at a time.
+integers and choice, one 32-bit half at a time, and
+seed_sequence_state_reference, pcg64_seed_reference and pcg64_words_reference
+make a spawned SeedSequence's state and a PCG64's words one step at a time.
 Slow on purpose; only tests import this.
 """
 
@@ -524,6 +526,71 @@ def choice_reference(halves, d, k):
         j = bounded_reference(halves, i + 1)
         picks[i], picks[j] = picks[j], picks[i]
     return picks
+
+
+def seed_sequence_state_reference(entropy_words, spawn_key):
+    """The pool of numpy's SeedSequence with the given 32-bit entropy words,
+    low word first, and spawn key (spawn_key,), and its generate_state(4,
+    np.uint64), one hash step at a time as numpy's bit_generator.pyx takes
+    them."""
+    hash_const = [0x43B0D7E5]
+
+    def hashmix(value):
+        value ^= hash_const[0]
+        hash_const[0] = hash_const[0] * 0x931E8875 % 2**32
+        value = value * hash_const[0] % 2**32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = (0xCA01F9DD * x - 0x4973F715 * y) % 2**32
+        return result ^ (result >> 16)
+
+    # a spawned sequence pads short entropy to the pool's 4 words
+    entropy = list(entropy_words) + [0] * (4 - len(entropy_words)) + [spawn_key]
+    pool = [hashmix(entropy[i]) for i in range(4)]
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for i_src in range(4, len(entropy)):
+        for i_dst in range(4):
+            pool[i_dst] = mix(pool[i_dst], hashmix(entropy[i_src]))
+    halves, const = [], 0x8B51F9DD
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * 0x58F38DED % 2**32
+        value = value * const % 2**32
+        halves.append(value ^ (value >> 16))
+    return pool, [halves[i] + halves[i + 1] * 2**32 for i in range(0, 8, 2)]
+
+
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def pcg64_seed_reference(state_words):
+    """(state, increment) of PCG64 seeded with the four 64-bit words of a
+    SeedSequence's generate_state: PCG's srandom_r with the first two
+    words, high first, as initstate and the last two as initseq."""
+    initstate = state_words[0] * 2**64 + state_words[1]
+    inc = ((state_words[2] * 2**64 + state_words[3]) * 2 + 1) % 2**128
+    state = inc  # one step from state 0
+    state = (state + initstate) % 2**128
+    return (state * _PCG64_MULTIPLIER + inc) % 2**128, inc
+
+
+def pcg64_words_reference(state_words, start, count):
+    """Raw words start to start + count of PCG64 seeded as
+    pcg64_seed_reference does: each word steps the LCG, then takes the
+    XSL-RR output of the new state, its two 64-bit halves xored and
+    rotated right by the state's top 6 bits."""
+    state, inc = pcg64_seed_reference(state_words)
+    words = []
+    for i in range(start + count):
+        state = (state * _PCG64_MULTIPLIER + inc) % 2**128
+        if i >= start:
+            value, rotate = (state // 2**64) ^ (state % 2**64), state // 2**122
+            words.append((value >> rotate | value << (64 - rotate)) % 2**64)
+    return words
 
 
 def tree_predict_reference(node, rows):

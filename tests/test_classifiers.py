@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import re
 import tracemalloc
 import warnings
 
@@ -259,6 +260,23 @@ def test_tree_invariant_to_monotone_feature_transforms():
 def test_rf_validation():
     with pytest.raises(ConfigError):
         RandomForestClassifier(trees=0)
+    # each parameter is checked when the forest is made, naming the value
+    for params, named in [({"seed": None}, "seed must be an int, got None"),
+                          ({"seed": 1.5}, "seed must be an int, got 1.5"),
+                          ({"seed": "3"}, "seed must be an int, got '3'"),
+                          ({"seed": True}, "seed must be an int, got True"),
+                          ({"trees": True}, "trees must be an int from 1 to 2^32 - 1, got True"),
+                          ({"trees": 2.0}, "got 2.0"),
+                          ({"trees": 2**32}, "got 4294967296"),
+                          ({"bootstrap": "false"}, "bootstrap must be True or False, got 'false'"),
+                          ({"bootstrap": 0}, "got 0")]:
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            RandomForestClassifier(**params)
+    assert RandomForestClassifier(seed=np.int64(7)).seed == 7
+    # numpy refused a negative seed when the forest was seeded; so does fit
+    model = RandomForestClassifier(trees=2, seed=-1)
+    with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+        model.fit(_blobs(3))
     with pytest.raises(ConfigError):
         RandomForestClassifier(max_features="log2")
     with pytest.raises(DataError):

@@ -1,5 +1,6 @@
 """Property tests for the batched forest grower against the recursive one,
-and for its draws against numpy's Generator and the plain-loop draws."""
+for its draws against numpy's Generator and the plain-loop draws, and for
+its computed PCG64 words against numpy's bit generators and plain loops."""
 
 import math
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 import oracles  # noqa: E402
 from eegstrata import FeatureMatrix, RandomForestClassifier  # noqa: E402
-from eegstrata.classifiers import _sample_features, _Streams  # noqa: E402
+from eegstrata.classifiers import _PCG64Words, _sample_features, _Streams  # noqa: E402
 
 
 def _reference_forest(values, labels, n_trees, seed, max_features, bootstrap):
@@ -118,7 +119,7 @@ def test_draws_equal_generator_integers_then_choice(seed, n_trees, bound, rows, 
     active = [np.array(data.draw(st.lists(st.booleans(), min_size=n_trees, max_size=n_trees)))
               for _ in ds]
     children = np.random.SeedSequence(seed).spawn(n_trees)
-    streams = _Streams([np.random.PCG64(c) for c in children], rows // 2 + 8 + spare)
+    streams = _Streams(_PCG64Words(seed, n_trees), n_trees, rows // 2 + 8 + spare)
     got = _forest_draws(streams, np.arange(n_trees), rows, bound, ds, active)
     for t, child in enumerate(children):
         rng = np.random.default_rng(child)
@@ -145,6 +146,19 @@ class _Words:
                                self._tail.random_raw(size - len(head))])
 
 
+def _source(bit_generators):
+    """A word source that reads each tree's words from its bit generator,
+    checking that every call starts where the tree's last one ended."""
+    taken = [0] * len(bit_generators)
+
+    def words(trees, start, count):
+        for t in trees.tolist():
+            assert start == taken[t], (t, start, taken[t])
+            taken[t] += count
+        return np.array([bit_generators[t].random_raw(count) for t in trees.tolist()])
+    return words
+
+
 # halves that make small bounds reject: 0 does for every bound that is not a
 # power of two (for 17, 2^32 mod 17 is 1), and a half whose product with a
 # bound wraps to just past 2^32 leaves a small low half too
@@ -161,7 +175,8 @@ _REJECTING = st.one_of(st.just(0), st.integers(0, 2**32 - 1),
 def test_rejecting_halves_are_drawn_again_as_the_reference_does(heads, rows, bound, d, calls,
                                                                 seed):
     trees = np.arange(len(heads))
-    streams = _Streams([_Words(h, seed + t) for t, h in enumerate(heads)], rows // 2 + 8)
+    streams = _Streams(_source([_Words(h, seed + t) for t, h in enumerate(heads)]), len(heads),
+                       rows // 2 + 8)
     got = _forest_draws(streams, trees, rows, bound, [d] * calls, [trees >= 0] * calls)
     for t, head in enumerate(heads):
         halves = oracles.raw_halves(_Words(head, seed + t))
@@ -169,6 +184,47 @@ def test_rejecting_halves_are_drawn_again_as_the_reference_does(heads, rows, bou
         want += [oracles.choice_reference(halves, d, math.ceil(math.sqrt(d)))
                  for _ in range(calls)]
         assert got[t] == want, t
+
+
+# a seed of 1 to 6 32-bit words: numpy pads one shorter than 4 words with
+# zeros before a child's spawn key, and mixes the words past the fourth in
+# after the pool is made
+_SEEDS = st.integers(1, 6).flatmap(
+    lambda k: st.integers(2**(32 * k - 32) - (k == 1), 2**(32 * k) - 1))
+# the plain loop steps one word at a time, so it checks windows that start
+# within its first _STEPPED words
+_STEPPED = 2000
+
+
+@settings(max_examples=60)
+@given(seed=_SEEDS, trees=st.integers(1, 300),
+       start=st.one_of(st.integers(0, _STEPPED), st.integers(0, 2**128 - 1)),
+       count=st.integers(1, 40), checked=st.lists(st.integers(0, 299), min_size=1, max_size=3))
+@example(seed=0, trees=1, start=0, count=1, checked=[0])
+@example(seed=2**32 - 1, trees=300, start=301, count=40, checked=[0, 299])
+@example(seed=2**64 - 1, trees=2, start=_STEPPED, count=7, checked=[1])
+@example(seed=2**128, trees=17, start=2**64 + 3, count=5, checked=[16])
+@example(seed=2**160 + 1, trees=100, start=17, count=17, checked=[0, 57, 99])
+def test_stream_words_equal_numpy_and_the_plain_loops(seed, trees, start, count, checked):
+    source = _PCG64Words(seed, trees)
+    got = source(np.arange(trees), start, count)
+    children = np.random.SeedSequence(seed).spawn(trees)
+    generators = [np.random.PCG64(child) for child in children]
+    seeded = [(g.state["state"]["state"], g.state["state"]["inc"]) for g in generators]
+    for t, (child, generator) in enumerate(zip(children, generators)):
+        assert [int(word[t]) for word in source.pool] == child.pool.tolist(), t
+        assert (int(source.state[0][t]) << 64 | int(source.state[1][t])) == seeded[t][0], t
+        assert (int(source.inc[0][t]) << 64 | int(source.inc[1][t])) == seeded[t][1], t
+        generator.advance(start)
+        assert got[t].tolist() == generator.random_raw(count).tolist(), t
+    seed_words = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
+    for t in sorted({c % trees for c in checked}):
+        pool, state_words = oracles.seed_sequence_state_reference(seed_words, t)
+        assert pool == children[t].pool.tolist(), t
+        assert state_words == children[t].generate_state(4, np.uint64).tolist(), t
+        assert oracles.pcg64_seed_reference(state_words) == seeded[t], t
+        if start <= _STEPPED:
+            assert oracles.pcg64_words_reference(state_words, start, count) == got[t].tolist(), t
 
 
 def test_deep_forests_read_past_each_streams_first_block():

@@ -149,3 +149,25 @@ def test_bench_patch_points_exist():
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}" for owner, attr, _ in tracing.TARGETS
                if attr not in vars(owner)]
     assert not missing, f"bench/tracing.py patches names that are gone: {missing}"
+
+
+def test_stream_constants_are_stated_once():
+    """PCG64's 128-bit multiplier and SeedSequence's hash constants each
+    appear once in the package, as a hexadecimal or decimal literal, so the
+    forest's word source has one copy of each; and classifiers.py names no
+    numpy PCG64 or SeedSequence, so no tree's words come from a numpy bit
+    generator."""
+    package = Path(eegstrata.__file__).parent
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    constants = {"PCG64 multiplier": 0x2360ED051FC65DA44385DF649FCCF645,
+                 "INIT_A": 0x43B0D7E5, "MULT_A": 0x931E8875, "INIT_B": 0x8B51F9DD,
+                 "MULT_B": 0x58F38DED, "MIX_MULT_L": 0xCA01F9DD, "MIX_MULT_R": 0x4973F715}
+    for name, value in constants.items():
+        literal = re.compile(rf"(?i)\b(0x0*{value:x}|{value})\b")
+        found = [(file, text.count("\n", 0, match.start()) + 1) for file, text in sources.items()
+                 for match in literal.finditer(text)]
+        assert len(found) == 1, (name, found)
+    named = [node.lineno for node in ast.walk(ast.parse(sources["classifiers.py"]))
+             if {getattr(node, "attr", None), getattr(node, "id", None)}
+             & {"PCG64", "SeedSequence"}]
+    assert named == [], named

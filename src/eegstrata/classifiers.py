@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateDataError
 from .features import FeatureMatrix
-from .sampler import _unit_scale
+from .sampler import _is_int, _unit_scale
 
 NB_VAR_FLOOR = 1e-9
 KNN_K = 3
@@ -68,9 +68,11 @@ class KNNClassifier:
     """
 
     def __init__(self, k: int = KNN_K, standardize: bool = True):
-        if k < 1:
-            raise ConfigError(f"k must be at least 1, got {k}")
-        self.k = k
+        if not (_is_int(k) and k >= 1):
+            raise ConfigError(f"k must be an int >= 1, got {k!r}")
+        if not isinstance(standardize, bool):
+            raise ConfigError(f"standardize must be True or False, got {standardize!r}")
+        self.k = int(k)
         self.standardize = standardize
         self.feature_names: tuple = ()
 
@@ -127,10 +129,12 @@ class NaiveBayesClassifier:
     features."""
 
     def __init__(self, var_floor: float = NB_VAR_FLOOR):
-        # each class density takes log(2 pi var), so 2 pi var must stay finite
-        if not (var_floor > 0.0 and math.isfinite(2.0 * math.pi * var_floor)):
-            raise ConfigError("var_floor must be positive and finite, at most "
-                              f"{np.finfo(np.float64).max / (2.0 * np.pi):g}, got {var_floor}")
+        # each class density takes log(2 pi var), so 2 pi var must stay finite: 2 pi
+        # times the limit is float64's max, and one step above it overflows
+        limit = float(np.finfo(np.float64).max) / (2.0 * math.pi)
+        if not ((_is_int(var_floor) or isinstance(var_floor, float)) and 0.0 < var_floor <= limit):
+            raise ConfigError(f"var_floor must be positive and finite, at most {limit:g}, "
+                              f"got {var_floor!r}")
         self.var_floor = var_floor
         self.feature_names: tuple = ()
 
@@ -516,10 +520,6 @@ def _grow_forest(values, labels, samples, streams, per_node):
     vote = (2 * ones[:n_nodes] > size[:n_nodes]).astype(np.int64)
     return (feature[:n_nodes].copy(), threshold[:n_nodes].copy(), left[:n_nodes].copy(),
             right[:n_nodes].copy(), vote)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class RandomForestClassifier:

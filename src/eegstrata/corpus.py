@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,8 @@ CASE_SETS = {
 class Channel:
     """One recorded signal: samples are stored as float64 regardless of the
     on-disk representation so all downstream math shares one numeric type.
-    They are a read-only view, so no holder of the channel can change them."""
+    They are a read-only view, so no holder of the channel can change them,
+    and its text, once made, matches them."""
 
     id: str
     set_label: str
@@ -59,6 +61,16 @@ class Channel:
 
     def __len__(self) -> int:
         return self.samples.size
+
+    @cached_property
+    def text(self) -> bytes:
+        """The channel file's bytes: one repr line per sample, made once and
+        kept until drop_text."""
+        return ("\n".join(map(repr, self.samples.tolist())) + "\n").encode("ascii")
+
+    def drop_text(self) -> None:
+        """Release the text, if made; it is made again when next asked for."""
+        vars(self).pop("text", None)
 
 
 def load_channel(path, set_label: str) -> Channel:
@@ -100,10 +112,12 @@ def _raise_first_bad_line(path: Path, lines: list) -> None:
 def save_channel(channel: Channel, path) -> None:
     """Write a channel's text, one value per line in the format load_channel
     reads. Values are written with repr precision so a load/save round trip
-    is numerically exact, and the bytes do not depend on the locale."""
+    is numerically exact, and the bytes do not depend on the locale. The
+    text is channel.text, so a channel written again is not formatted again
+    until its drop_text."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(("\n".join(map(repr, channel.samples.tolist())) + "\n").encode("ascii"))
+    path.write_bytes(channel.text)
 
 
 def _file_name(channel) -> str:

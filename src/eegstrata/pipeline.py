@@ -4,7 +4,9 @@ Every stage writes its outputs to the output directory. Called on its own,
 a stage reads its inputs from there; `run_pipeline` instead hands each
 stage's output to the next in memory, so it generates or parses its input
 corpus once and never parses a channel file it wrote itself: sample returns
-each case's two reduced classes, and extract takes them. Only sample
+each case's two reduced classes, and extract takes them. Cases that share
+a class share sample's work on it: the class is allocated, its channels
+reduced and their files' text formatted once per level. Only sample
 makes channels: ingest records where the corpus comes from in the manifest,
 a data directory's set directories or a synthetic corpus's generator
 settings, and sample parses or generates the corpus from that record. Either
@@ -22,6 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -288,12 +291,17 @@ def _read(cfg: PipelineConfig, kind: str, *where):
     return data
 
 
-def _write_set(directory: Path, channels) -> None:
-    """Replace directory's channel files with one file per channel, named by _file_name."""
+def _write_set(directory: Path, channels, writes: Counter) -> None:
+    """Replace directory's channel files with one file per channel, named by
+    _file_name. writes counts the writes each channel has left, by id();
+    a channel's text is released after its last."""
     for path in _set_channel_files(directory):
         path.unlink()
     for ch in channels:
         save_channel(ch, directory / _file_name(ch))
+        writes[id(ch)] -= 1
+        if not writes[id(ch)]:
+            ch.drop_text()
 
 
 def stage_ingest(cfg: PipelineConfig) -> dict:
@@ -337,9 +345,15 @@ def stage_sample(cfg: PipelineConfig, label: str, z: float, corpus: dict | None 
     earlier call filled it (None: a new dict); first each set the cases
     need that it lacks is put into it, generated from the synthetic
     settings the manifest records or parsed from the directory it names, so
-    a dict kept across levels makes each set once. Returns (samplings,
-    reduced): each case's sampling, and each case's reduced classes in
-    corpus's order, which is the order extract reads their files in.
+    a dict kept across levels makes each set once. A class that several
+    cases share (set E is class 1 of every case) is allocated once, each
+    of its channels reduced once and its text formatted once, so every
+    case holds the same reduced channels and writes the same bytes; the
+    text is released after its last write. Nothing is written until every
+    case is allocated and reduced, then each case's files are written in
+    case order. Returns (samplings, reduced): each case's sampling, and
+    each case's reduced classes in corpus's order, which is the order
+    extract reads their files in.
     """
     corpus = {} if corpus is None else corpus
     manifest = None
@@ -357,6 +371,10 @@ def stage_sample(cfg: PipelineConfig, label: str, z: float, corpus: dict | None 
             else:
                 raise DataError(f"{case_id}: set {set_label} is not in the manifest; "
                                 "run 'ingest' again")
+    # a class's channels fix its length, so its sets key its allocation, and
+    # a channel's reduction is keyed by its id and counts: cases that share a
+    # class share its allocation, its reduced channels and their text
+    allocations, reductions = {}, {}
     samplings, reduced = {}, {}
     for case_id in cfg.cases:
         classes = case_channels(case_id, corpus.__getitem__)
@@ -365,39 +383,44 @@ def stage_sample(cfg: PipelineConfig, label: str, z: float, corpus: dict | None 
             raise DataError(f"{case_id}: channels have mixed lengths {sorted(lengths)}")
         length = lengths.pop()
         design = _design(cfg, z, length)
-
-        allocations = []
-        for class_label, chans in enumerate(classes):
-            try:
-                counts, weights = allocate(chans, design["plan"], design["n_bar"])
-            except DegenerateDataError as exc:
-                raise DegenerateDataError(f"{case_id} class {class_label}: {exc}") from None
-            # extract needs MIN_STRATUM_LENGTH points per stratum: refuse here,
-            # before writing, rather than leave artifacts extract cannot use
-            for i, count in enumerate(counts):
-                if count < MIN_STRATUM_LENGTH:
-                    raise ConfigError(
-                        f"{case_id} class {class_label}: stratum {i} is allocated {count} "
-                        f"samples, fewer than {MIN_STRATUM_LENGTH}; "
-                        "lower n_strata or raise the confidence level")
-            allocations.append((counts, weights))
-
-        kept = tuple([reduce_channel(ch, design["plan"], counts, policy=cfg.policy,
-                                     seed=derive_seed(cfg.seed, "reduce", ch.id)) for ch in chans]
-                     for chans, (counts, _) in zip(classes, allocations))
+        per_class = []
+        for class_label, (sets, chans) in enumerate(zip(CASE_SETS[case_id], classes)):
+            if sets not in allocations:
+                try:
+                    allocations[sets] = allocate(chans, design["plan"], design["n_bar"])
+                except DegenerateDataError as exc:
+                    raise DegenerateDataError(f"{case_id} class {class_label}: {exc}") from None
+                # extract needs MIN_STRATUM_LENGTH points per stratum: refuse here,
+                # before writing, rather than leave artifacts extract cannot use
+                for i, count in enumerate(allocations[sets][0]):
+                    if count < MIN_STRATUM_LENGTH:
+                        raise ConfigError(
+                            f"{case_id} class {class_label}: stratum {i} is allocated {count} "
+                            f"samples, fewer than {MIN_STRATUM_LENGTH}; "
+                            "lower n_strata or raise the confidence level")
+            per_class.append(allocations[sets])
+        for chans, (counts, _) in zip(classes, per_class):
+            for ch in chans:
+                if (ch.id, counts) not in reductions:
+                    reductions[ch.id, counts] = reduce_channel(
+                        ch, design["plan"], counts, policy=cfg.policy,
+                        seed=derive_seed(cfg.seed, "reduce", ch.id))
+        reduced[case_id] = tuple([reductions[ch.id, counts] for ch in chans]
+                                 for chans, (counts, _) in zip(classes, per_class))
+        samplings[case_id] = {
+            "case": case_id, "length": length, "z": z, **design,
+            "classes": {str(lab): {"per_stratum": list(counts), "weights": list(weights)}
+                        for lab, (counts, weights) in enumerate(per_class)},
+        }
+    # every case's files, in case order, once every case is reduced
+    writes = Counter(id(ch) for kept in reduced.values() for chans in kept for ch in chans)
+    for case_id, kept in reduced.items():
         reduced_dir = artifact_path(cfg, "reduced", label, case_id)
         for sets, chans in zip(CASE_SETS[case_id], kept):
             for set_label in sets:
-                _write_set(reduced_dir / set_label, [ch for ch in chans if ch.set_label == set_label])
-        reduced[case_id] = kept
-
-        sampling = {
-            "case": case_id, "length": length, "z": z, **design,
-            "classes": {str(lab): {"per_stratum": list(counts), "weights": list(weights)}
-                        for lab, (counts, weights) in enumerate(allocations)},
-        }
-        _write_json(artifact_path(cfg, "sampling", label, case_id), sampling)
-        samplings[case_id] = sampling
+                _write_set(reduced_dir / set_label,
+                           [ch for ch in chans if ch.set_label == set_label], writes)
+        _write_json(artifact_path(cfg, "sampling", label, case_id), samplings[case_id])
     return samplings, reduced
 
 

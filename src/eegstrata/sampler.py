@@ -58,10 +58,15 @@ def stratify(length: int, n_strata: int) -> tuple:
     return (base,) * (n_strata - extra) + (base + 1,) * extra
 
 
+def _is_int(value) -> bool:
+    """An int or a numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_plan(channels, sizes) -> None:
     """Refuse stratum sizes that are not positive integers summing to every
     channel's length."""
-    if not sizes or not all(isinstance(n, (int, np.integer)) and n > 0 for n in sizes):
+    if not sizes or not all(_is_int(n) and n > 0 for n in sizes):
         raise ConfigError(f"stratum sizes must be positive integers, got {list(sizes)}")
     length = sum(sizes)
     for ch in channels:
@@ -179,7 +184,9 @@ def reduce_channel(channel: Channel, sizes, counts, seed: int,
     rng = np.random.default_rng(seed)
     positions = []
     start = 0
-    for size, n_i in zip(sizes, counts):
+    for i, (size, n_i) in enumerate(zip(sizes, counts)):
+        if not _is_int(n_i):
+            raise ConfigError(f"stratum {i} count must be an integer, got {n_i!r}")
         if not 0 <= n_i <= size:
             raise ConfigError(f"allocated {n_i} samples to a stratum of size {size}")
         if n_i > 0:

@@ -86,6 +86,19 @@ def test_knn_validation():
         KNNClassifier(k=fm.n_rows + 1).fit(fm)
     with pytest.raises(DataError):
         KNNClassifier().fit(_fm([[1.0], [2.0]], [0, 0]))
+    # each parameter is checked when the model is made, naming the value
+    for params, named in [({"k": True}, "k must be an int >= 1, got True"),
+                          ({"k": 1.5}, "k must be an int >= 1, got 1.5"),
+                          ({"k": "2"}, "k must be an int >= 1, got '2'"),
+                          ({"k": None}, "got None"),
+                          ({"standardize": "false"},
+                           "standardize must be True or False, got 'false'"),
+                          ({"standardize": 1}, "got 1")]:
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            KNNClassifier(**params)
+    model = KNNClassifier(k=np.int64(3))
+    assert model.k == 3 and type(model.k) is int
+    assert model.fit(fm).predict(fm.values).shape == (fm.n_rows,)
 
 
 def test_nb_separable_blobs():
@@ -129,6 +142,12 @@ def test_nb_validation():
                                               r"at most 2\.86112e\+307, got "):
             NaiveBayesClassifier(var_floor=bad)
     assert NaiveBayesClassifier(var_floor=2.8e307).var_floor == 2.8e307
+    for bad, named in [(True, "got True"), ("1e-9", "got '1e-9'"), (None, "got None"),
+                       (10**400, "got 1" + "0" * 400)]:
+        with pytest.raises(ConfigError, match="^var_floor must be positive and finite, .*"
+                                              + re.escape(named) + "$"):
+            NaiveBayesClassifier(var_floor=bad)
+    assert NaiveBayesClassifier(var_floor=1).var_floor == 1
 
 
 def test_nb_refuses_a_class_variance_whose_density_overflows():

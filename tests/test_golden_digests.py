@@ -32,13 +32,19 @@ KERNEL_TIMERS = {
 
 # counts of a traced seed-0 iteration that the bench's span cuts rest on, and
 # the writer's calls and bytes: a synthetic run writes its reduced channels
-# and not the corpus, which its manifest's settings generate again
+# and not the corpus, which its manifest's settings generate again. A class
+# that several cases share is reduced once per level: reduce-sweep's 4 set-E
+# channels, in all three cases, are reduced 4 times, not 12, at each of its 4
+# levels, so 144 reductions make its 176 files
 SPAN_COUNTS = {
     "pipeline-rf": {"selection.select_features.calls": 11, "trace.spans": 204,
+                    "sampler.reduce_channel.calls": 21,
                     "corpus.save_channel.calls": 21, "corpus.bytes_written": 1_179_201},
     "classify-sweep": {"selection.select_features.calls": 40, "trace.spans": 210,
+                       "sampler.reduce_channel.calls": 0,
                        "corpus.save_channel.calls": 0, "corpus.bytes_written": 0},
-    "reduce-sweep": {"selection.select_features.calls": 0, "trace.spans": 461,
+    "reduce-sweep": {"selection.select_features.calls": 0, "trace.spans": 421,
+                     "sampler.reduce_channel.calls": 144,
                      "corpus.save_channel.calls": 176, "corpus.bytes_written": 2_518_517},
 }
 

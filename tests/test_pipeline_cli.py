@@ -829,6 +829,36 @@ def test_sample_parses_each_set_once(tmp_path, monkeypatch):
     assert sorted(loaded) == sorted(paths)
 
 
+def test_sample_shares_a_class_between_cases(tmp_path, monkeypatch):
+    """Set E, class 1 of all three cases, is allocated once and each of its
+    channels reduced once per call; every case gets the same reduced
+    channels and writes the same bytes, and no channel keeps its text."""
+    corpus_gen.write_corpus(tmp_path / "corpus", seed=0, n_per_set=3, length=512)
+    cfg = PipelineConfig(data_dir=str(tmp_path / "corpus"), cases=("Case1", "Case2", "Case3"),
+                         out_dir=str(tmp_path / "out"))
+    stage_ingest(cfg)
+    allocated, reduced_ids = [], []
+    allocate, reduce = pipeline.allocate, pipeline.reduce_channel
+    monkeypatch.setattr(pipeline, "allocate", lambda chans, *args: allocated.append(
+        sorted({ch.set_label for ch in chans})) or allocate(chans, *args))
+    monkeypatch.setattr(pipeline, "reduce_channel", lambda ch, *args, **kwargs: reduced_ids.append(
+        ch.id) or reduce(ch, *args, **kwargs))
+    _, reduced = stage_sample(cfg, "95", 1.96)
+    assert allocated == [["A", "B"], ["E"], ["C", "D"], ["A", "B", "C", "D"]]
+    e_ids = [ch.id for ch in reduced["Case1"][1]]
+    assert sorted(e_ids) == ["E/S001", "E/S002", "E/S003"]
+    assert [i for i in reduced_ids if i.startswith("E/")] == e_ids
+    assert len(reduced_ids) == 3 + 6 + 6 + 12
+    assert all(map(lambda a, b: a is b, reduced["Case2"][1] + reduced["Case3"][1],
+                   reduced["Case1"][1] * 2))
+    assert not [ch.id for kept in reduced.values() for chans in kept for ch in chans
+                if "text" in vars(ch)]
+    out = tmp_path / "out" / "confidence_95" / "reduced"
+    for name in (f"S00{i}.txt" for i in (1, 2, 3)):
+        first = (out / "Case1" / "E" / name).read_bytes()
+        assert all((out / case / "E" / name).read_bytes() == first for case in ("Case2", "Case3"))
+
+
 def test_sample_completes_a_partly_filled_corpus(tmp_path, monkeypatch):
     """A corpus dict that holds sets A and B has only C, D and E parsed into
     it, and keeps the lists it was given."""

@@ -66,7 +66,7 @@ def test_stratify_errors():
 
 def test_sizes_must_be_positive_integers():
     ch = Channel(id="A/c", set_label="A", samples=np.arange(10, dtype=float))
-    for sizes in ((10, 0), (), (2.5, 7.5), (12, -2)):
+    for sizes in ((10, 0), (), (2.5, 7.5), (12, -2), (True, 9)):
         with pytest.raises(ConfigError, match="stratum sizes must be positive integers"):
             allocate([ch], sizes, 5)
         with pytest.raises(ConfigError, match="stratum sizes must be positive integers"):
@@ -248,3 +248,11 @@ def test_reduce_policy_validation():
             reduce_channel(ch, (20, 20), (5, 21), seed=0, policy=policy)
     with pytest.raises(DataError, match="channel 'A/c' has length 40, but its strata cover 50"):
         reduce_channel(ch, (25, 25), (5, 5), seed=0)
+    # a count is an int, not a float or a bool, whatever its value
+    for counts, named in [((5.0, 5), "stratum 0 count must be an integer, got 5.0"),
+                          ((5, True), "stratum 1 count must be an integer, got True")]:
+        for policy in ("random", "systematic"):
+            with pytest.raises(ConfigError, match=named):
+                reduce_channel(ch, (20, 20), counts, seed=0, policy=policy)
+    assert np.array_equal(reduce_channel(ch, (20, 20), (np.int64(5), 5), seed=3).samples,
+                          reduce_channel(ch, (20, 20), (5, 5), seed=3).samples)

@@ -10,6 +10,10 @@ set in, is generated for tests and demos.
 Channel files are plain text, one numeric value per line. Set label comes
 from configuration, never from the filename: the Bonn distribution uses
 Z/O/N/F/S directory prefixes, mapped here as Z->A, O->B, N->C, F->D, S->E.
+The files this program meets most, integer-valued recordings like Bonn's
+and the reduced channels made from them, are formatted and parsed as whole
+arrays; every other file takes the per-value path, with the same bytes and
+values.
 """
 
 from __future__ import annotations
@@ -30,6 +34,14 @@ BONN_PREFIX_TO_SET = {"Z": "A", "O": "B", "N": "C", "F": "D", "S": "E"}
 # at most 7 bursts overlap and noise is added on top, so a burst amplitude
 # up to this magnitude keeps every synthetic sample finite
 MAX_BURST_AMPLITUDE = np.finfo(np.float64).max / 8
+
+# Every integer of magnitude below _EXACT_INT is a float64, and a decimal of
+# at most _MAX_DIGITS digits is such an integer over a power of ten that
+# float64 also holds exactly (up to 10^22 it does).
+_EXACT_INT = 2 ** 53
+_MAX_DIGITS = 15
+_POW10 = 10 ** np.arange(_MAX_DIGITS + 1, dtype=np.int64)
+_NEWLINE, _MINUS, _DOT, _ZERO = b"\n-.0"
 
 # case id -> (category-1 sets, category-2 sets); category 2 is the seizure side
 CASE_SETS = {
@@ -65,24 +77,139 @@ class Channel:
     @cached_property
     def text(self) -> bytes:
         """The channel file's bytes: one repr line per sample, made once and
-        kept until drop_text."""
-        return ("\n".join(map(repr, self.samples.tolist())) + "\n").encode("ascii")
+        kept until drop_text. An integer-valued channel, every sample below
+        2^53 in magnitude, is formatted as one array (_integer_text);
+        every other channel one repr at a time."""
+        text = _integer_text(self.samples)
+        return _repr_text(self.samples) if text is None else text
 
     def drop_text(self) -> None:
         """Release the text, if made; it is made again when next asked for."""
         vars(self).pop("text", None)
 
 
+def _repr_text(samples: np.ndarray) -> bytes:
+    """One repr line per sample, for any channel."""
+    return ("\n".join(map(repr, samples.tolist())) + "\n").encode("ascii")
+
+
+def _integer_text(samples: np.ndarray) -> bytes | None:
+    """The bytes of one repr line per sample, or None unless every sample is
+    an integer of magnitude below _EXACT_INT. The repr of such a float is its
+    integer's digits, after a '-' if its sign bit is set (so -0.0 is
+    '-0.0'), then '.0'. Each line is laid out from its end, one scatter per
+    decimal place from the highest: a shorter line's excess places, all '0',
+    land in the padding in front, on a '0', or on bytes that a lower place
+    or the '-', '.' and newline written after them overwrite."""
+    magnitude = np.abs(samples)
+    if not (magnitude < _EXACT_INT).all():  # also false for nan and inf
+        return None
+    q = magnitude.astype(np.int64)
+    if not (q == magnitude).all():
+        return None
+    # quotients[p] = q // 10^p for each place p of the longest integer, then 0
+    quotients = [q]
+    digits = np.ones(q.size, dtype=np.int64)
+    for _ in range(len(str(q.max())) - 1):
+        quotients.append(quotients[-1] // 10)
+        digits += quotients[-1] > 0
+    width = len(quotients)
+    quotients.append(0)
+    negative = np.signbit(samples)
+    ends = np.cumsum(digits + negative + 3) + width
+    out = np.full(ends[-1], _ZERO, dtype=np.uint8)
+    units = ends - 4
+    for place in reversed(range(width)):
+        digit = quotients[place] - 10 * quotients[place + 1]
+        out[units - place] = digit.astype(np.uint8) + _ZERO
+    out[(units - digits)[negative]] = _MINUS
+    out[ends - 3] = _DOT
+    out[ends - 1] = _NEWLINE
+    return out[width:].tobytes()
+
+
+def _decimal_values(data: bytes) -> np.ndarray | None:
+    """float() of each line of data, or None unless every line is an
+    optional leading '-' and 1 to _MAX_DIGITS digits with at most one '.'
+    among them, each line ended by a newline (the last may lack it). Such a
+    line's value is its digits' integer m, below 2^53, over 10^f for its f
+    digits after the '.': both are exact in float64, so their quotient is
+    float()'s correctly rounded value (Clinger's fast path), and the '-'
+    negates it, so '-0' is -0.0. m is summed one decimal place at a time
+    over all lines, each place read from its line's end."""
+    if not data:
+        return None
+    # a newline before the first line, and after the last if data lacks one
+    buf = np.empty(len(data) + 2, dtype=np.uint8)
+    buf[0] = _NEWLINE
+    buf[1:-1] = np.frombuffer(data, dtype=np.uint8)
+    buf[-1] = _NEWLINE
+    if data[-1] == _NEWLINE:
+        buf = buf[:-1]
+    newline = np.flatnonzero(buf == _NEWLINE)
+    is_dot = buf == _DOT
+    n_dot = np.count_nonzero(is_dot)
+    n_minus = np.count_nonzero(buf == _MINUS)
+    digit = buf - _ZERO
+    is_digit = digit < 10
+    if newline.size + n_dot + n_minus + np.count_nonzero(is_digit) != buf.size:
+        return None
+    starts, ends = newline[:-1], newline[1:]  # the newlines around each line
+    negative = buf[starts + 1] == _MINUS
+    if np.count_nonzero(negative) != n_minus:  # a '-' that does not start its line
+        return None
+    counts = np.diff(newline) - 1 - negative
+    if n_dot:
+        dot = np.flatnonzero(is_dot)
+        line = np.searchsorted(ends, dot)
+        if (np.diff(line) == 0).any():
+            return None
+        counts[line] -= 1
+        after = ends[line] - dot - 1
+        # the place at which a line's '.' is passed; _MAX_DIGITS, never reached, for none
+        point = np.full(ends.size, _MAX_DIGITS)
+        point[line] = after
+    if counts.min() < 1 or counts.max() > _MAX_DIGITS:
+        return None
+    digit *= is_digit  # '-', '.' and newline read as 0
+    m = np.zeros(ends.size)
+    units = ends - 1  # units[i] - place: line i's digit at place, once past its '.'
+    for place in range(int(counts.max())):
+        if n_dot:
+            units = units - (point == place)
+        # a line's places past its digits read its '-' or the newline before it
+        m += digit[np.maximum(units - place, starts)] * float(_POW10[place])
+    if n_dot:
+        m[line] /= _POW10[after]
+    return np.where(negative, -m, m)
+
+
 def load_channel(path, set_label: str) -> Channel:
     """Read one channel file (UTF-8 text, one finite value per line, trailing
-    blank lines ignored) as a channel of the caller's set label."""
+    blank lines ignored) as a channel of the caller's set label. The file is
+    read once. A file of plain decimal lines, as Bonn's integer recordings
+    and the reduced files made from them are, is parsed as one array
+    (_decimal_values), bit-equal to float() of each line; every other file
+    takes _parse_text, one float() per line."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"channel file not found: {path}")
+    data = path.read_bytes()
+    values = _decimal_values(data)
+    if values is None:
+        values = _parse_text(path, data)
+    return Channel(id=f"{set_label}/{path.stem}", set_label=set_label, samples=values)
+
+
+def _parse_text(path: Path, data: bytes) -> np.ndarray:
+    """The values of a channel file's bytes, one float() per line, where a
+    line ends at a newline, CRLF or CR only, as in reading text with
+    universal newlines."""
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines:
@@ -96,7 +223,7 @@ def load_channel(path, set_label: str) -> Channel:
         values = None
     if values is None or not np.isfinite(values).all():
         _raise_first_bad_line(path, lines)
-    return Channel(id=f"{set_label}/{path.stem}", set_label=set_label, samples=values)
+    return values
 
 
 def _raise_first_bad_line(path: Path, lines: list) -> None:
@@ -114,7 +241,10 @@ def save_channel(channel: Channel, path) -> None:
     reads. Values are written with repr precision so a load/save round trip
     is numerically exact, and the bytes do not depend on the locale. The
     text is channel.text, so a channel written again is not formatted again
-    until its drop_text."""
+    until its drop_text; an integer-valued channel's text is formatted as
+    one array. What is left is the file system's work: making the file's
+    directories, which sample's reduced/ tree needs afresh in every run, and
+    creating and writing the file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(channel.text)

@@ -394,9 +394,11 @@ def best_first_search_heap(ff, fc, stall_limit=5):
 
 def load_channel_reference(path):
     """Parse a channel file one line at a time with float(): the reference for
-    corpus.load_channel. Returns the values, or raises ValueError holding the
-    message load_channel's DataError must carry."""
-    lines = path.read_text(encoding="utf-8").splitlines()
+    corpus.load_channel. A line ends at a newline, CRLF or CR, the line ends
+    read_text's universal newlines turn into newlines, and nowhere else.
+    Returns the values, or raises ValueError holding the message
+    load_channel's DataError must carry."""
+    lines = path.read_text(encoding="utf-8").split("\n")
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines:

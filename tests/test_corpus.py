@@ -58,12 +58,20 @@ def test_load_accepts_whitespace_around_values(tmp_path):
     ("1\n2\noops\n4\n", 3),
     ("1\n\n3\n", 2),  # blank line mid-file
     ("1\n2\n3\n1 2\n", 4),  # two values on one line
+    ("1\f2\n3\n", 1),  # a form feed does not end a line
+    ("1\u20282\n", 1),  # nor does a line separator
 ])
 def test_load_reports_bad_line_number(tmp_path, text, line):
     path = tmp_path / "c.txt"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     with pytest.raises(DataError, match=f"non-numeric value at line {line}:"):
         load_channel(path, "A")
+
+
+def test_load_ends_lines_at_newline_crlf_and_cr(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_bytes(b"1\r\n-2.5\r3\n")
+    np.testing.assert_array_equal(load_channel(path, "A").samples, [1.0, -2.5, 3.0])
 
 
 @pytest.mark.parametrize("text, line", [

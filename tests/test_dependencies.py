@@ -171,3 +171,15 @@ def test_stream_constants_are_stated_once():
              if {getattr(node, "attr", None), getattr(node, "id", None)}
              & {"PCG64", "SeedSequence"}]
     assert named == [], named
+
+
+def test_exact_decimal_limits_are_stated_once():
+    """The array paths' limits, integers below 2^53 and decimals of at most
+    15 digits, are each one integer literal in corpus.py (53 and 15), so the
+    formatter and the parser cannot drift apart from them."""
+    tree = ast.parse((Path(eegstrata.__file__).parent / "corpus.py").read_text())
+    literals = [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                and type(node.value) is int]
+    for value in (53, 15):
+        assert literals.count(value) == 1, (value, literals)
+    assert 2 ** 53 not in literals and 2 ** 53 - 1 not in literals, literals

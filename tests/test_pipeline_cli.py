@@ -859,6 +859,32 @@ def test_sample_shares_a_class_between_cases(tmp_path, monkeypatch):
         assert all((out / case / "E" / name).read_bytes() == first for case in ("Case2", "Case3"))
 
 
+def test_bonn_files_take_the_array_paths(tmp_path, monkeypatch):
+    """Bonn-layout files of integer samples, and the reduced files sample
+    writes from them, are parsed by corpus._decimal_values and formatted by
+    corpus._integer_text: the per-value fallbacks are never called."""
+    paths = corpus_gen.write_corpus(tmp_path / "corpus", seed=0, n_per_set=2, length=512)
+    cfg = PipelineConfig(data_dir=str(tmp_path / "corpus"), cases=("Case1", "Case2", "Case3"),
+                         out_dir=str(tmp_path / "out"))
+    stage_ingest(cfg)
+
+    def fallback(*args):
+        raise AssertionError("a channel file took the per-value path")
+
+    monkeypatch.setattr(corpus, "_parse_text", fallback)
+    monkeypatch.setattr(corpus, "_repr_text", fallback)
+    assert corpus.load_channel(paths[0], "A").samples.size == 512
+    _, reduced = stage_sample(cfg, "95", 1.96)
+    written = sorted((tmp_path / "out" / "confidence_95" / "reduced").rglob("*.txt"))
+    assert len(written) == 2 * (3 + 3 + 5)  # two channels of each set of each case
+    for case_id, classes in reduced.items():
+        for ch in classes[0] + classes[1]:
+            path = (tmp_path / "out" / "confidence_95" / "reduced" / case_id / ch.set_label
+                    / f"{ch.id.split('/')[1]}.txt")
+            back = corpus.load_channel(path, ch.set_label).samples
+            np.testing.assert_array_equal(back.view(np.uint64), ch.samples.view(np.uint64))
+
+
 def test_sample_completes_a_partly_filled_corpus(tmp_path, monkeypatch):
     """A corpus dict that holds sets A and B has only C, D and E parsed into
     it, and keeps the lists it was given."""

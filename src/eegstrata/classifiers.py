@@ -226,29 +226,20 @@ def _add128(a, b):
     return a[0] + b[0] + (low < b[1]), low
 
 
-def _lcg_jump(steps):
-    """(M^steps, sum of M^i for i < steps) mod 2^128 for PCG64's multiplier
-    M, as Python ints: steps LCG steps take state s with increment c to
-    M^steps s + (sum) c (Brown, 1994)."""
-    mult, plus, power, power_sum = 1, 0, _PCG64_MULT, 1
-    while steps:
-        if steps & 1:
-            mult, plus = mult * power & _MASK128, (plus * power + power_sum) & _MASK128
-        power, power_sum = power * power & _MASK128, power_sum * (power + 1) & _MASK128
-        steps >>= 1
-    return mult, plus
-
-
 def _split128(values):
     """(high, low) uint64 arrays of the 128-bit Python ints in values."""
     return (np.array([v >> 64 for v in values], dtype=np.uint64),
             np.array([v % (1 << 64) for v in values], dtype=np.uint64))
 
 
-class _PCG64Words:
-    """The raw 64-bit words of PCG64(child) for each child of
+class _Streams:
+    """Each tree's PCG64 stream, for PCG64(child) of each child of
     SeedSequence(seed).spawn(trees), computed for all trees at once as
-    numpy computes them for one.
+    numpy computes it for one, and read as numpy's Generator reads it in
+    integers and choice: the 32-bit halves of its raw 64-bit words, low
+    half first, each bounded integer from one half by Lemire's
+    multiply-shift, drawing again while the product's low half falls below
+    2^32 mod bound.
 
     Each child's entropy is the seed's 32-bit words, low word first and
     padded with zeros to four, then its spawn key t. All but the key are
@@ -256,25 +247,28 @@ class _PCG64Words:
     Python ints; the key, then generate_state(4, uint64), run as arrays
     over the trees. PCG64 takes the first two of those words as its
     initial state and the last two as its stream, and seeds as PCG's
-    srandom_r does. Word j of a stream is the XSL-RR output of its state
-    after j + 1 steps, M^(j+1) s + (sum of M^i, i <= j) c for seeded state
-    s and increment c, so a block of words is one multiply-add per word
-    with constants built in Python ints; a block that starts later jumps
-    the states first.
+    srandom_r does.
+
+    Tree t's words are buffered in row t of _words, and _pos[t] is its
+    first unread half. Word j after state s is the XSL-RR output of M^(j+1)
+    s + (sum of M^i, i <= j) c for increment c, so a row is filled with one
+    multiply-add per word from constants built in Python ints, and state[t]
+    moves to the last word filled. A row that a draw would run past is
+    refilled from there, so every stream may run on without end.
     """
 
-    def __init__(self, seed, trees):
+    def __init__(self, seed, trees, words):
         if seed < 0:
             raise ConfigError(f"seed must be non-negative, got {seed}")
-        words = [seed >> shift & _LOW for shift in range(0, max(seed.bit_length(), 1), 32)]
-        words += [0] * (4 - len(words))
+        seed_words = [seed >> shift & _LOW for shift in range(0, max(seed.bit_length(), 1), 32)]
+        seed_words += [0] * (4 - len(seed_words))
         consts = _hash_consts(_INIT_A, _MULT_A)
-        pool = [_hashmix(word, consts) for word in words[:4]]
+        pool = [_hashmix(word, consts) for word in seed_words[:4]]
         for src in range(4):
             for dst in range(4):
                 if src != dst:
                     pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
-        for word in words[4:]:
+        for word in seed_words[4:]:
             pool = [_mix(p, _hashmix(word, consts)) for p in pool]
         key = np.arange(trees, dtype=np.uint64)
         self.pool = [_mix(p, _hashmix(key, consts)) for p in pool]
@@ -285,58 +279,34 @@ class _PCG64Words:
         self.inc = (init_seq[0] << 1 | init_seq[1] >> 63, init_seq[1] << 1 | 1)
         self.state = _add128(_mul128(_add128(self.inc, init_state), divmod(_PCG64_MULT, 1 << 64)),
                              self.inc)
-        self._steps = _split128([]), _split128([])
-
-    def __call__(self, trees, start, count):
-        """Words start to start + count of each stream in trees, as a (trees,
-        count) array."""
-        if count > self._steps[0][0].size:
-            mults, pluses = [_PCG64_MULT], [1]
-            while len(mults) < count:
-                mults.append(mults[-1] * _PCG64_MULT & _MASK128)
-                pluses.append((pluses[-1] * _PCG64_MULT + 1) & _MASK128)
-            self._steps = _split128(mults), _split128(pluses)
-        state = tuple(part[trees] for part in self.state)
-        inc = tuple(part[trees] for part in self.inc)
-        if start:
-            mult, plus = _lcg_jump(start)
-            state = _add128(_mul128(state, divmod(mult, 1 << 64)),
-                            _mul128(inc, divmod(plus, 1 << 64)))
-        mults, pluses = (tuple(part[:count] for part in steps) for steps in self._steps)
-        high, low = _add128(_mul128([part[:, None] for part in state], mults),
-                            _mul128([part[:, None] for part in inc], pluses))
-        value, rotate = high ^ low, high >> 58
-        return value >> rotate | value << (64 - rotate & 63)
-
-
-class _Streams:
-    """Each tree's PCG64 stream, read as numpy's Generator reads it in
-    integers and choice: the 32-bit halves of its raw 64-bit words, low
-    half first, each bounded integer from one half by Lemire's
-    multiply-shift, drawing again while the product's low half falls below
-    2^32 mod bound.
-
-    The words come from source(trees, start, count), which gives words
-    start to start + count of each stream in trees. Tree t's words are
-    buffered in row t of _words, and _pos[t] is its first unread half. A
-    row that a draw would run past is refilled with the stream's next
-    words, so every stream may run on without end.
-    """
-
-    def __init__(self, source, trees, words):
-        self._source = source
-        self._words = np.asarray(source(np.arange(trees), 0, words), dtype="<u8")
+        mults, pluses = [_PCG64_MULT], [1]
+        while len(mults) < words:
+            mults.append(mults[-1] * _PCG64_MULT & _MASK128)
+            pluses.append((pluses[-1] * _PCG64_MULT + 1) & _MASK128)
+        self._steps = _split128(mults), _split128(pluses)
+        self._words = np.empty((trees, words), dtype="<u8")
+        self._fill(slice(None), words)
         self._halves = self._words.view("<u4")
         self._pos = np.zeros(trees, dtype=np.int64)
-        self._taken = [words] * trees
+
+    def _fill(self, trees, count):
+        """Fill the last count words of each row in trees, a slice, with its
+        stream's next words, and move its state to the last of them."""
+        state = [part[trees, None] for part in self.state]
+        inc = [part[trees, None] for part in self.inc]
+        mults, pluses = ([part[:count] for part in steps] for steps in self._steps)
+        high, low = _add128(_mul128(state, mults), _mul128(inc, pluses))
+        self.state[0][trees], self.state[1][trees] = high[:, -1], low[:, -1]
+        value, rotate = high ^ low, high >> 58
+        width = self._words.shape[1]
+        self._words[trees, width - count:] = value >> rotate | value << (64 - rotate & 63)
 
     def _refill(self, t):
         """Move tree t's unread words to the front of its row and fill the
         rest from its stream."""
         row, read = self._words[t], int(self._pos[t]) // 2
         row[:row.size - read] = row[read:]
-        row[row.size - read:] = self._source(np.array([t]), self._taken[t], read)[0]
-        self._taken[t] += read
+        self._fill(slice(t, t + 1), read)
         self._pos[t] -= 2 * read
 
     def _bounded(self, t, bound):
@@ -533,7 +503,7 @@ class RandomForestClassifier:
     Tree t draws from PCG64 seeded by child t of SeedSequence(seed): its
     bootstrap rows as Generator.integers(0, n, size=n) would, then each
     node's candidate features as Generator.choice(d, k, replace=False)
-    would, in the tree's preorder. No bit generator is made: _PCG64Words
+    would, in the tree's preorder. No bit generator is made: _Streams
     computes every tree's raw words at once, equal to numpy's, and the
     draws are read from them. seed is any int >= 0 and trees at most
     2^32 - 1.
@@ -562,8 +532,7 @@ class RandomForestClassifier:
         self.feature_names = train.names
         n, d = train.values.shape
         per_node = math.ceil(math.sqrt(d)) if self.max_features == "sqrt" else None
-        streams = _Streams(_PCG64Words(self.seed, self.n_trees), self.n_trees,
-                           max(n, per_node or n))
+        streams = _Streams(self.seed, self.n_trees, max(n, per_node or n))
         samples = (streams.draw(np.arange(self.n_trees), np.full(n, n)) if self.bootstrap
                    else np.broadcast_to(np.arange(n), (self.n_trees, n)))
         self._nodes = _grow_forest(train.values, train.labels, samples, streams, per_node)

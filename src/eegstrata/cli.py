@@ -94,7 +94,8 @@ CONFIG_TEMPLATE = "\n\n".join(
 
 
 def parse_config_file(path) -> dict:
-    """Flat `key = value` lines; # starts a comment; blank values mean unset."""
+    """Flat `key = value` lines; # starts a comment; blank values mean unset.
+    Lines end at \\n, \\r\\n and \\r only, as a channel file's do."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -104,7 +105,8 @@ def parse_config_file(path) -> dict:
         raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
     kwargs = {}
     seen = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # read_text has already turned \r\n and \r into \n
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -120,7 +122,7 @@ def parse_config_file(path) -> dict:
         if value == "":
             continue
         name = _CONFIG_KEYS[key]
-        kwargs[name] = _convert(name, key, value)
+        kwargs[name] = _convert(name, f"{path}:{lineno}: {key}", value)
     return kwargs
 
 

@@ -32,8 +32,9 @@ SET_LABELS = ("A", "B", "C", "D", "E")
 BONN_PREFIX_TO_SET = {"Z": "A", "O": "B", "N": "C", "F": "D", "S": "E"}
 
 # at most 7 bursts overlap and noise is added on top, so a burst amplitude
-# up to this magnitude keeps every synthetic sample finite
-MAX_BURST_AMPLITUDE = np.finfo(np.float64).max / 8
+# up to this magnitude keeps every synthetic sample finite; a Python float,
+# so an int of any size compares with it exactly
+MAX_BURST_AMPLITUDE = float(np.finfo(np.float64).max) / 8
 
 # Every integer of magnitude below _EXACT_INT is a float64, and a decimal of
 # at most _MAX_DIGITS digits is such an integer over a power of ten that
@@ -305,13 +306,22 @@ SYNTHETIC_RULES = {
     "burst_amplitude": (lambda v: _is_number(v) and abs(v) <= MAX_BURST_AMPLITUDE,
                         f"a number of magnitude at most {MAX_BURST_AMPLITUDE:g}"),
 }
+# and their one budget, the same (test, what it must be) over the settings
+# that pass those rules: at most 2^27 samples, 1 GiB of float64, so no corpus
+# too large to hold is begun
+SYNTHETIC_BUDGET = (lambda s: (s["n0"] + s["n1"]) * s["length"] <= 1 << 27,
+                    "settings whose (n0 + n1) * length is at most 2^27 samples")
 
 
 def _check_synthetic(settings: dict, prefix: str = "") -> None:
-    """Refuse settings that break a SYNTHETIC_RULES rule, naming the setting prefix + key."""
+    """Refuse settings that break a SYNTHETIC_RULES rule or SYNTHETIC_BUDGET,
+    naming the settings prefix + key."""
     for key, (test, what) in SYNTHETIC_RULES.items():
         if not test(settings[key]):
             raise ConfigError(f"{prefix}{key} must be {what}, got {settings[key]}")
+    test, what = SYNTHETIC_BUDGET
+    if not test(settings):
+        raise ConfigError(f"{prefix}n0, {prefix}n1 and {prefix}length must be {what}")
 
 
 def _burst_signal(rng: np.random.Generator, length: int, amplitude: float) -> np.ndarray:

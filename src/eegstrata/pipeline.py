@@ -31,9 +31,9 @@ from pathlib import Path
 import numpy as np
 
 from .classifiers import KNN_K, NB_VAR_FLOOR, RF_TREES, make_classifier
-from .corpus import (BONN_PREFIX_TO_SET, CASE_SETS, SYNTHETIC_RULES, case_channels,
-                     generate_synthetic_case, load_set, save_channel, _check_synthetic,
-                     _file_name, _is_count, _is_number, _set_channel_files)
+from .corpus import (BONN_PREFIX_TO_SET, CASE_SETS, SYNTHETIC_BUDGET, SYNTHETIC_RULES,
+                     case_channels, generate_synthetic_case, load_set, save_channel,
+                     _check_synthetic, _file_name, _is_count, _is_number, _set_channel_files)
 from .errors import ConfigError, DataError, DegenerateDataError, EegStrataError
 from .evaluation import SELECTION_MODES, kfold_split, run_cv, weighted_accuracy
 from .features import MIN_STRATUM_LENGTH, FeatureMatrix, extract_vector, feature_names
@@ -204,7 +204,8 @@ def _manifest_keys(manifest) -> dict:
     a data directory's set directories."""
     if isinstance(manifest, dict) and "synthetic" in manifest:
         return {**{f"synthetic.{key}": rule for key, rule in SYNTHETIC_RULES.items()},
-                "synthetic.seed": (lambda v: _is_number(v) and isinstance(v, int), "an integer")}
+                "synthetic.seed": (lambda v: _is_number(v) and isinstance(v, int), "an integer"),
+                "synthetic": SYNTHETIC_BUDGET}  # last: it reads settings the rules passed
     return {"set_dirs": (
         lambda v: isinstance(v, dict) and all(isinstance(d, str) for d in v.values()),
         "an object of strings")}
@@ -270,7 +271,7 @@ def _read(cfg: PipelineConfig, kind: str, *where):
     else:
         try:
             data = json.loads(path.read_text())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # not UTF-8, not JSON, or an int of over 4300 digits
             raise DataError(f"{path}: malformed JSON ({exc}); run '{writer}' again") from None
     for key, check in (keys(data) if callable(keys) else keys).items():
         node = data

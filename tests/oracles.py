@@ -580,18 +580,17 @@ def pcg64_seed_reference(state_words):
     return (state * _PCG64_MULTIPLIER + inc) % 2**128, inc
 
 
-def pcg64_words_reference(state_words, start, count):
-    """Raw words start to start + count of PCG64 seeded as
-    pcg64_seed_reference does: each word steps the LCG, then takes the
-    XSL-RR output of the new state, its two 64-bit halves xored and
-    rotated right by the state's top 6 bits."""
+def pcg64_words_reference(state_words, count):
+    """The first count raw words of PCG64 seeded as pcg64_seed_reference
+    does: each word steps the LCG, then takes the XSL-RR output of the new
+    state, its two 64-bit halves xored and rotated right by the state's top
+    6 bits."""
     state, inc = pcg64_seed_reference(state_words)
     words = []
-    for i in range(start + count):
+    for _ in range(count):
         state = (state * _PCG64_MULTIPLIER + inc) % 2**128
-        if i >= start:
-            value, rotate = (state // 2**64) ^ (state % 2**64), state // 2**122
-            words.append((value >> rotate | value << (64 - rotate)) % 2**64)
+        value, rotate = (state // 2**64) ^ (state % 2**64), state // 2**122
+        words.append((value >> rotate | value << (64 - rotate)) % 2**64)
     return words
 
 

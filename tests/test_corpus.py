@@ -172,6 +172,14 @@ def test_synthetic_validation():
         (((4, 4), 16, 0), "length must be an integer >= 64, got 16"),
         (((4, 4), 128, 0, float("nan")),
          "burst_amplitude must be a number of magnitude at most 2.24712e+307, got nan"),
+        # an int compares with the bound exactly, however large
+        (((4, 4), 128, 0, -2**1100),
+         f"burst_amplitude must be a number of magnitude at most 2.24712e+307, got {-2**1100}"),
+        # refused before a channel is made: the corpus would not fit in 1 GiB of float64
+        (((10**400, 4), 128, 0),
+         "n0, n1 and length must be settings whose (n0 + n1) * length is at most 2^27 samples"),
+        (((2, 2**21 - 1), 64, 0),  # 64 samples past the budget
+         "n0, n1 and length must be settings whose (n0 + n1) * length is at most 2^27 samples"),
     ]:
         with pytest.raises(ConfigError) as info:
             generate_synthetic_case(*args)

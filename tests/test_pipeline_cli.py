@@ -429,6 +429,22 @@ def test_config_parse_errors(tmp_path):
         parse_config_file(tmp_path / "missing.conf")
 
 
+@pytest.mark.parametrize("end", ["\f", "\v", "\x1c", "\x85", "\u2028"],
+                         ids=["form-feed", "vertical-tab", "file-separator", "nel", "u2028"])
+def test_config_lines_end_only_at_newlines(tmp_path, capsys, end):
+    """As in a channel file, only \\n, \\r\\n and \\r end a line, so a line
+    holding another of str.splitlines's breaks is one bad value on line 1."""
+    path = tmp_path / "ff.conf"
+    path.write_text(f"seed = 3{end}classifier = nb\nbogus = 1\n", encoding="utf-8")
+    assert main(["ingest", "--config", str(path), "--synthetic",
+                 "--out", str(tmp_path / "out")]) == 2
+    value = f"3{end}classifier = nb"
+    assert capsys.readouterr().err == (
+        f"error: {path}:1: seed: expected an integer, got {value!r}\n")
+    path.write_text("seed = 3\r\nclassifier = nb\rstrata = 8\n")
+    assert parse_config_file(path) == {"seed": 3, "classifier": "nb", "n_strata": 8}
+
+
 def test_config_comments_and_blank_values(tmp_path):
     path = tmp_path / "ok.conf"
     path.write_text(
@@ -584,6 +600,9 @@ def _evaluation_json(**bad):
     ("confidence_95/evaluation_Case1.json", "{}", "report"),
     # a value of the wrong type
     ("manifest.json", '{"set_dirs": []}', "sample"),
+    # an int past Python's 4300-digit limit on int parsing
+    pytest.param("manifest.json", '{"set_dirs": ' + "1" * 5000 + "}", "sample",
+                 id="int-over-the-int-parsing-limit"),
     # a generator setting missing, of the wrong type, or out of range
     ("manifest.json", _manifest_json(n0=None), "sample"),
     ("manifest.json", _manifest_json(n0="x"), "sample"),
@@ -629,6 +648,26 @@ def test_cli_malformed_artifact_is_a_data_error(tmp_path, artifact, damage, comm
     stderr = _assert_child_error([command, "--config", str(conf)], path)
     if '"synthetic"' in str(damage):  # the message names the setting
         assert re.search(r"'synthetic\.(n0|length)'", stderr), stderr
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"burst_amplitude": 2**1100},
+     "'synthetic.burst_amplitude' must be a number of magnitude at most 2.24712e+307"),
+    ({"n0": 10**400}, "'synthetic' must be settings whose (n0 + n1) * length is at most 2^27 "
+                      "samples"),
+    ({"n1": 100_000_000_000}, "'synthetic' must be settings whose (n0 + n1) * length is at "
+                              "most 2^27 samples"),
+], ids=["burst-amplitude-2**1100", "n0-400-digits", "n1-1e11"])
+def test_cli_manifest_settings_past_their_bounds_are_a_data_error(tmp_path, capsys, bad,
+                                                                  message):
+    """Each used to end sample with an OverflowError: an int too large for a
+    float, or a corpus too large to index."""
+    conf = _small_conf(tmp_path / "run.conf")
+    assert main(["ingest", "--config", str(conf)]) == 0
+    path = tmp_path / "out" / "manifest.json"
+    path.write_text(_manifest_json(**bad))
+    assert main(["sample", "--config", str(conf)]) == 3
+    assert capsys.readouterr().err == f"error: sample: {path}: {message}; run 'ingest' again\n"
 
 
 def test_cli_allocation_other_than_the_reduced_channels_names_case_and_channel(tmp_path):
@@ -735,12 +774,18 @@ def test_cli_feature_file_is_checked_against_its_names_and_labels(tmp_path, edit
     # one class-0 channel would leave set B empty
     (("synthetic.n0", "1"), "synthetic.n0 must be an integer >= 2, got 1"),
     (("synthetic.n1", "0"), "synthetic.n1 must be an integer >= 1, got 0"),
+    # a corpus over 2^27 samples is refused before any list or channel is made
+    (("synthetic.n0", "1" * 400), "synthetic.n0, synthetic.n1 and synthetic.length must be "
+                                  "settings whose (n0 + n1) * length is at most 2^27 samples"),
+    (("synthetic.n1", "100000000000"), "synthetic.n0, synthetic.n1 and synthetic.length must "
+                                       "be settings whose (n0 + n1) * length is at most 2^27"),
     # 4 + 3 channels: classify's fold check runs before ingest
     (("cv.folds", "4"), "classify: class 1 has 3 rows, fewer than 4 folds"),
 ], ids=["classifier", "cv-folds", "cv-repeats", "stall-limit", "range-threshold",
         "range-threshold-nan", "nb-var-floor-nan", "burst-amplitude-inf",
         "burst-amplitude-1e308", "synthetic-length", "e", "strata",
-        "case-twice", "confidence-twice", "synthetic-n0", "synthetic-n1", "class-below-folds"])
+        "case-twice", "confidence-twice", "synthetic-n0", "synthetic-n1", "synthetic-n0-huge",
+        "synthetic-n1-huge", "class-below-folds"])
 def test_cli_bad_classifier_or_cv_fails_before_any_stage(tmp_path, capsys, change, fragment):
     assert main(["pipeline", "--config", str(_small_conf(tmp_path / "run.conf", [change]))]) == 2
     assert fragment in capsys.readouterr().err

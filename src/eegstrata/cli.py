@@ -18,7 +18,7 @@ from .errors import ConfigError, DegenerateDataError, EegStrataError
 from .pipeline import (REPORT_FORMATS, PipelineConfig, artifact_path,
                        assemble_report, emit_report, resolve_levels,
                        run_pipeline, stage_classify, stage_extract, stage_ingest,
-                       stage_sample, stage_select, _stage)
+                       stage_sample, stage_select, _Run, _stage)
 from .sampler import SELECTION_POLICIES
 
 # The config file's one list of keys, in template order: each section's
@@ -57,7 +57,10 @@ def _scalar(kind: type, key: str, value: str):
     try:
         return _BOOLS[value.lower()] if kind is bool else kind(value)
     except (KeyError, ValueError):
-        raise ConfigError(f"{key}: expected {_EXPECTED[kind]}, got {value!r}") from None
+        too_long = kind is int and value[value[:1] in "+-":].isdecimal()  # int() takes the rest
+        expected = _EXPECTED[kind] + f" of at most {sys.get_int_max_str_digits()} digits" * too_long
+        shown = repr(value) if len(value) <= 40 else f"{value[:20]!r}... ({len(value)} characters)"
+        raise ConfigError(f"{key}: expected {expected}, got {shown}") from None
 
 
 def _convert(name: str, key: str, value: str):
@@ -142,11 +145,12 @@ def build_config(args) -> PipelineConfig:
 
 
 def _per_level(stage, show):
-    """Run stage(cfg, label, z) at every configured level and print one line
-    per case: "<case> @ <label>", then what show(cfg, z, result) returns."""
+    """Run stage(cfg, label, z, run) at every configured level with one run, and print
+    one line per case: "<case> @ <label>", then what show(cfg, z, result) returns."""
     def run(cfg, args):
+        held = _Run(cfg)  # sample's first level makes the corpus for every level
         for label, z in resolve_levels(cfg):
-            for case_id, result in stage(cfg, label, z).items():
+            for case_id, result in stage(cfg, label, z, held).items():
                 print(f"{case_id} @ {label}{show(cfg, z, result)}")
     return run
 
@@ -173,12 +177,6 @@ def _ingest(cfg, args):
         print(f"  set {s}: {count} channels")
 
 
-def _sample(cfg, args):
-    corpus = {}  # the first level parses it for every level
-    _per_level(lambda cfg, label, z: stage_sample(cfg, label, z, corpus)[0],
-               _show_sampling)(cfg, args)
-
-
 def _pipeline(cfg, args):
     sys.stdout.write(emit_report(run_pipeline(cfg), "table").decode())
     print(f"report written to {artifact_path(cfg, 'report')}")
@@ -203,14 +201,14 @@ _COMMON = (
 # Each stage subcommand: name, help, flags beside _COMMON, run(cfg, args).
 _COMMANDS = (
     ("ingest", "run the ingest stage", _DATA, _ingest),
-    ("sample", "run the sample stage", _POLICY, _sample),
+    ("sample", "run the sample stage", _POLICY, _per_level(stage_sample, _show_sampling)),
     ("extract", "run the extract stage", _POLICY, _per_level(
-        lambda cfg, label, z: stage_extract(cfg, label),
+        lambda cfg, label, z, run: stage_extract(cfg, label, run),
         lambda cfg, z, fm: f": {fm.n_rows} channels x {fm.n_features} features")),
     ("select", "run the select stage", (), _per_level(
-        lambda cfg, label, z: stage_select(cfg, label), _show_subset)),
+        lambda cfg, label, z, run: stage_select(cfg, label), _show_subset)),
     ("classify", "run the classify stage", (), _per_level(
-        lambda cfg, label, z: stage_classify(cfg, label),
+        lambda cfg, label, z, run: stage_classify(cfg, label),
         lambda cfg, z, r: f" [{cfg.classifier}]: {r.mean:.2f} +/- {r.std:.2f} %")),
     ("pipeline", "run every stage end to end", _DATA + _POLICY, _pipeline),
     ("report", "format the persisted run artifacts",

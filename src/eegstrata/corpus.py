@@ -243,12 +243,13 @@ def save_channel(channel: Channel, path) -> None:
     is numerically exact, and the bytes do not depend on the locale. The
     text is channel.text, so a channel written again is not formatted again
     until its drop_text; an integer-valued channel's text is formatted as
-    one array. What is left is the file system's work: making the file's
-    directories, which sample's reduced/ tree needs afresh in every run, and
-    creating and writing the file."""
+    one array. Directories are made only when the write finds them missing."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(channel.text)
+    try:
+        path.write_bytes(channel.text)
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(channel.text)
 
 
 def _file_name(channel) -> str:

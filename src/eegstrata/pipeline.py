@@ -1,22 +1,15 @@
 """End-to-end orchestration: ingest, sample, extract, select, classify, report.
 
-Every stage writes its outputs to the output directory. Called on its own,
-a stage reads its inputs from there; `run_pipeline` instead hands each
-stage's output to the next in memory, so it generates or parses its input
-corpus once and never parses a channel file it wrote itself: sample returns
-each case's two reduced classes, and extract takes them. Cases that share
-a class share sample's work on it: the class is allocated, its channels
-reduced and their files' text formatted once per level. Only sample
-makes channels: ingest records where the corpus comes from in the manifest,
-a data directory's set directories or a synthetic corpus's generator
-settings, and sample parses or generates the corpus from that record. Either
-way a set comes in the order `load_set` reads it in, that of the names
-`corpus._file_name` gives its files. The files are checkpoints: after its
-input is resolved a stage runs the same code either way, and `repr`
-round-trips float64, so a single `run_pipeline` call and the equivalent
-sequence of stage calls produce byte-identical artifacts. Nothing here
-depends on wall-clock time; a (config, seed) pair fully determines every
-output byte.
+Every stage writes its outputs to the output directory; ingest records in
+the manifest where the corpus comes from. What an invocation hands from
+stage to stage, the corpus and sample's reduced classes, is held by one
+`_Run`: `run_pipeline` keeps one for every level, so it makes its corpus
+once and parses no channel file it wrote, while a stage called on its own
+starts a new one, which reads its inputs from the output directory. Either
+way a stage runs the same code on them, and `repr` round-trips float64, so
+one `run_pipeline` call and the stages called one by one write
+byte-identical artifacts. Nothing here depends on wall-clock time; a
+(config, seed) pair fully determines every output byte.
 """
 
 from __future__ import annotations
@@ -120,11 +113,15 @@ class PipelineConfig:
         if self.synthetic:
             _check_synthetic({key: getattr(self, f"synthetic_{key}") for key in SYNTHETIC_RULES},
                              "synthetic.")
-        # build what sample (for the shortest channel strata allow) and classify
-        # build, and check what classify reads, so a bad setting fails before
-        # any stage writes
+        # no plan of n_strata entries is built: n_bar is at most an unbounded population's (or 1)
+        if self.n_strata < 1:
+            raise ConfigError(f"n_strata must be at least 1, got {self.n_strata}")
         for _, z in resolve_levels(self):
-            _design(self, z, self.n_strata)
+            most = max(1, required_sample_size(z, float("inf"), self.p, self.e))
+            if self.n_strata > most // MIN_STRATUM_LENGTH:
+                raise ConfigError(f"strata must be at most {most // MIN_STRATUM_LENGTH}: z={z:g}, "
+                                  f"p={self.p:g} and e={self.e:g} give n_bar <= {most}, and a "
+                                  f"stratum needs {MIN_STRATUM_LENGTH} samples")
         kind, params = self.classifier_spec()
         make_classifier(kind, **params)
         if self.cv_folds < 2:
@@ -305,11 +302,44 @@ def _write_set(directory: Path, channels, writes: Counter) -> None:
             ch.drop_text()
 
 
+class _Run:
+    """What one invocation hands from stage to stage: each corpus set in load_set's order,
+    made once from the manifest's record, and the reduced classes of sample's last level,
+    by (level label, case), until extract takes them."""
+
+    def __init__(self, cfg: PipelineConfig):
+        self.cfg, self.sets, self.reduced, self._set_dirs = cfg, {}, {}, None
+
+    def classes(self, case_id: str) -> tuple:
+        """case_id's two classes; a set not held is generated from the synthetic
+        settings the manifest records, or parsed from the directory it names."""
+        for s in (s for sets in CASE_SETS[case_id] for s in sets if s not in self.sets):
+            if self._set_dirs is None:  # the first set missing reads the manifest
+                manifest = _read(self.cfg, "manifest")
+                syn = manifest.get("synthetic")
+                self._set_dirs = {} if syn else manifest["set_dirs"]
+                if syn:
+                    made = generate_synthetic_case((syn["n0"], syn["n1"]), syn["length"],
+                                                   syn["seed"], syn["burst_amplitude"])
+                    self.sets = {**made, **self.sets}
+            if s not in self.sets:
+                if s not in self._set_dirs:
+                    raise DataError(f"{case_id}: set {s} is not in the manifest; run 'ingest' again")
+                self.sets[s] = load_set(self._set_dirs[s], s)
+        return case_channels(case_id, self.sets.__getitem__)
+
+    def take_reduced(self, label: str, case_id: str) -> tuple:
+        """case_id's reduced classes at level label: sample's once, else parsed from reduced/."""
+        reduced_dir = artifact_path(self.cfg, "reduced", label, case_id)
+        return self.reduced.pop((label, case_id), None) or case_channels(
+            case_id, lambda s: load_set(reduced_dir / s, s))
+
+
 def stage_ingest(cfg: PipelineConfig) -> dict:
     """Record where the corpus comes from in the manifest, and write it: a
     synthetic corpus's generator settings with the seed, or a data
     directory's set directories with their channel file counts. Ingest makes
-    and parses no channel; stage_sample does."""
+    and parses no channel; a _Run does."""
     if cfg.synthetic:
         if cfg.cases != ("Case1",):
             raise ConfigError("synthetic data covers sets A/B/E, so only Case1 is supported")
@@ -339,46 +369,25 @@ def stage_ingest(cfg: PipelineConfig) -> dict:
     return manifest
 
 
-def stage_sample(cfg: PipelineConfig, label: str, z: float, corpus: dict | None = None) -> tuple:
-    """Reduce every channel of every case at one confidence level.
-
-    corpus is a dict of each set's channels in load_set's order, as an
-    earlier call filled it (None: a new dict); first each set the cases
-    need that it lacks is put into it, generated from the synthetic
-    settings the manifest records or parsed from the directory it names, so
-    a dict kept across levels makes each set once. A class that several
-    cases share (set E is class 1 of every case) is allocated once, each
-    of its channels reduced once and its text formatted once, so every
-    case holds the same reduced channels and writes the same bytes; the
-    text is released after its last write. Nothing is written until every
-    case is allocated and reduced, then each case's files are written in
-    case order. Returns (samplings, reduced): each case's sampling, and
-    each case's reduced classes in corpus's order, which is the order
-    extract reads their files in.
-    """
-    corpus = {} if corpus is None else corpus
-    manifest = None
-    for case_id in cfg.cases:
-        for set_label in (s for sets in CASE_SETS[case_id] for s in sets if s not in corpus):
-            if manifest is None:
-                manifest = _read(cfg, "manifest")
-                syn = manifest.get("synthetic")
-                generated = {} if syn is None else generate_synthetic_case(
-                    (syn["n0"], syn["n1"]), syn["length"], syn["seed"], syn["burst_amplitude"])
-            if set_label in generated:
-                corpus[set_label] = generated[set_label]
-            elif syn is None and set_label in manifest["set_dirs"]:
-                corpus[set_label] = load_set(manifest["set_dirs"][set_label], set_label)
-            else:
-                raise DataError(f"{case_id}: set {set_label} is not in the manifest; "
-                                "run 'ingest' again")
+def stage_sample(cfg: PipelineConfig, label: str, z: float, run: _Run | None = None) -> dict:
+    """Reduce every channel of every case at one confidence level, taking the corpus from
+    run (None: a new run), which lets it go at the config's last level, and return each
+    case's sampling. A class that several cases share (set E is class 1 of every case) is
+    allocated once, each of its channels reduced once and its text formatted once, then
+    released after its last write. Nothing is written until every case is reduced, then
+    each case's files in case order. Each case's reduced classes, in the order extract
+    reads their files in, replace what run held."""
+    run = _Run(cfg) if run is None else run
+    run.reduced.clear()  # an earlier level's, which no extract took
+    cases = {case_id: run.classes(case_id) for case_id in cfg.cases}
+    if label == resolve_levels(cfg)[-1][0]:  # no later level reads the corpus
+        run.sets, run._set_dirs = {}, None
     # a class's channels fix its length, so its sets key its allocation, and
     # a channel's reduction is keyed by its id and counts: cases that share a
     # class share its allocation, its reduced channels and their text
     allocations, reductions = {}, {}
     samplings, reduced = {}, {}
-    for case_id in cfg.cases:
-        classes = case_channels(case_id, corpus.__getitem__)
+    for case_id, classes in cases.items():
         lengths = {len(ch) for chans in classes for ch in chans}
         if len(lengths) != 1:
             raise DataError(f"{case_id}: channels have mixed lengths {sorted(lengths)}")
@@ -422,21 +431,18 @@ def stage_sample(cfg: PipelineConfig, label: str, z: float, corpus: dict | None 
                 _write_set(reduced_dir / set_label,
                            [ch for ch in chans if ch.set_label == set_label], writes)
         _write_json(artifact_path(cfg, "sampling", label, case_id), samplings[case_id])
-    return samplings, reduced
+    run.reduced.update(((label, case_id), kept) for case_id, kept in reduced.items())
+    return samplings
 
 
-def stage_extract(cfg: PipelineConfig, label: str, reduced: dict | None = None) -> dict:
-    """Turn reduced channels into per-case feature matrices. reduced is what
-    stage_sample gave; each case's reduced channel files are parsed when it
-    is None."""
+def stage_extract(cfg: PipelineConfig, label: str, run: _Run | None = None) -> dict:
+    """Turn each case's reduced classes, taken from run (None: a new run,
+    which parses them from the output directory), into its feature matrix."""
+    run = _Run(cfg) if run is None else run
     out = {}
     for case_id in cfg.cases:
         allocation = _read(cfg, "sampling", label, case_id)["classes"]
-        if reduced is None:
-            reduced_dir = artifact_path(cfg, "reduced", label, case_id)
-            classes = case_channels(case_id, lambda s: load_set(reduced_dir / s, s))
-        else:
-            classes = reduced[case_id]
+        classes = run.take_reduced(label, case_id)
         try:
             # one call per class, whose channels share a plan
             rows = [extract_vector(chans, allocation[str(lab)]["per_stratum"])
@@ -564,23 +570,18 @@ def _stage(name: str, fn, *args):
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict:
-    """All stages in order for every configured confidence level, each
-    handing its channels to the next in memory: the corpus is generated or
-    parsed once for every level, and sample's reduced channels go to extract."""
-    corpus = {}
+    """All stages in order for every configured confidence level, through one run, so the
+    corpus is made once and sample's reduced channels go to extract in memory."""
+    run = _Run(cfg)
     if cfg.synthetic:  # class sizes are known now, so classify's check need not wait for it
         _stage("classify", kfold_split, [0] * cfg.synthetic_n0 + [1] * cfg.synthetic_n1, cfg)
     manifest = _stage("ingest", stage_ingest, cfg)
     for case_id in () if cfg.synthetic else cfg.cases:  # a data directory's, once ingest counted
         sizes = [sum(manifest["channels_per_set"][s] for s in sets) for sets in CASE_SETS[case_id]]
         _stage("classify", kfold_split, np.repeat([0, 1], sizes), cfg)
-    levels = resolve_levels(cfg)
-    for i, (label, z) in enumerate(levels, 1):
-        _, reduced = _stage("sample", stage_sample, cfg, label, z, corpus)
-        if i == len(levels):
-            corpus.clear()  # released after its last reader, as reduced is below
-        _stage("extract", stage_extract, cfg, label, reduced)
-        del reduced
+    for label, z in resolve_levels(cfg):
+        _stage("sample", stage_sample, cfg, label, z, run)
+        _stage("extract", stage_extract, cfg, label, run)
         _stage("select", stage_select, cfg, label)
         _stage("classify", stage_classify, cfg, label)
     return _stage("report", assemble_report, cfg)

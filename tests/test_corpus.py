@@ -10,9 +10,10 @@ from eegstrata.corpus import MAX_BURST_AMPLITUDE
 
 
 def test_load_save_round_trip(tmp_path):
+    """save_channel makes the directories a write finds missing."""
     rng = np.random.default_rng(3)
     ch = Channel(id="A/x", set_label="A", samples=rng.standard_normal(257))
-    path = tmp_path / "A" / "x.txt"
+    path = tmp_path / "out" / "A" / "x.txt"
     save_channel(ch, path)
     back = load_channel(path, "A")
     np.testing.assert_array_equal(back.samples, ch.samples)

@@ -92,21 +92,25 @@ def test_scale_rule_is_stated_once():
 
 
 def test_only_sample_makes_channels():
-    """Inside the package, generate_synthetic_case is called only in
-    stage_sample, and load_set only in stage_sample and in stage_extract,
-    which reads the reduced channels sample wrote."""
+    """Inside the package, generate_synthetic_case and load_set are called
+    only by the one per-run hand-off, pipeline._Run: generate_synthetic_case
+    and the corpus's load_set in _Run.classes, which sample calls, and the
+    reduced channels' load_set in _Run.take_reduced, which extract calls."""
     package = Path(eegstrata.__file__).parent
     callers = {"generate_synthetic_case": set(), "load_set": set()}
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text())
+        methods = {func: f"{cls.name}.{func.name}" for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) for func in cls.body
+                   if isinstance(func, ast.FunctionDef)}
         for func in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
             for node in ast.walk(func):
                 name = (getattr(node.func, "id", None) or getattr(node.func, "attr", None)
                         if isinstance(node, ast.Call) else None)
                 if name in callers:
-                    callers[name].add(f"{path.name}:{func.name}")
-    assert callers == {"generate_synthetic_case": {"pipeline.py:stage_sample"},
-                       "load_set": {"pipeline.py:stage_sample", "pipeline.py:stage_extract"}}
+                    callers[name].add(f"{path.name}:{methods.get(func, func.name)}")
+    assert callers == {"generate_synthetic_case": {"pipeline.py:_Run.classes"},
+                       "load_set": {"pipeline.py:_Run.classes", "pipeline.py:_Run.take_reduced"}}
 
 
 def test_all_lists_the_public_names():

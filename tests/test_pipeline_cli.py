@@ -194,7 +194,7 @@ def test_cli_sample_parses_each_channel_file_once_for_every_level(bonn_corpus, t
 
 @pytest.mark.parametrize("source", ["synthetic", "data-directory"])
 def test_channels_in_memory_are_in_file_name_order(tmp_path, source):
-    """The channels sample puts into its corpus dict and hands on come in the
+    """The channels a run makes and sample hands on through it come in the
     order load_set reads them, that of the <stem>.txt names they are written
     as: past 1000 channels of a set, syn1000.txt sorts before syn101.txt, and
     in a data directory Z001.U.txt sorts before Z001.TXT, which is written
@@ -212,16 +212,18 @@ def test_channels_in_memory_are_in_file_name_order(tmp_path, source):
         cfg = PipelineConfig(data_dir=str(root), n_strata=2, classifier="nb", cv_folds=2,
                              cv_repeats=1, out_dir=str(out))
         first, second = "A/Z001.U", "A/Z001"
-    sets = {}
+    run = pipeline._Run(cfg)
     stage_ingest(cfg)
-    _, reduced = stage_sample(cfg, "95", 1.96, sets)
+    run.classes("Case1")
+    sets = dict(run.sets)  # sample at the config's last level lets the run's sets go
+    stage_sample(cfg, "95", 1.96, run)
     ids = [ch.id for ch in sets[first[0]]]
     assert ids.index(first) == ids.index(second) - 1
     reduced_dir = out / "confidence_95" / "reduced" / "Case1"
     for set_label, channels in sets.items():
         loaded = corpus.load_set(reduced_dir / set_label, set_label)
         assert [ch.id for ch in channels] == [ch.id for ch in loaded]
-    assert [[ch.id for ch in chans] for chans in reduced["Case1"]] == [
+    assert [[ch.id for ch in chans] for chans in run.reduced["95", "Case1"]] == [
         [ch.id for ch in chans] for chans in corpus.case_channels(
             "Case1", lambda s: corpus.load_set(reduced_dir / s, s))]
     if source == "data-directory":  # features and report are cheap here, not at 1003 channels
@@ -443,6 +445,18 @@ def test_config_lines_end_only_at_newlines(tmp_path, capsys, end):
         f"error: {path}:1: seed: expected an integer, got {value!r}\n")
     path.write_text("seed = 3\r\nclassifier = nb\rstrata = 8\n")
     assert parse_config_file(path) == {"seed": 3, "classifier": "nb", "n_strata": 8}
+
+
+def test_config_integer_past_the_digit_limit(tmp_path, capsys):
+    """int() refuses a decimal of more digits than the interpreter allows: the
+    error names that limit and shows only the start of the value."""
+    path = tmp_path / "big.conf"
+    path.write_text("seed = " + "1" * 5000 + "\n")
+    assert main(["ingest", "--config", str(path), "--synthetic",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}:1: seed: expected an integer of at most "
+        f"{sys.get_int_max_str_digits()} digits, got '{'1' * 20}'... (5000 characters)\n")
 
 
 def test_config_comments_and_blank_values(tmp_path):
@@ -769,6 +783,9 @@ def test_cli_feature_file_is_checked_against_its_names_and_labels(tmp_path, edit
     (("synthetic.length", "10"), "synthetic.length must be an integer >= 64, got 10"),
     (("e", "2"), "e must be in (0, 1), got 2.0"),
     (("strata", "0"), "n_strata must be at least 1, got 0"),
+    # checked without a plan of that many strata: 64 samples each pass n_bar's bound
+    (("strata", "9" * 30), "strata must be at most 150: z=1.96, p=0.5 and e=0.01 give n_bar "
+                           "<= 9603, and a stratum needs 64 samples"),
     (("cases", "Case1, Case1"), "case Case1 is listed twice"),
     (("confidence", "95, 95"), "confidence level 95 is listed twice"),
     # one class-0 channel would leave set B empty
@@ -783,7 +800,7 @@ def test_cli_feature_file_is_checked_against_its_names_and_labels(tmp_path, edit
     (("cv.folds", "4"), "classify: class 1 has 3 rows, fewer than 4 folds"),
 ], ids=["classifier", "cv-folds", "cv-repeats", "stall-limit", "range-threshold",
         "range-threshold-nan", "nb-var-floor-nan", "burst-amplitude-inf",
-        "burst-amplitude-1e308", "synthetic-length", "e", "strata",
+        "burst-amplitude-1e308", "synthetic-length", "e", "strata", "strata-huge",
         "case-twice", "confidence-twice", "synthetic-n0", "synthetic-n1", "synthetic-n0-huge",
         "synthetic-n1-huge", "class-below-folds"])
 def test_cli_bad_classifier_or_cv_fails_before_any_stage(tmp_path, capsys, change, fragment):
@@ -888,7 +905,9 @@ def test_sample_shares_a_class_between_cases(tmp_path, monkeypatch):
         sorted({ch.set_label for ch in chans})) or allocate(chans, *args))
     monkeypatch.setattr(pipeline, "reduce_channel", lambda ch, *args, **kwargs: reduced_ids.append(
         ch.id) or reduce(ch, *args, **kwargs))
-    _, reduced = stage_sample(cfg, "95", 1.96)
+    run = pipeline._Run(cfg)
+    stage_sample(cfg, "95", 1.96, run)
+    reduced = {case_id: kept for (_, case_id), kept in run.reduced.items()}
     assert allocated == [["A", "B"], ["E"], ["C", "D"], ["A", "B", "C", "D"]]
     e_ids = [ch.id for ch in reduced["Case1"][1]]
     assert sorted(e_ids) == ["E/S001", "E/S002", "E/S003"]
@@ -919,10 +938,11 @@ def test_bonn_files_take_the_array_paths(tmp_path, monkeypatch):
     monkeypatch.setattr(corpus, "_parse_text", fallback)
     monkeypatch.setattr(corpus, "_repr_text", fallback)
     assert corpus.load_channel(paths[0], "A").samples.size == 512
-    _, reduced = stage_sample(cfg, "95", 1.96)
+    run = pipeline._Run(cfg)
+    stage_sample(cfg, "95", 1.96, run)
     written = sorted((tmp_path / "out" / "confidence_95" / "reduced").rglob("*.txt"))
     assert len(written) == 2 * (3 + 3 + 5)  # two channels of each set of each case
-    for case_id, classes in reduced.items():
+    for (_, case_id), classes in run.reduced.items():
         for ch in classes[0] + classes[1]:
             path = (tmp_path / "out" / "confidence_95" / "reduced" / case_id / ch.set_label
                     / f"{ch.id.split('/')[1]}.txt")
@@ -931,19 +951,26 @@ def test_bonn_files_take_the_array_paths(tmp_path, monkeypatch):
 
 
 def test_sample_completes_a_partly_filled_corpus(tmp_path, monkeypatch):
-    """A corpus dict that holds sets A and B has only C, D and E parsed into
-    it, and keeps the lists it was given."""
+    """A run that holds sets A and B has only C, D and E parsed into it, and
+    keeps the lists it was given until sample at the config's last level
+    lets them go; a level's reduced classes replace the last level's."""
     paths = corpus_gen.write_corpus(tmp_path / "corpus", seed=0, n_per_set=3, length=512)
     cfg = PipelineConfig(data_dir=str(tmp_path / "corpus"), cases=("Case1", "Case2", "Case3"),
-                         out_dir=str(tmp_path / "out"))
+                         confidence_levels=(95, 99), out_dir=str(tmp_path / "out"))
     set_dirs = stage_ingest(cfg)["set_dirs"]
-    given = {s: corpus.load_set(set_dirs[s], s) for s in ("A", "B")}
-    set_a = given["A"]
+    run = pipeline._Run(cfg)
+    run.sets.update((s, corpus.load_set(set_dirs[s], s)) for s in ("A", "B"))
+    set_a = run.sets["A"]
     loaded = _count_loads(monkeypatch)
-    stage_sample(cfg, "95", 1.96, given)
+    stage_sample(cfg, "95", 1.96, run)
     assert sorted(loaded) == sorted(p for p in paths
                                     if corpus.BONN_PREFIX_TO_SET[p.parent.name] in "CDE")
-    assert given["A"] is set_a and sorted(given) == ["A", "B", "C", "D", "E"]
+    assert run.sets["A"] is set_a and sorted(run.sets) == ["A", "B", "C", "D", "E"]
+    stage_sample(cfg, "99", 2.58, run)
+    assert sorted(loaded) == sorted(p for p in paths
+                                    if corpus.BONN_PREFIX_TO_SET[p.parent.name] in "CDE")
+    assert run.sets == {}
+    assert sorted(run.reduced) == [("99", case_id) for case_id in cfg.cases]
 
 
 def test_cli_sample_of_a_case_ingest_left_out(tmp_path):
